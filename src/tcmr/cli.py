@@ -145,20 +145,37 @@ def _restore(args):
     return cfg, model, corpus, (train, val, test), stats
 
 
+def _k_value(raw) -> int:
+    """argparse type for a cut-off k: an integer >= 1."""
+    try:
+        k = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad k {raw!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"k must be >= 1, got {k}")
+    return k
+
+
 def _parse_k_list(raw):
+    if not raw:
+        return list(rt.DEFAULT_SCOPE_KS)
     try:
         ks = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"bad k list {raw!r}") from None
     if not ks:
         raise UsageError("empty k list")
+    if min(ks) < 1:
+        raise UsageError(f"k list values must be >= 1, got {raw!r}")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise UsageError(f"k list must be strictly increasing, got {raw!r}")
     return ks
 
 
 def cmd_eval(args) -> int:
+    k_list = _parse_k_list(args.k_list)
     cfg, model, _, (train, _, test), stats = _restore(args)
-    k = args.k or cfg.k_eval
-    k_list = _parse_k_list(args.k_list) if args.k_list else list(rt.DEFAULT_SCOPE_KS)
+    k = cfg.k_eval if args.k is None else args.k
     index = rt.build_index(test, model, stats)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,8 +195,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    k_list = _parse_k_list(args.k_list)
     cfg, model, _, (_, _, test), stats = _restore(args)
-    k_list = _parse_k_list(args.k_list) if args.k_list else list(rt.DEFAULT_SCOPE_KS)
     index = rt.build_index(test, model, stats)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,7 +332,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_k_value, default=None)
     p.add_argument("--k-list", default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -331,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--text", default=None)
     p.add_argument("--image-row", type=int, default=None)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_k_value, default=10)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus bundle")

@@ -437,6 +437,24 @@ def tfidf_matrix(corpus: Corpus, stats: DocFrequency) -> np.ndarray:
     return np.stack([tfidf_vector(d.text_counts, stats) for d in corpus.documents])
 
 
+def label_matrix(label_sets, categories=None) -> np.ndarray:
+    """(n, C) float 0/1 indicator of each document's labels.
+
+    Columns follow ``categories`` (default: every label that occurs, sorted);
+    labels outside it are ignored. ``L @ L.T`` counts shared labels exactly.
+    """
+    if categories is None:
+        categories = sorted(set().union(*label_sets))
+    column = {c: k for k, c in enumerate(categories)}
+    matrix = np.zeros((len(label_sets), len(column)), dtype=np.float64)
+    for i, labels in enumerate(label_sets):
+        for lab in labels:
+            k = column.get(lab)
+            if k is not None:
+                matrix[i, k] = 1.0
+    return matrix
+
+
 # ---------------------------------------------------------------------------
 # Splitting
 

@@ -12,12 +12,19 @@ Two parts, combined additively:
 
 Cross-modality similarity is the harmonic mean of the two cross dot
 products, clamped to [0, 1]. Temporal correlation values are precomputed
-constants; gradients flow only through the projections.
+constants, one (b, b) matrix per batch; gradients flow only through the
+projections.
+
+Positives come from the batch label matrix as masks over ``L @ L.T``; the
+hinge terms are gathered through index arrays and the constraint terms are
+masked (b, b) operations. Hinge entries of dL/dS (the diagonal and pairs
+sharing no label) never overlap constraint entries (distinct pairs sharing a
+label), so the gradient equals the per-anchor accumulation bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,38 +51,37 @@ class ObjectiveConfig:
 
 @dataclass
 class BatchPlan:
-    """Sampled negatives and positive sets for one mini-batch.
+    """Sampled negatives and the positive-pair mask of one mini-batch.
 
-    All indices are batch-local. ``sim_temp`` holds one array per anchor,
-    aligned with ``positives``; it is None when no temporal model is in play.
+    All indices are batch-local. ``negatives_text[i]`` and
+    ``negatives_image[i]`` are anchor i's sampled negatives;
+    ``positive_mask[i, j]`` is True when documents i != j share a category.
+    ``sim_temp`` is the (b, b) temporal correlation matrix, read at the
+    positive pairs; it stays None when no temporal model is in play.
     """
 
     negatives_text: list[np.ndarray]
     negatives_image: list[np.ndarray]
-    positives: list[np.ndarray]
-    sim_temp: list[np.ndarray] | None = None
+    positive_mask: np.ndarray
+    sim_temp: np.ndarray | None = None
     skipped_anchors: int = 0
 
-    def __len__(self):
-        return len(self.positives)
 
+def build_batch_plan(labels, rng, negatives_per_anchor=1) -> BatchPlan:
+    """Sample per-anchor negatives and mask the in-batch positives.
 
-def build_batch_plan(label_sets, rng, negatives_per_anchor=1, sim_temp_fn=None) -> BatchPlan:
-    """Sample per-anchor negatives and collect in-batch positives.
-
-    Negatives are drawn uniformly (without replacement) from batch members
-    sharing no category with the anchor; anchors with an empty negative pool
-    are skipped for the ranking term and counted. ``sim_temp_fn(i, j)`` is
-    evaluated on batch-local indices for every (anchor, positive) pair.
+    ``labels`` is the batch's (b, C) 0/1 label matrix. Negatives are drawn
+    uniformly (without replacement) from batch members sharing no category
+    with the anchor, with one ``rng.choice`` per anchor and direction, text
+    first; anchors with an empty negative pool are skipped for the ranking
+    term and counted.
     """
-    n = len(label_sets)
-    neg_text, neg_image, positives = [], [], []
-    sims = [] if sim_temp_fn is not None else None
+    labels = np.asarray(labels, dtype=np.float64)
+    shared = labels @ labels.T > 0.0
+    neg_text, neg_image = [], []
     skipped = 0
-    for i in range(n):
-        pool = np.array(
-            [j for j in range(n) if not (label_sets[i] & label_sets[j])], dtype=np.intp
-        )
+    for i in range(len(labels)):
+        pool = np.flatnonzero(~shared[i])
         if pool.size == 0:
             skipped += 1
             chosen_t = np.empty(0, dtype=np.intp)
@@ -86,18 +92,11 @@ def build_batch_plan(label_sets, rng, negatives_per_anchor=1, sim_temp_fn=None) 
             chosen_i = rng.choice(pool, size=k, replace=False)
         neg_text.append(chosen_t)
         neg_image.append(chosen_i)
-        pos = np.array(
-            [j for j in range(n) if j != i and (label_sets[i] & label_sets[j])],
-            dtype=np.intp,
-        )
-        positives.append(pos)
-        if sims is not None:
-            sims.append(np.array([sim_temp_fn(i, j) for j in pos], dtype=np.float64))
+    np.fill_diagonal(shared, False)
     return BatchPlan(
         negatives_text=neg_text,
         negatives_image=neg_image,
-        positives=positives,
-        sim_temp=sims,
+        positive_mask=shared,
         skipped_anchors=skipped,
     )
 
@@ -144,6 +143,12 @@ class LossBreakdown:
     active_hinges: int = 0
 
 
+def _anchor_pairs(per_anchor):
+    """(anchor, negative) index arrays from per-anchor negative arrays."""
+    anchors = np.repeat(np.arange(len(per_anchor)), [len(j) for j in per_anchor])
+    return anchors, np.concatenate([np.empty(0, np.intp), *per_anchor]).astype(np.intp)
+
+
 def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: ObjectiveConfig,
                                 include_temporal=True):
     """Loss value and gradients w.r.t. the projected batch.
@@ -153,52 +158,45 @@ def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: Object
     """
     A = np.asarray(proj_img, dtype=np.float64)
     B = np.asarray(proj_txt, dtype=np.float64)
-    n = A.shape[0]
     S = A @ B.T  # S[i, j] = image_i . text_j
     G = np.zeros_like(S)  # dL/dS
     out = LossBreakdown(skipped_anchors=plan.skipped_anchors)
 
-    m = cfg.margin
-    for i in range(n):
-        s_pos = S[i, i]
-        for j in plan.negatives_text[i]:
-            hinge = m - s_pos + S[i, j]
-            if hinge > 0.0:
-                out.ranking += hinge
-                out.active_hinges += 1
-                G[i, i] -= 1.0
-                G[i, j] += 1.0
-        for j in plan.negatives_image[i]:
-            hinge = m - s_pos + S[j, i]
-            if hinge > 0.0:
-                out.ranking += hinge
-                out.active_hinges += 1
-                G[i, i] -= 1.0
-                G[j, i] += 1.0
+    # anchor i's text negative j scores S[i, j], its image negative j S[j, i]
+    anc_t, neg_t = _anchor_pairs(plan.negatives_text)
+    anc_i, neg_i = _anchor_pairs(plan.negatives_image)
+    anchors = np.concatenate([anc_t, anc_i])
+    rows = np.concatenate([anc_t, neg_i])
+    cols = np.concatenate([neg_t, anc_i])
+    hinge = (cfg.margin - S[anchors, anchors]) + S[rows, cols]
+    active = hinge > 0.0
+    out.ranking = float(hinge[active].sum())
+    out.active_hinges = int(active.sum())
+    np.add.at(G, (anchors[active], anchors[active]), -1.0)
+    np.add.at(G, (rows[active], cols[active]), 1.0)
 
     if include_temporal and cfg.lam > 0.0:
         if plan.sim_temp is None:
             raise ValueError("temporal term requested but plan has no sim_temp values")
         eps = cfg.epsilon
-        for i in range(n):
-            J = plan.positives[i]
-            if J.size == 0:
-                continue
-            t = plan.sim_temp[i]
-            a_raw = S[i, J]
-            b_raw = S[J, i]
-            a = np.maximum(a_raw, 0.0)
-            b = np.maximum(b_raw, 0.0)
-            denom = a + b + eps
-            s_cm = 2.0 * a * b / denom
-            c1, c2 = constraint_penalty(t, s_cm)
-            out.temporal += c1 + c2
-            # d(C1+C2)/d(s_cm) = (1 - 2 t) / |J|, weighted by lambda
-            w = cfg.lam * (1.0 - 2.0 * t) / J.size
-            ds_da = 2.0 * b * (b + eps) / denom**2
-            ds_db = 2.0 * a * (a + eps) / denom**2
-            G[i, J] += w * ds_da * (a_raw > 0.0)
-            G[J, i] += w * ds_db * (b_raw > 0.0)
+        pos = plan.positive_mask
+        count = pos.sum(axis=1)
+        t = plan.sim_temp
+        # entry [i, j] is anchor i's term for positive j: a from S[i, j], b from S[j, i]
+        a = np.maximum(S, 0.0)
+        b = np.maximum(S.T, 0.0)
+        denom = a + b + eps
+        s_cm = 2.0 * a * b / denom
+        c1 = np.where(pos, t * (1.0 - s_cm), 0.0).sum(axis=1)
+        c2 = np.where(pos, (1.0 - t) * s_cm, 0.0).sum(axis=1)
+        has_pos = count > 0
+        out.temporal = float((c1[has_pos] / count[has_pos] + c2[has_pos] / count[has_pos]).sum())
+        # d(C1+C2)/d(s_cm) = (1 - 2 t) / |J|, weighted by lambda
+        w = cfg.lam * (1.0 - 2.0 * t) / np.maximum(count, 1)[:, None]
+        ds_da = 2.0 * b * (b + eps) / denom**2
+        ds_db = 2.0 * a * (a + eps) / denom**2
+        G += np.where(pos, w * ds_da * (S > 0.0), 0.0)
+        G += np.where(pos, w * ds_db * (S.T > 0.0), 0.0).T
 
     out.total = out.ranking + cfg.lam * out.temporal
     dA = G @ B

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, DocFrequency, TimeAxis, tfidf_matrix, tfidf_vector
+from .corpus import Corpus, DocFrequency, TimeAxis, label_matrix, tfidf_matrix, tfidf_vector
 from .projection import DegenerateProjectionError, ProjectionModel
 
 I2T = "I2T"
@@ -253,13 +253,9 @@ def temporal_fit(result_timestamps, gt_timestamps, time_axis: TimeAxis, bins: in
 
 
 def shared_label_matrix(label_sets):
-    n = len(label_sets)
-    grades = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i, n):
-            shared = len(label_sets[i] & label_sets[j])
-            grades[i, j] = grades[j, i] = shared
-    return grades
+    """(n, n) shared-category counts; small integers, so exact in float64."""
+    labels = label_matrix(label_sets)
+    return labels @ labels.T
 
 
 def evaluate_direction(index: RetrievalIndex, direction: str, k: int = 50,

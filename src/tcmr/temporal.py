@@ -11,10 +11,17 @@ time, each returning values in [0, 1]:
     (collapsed Gibbs LDA per time slice, each slice's topic-word counts
     seeded from the previous slice), aggregated over a document's words.
 
-All are fitted on the training split, frozen before subspace learning, and
-queried through ``pair_sim(doc_i, doc_j)`` during training. The topic model
-conditions on document i's words and document j's timestamp, so it is
-asymmetric by construction.
+All are fitted on the training split and frozen before subspace learning.
+Training asks each model once per run for ``document_table(documents)``, the
+per-document values its scores are made of (timestamps, category densities,
+or word profiles and effective slices), and then once per mini-batch for
+``pair_matrix(table, batch, scored)``: the (b, b) matrix whose entry [i, j]
+equals ``pair_sim(doc_i, doc_j)`` for batch rows i and j. ``pair_sim`` is
+the scalar reference. Misses (pairs without a fitted curve or documents
+without a known word) are counted over the ``scored`` pairs only, as if
+``pair_sim`` had been called for each of them. The topic model conditions on
+document i's words and document j's timestamp, so it is asymmetric by
+construction.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Document, TimeAxis
+from .corpus import Corpus, Document, TimeAxis, label_matrix
 
 TEMPORAL_MAGIC = b"TXNT"
 KIND_TAGS = {"recency": b"REC\x00", "category": b"KDE\x00", "topic": b"TOP\x00"}
@@ -64,6 +71,15 @@ class RecencyModel:
 
     def pair_sim(self, doc_i: Document, doc_j: Document) -> float:
         return self.sim(doc_i.timestamp, doc_j.timestamp)
+
+    def document_table(self, documents) -> np.ndarray:
+        return np.array([d.timestamp for d in documents], dtype=np.float64)
+
+    def pair_matrix(self, table, batch, scored) -> np.ndarray:
+        # math.exp per entry: np.exp differs from it in the last bit on some inputs
+        t = table[batch]
+        exponents = (-np.abs(t[:, None] - t[None, :]) / self.h_rec).ravel().tolist()
+        return np.array([math.exp(x) for x in exponents]).reshape(len(t), len(t))
 
 
 def recency_sim(t_i, t_j, model: RecencyModel) -> float:
@@ -117,6 +133,28 @@ class CategoryKDE:
 
     def pair_sim(self, doc_i: Document, doc_j: Document) -> float:
         return self.sim(doc_i.timestamp, doc_i.labels, doc_j.timestamp, doc_j.labels)
+
+    def document_table(self, documents):
+        """(densities, labelled) over the categories that have a curve.
+
+        ``labelled[i, c]`` is 1 when document i carries category c, and
+        ``densities[i, c]`` is then the curve's value at its timestamp, else 0.
+        """
+        cats = sorted(self.curves)
+        labelled = label_matrix([d.labels for d in documents], cats)
+        t = np.array([d.timestamp for d in documents], dtype=np.float64)
+        densities = np.empty_like(labelled)
+        for k, cat in enumerate(cats):
+            densities[:, k] = np.interp(t, self.grid, self.curves[cat])
+        return densities * labelled, labelled
+
+    def pair_matrix(self, table, batch, scored) -> np.ndarray:
+        # an unshared category has a zero factor, and products are >= 0, so
+        # the max over all categories is the max over the shared ones
+        densities, labelled = table
+        d, lab = densities[batch], labelled[batch]
+        self.missing_pair_count += int((scored & (lab @ lab.T == 0)).sum())
+        return (d[:, None, :] * d[None, :, :]).max(axis=2, initial=0.0)
 
 
 def fit_category_kde(train: Corpus, bandwidth: float, grid_size: int = 2048) -> CategoryKDE:
@@ -174,7 +212,6 @@ class TopicDensity:
     aggregate: str = "geometric"
     empty_word_count: int = 0
     _token_index: dict = field(default=None, repr=False)
-    _profile_cache: dict = field(default_factory=dict, repr=False)
 
     kind = "topic"
 
@@ -209,24 +246,38 @@ class TopicDensity:
             raise TemporalModelError(f"unknown aggregate {self.aggregate!r}")
         return np.exp(m - m.max())
 
+    def effective_slice(self, t: float) -> int:
+        return int(self.slice_map[self.time_axis.slice_of(t)])
+
     def sim(self, tokens_i, t_j: float) -> float:
         prof = self.profile(tokens_i)
         if prof is None:
             self.empty_word_count += 1
             return 0.0
-        eff = int(self.slice_map[self.time_axis.slice_of(t_j)])
-        return float(prof[eff])
+        return float(prof[self.effective_slice(t_j)])
 
     def pair_sim(self, doc_i: Document, doc_j: Document) -> float:
-        prof = self._profile_cache.get(doc_i.id)
-        if prof is None and doc_i.id not in self._profile_cache:
-            prof = self.profile(doc_i.text_counts)
-            self._profile_cache[doc_i.id] = prof
-        if prof is None:
-            self.empty_word_count += 1
-            return 0.0
-        eff = int(self.slice_map[self.time_axis.slice_of(doc_j.timestamp)])
-        return float(prof[eff])
+        return self.sim(doc_i.text_counts, doc_j.timestamp)
+
+    def document_table(self, documents):
+        """(profiles, empty, slices): each document's profile (a zero row when
+        no token is known), whether it has no known token, and the effective
+        slice of its timestamp."""
+        profiles = np.zeros((len(documents), self.num_effective_slices))
+        empty = np.zeros(len(documents), dtype=bool)
+        for i, doc in enumerate(documents):
+            prof = self.profile(doc.text_counts)
+            if prof is None:
+                empty[i] = True
+            else:
+                profiles[i] = prof
+        slices = np.array([self.effective_slice(d.timestamp) for d in documents], dtype=np.intp)
+        return profiles, empty, slices
+
+    def pair_matrix(self, table, batch, scored) -> np.ndarray:
+        profiles, empty, slices = table
+        self.empty_word_count += int((scored & empty[batch, None]).sum())
+        return profiles[np.ix_(batch, slices[batch])]
 
 
 def topic_sim(tokens_i, t_j, model: TopicDensity) -> float:

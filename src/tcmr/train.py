@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .corpus import Corpus, DocFrequency, document_frequencies, tfidf_matrix
-from .objective import BatchPlan, ObjectiveConfig, build_batch_plan, total_loss
+from .corpus import Corpus, DocFrequency, document_frequencies, label_matrix, tfidf_matrix
+from .objective import ObjectiveConfig, build_batch_plan, total_loss
 from .projection import ProjectionModel, SgdMomentum
 from .retrieval import build_index, map_at_k, rank_candidates, shared_label_matrix
 from .temporal import RecencyModel, fit_category_kde, fit_topic_densities
@@ -94,9 +94,9 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
     stats = document_frequencies(train)
     x_img = train.image_matrix()
     x_txt = tfidf_matrix(train, stats)
-    docs = train.documents
-    labels = train.label_sets()
-    n = len(docs)
+    labels = label_matrix(train.label_sets())
+    table = temporal_model.document_table(train.documents) if cfg.lam > 0 else None
+    n = len(train.documents)
 
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     model = ProjectionModel.initialize(
@@ -123,15 +123,11 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         skipped = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            batch_labels = [labels[i] for i in idx]
-            sim_fn = None
-            if cfg.lam > 0:
-                sim_fn = lambda bi, bj: temporal_model.pair_sim(docs[idx[bi]], docs[idx[bj]])
             plan = build_batch_plan(
-                batch_labels, rng,
-                negatives_per_anchor=cfg.negatives_per_anchor,
-                sim_temp_fn=sim_fn,
+                labels[idx], rng, negatives_per_anchor=cfg.negatives_per_anchor
             )
+            if cfg.lam > 0:
+                plan.sim_temp = temporal_model.pair_matrix(table, idx, plan.positive_mask)
             out, grads = total_loss(x_img[idx], x_txt[idx], plan, model, obj_cfg)
             opt.step(model, grads, batch_size=len(idx))
             total += out.total

@@ -69,10 +69,9 @@ def test_gradient_correctness():
         model = ProjectionModel.initialize(8, 8, 6, 4, seed=seed)
         x_img = rng.normal(size=(6, 8))
         x_txt = rng.normal(size=(6, 8))
-        labels = [frozenset([f"c{i // 2}"]) for i in range(6)]
-        plan = ob.build_batch_plan(
-            labels, rng, sim_temp_fn=lambda i, j: float(rng.uniform())
-        )
+        labels = cp.label_matrix([frozenset([f"c{i // 2}"]) for i in range(6)])
+        plan = ob.build_batch_plan(labels, rng)
+        plan.sim_temp = rng.uniform(size=(6, 6))
         cfg = ob.ObjectiveConfig(margin=1.0, lam=1.0)
 
         def loss():

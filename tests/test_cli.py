@@ -208,6 +208,29 @@ class TestPipeline:
         assert "training vocabulary" in err
         assert code in (0, 3)
 
+    @pytest.mark.parametrize("command,flags", [
+        ("eval", ["--k", "0"]),
+        ("eval", ["--k", "-3"]),
+        ("eval", ["--k", "ten"]),
+        ("eval", ["--k-list", "0,5"]),
+        ("eval", ["--k-list", "5,-1"]),
+        ("curves", ["--k-list", "0,2"]),
+        ("curves", ["--k-list", "-2"]),
+        ("curves", ["--k-list", "4,2"]),
+        ("eval", ["--k-list", "5,5"]),
+        ("query", ["--text", "w0001", "--k", "0"]),
+    ])
+    def test_bad_k_is_usage_error(self, workspace, command, flags, capsys):
+        tmp_path, data, _ = workspace
+        ckpt, _ = self.train(workspace)
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(ckpt), "--corpus", str(data),
+                     *(["--out", str(tmp_path / "out")] if command != "query" else []),
+                     *flags])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_query_modality_flags_usage_errors(self, workspace):
         tmp_path, data, _ = workspace
         ckpt, _ = self.train(workspace)

@@ -3,14 +3,109 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcmr import objective as ob
+from tcmr.corpus import label_matrix
 from tcmr.projection import ProjectionModel
 
 
 def empty_plan(n):
     e = [np.empty(0, dtype=np.intp) for _ in range(n)]
     return ob.BatchPlan(
-        negatives_text=list(e), negatives_image=list(e), positives=list(e)
+        negatives_text=list(e), negatives_image=list(e),
+        positive_mask=np.zeros((n, n), dtype=bool),
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-anchor loop references: the original implementations, kept to check the
+# vectorized ones against
+
+
+def reference_batch_plan(label_sets, rng, negatives_per_anchor=1):
+    """(negatives_text, negatives_image, positives, skipped) by per-pair loops."""
+    n = len(label_sets)
+    neg_text, neg_image, positives = [], [], []
+    skipped = 0
+    for i in range(n):
+        pool = np.array(
+            [j for j in range(n) if not (label_sets[i] & label_sets[j])], dtype=np.intp
+        )
+        if pool.size == 0:
+            skipped += 1
+            chosen_t = np.empty(0, dtype=np.intp)
+            chosen_i = np.empty(0, dtype=np.intp)
+        else:
+            k = min(negatives_per_anchor, pool.size)
+            chosen_t = rng.choice(pool, size=k, replace=False)
+            chosen_i = rng.choice(pool, size=k, replace=False)
+        neg_text.append(chosen_t)
+        neg_image.append(chosen_i)
+        positives.append(np.array(
+            [j for j in range(n) if j != i and (label_sets[i] & label_sets[j])],
+            dtype=np.intp,
+        ))
+    return neg_text, neg_image, positives, skipped
+
+
+def reference_loss_terms(proj_img, proj_txt, plan, cfg):
+    """Per-anchor hinge and constraint loops over the plan's positive lists."""
+    A = np.asarray(proj_img, dtype=np.float64)
+    B = np.asarray(proj_txt, dtype=np.float64)
+    n = A.shape[0]
+    S = A @ B.T
+    G = np.zeros_like(S)
+    out = ob.LossBreakdown(skipped_anchors=plan.skipped_anchors)
+    m = cfg.margin
+    for i in range(n):
+        s_pos = S[i, i]
+        for j in plan.negatives_text[i]:
+            hinge = m - s_pos + S[i, j]
+            if hinge > 0.0:
+                out.ranking += hinge
+                out.active_hinges += 1
+                G[i, i] -= 1.0
+                G[i, j] += 1.0
+        for j in plan.negatives_image[i]:
+            hinge = m - s_pos + S[j, i]
+            if hinge > 0.0:
+                out.ranking += hinge
+                out.active_hinges += 1
+                G[i, i] -= 1.0
+                G[j, i] += 1.0
+    if cfg.lam > 0.0:
+        eps = cfg.epsilon
+        for i in range(n):
+            J = np.flatnonzero(plan.positive_mask[i])
+            if J.size == 0:
+                continue
+            t = plan.sim_temp[i, J]
+            a_raw = S[i, J]
+            b_raw = S[J, i]
+            a = np.maximum(a_raw, 0.0)
+            b = np.maximum(b_raw, 0.0)
+            denom = a + b + eps
+            s_cm = 2.0 * a * b / denom
+            c1, c2 = ob.constraint_penalty(t, s_cm)
+            out.temporal += c1 + c2
+            w = cfg.lam * (1.0 - 2.0 * t) / J.size
+            ds_da = 2.0 * b * (b + eps) / denom**2
+            ds_db = 2.0 * a * (a + eps) / denom**2
+            G[i, J] += w * ds_da * (a_raw > 0.0)
+            G[J, i] += w * ds_db * (b_raw > 0.0)
+    out.total = out.ranking + cfg.lam * out.temporal
+    return out, G @ B, G.T @ A
+
+
+def random_label_sets(rng, n, num_categories, max_labels=2):
+    return [
+        frozenset(f"c{c}" for c in rng.choice(num_categories, size=rng.integers(1, max_labels + 1),
+                                              replace=False))
+        for _ in range(n)
+    ]
+
+
+def unit_rows(rng, n, d):
+    v = rng.normal(size=(n, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def loss_value(model, x_img, x_txt, plan, cfg):
@@ -26,11 +121,9 @@ def toy_setup(seed, lam=1.0):
     model = ProjectionModel.initialize(8, 8, 6, 4, seed=seed)
     x_img = rng.normal(size=(6, 8))
     x_txt = rng.normal(size=(6, 8))
-    labels = [frozenset([f"c{i // 2}"]) for i in range(6)]
-    plan = ob.build_batch_plan(
-        labels, rng, negatives_per_anchor=1,
-        sim_temp_fn=lambda i, j: float(rng.uniform()),
-    )
+    labels = label_matrix([frozenset([f"c{i // 2}"]) for i in range(6)])
+    plan = ob.build_batch_plan(labels, rng, negatives_per_anchor=1)
+    plan.sim_temp = rng.uniform(size=(6, 6))
     cfg = ob.ObjectiveConfig(margin=1.0, lam=lam, epsilon=1e-8)
     return model, x_img, x_txt, plan, cfg
 
@@ -79,7 +172,7 @@ class TestRankingLoss:
             a /= np.linalg.norm(a, axis=1, keepdims=True)
             b = rng.normal(size=(5, 3))
             b /= np.linalg.norm(b, axis=1, keepdims=True)
-            labels = [frozenset([str(rng.integers(3))]) for _ in range(5)]
+            labels = label_matrix([frozenset([str(rng.integers(3))]) for _ in range(5)])
             plan = ob.build_batch_plan(labels, rng)
             out, _, _ = ob.loss_terms_from_projections(
                 a, b, plan, ob.ObjectiveConfig(lam=0.0)
@@ -203,7 +296,7 @@ class TestBatchPlan:
         rng = np.random.default_rng(8)
         labels = [frozenset(["a"]), frozenset(["a", "b"]), frozenset(["c"]),
                   frozenset(["b"]), frozenset(["c", "d"])]
-        plan = ob.build_batch_plan(labels, rng, negatives_per_anchor=2)
+        plan = ob.build_batch_plan(label_matrix(labels), rng, negatives_per_anchor=2)
         for i, (nt, ni) in enumerate(zip(plan.negatives_text, plan.negatives_image)):
             for j in list(nt) + list(ni):
                 assert not (labels[i] & labels[j])
@@ -211,14 +304,14 @@ class TestBatchPlan:
     def test_positives_share_a_category_and_exclude_self(self):
         rng = np.random.default_rng(9)
         labels = [frozenset(["a"]), frozenset(["a"]), frozenset(["b"])]
-        plan = ob.build_batch_plan(labels, rng)
-        assert list(plan.positives[0]) == [1]
-        assert list(plan.positives[1]) == [0]
-        assert list(plan.positives[2]) == []
+        plan = ob.build_batch_plan(label_matrix(labels), rng)
+        assert list(np.flatnonzero(plan.positive_mask[0])) == [1]
+        assert list(np.flatnonzero(plan.positive_mask[1])) == [0]
+        assert list(np.flatnonzero(plan.positive_mask[2])) == []
 
     def test_anchor_without_negatives_skipped(self):
         rng = np.random.default_rng(10)
-        labels = [frozenset(["a"]), frozenset(["a"])]
+        labels = label_matrix([frozenset(["a"]), frozenset(["a"])])
         plan = ob.build_batch_plan(labels, rng)
         assert plan.skipped_anchors == 2
         assert all(p.size == 0 for p in plan.negatives_text)
@@ -232,3 +325,46 @@ class TestBatchPlan:
             ob.ObjectiveConfig(lam=-0.1)
         with pytest.raises(ValueError):
             ob.ObjectiveConfig(negatives_per_anchor=0)
+
+
+class TestAgainstLoopReferences:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("negatives", [1, 3])
+    def test_plan_draws_the_same_negatives(self, seed, negatives):
+        rng = np.random.default_rng(seed)
+        label_sets = random_label_sets(rng, 24, num_categories=4 + seed % 3)
+        ref_t, ref_i, ref_pos, ref_skipped = reference_batch_plan(
+            label_sets, np.random.default_rng(100 + seed), negatives
+        )
+        rng_new = np.random.default_rng(100 + seed)
+        plan = ob.build_batch_plan(label_matrix(label_sets), rng_new, negatives)
+        for got, want in zip(plan.negatives_text + plan.negatives_image, ref_t + ref_i):
+            np.testing.assert_array_equal(got, want)
+        for i, pos in enumerate(ref_pos):
+            np.testing.assert_array_equal(np.flatnonzero(plan.positive_mask[i]), pos)
+        assert plan.skipped_anchors == ref_skipped
+        # the random stream is left where the loop left it
+        ref_rng = np.random.default_rng(100 + seed)
+        reference_batch_plan(label_sets, ref_rng, negatives)
+        assert rng_new.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_loss_terms_match_per_anchor_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 32
+        label_sets = random_label_sets(rng, n, num_categories=3 + seed % 4)
+        plan = ob.build_batch_plan(label_matrix(label_sets), rng, 1 + seed % 3)
+        plan.sim_temp = rng.uniform(size=(n, n))
+        plan.sim_temp[rng.uniform(size=(n, n)) < 0.2] = 0.0
+        cfg = ob.ObjectiveConfig(margin=0.2 + 0.3 * (seed % 3), lam=0.5 * (seed % 3))
+        a, b = unit_rows(rng, n, 6), unit_rows(rng, n, 6)
+        got, dA, dB = ob.loss_terms_from_projections(a, b, plan, cfg)
+        want, ref_dA, ref_dB = reference_loss_terms(a, b, plan, cfg)
+        np.testing.assert_array_equal(dA, ref_dA)
+        np.testing.assert_array_equal(dB, ref_dB)
+        assert got.active_hinges == want.active_hinges > 0
+        assert got.skipped_anchors == want.skipped_anchors
+        # only the summation order of the loss values changed
+        assert got.ranking == pytest.approx(want.ranking, rel=1e-12, abs=0.0)
+        assert got.temporal == pytest.approx(want.temporal, rel=1e-12, abs=0.0)
+        assert got.total == pytest.approx(want.total, rel=1e-12, abs=0.0)

@@ -304,3 +304,34 @@ class TestEvaluateDirection:
         temporal_lines = (tmp_path / "temporal.csv").read_text().strip().splitlines()
         assert temporal_lines[0] == "bin_start,gt_mass,result_mass"
         assert len(temporal_lines) == 5
+
+
+class TestSharedLabelMatrix:
+    @staticmethod
+    def reference(label_sets):
+        """The per-pair intersection loop the matrix product replaces."""
+        n = len(label_sets)
+        grades = np.zeros((n, n), dtype=np.float64)
+        for i in range(n):
+            for j in range(i, n):
+                grades[i, j] = grades[j, i] = len(label_sets[i] & label_sets[j])
+        return grades
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_intersection_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        label_sets = [
+            frozenset(f"c{c}" for c in rng.choice(9, size=rng.integers(1, 5), replace=False))
+            for _ in range(70)
+        ]
+        got = rt.shared_label_matrix(label_sets)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, self.reference(label_sets))
+
+    def test_label_matrix_columns(self):
+        labels = cp.label_matrix([frozenset(["b", "a"]), frozenset(["c"])], ["a", "c"])
+        np.testing.assert_array_equal(labels, [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(
+            cp.label_matrix([frozenset(["b", "a"]), frozenset(["c"])]),
+            [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        )

@@ -276,3 +276,94 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(tp.TemporalModelError, match="magic"):
             tp.read_temporal_model(path)
+
+
+def misses(model):
+    """The model's miss counter; recency never misses."""
+    name = {"category": "missing_pair_count", "topic": "empty_word_count"}.get(model.kind)
+    return getattr(model, name) if name else 0
+
+
+def pair_sim_misses(model, docs, batch, scored):
+    """Misses that pair_sim counts when called once for each scored pair."""
+    start = misses(model)
+    for i, j in zip(*np.nonzero(scored)):
+        model.pair_sim(docs[batch[i]], docs[batch[j]])
+    return misses(model) - start
+
+
+def assert_pair_matrix_is_pair_sim(model, docs, batch):
+    """pair_matrix equals pair_sim entry by entry, and counts the same misses.
+
+    Misses are compared both over every pair and over the pairs training
+    scores: distinct documents sharing a label.
+    """
+    table = model.document_table(docs)
+    labels = cp.label_matrix([docs[i].labels for i in batch])
+    training = labels @ labels.T > 0
+    np.fill_diagonal(training, False)
+    everything = np.ones((len(batch), len(batch)), dtype=bool)
+    want = np.array([[model.pair_sim(docs[i], docs[j]) for j in batch] for i in batch])
+    for scored in (everything, training):
+        start = misses(model)
+        got = model.pair_matrix(table, batch, scored)
+        counted = misses(model) - start
+        assert got.shape == (len(batch), len(batch))
+        np.testing.assert_array_equal(got, want)
+        assert counted == pair_sim_misses(model, docs, batch, scored)
+    return want
+
+
+class TestPairMatrix:
+    def test_recency(self):
+        rng = np.random.default_rng(20)
+        days = np.concatenate([rng.uniform(0, 30, size=40), [3.0, 3.0, 0.0, 29.9]])
+        docs = [cp.Document(f"d{i}", np.zeros(2), {"w": 1}, float(t), frozenset([f"c{i % 3}"]))
+                for i, t in enumerate(days)]
+        model = tp.RecencyModel(h_rec=0.3)
+        values = assert_pair_matrix_is_pair_sim(model, docs, rng.permutation(len(docs))[:30])
+        assert (values > 0.0).any() and (values < 1e-40).any()
+
+    def test_category_with_uncurved_shared_label(self):
+        rng = np.random.default_rng(21)
+        specs = [(int(rng.integers(0, 20)), {"w": 1},
+                  sorted({f"c{rng.integers(4)}", f"c{rng.integers(4)}"})) for _ in range(40)]
+        specs += [(4, {"w": 1}, ["c3"]), (9, {"w": 1}, ["c3"])]
+        corpus = day_corpus(specs)
+        model = tp.fit_category_kde(corpus, bandwidth=1.5, grid_size=300)
+        del model.curves["c3"]  # pairs sharing only c3 now miss
+        docs = corpus.documents
+        values = assert_pair_matrix_is_pair_sim(model, docs, rng.permutation(len(docs))[:36])
+        assert model.missing_pair_count > 0
+        assert ((values > 0.0) & (values < 1.0)).any()
+
+    def test_topic_with_unknown_words(self):
+        rng = np.random.default_rng(22)
+        specs = [(int(rng.integers(0, 8)),
+                  {f"w{rng.integers(10)}": int(rng.integers(1, 3)) for _ in range(3)},
+                  [f"c{rng.integers(3)}"]) for _ in range(40)]
+        corpus = day_corpus(specs)
+        model = tp.fit_topic_densities(corpus, num_topics=2, seed=5, gibbs_iters=5)
+        docs = corpus.documents + [
+            cp.Document("unknown", np.zeros(2), {"mystery": 2}, 2.5, frozenset(["c0"])),
+            cp.Document("late", np.zeros(2), {"w1": 1, "zzz": 1}, 99.0, frozenset(["c1"])),
+        ]
+        batch = np.concatenate([[len(docs) - 2, len(docs) - 1], rng.permutation(40)[:28]])
+        values = assert_pair_matrix_is_pair_sim(model, docs, batch)
+        assert model.empty_word_count > 0
+        assert not values[0].any()
+
+    def test_topic_profile_follows_tokens_not_id(self):
+        # synth corpora reuse ids across seeds: a profile cached by id went stale
+        model = tp.TopicDensity(
+            num_topics=1, vocabulary=["w0", "w1"], phi=np.array([[0.9, 0.1], [0.1, 0.9]]),
+            beta=np.zeros((2, 1, 2)), slice_map=np.arange(2),
+            time_axis=cp.TimeAxis(unit=1.0, origin=0, num_slices=2),
+        )
+        doc_a = cp.Document("doc00000", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]))
+        doc_b = cp.Document("doc00000", np.zeros(1), {"w1": 1}, 0.0, frozenset(["l"]))
+        other = cp.Document("doc00001", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]))
+        assert model.pair_sim(doc_a, other) == pytest.approx(1.0)
+        assert model.pair_sim(doc_b, other) == pytest.approx(0.1 / 0.9)
+        profiles, _, _ = model.document_table([doc_a, doc_b])
+        assert not np.array_equal(profiles[0], profiles[1])
