@@ -1,6 +1,6 @@
 """Command-line interface tying the pipeline together.
 
-Subcommands: ingest, fit-temporal, train, eval, query, curves, synth.
+Subcommands: ingest, fit-temporal, train, eval, query, synth.
 Exit codes: 0 ok, 1 usage, 2 data/config error, 3 numeric failure.
 Summaries are printed as JSON on stdout; diagnostics go to stderr.
 """
@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import corpus as cp
 from . import retrieval as rt
@@ -180,9 +178,10 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"k": k, "test_documents": len(test)}
-    for direction, report in rt.evaluate_both_directions(
-        index, k=k, k_list=k_list, bins=cfg.eval_bins, ndcg_gain=cfg.ndcg_gain
-    ).items():
+    for direction in rt.DIRECTIONS:
+        report = rt.evaluate_direction(
+            index, direction, k=k, k_list=k_list, bins=cfg.eval_bins, ndcg_gain=cfg.ndcg_gain
+        )
         tag = direction.lower()
         rt.write_report_json(report, out_dir / f"report-{tag}.json")
         rt.write_scope_csv(report, out_dir / f"scope-{tag}.csv")
@@ -190,23 +189,6 @@ def cmd_eval(args) -> int:
         summary[f"map_{tag}"] = report.map_at_k
         summary[f"ndcg_{tag}"] = report.ndcg_at_k
         summary[f"temporal_fit_{tag}"] = report.temporal_fit
-    _emit(summary)
-    return EXIT_OK
-
-
-def cmd_curves(args) -> int:
-    k_list = _parse_k_list(args.k_list)
-    cfg, model, _, (_, _, test), stats = _restore(args)
-    index = rt.build_index(test, model, stats)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {}
-    for direction, report in rt.evaluate_both_directions(
-        index, k=max(k_list), k_list=k_list, bins=cfg.eval_bins
-    ).items():
-        tag = direction.lower()
-        rt.write_scope_csv(report, out_dir / f"curve-{tag}.csv")
-        summary[f"curve_{tag}"] = [[k, v] for k, v in report.scope_curve]
     _emit(summary)
     return EXIT_OK
 
@@ -335,13 +317,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_k_value, default=None)
     p.add_argument("--k-list", default=None)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("curves", help="precision-scope curves on the test split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k-list", default=None)
-    p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("query", help="run one cross-modal query")
     p.add_argument("--checkpoint", required=True)

@@ -6,6 +6,11 @@ are kept as real offsets from the corpus start, measured in time units
 (e.g. days), so density estimation can work on a continuous axis; discrete
 slice indices are derived views.
 
+``from_records`` is the one corpus builder: it sets the time axis, the
+vocabulary and the category list, and validates every document.
+``load_corpus`` only reads and checks the files, then calls it, so a corpus
+read from disk and one built in memory pass the same checks.
+
 On-disk layout:
   * manifest: JSON Lines, one document per line with keys
     ``id, timestamp, tokens, labels, feat_row`` (timestamp in epoch seconds)
@@ -149,12 +154,7 @@ def read_features(path) -> np.ndarray:
         raise CorpusError(
             f"{path}: feature payload is {len(raw) - 12} bytes, expected {rows}x{d} float32"
         )
-    feats = np.frombuffer(raw[12:], dtype="<f4").reshape(rows, d)
-    bad = ~np.isfinite(feats)
-    if bad.any():
-        row = int(np.nonzero(bad.any(axis=1))[0][0])
-        raise CorpusError(f"{path}: non-finite feature value in row {row}")
-    return feats.astype(np.float64)
+    return np.frombuffer(raw[12:], dtype="<f4").reshape(rows, d).astype(np.float64)
 
 
 def write_features(path, matrix: np.ndarray) -> None:
@@ -183,6 +183,7 @@ def _parse_timestamp(value, where: str) -> int:
 
 
 def _parse_manifest_line(line: str, lineno: int) -> dict:
+    """JSON structure of one manifest line; the document checks are the builder's."""
     where = f"manifest line {lineno}"
     try:
         row = json.loads(line)
@@ -196,21 +197,10 @@ def _parse_manifest_line(line: str, lineno: int) -> dict:
     if not isinstance(row["id"], str) or not row["id"]:
         raise CorpusError(f"{where}: id must be a non-empty string")
     row["timestamp"] = _parse_timestamp(row["timestamp"], where)
-    tokens = row["tokens"]
-    if not isinstance(tokens, dict):
+    if not isinstance(row["tokens"], dict):
         raise CorpusError(f"{where}: tokens must be an object")
-    for tok, count in tokens.items():
-        if not isinstance(tok, str):
-            raise CorpusError(f"{where}: token keys must be strings")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise CorpusError(f"{where}: token count for {tok!r} must be a positive integer")
-    labels = row["labels"]
-    if (
-        not isinstance(labels, list)
-        or not labels
-        or not all(isinstance(l, str) and l for l in labels)
-    ):
-        raise CorpusError(f"{where}: document with empty label set")
+    if not isinstance(row["labels"], list):
+        raise CorpusError(f"{where}: labels must be a list")
     if not isinstance(row["feat_row"], int) or isinstance(row["feat_row"], bool):
         raise CorpusError(f"{where}: feat_row must be an integer")
     return row
@@ -230,17 +220,15 @@ def load_corpus(
     vocab_path=None,
     time_unit: float = DEFAULT_TIME_UNIT,
 ) -> Corpus:
-    """Load and validate a manifest + features pair into a Corpus.
+    """Read a manifest + features pair (and vocabulary file) and build the Corpus.
 
-    The vocabulary is the lexicographically sorted union of manifest tokens
-    unless ``vocab_path`` is given, in which case that file's order is
-    authoritative and unknown tokens are dropped (count recorded on the
-    returned corpus).
+    Only the file formats are checked here; ``from_records`` validates the
+    documents, exactly as for an in-memory corpus.
     """
     feats = read_features(features_path)
     n_rows = feats.shape[0]
 
-    rows = []
+    records = []
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -251,59 +239,15 @@ def load_corpus(
                     f"manifest line {lineno}: feat_row {row['feat_row']} outside"
                     f" feature file with {n_rows} rows"
                 )
-            rows.append(row)
-    if not rows:
-        raise CorpusError(f"{manifest_path}: empty manifest")
-    if len(rows) != n_rows:
-        raise CorpusError(
-            f"manifest has {len(rows)} documents but feature file has {n_rows} rows"
-        )
-    ids = [row["id"] for row in rows]
-    if len(set(ids)) != len(ids):
-        dupe = next(i for i in ids if ids.count(i) > 1)
-        raise CorpusError(f"duplicate document id {dupe!r}")
-
-    if vocab_path is not None:
-        vocabulary = read_vocabulary(vocab_path)
-    else:
-        vocabulary = sorted({tok for row in rows for tok in row["tokens"]})
-    known = set(vocabulary)
-
-    dropped = 0
-    epochs = [row["timestamp"] for row in rows]
-    origin = min(epochs)
-    span = (max(epochs) - origin) / time_unit
-    axis = TimeAxis(unit=time_unit, origin=origin, num_slices=int(math.floor(span)) + 1)
-
-    documents = []
-    for row in rows:
-        counts = {}
-        for tok, count in sorted(row["tokens"].items()):
-            if tok in known:
-                counts[tok] = count
-            else:
-                dropped += count
-        documents.append(
-            Document(
-                id=row["id"],
-                image_feat=feats[row["feat_row"]],
-                text_counts=counts,
-                timestamp=(row["timestamp"] - origin) / time_unit,
-                labels=frozenset(row["labels"]),
+            records.append(
+                (row["id"], feats[row["feat_row"]], row["tokens"], row["timestamp"], row["labels"])
             )
+    if len(records) != n_rows:
+        raise CorpusError(
+            f"manifest has {len(records)} documents but feature file has {n_rows} rows"
         )
-    if dropped:
-        log.warning("dropped %d token occurrences outside the vocabulary", dropped)
-
-    categories = sorted({lab for doc in documents for lab in doc.labels})
-    return Corpus(
-        documents=documents,
-        vocabulary=vocabulary,
-        categories=categories,
-        time_axis=axis,
-        d_image=feats.shape[1],
-        dropped_token_count=dropped,
-    )
+    vocabulary = read_vocabulary(vocab_path) if vocab_path is not None else None
+    return from_records(records, time_unit=time_unit, vocabulary=vocabulary)
 
 
 def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -> None:
@@ -328,18 +272,47 @@ def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -
         Path(vocab_path).write_text("".join(tok + "\n" for tok in corpus.vocabulary))
 
 
+def _feature_matrix(records) -> np.ndarray:
+    """(n, d) image features rounded through float32, checked finite."""
+    try:
+        matrix = np.array([rec[1] for rec in records], dtype=np.float64)
+    except ValueError:  # ragged rows
+        matrix = None
+    if matrix is None or matrix.ndim != 2:
+        shape = np.shape(records[0][1])
+        bad = next((rec[0] for rec in records if np.shape(rec[1]) != shape), records[0][0])
+        raise CorpusError(f"document {bad!r}: feature vectors must share one dimension")
+    matrix = matrix.astype(np.float32).astype(np.float64)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = records[int(np.argmin(finite))][0]
+        raise CorpusError(f"document {bad!r}: non-finite feature value")
+    return matrix
+
+
 def from_records(
     records: Sequence[tuple[str, np.ndarray, Mapping[str, int], int, Sequence[str]]],
     time_unit: float = DEFAULT_TIME_UNIT,
     vocabulary: list[str] | None = None,
 ) -> Corpus:
-    """Build a corpus in memory from (id, image_feat, tokens, epoch, labels) tuples.
+    """Build and validate a corpus from (id, image_feat, tokens, epoch, labels) tuples.
 
-    Image features are rounded through float32 so an in-memory corpus is
-    exactly representable in the on-disk feature format.
+    Every document needs a non-empty set of non-empty string labels and
+    positive integer token counts; ids are unique and features finite, of
+    one dimension. Features are rounded through float32 so a corpus is
+    exactly representable in the on-disk feature format. The vocabulary is
+    the sorted token union unless given, in which case its order is
+    authoritative and unknown tokens are dropped (count recorded on the
+    corpus).
     """
     if not records:
         raise CorpusError("cannot build an empty corpus")
+    ids = [rec[0] for rec in records]
+    if len(set(ids)) != len(ids):
+        dupe = next(i for i in ids if ids.count(i) > 1)
+        raise CorpusError(f"duplicate document id {dupe!r}")
+    feats = _feature_matrix(records)
+
     epochs = [int(rec[3]) for rec in records]
     origin = min(epochs)
     span = (max(epochs) - origin) / time_unit
@@ -349,44 +322,42 @@ def from_records(
         vocabulary = sorted({tok for rec in records for tok in rec[2]})
     known = set(vocabulary)
 
-    d_image = None
     documents = []
     dropped = 0
-    for doc_id, feat, tokens, epoch, labels in records:
-        feat = np.asarray(feat, dtype=np.float64).astype(np.float32).astype(np.float64)
-        if d_image is None:
-            d_image = feat.shape[0]
-        elif feat.shape[0] != d_image:
-            raise CorpusError(f"document {doc_id!r}: inconsistent feature dimension")
-        if not np.isfinite(feat).all():
-            raise CorpusError(f"document {doc_id!r}: non-finite feature value")
+    for (doc_id, _, tokens, _, labels), feat, epoch in zip(records, feats, epochs):
         if not labels:
             raise CorpusError(f"document {doc_id!r}: empty label set")
+        if not all(isinstance(lab, str) and lab for lab in labels):
+            raise CorpusError(f"document {doc_id!r}: labels must be non-empty strings")
         counts = {}
-        for tok in sorted(tokens):
+        for tok, count in sorted(tokens.items()):
+            if type(count) is not int or count < 1:  # bool is not int here
+                raise CorpusError(
+                    f"document {doc_id!r}: token count for {tok!r} must be a positive integer"
+                )
             if tok in known:
-                counts[tok] = int(tokens[tok])
+                counts[tok] = count
             else:
-                dropped += int(tokens[tok])
+                dropped += count
         documents.append(
             Document(
                 id=doc_id,
                 image_feat=feat,
                 text_counts=counts,
-                timestamp=(int(epoch) - origin) / time_unit,
+                timestamp=(epoch - origin) / time_unit,
                 labels=frozenset(labels),
             )
         )
-    ids = [d.id for d in documents]
-    if len(set(ids)) != len(ids):
-        raise CorpusError("duplicate document ids")
+    if dropped:
+        log.warning("dropped %d token occurrences outside the vocabulary", dropped)
+
     categories = sorted({lab for doc in documents for lab in doc.labels})
     return Corpus(
         documents=documents,
         vocabulary=vocabulary,
         categories=categories,
         time_axis=axis,
-        d_image=d_image,
+        d_image=feats.shape[1],
         dropped_token_count=dropped,
     )
 

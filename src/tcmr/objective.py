@@ -13,7 +13,8 @@ Two parts, combined additively:
 Cross-modality similarity is the harmonic mean of the two cross dot
 products, clamped to [0, 1]. Temporal correlation values are precomputed
 constants, one (b, b) matrix per batch; gradients flow only through the
-projections.
+projections. With lambda = 0 the temporal part is skipped, which is the
+ranking-only ablation; ``plan.sim_temp`` may then stay None.
 
 Positives come from the batch label matrix as masks over ``L @ L.T``; the
 hinge terms are gathered through index arrays and the constraint terms are
@@ -27,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .projection import ProjectionModel
 
 
 @dataclass(frozen=True)
@@ -116,24 +115,6 @@ def sim_cmod_value(s_ij, s_ji, epsilon=1e-8):
     return 2.0 * a * b / (a + b + epsilon)
 
 
-def sim_cmod(model: ProjectionModel, img_i, txt_i, img_j, txt_j, epsilon=1e-8) -> float:
-    """Document-level cross-modality similarity under the current model."""
-    pi, pj = model.project_images(img_i), model.project_images(img_j)
-    ti, tj = model.project_texts(txt_i), model.project_texts(txt_j)
-    return float(sim_cmod_value(pi @ tj, ti @ pj, epsilon))
-
-
-def constraint_penalty(sim_temp_vals, sim_cmod_vals):
-    """C1 and C2 violation terms averaged over one anchor's positive set."""
-    t = np.asarray(sim_temp_vals, dtype=np.float64)
-    s = np.asarray(sim_cmod_vals, dtype=np.float64)
-    if t.size == 0:
-        return 0.0, 0.0
-    c1 = float(np.mean(t * (1.0 - s)))
-    c2 = float(np.mean((1.0 - t) * s))
-    return c1, c2
-
-
 @dataclass
 class LossBreakdown:
     total: float = 0.0
@@ -149,8 +130,7 @@ def _anchor_pairs(per_anchor):
     return anchors, np.concatenate([np.empty(0, np.intp), *per_anchor]).astype(np.intp)
 
 
-def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: ObjectiveConfig,
-                                include_temporal=True):
+def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: ObjectiveConfig):
     """Loss value and gradients w.r.t. the projected batch.
 
     proj_img and proj_txt are (n, D) unit-row matrices. Returns
@@ -175,7 +155,7 @@ def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: Object
     np.add.at(G, (anchors[active], anchors[active]), -1.0)
     np.add.at(G, (rows[active], cols[active]), 1.0)
 
-    if include_temporal and cfg.lam > 0.0:
+    if cfg.lam > 0.0:
         if plan.sim_temp is None:
             raise ValueError("temporal term requested but plan has no sim_temp values")
         eps = cfg.epsilon
@@ -204,26 +184,11 @@ def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: Object
     return out, dA, dB
 
 
-# ---------------------------------------------------------------------------
-# Model-level entry points
-
-
-def _through_model(image_feats, text_vecs, plan, model, cfg, include_temporal):
+def total_loss(image_feats, text_vecs, plan, model, cfg):
+    """Ranking loss plus lambda-weighted temporal penalty, with parameter gradients."""
     proj_img, cache_img = model.image_net.forward(image_feats)
     proj_txt, cache_txt = model.text_net.forward(text_vecs)
-    breakdown, dA, dB = loss_terms_from_projections(
-        proj_img, proj_txt, plan, cfg, include_temporal=include_temporal
-    )
+    breakdown, dA, dB = loss_terms_from_projections(proj_img, proj_txt, plan, cfg)
     grads_img, _ = model.image_net.backward(cache_img, dA)
     grads_txt, _ = model.text_net.backward(cache_txt, dB)
     return breakdown, {"image": grads_img, "text": grads_txt}
-
-
-def ranking_loss(image_feats, text_vecs, plan, model, cfg):
-    """Bidirectional margin ranking loss only, with parameter gradients."""
-    return _through_model(image_feats, text_vecs, plan, model, cfg, include_temporal=False)
-
-
-def total_loss(image_feats, text_vecs, plan, model, cfg):
-    """Ranking loss plus lambda-weighted temporal penalty, with gradients."""
-    return _through_model(image_feats, text_vecs, plan, model, cfg, include_temporal=True)

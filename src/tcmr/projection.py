@@ -230,17 +230,24 @@ def save_checkpoint(path, model: ProjectionModel, config: dict | None = None,
 def load_checkpoint(path):
     """Returns (model, config dict, seed)."""
     with open(path, "rb") as fh:
-        magic, version, hlen = struct.unpack("<4sII", fh.read(12))
+        head = fh.read(12)
+        if len(head) < 12:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        magic, version, hlen = struct.unpack("<4sII", head)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        dims = header["dims"]
-        shapes = {
-            "image": _half_shapes(dims["d_image"], dims["hidden"], dims["d_subspace"]),
-            "text": _half_shapes(dims["d_text"], dims["hidden"], dims["d_subspace"]),
-        }
+        try:
+            dims = header["dims"]
+            shapes = {
+                "image": _half_shapes(dims["d_image"], dims["hidden"], dims["d_subspace"]),
+                "text": _half_shapes(dims["d_text"], dims["hidden"], dims["d_subspace"]),
+            }
+            config, seed = header["config"], header["seed"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
         halves = {}
         for hk in HALF_KEYS:
             tensors = []
@@ -253,7 +260,7 @@ def load_checkpoint(path):
                 tensors.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
             halves[hk] = ProjectionHalf(*tensors)
     model = ProjectionModel(image_net=halves["image"], text_net=halves["text"])
-    return model, header["config"], header["seed"]
+    return model, config, seed
 
 
 def _half_shapes(d_in, hidden, d_out):

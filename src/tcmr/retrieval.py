@@ -258,36 +258,42 @@ def shared_label_matrix(label_sets):
     return labels @ labels.T
 
 
+def rank_direction(index: RetrievalIndex, direction: str):
+    """Rank one direction with every index row as a query.
+
+    Returns (order, ranked): ``order[i]`` lists query i's candidates by
+    score descending, doc id ascending, and ``ranked[i]`` their
+    shared-category counts in that order.
+    """
+    if direction == I2T:
+        queries, candidates = index.image_matrix, index.text_matrix
+    elif direction == T2I:
+        queries, candidates = index.text_matrix, index.image_matrix
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    # the (n, n) scores are freed before the grade matrices are built
+    order = rank_candidates(queries @ candidates.T, index.doc_ids)
+    return order, np.take_along_axis(shared_label_matrix(index.label_sets), order, axis=1)
+
+
 def evaluate_direction(index: RetrievalIndex, direction: str, k: int = 50,
                        k_list=DEFAULT_SCOPE_KS, bins: int = 10,
                        ndcg_gain: str = "linear") -> EvalReport:
     """Evaluate one retrieval direction with every index row as a query."""
-    if direction == I2T:
-        scores = index.image_matrix @ index.text_matrix.T
-    elif direction == T2I:
-        scores = index.text_matrix @ index.image_matrix.T
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    order = rank_candidates(scores, index.doc_ids)
-    grades = shared_label_matrix(index.label_sets)
+    order, ranked = rank_direction(index, direction)
+    hits = ranked > 0
 
-    ranked_flags = [grades[i, order[i]] > 0 for i in range(len(index))]
-    ranked_grades = [grades[i, order[i]] for i in range(len(index))]
-
-    map_value, excluded = map_at_k(ranked_flags, k)
-    ndcg_value, _ = ndcg_at_k(ranked_grades, k, gain=ndcg_gain)
-    scope = precision_scope(ranked_flags, k_list)
+    map_value, excluded = map_at_k(hits, k)
+    ndcg_value, _ = ndcg_at_k(ranked, k, gain=ndcg_gain)
+    scope = precision_scope(hits, k_list)
 
     fits = []
     pooled_results, pooled_gt = [], []
     for i in range(len(index)):
-        gt_mask = grades[i] > 0
-        if not gt_mask.any():
+        if not hits[i].any():
             continue
-        top = order[i][:k]
-        hit = top[grades[i, top] > 0]
-        result_ts = index.timestamps[hit]
-        gt_ts = index.timestamps[gt_mask]
+        result_ts = index.timestamps[order[i, :k][hits[i, :k]]]
+        gt_ts = index.timestamps[order[i][hits[i]]]
         fits.append(temporal_fit(result_ts, gt_ts, index.time_axis, bins))
         pooled_results.extend(result_ts)
         pooled_gt.extend(gt_ts)
@@ -312,14 +318,6 @@ def evaluate_direction(index: RetrievalIndex, direction: str, k: int = 50,
         gt_hist=[float(v) for v in gt_hist],
         result_hist=[float(v) for v in result_hist],
     )
-
-
-def evaluate_both_directions(index, k=50, k_list=DEFAULT_SCOPE_KS, bins=10,
-                             ndcg_gain="linear") -> dict[str, EvalReport]:
-    return {
-        d: evaluate_direction(index, d, k=k, k_list=k_list, bins=bins, ndcg_gain=ndcg_gain)
-        for d in DIRECTIONS
-    }
 
 
 # ---------------------------------------------------------------------------

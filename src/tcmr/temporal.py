@@ -40,14 +40,11 @@ KIND_TAGS = {"recency": b"REC\x00", "category": b"KDE\x00", "topic": b"TOP\x00"}
 _TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
 
 DEFAULT_TOPIC_FLOOR = 1e-6
+KDE_BLOCK = 64  # query points per block in gaussian_kde_density
 
 
 class TemporalModelError(Exception):
     pass
-
-
-class UnknownCategoryError(TemporalModelError):
-    """Queried a category with no fitted density curve."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +79,25 @@ class RecencyModel:
         return np.array([math.exp(x) for x in exponents]).reshape(len(t), len(t))
 
 
-def recency_sim(t_i, t_j, model: RecencyModel) -> float:
-    return model.sim(t_i, t_j)
-
-
 # ---------------------------------------------------------------------------
 # Category KDE
 
 
 def gaussian_kde_density(obs: np.ndarray, t, bandwidth: float):
-    """Direct Gaussian-sum density estimate; also the grid-free oracle."""
+    """Direct Gaussian-sum density estimate; also the grid-free oracle.
+
+    Evaluated in blocks of ``KDE_BLOCK`` query points, so the temporaries
+    are (block x observations) rather than (queries x observations); each
+    point still sums over all observations in order.
+    """
     t = np.asarray(t, dtype=np.float64)
-    z = (t[..., None] - obs) / bandwidth
-    return np.exp(-0.5 * z * z).sum(axis=-1) / (len(obs) * bandwidth * math.sqrt(2 * math.pi))
+    flat = t.reshape(-1)
+    sums = np.empty(flat.shape)
+    for start in range(0, flat.size, KDE_BLOCK):
+        z = (flat[start : start + KDE_BLOCK, None] - obs) / bandwidth
+        sums[start : start + KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=-1)
+    density = sums / (len(obs) * bandwidth * math.sqrt(2 * math.pi))
+    return density.reshape(t.shape)[()]
 
 
 @dataclass
@@ -108,13 +111,6 @@ class CategoryKDE:
     missing_pair_count: int = 0
 
     kind = "category"
-
-    def density(self, category: str, t) -> float | np.ndarray:
-        """Peak-normalized density at t, linearly interpolated on the grid."""
-        curve = self.curves.get(category)
-        if curve is None:
-            raise UnknownCategoryError(f"no fitted curve for category {category!r}")
-        return np.interp(t, self.grid, curve)
 
     def sim(self, t_i, labels_i, t_j, labels_j) -> float:
         """Max over shared fitted labels of the two density values' product."""
@@ -184,10 +180,6 @@ def fit_category_kde(train: Corpus, bandwidth: float, grid_size: int = 2048) -> 
     )
 
 
-def category_sim(t_i, labels_i, t_j, labels_j, model: CategoryKDE) -> float:
-    return model.sim(t_i, frozenset(labels_i), t_j, frozenset(labels_j))
-
-
 # ---------------------------------------------------------------------------
 # Topic densities (chained-slice Gibbs LDA)
 
@@ -222,12 +214,6 @@ class TopicDensity:
     @property
     def num_effective_slices(self) -> int:
         return self.phi.shape[1]
-
-    def word_curve(self, word: str) -> np.ndarray:
-        idx = self._token_index.get(word)
-        if idx is None:
-            raise TemporalModelError(f"word {word!r} not in training vocabulary")
-        return self.phi[idx]
 
     def profile(self, tokens) -> np.ndarray | None:
         """Aggregate word-density profile over effective slices, peaking at 1.
@@ -278,10 +264,6 @@ class TopicDensity:
         profiles, empty, slices = table
         self.empty_word_count += int((scored & empty[batch, None]).sum())
         return profiles[np.ix_(batch, slices[batch])]
-
-
-def topic_sim(tokens_i, t_j, model: TopicDensity) -> float:
-    return model.sim(tokens_i, t_j)
 
 
 def _gibbs_slice(doc_word_ids, num_topics, vocab_size, alpha, prior_kw, iters, rng):
@@ -474,7 +456,10 @@ def read_temporal_model(path):
         kind = _TAG_KINDS.get(fh.read(4))
         if kind is None:
             raise TemporalModelError(f"{path}: unknown model kind")
-        (hlen,) = struct.unpack("<I", fh.read(4))
+        raw_len = fh.read(4)
+        if len(raw_len) < 4:
+            raise TemporalModelError(f"{path}: truncated header")
+        (hlen,) = struct.unpack("<I", raw_len)
         header = json.loads(fh.read(hlen).decode("utf-8"))
         if kind == "recency":
             return RecencyModel(h_rec=header["h_rec"])

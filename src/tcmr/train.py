@@ -19,7 +19,7 @@ from .config import RunConfig
 from .corpus import Corpus, DocFrequency, document_frequencies, label_matrix, tfidf_matrix
 from .objective import ObjectiveConfig, build_batch_plan, total_loss
 from .projection import ProjectionModel, SgdMomentum
-from .retrieval import build_index, map_at_k, rank_candidates, shared_label_matrix
+from .retrieval import DIRECTIONS, build_index, map_at_k, rank_direction
 from .temporal import RecencyModel, fit_category_kde, fit_topic_densities
 
 TEMPORAL_KINDS = ("recency", "category", "topic")
@@ -74,16 +74,8 @@ def fit_temporal_model(kind: str, train: Corpus, cfg: RunConfig):
 
 
 def mean_map_both_directions(index, k: int) -> float:
-    grades = shared_label_matrix(index.label_sets)
-    values = []
-    for scores in (
-        index.image_matrix @ index.text_matrix.T,
-        index.text_matrix @ index.image_matrix.T,
-    ):
-        order = rank_candidates(scores, index.doc_ids)
-        flags = [grades[i, order[i]] > 0 for i in range(len(index.doc_ids))]
-        values.append(map_at_k(flags, k)[0])
-    return float(np.mean(values))
+    """Validation score: mAP@k averaged over both retrieval directions."""
+    return float(np.mean([map_at_k(rank_direction(index, d)[1] > 0, k)[0] for d in DIRECTIONS]))
 
 
 def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,

@@ -48,9 +48,9 @@ def run_experiment(spec_kwargs, cfg_kwargs, seed, lam, temporal_kind=None):
     )
     result = train_model(train, val, cfg, temporal_model=temporal_model)
     index = rt.build_index(test, result.model, result.stats)
-    reports = rt.evaluate_both_directions(index, k=cfg.k_eval)
-    mean_map = float(np.mean([r.map_at_k for r in reports.values()]))
-    mean_fit = float(np.mean([r.temporal_fit for r in reports.values()]))
+    reports = [rt.evaluate_direction(index, d, k=cfg.k_eval) for d in rt.DIRECTIONS]
+    mean_map = float(np.mean([r.map_at_k for r in reports]))
+    mean_fit = float(np.mean([r.temporal_fit for r in reports]))
     return mean_map, mean_fit
 
 
@@ -136,12 +136,32 @@ def test_metric_oracles():
     report("metric-oracles", True, f"{checked} oracle comparisons plus hand values")
 
 
+def pair_constraints(t, cross):
+    """C1 + C2 of a two-document batch whose one positive pair is (0, 1).
+
+    Computed by loss_terms_from_projections; both cross dot products of the
+    pair equal ``cross``, so s is their harmonic mean, within 1e-8 of it.
+    """
+    proj = np.array([[1.0, 0.0], [cross, math.sqrt(1.0 - cross * cross)]])
+    none = np.empty(0, dtype=np.intp)
+    plan = ob.BatchPlan(
+        negatives_text=[none, none], negatives_image=[none, none],
+        positive_mask=np.array([[False, True], [False, False]]),
+        sim_temp=np.array([[0.0, t], [0.0, 0.0]]),
+    )
+    out, _, _ = ob.loss_terms_from_projections(proj, proj, plan, ob.ObjectiveConfig(lam=1.0))
+    return out.temporal
+
+
 def test_constraint_algebra():
-    """Hand C1/C2 values; sim_cmod bounded over 1e5 random unit vectors."""
-    c1, c2 = ob.constraint_penalty([1.0], [0.0])
+    """Hand C1/C2 values; sim_cmod_value bounded over 1e5 random unit vectors."""
+    # C1 = t (1 - s) and C2 = (1 - t) s are linear in t: C1 + C2 is 1 - s at
+    # t = 1 and s at t = 0
+    t = 1.0
+    c1, c2 = t * pair_constraints(1.0, 0.0), (1.0 - t) * pair_constraints(0.0, 0.0)
     assert (c1, c2) == (1.0, 0.0)
-    c1, c2 = ob.constraint_penalty([0.5], [0.5])
-    assert c1 + c2 == 0.5
+    # t = 0.5 and s >= 0.5: 0.5 (1 - s) and 0.5 s are exact, so is their sum
+    assert pair_constraints(0.5, 0.8) == 0.5
 
     rng = np.random.default_rng(0)
     def unit(n, d):
@@ -156,7 +176,7 @@ def test_constraint_algebra():
     report(
         "constraint-algebra",
         bool(inside),
-        f"hand values exact; sim_cmod in [{s.min():.3f}, {s.max():.3f}] over {n} draws",
+        f"hand values exact; sim_cmod_value in [{s.min():.3f}, {s.max():.3f}] over {n} draws",
     )
 
 
@@ -180,7 +200,7 @@ def test_temporal_model_correctness():
     assert kde_err < 1e-3
 
     rec = tp.RecencyModel(h_rec=0.3)
-    assert abs(tp.recency_sim(0.0, 0.3, rec) - math.exp(-1)) < 1e-9
+    assert abs(rec.sim(0.0, 0.3) - math.exp(-1)) < 1e-9
 
     topic_corpus = cp.from_records(
         [

@@ -1,8 +1,13 @@
 import json
+import struct
 
+import numpy as np
 import pytest
 
+from tcmr import corpus as cp
+from tcmr import temporal as tp
 from tcmr.cli import main
+from tcmr.projection import ProjectionModel, load_checkpoint, save_checkpoint
 
 TINY_CFG = """
 d_subspace = 16
@@ -165,12 +170,12 @@ class TestPipeline:
     def test_curves(self, workspace, capsys):
         tmp_path, data, _ = workspace
         ckpt, _ = self.train(workspace)
-        out = tmp_path / "curves"
+        out = tmp_path / "eval"
         assert main([
-            "curves", "--checkpoint", str(ckpt), "--corpus", str(data),
+            "eval", "--checkpoint", str(ckpt), "--corpus", str(data),
             "--out", str(out), "--k-list", "2,4,6",
         ]) == 0
-        lines = (out / "curve-i2t.csv").read_text().strip().splitlines()
+        lines = (out / "scope-i2t.csv").read_text().strip().splitlines()
         assert lines[0] == "k,map"
         assert len(lines) == 4
 
@@ -214,9 +219,9 @@ class TestPipeline:
         ("eval", ["--k", "ten"]),
         ("eval", ["--k-list", "0,5"]),
         ("eval", ["--k-list", "5,-1"]),
-        ("curves", ["--k-list", "0,2"]),
-        ("curves", ["--k-list", "-2"]),
-        ("curves", ["--k-list", "4,2"]),
+        ("eval", ["--k-list", "-2"]),
+        ("eval", ["--k-list", "4,2"]),
+        ("eval", ["--k-list", "2,x"]),
         ("eval", ["--k-list", "5,5"]),
         ("query", ["--text", "w0001", "--k", "0"]),
     ])
@@ -237,3 +242,75 @@ class TestPipeline:
         base = ["query", "--checkpoint", str(ckpt), "--corpus", str(data)]
         assert main(base) == 1
         assert main(base + ["--text", "a", "--image-row", "0"]) == 1
+
+
+class TestTruncatedBinaries:
+    """Every proper prefix of a valid TXNM, TXNT or TXNF file is a data error."""
+
+    @staticmethod
+    def temporal_models():
+        corpus = cp.from_records([
+            ("a", np.zeros(2), {"x": 1}, 0, ["l"]),
+            ("b", np.zeros(2), {"x": 1, "y": 2}, 86400, ["l"]),
+        ])
+        return [
+            tp.RecencyModel(h_rec=0.3),
+            tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=4),
+            tp.fit_topic_densities(corpus, num_topics=1, seed=0, gibbs_iters=1),
+        ]
+
+    @staticmethod
+    def prefixes(path, cut):
+        data = path.read_bytes()
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            yield n
+
+    def test_checkpoint(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        path, cut = tmp_path / "m.txnm", tmp_path / "cut.txnm"
+        save_checkpoint(path, ProjectionModel.initialize(2, 2, 2, 2, seed=0), config={}, seed=0)
+        for n in self.prefixes(path, cut):
+            with pytest.raises(ValueError):
+                load_checkpoint(cut)
+            assert main(["eval", "--checkpoint", str(cut), "--corpus", str(data),
+                         "--out", str(tmp_path / "out")]) == 2, n
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_checkpoint_header_without_dims(self, workspace):
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        save_checkpoint(path, ProjectionModel.initialize(2, 2, 2, 2, seed=0), config={}, seed=0)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + hlen])
+        del header["dims"]
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+        with pytest.raises(ValueError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--corpus", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+
+    def test_temporal_models(self, workspace):
+        tmp_path, data, cfg = workspace
+        path, cut = tmp_path / "t.txnt", tmp_path / "cut.txnt"
+        for model in self.temporal_models():
+            tp.write_temporal_model(path, model)
+            for n in self.prefixes(path, cut):
+                with pytest.raises((ValueError, tp.TemporalModelError)):
+                    tp.read_temporal_model(cut)
+                assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                             "--temporal", str(cut), "--out", str(tmp_path / "m.txnm")]) == 2, \
+                    (model.kind, n)
+
+    def test_features(self, tmp_path):
+        path, cut = tmp_path / "f.bin", tmp_path / "cut.bin"
+        cp.write_features(path, np.arange(6.0).reshape(3, 2))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("")
+        for n in self.prefixes(path, cut):
+            with pytest.raises(cp.CorpusError):
+                cp.read_features(cut)
+            assert main(["ingest", str(manifest), str(cut),
+                         "--out", str(tmp_path / "out")]) == 2, n

@@ -26,6 +26,21 @@ def make_bundle(tmp_path, rows, feats, vocab=None):
     return manifest, features, vocab_path
 
 
+def assert_builders_reject(tmp_path, rows, feats, match):
+    """load_corpus on the bundle and from_records on the same documents both
+    raise a CorpusError matching ``match``."""
+    feats = np.asarray(feats, dtype=np.float64)
+    manifest, features, _ = make_bundle(tmp_path, rows, feats)
+    with pytest.raises(cp.CorpusError, match=match):
+        cp.load_corpus(manifest, features)
+    records = [
+        (row["id"], feats[row["feat_row"]], row["tokens"], row["timestamp"], row["labels"])
+        for row in rows
+    ]
+    with pytest.raises(cp.CorpusError, match=match):
+        cp.from_records(records)
+
+
 DAY = 86400
 
 
@@ -74,9 +89,17 @@ class TestLoad:
     def test_empty_labels_rejected(self, tmp_path):
         rows = three_doc_rows()
         rows[2]["labels"] = []
-        manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 4)))
-        with pytest.raises(cp.CorpusError, match="empty label set"):
-            cp.load_corpus(manifest, features)
+        assert_builders_reject(tmp_path, rows, np.zeros((3, 4)), "'c': empty label set")
+
+    def test_empty_label_string_rejected(self, tmp_path):
+        rows = three_doc_rows()
+        rows[1]["labels"] = ["pets", ""]
+        assert_builders_reject(tmp_path, rows, np.zeros((3, 4)), "'b': labels must be non-empty")
+
+    def test_zero_token_count_rejected(self, tmp_path):
+        rows = three_doc_rows()
+        rows[0]["tokens"]["cat"] = 0
+        assert_builders_reject(tmp_path, rows, np.zeros((3, 4)), "'cat' must be a positive integer")
 
     def test_row_count_mismatch(self, tmp_path):
         manifest, features, _ = make_bundle(tmp_path, three_doc_rows(), np.zeros((4, 4)))
@@ -86,9 +109,7 @@ class TestLoad:
     def test_non_finite_feature(self, tmp_path):
         feats = np.zeros((3, 4))
         feats[1, 2] = np.nan
-        manifest, features, _ = make_bundle(tmp_path, three_doc_rows(), feats)
-        with pytest.raises(cp.CorpusError, match="non-finite"):
-            cp.load_corpus(manifest, features)
+        assert_builders_reject(tmp_path, three_doc_rows(), feats, "'b': non-finite")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "features.bin"
@@ -108,9 +129,7 @@ class TestLoad:
     def test_duplicate_id_rejected(self, tmp_path):
         rows = three_doc_rows()
         rows[1]["id"] = "a"
-        manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 4)))
-        with pytest.raises(cp.CorpusError, match="duplicate"):
-            cp.load_corpus(manifest, features)
+        assert_builders_reject(tmp_path, rows, np.zeros((3, 4)), "duplicate document id 'a'")
 
     def test_time_axis(self, tmp_path):
         manifest, features, _ = make_bundle(tmp_path, three_doc_rows(), np.zeros((3, 4)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -84,8 +86,7 @@ def reference_loss_terms(proj_img, proj_txt, plan, cfg):
             b = np.maximum(b_raw, 0.0)
             denom = a + b + eps
             s_cm = 2.0 * a * b / denom
-            c1, c2 = ob.constraint_penalty(t, s_cm)
-            out.temporal += c1 + c2
+            out.temporal += np.mean(t * (1.0 - s_cm)) + np.mean((1.0 - t) * s_cm)
             w = cfg.lam * (1.0 - 2.0 * t) / J.size
             ds_da = 2.0 * b * (b + eps) / denom**2
             ds_db = 2.0 * a * (a + eps) / denom**2
@@ -113,6 +114,33 @@ def loss_value(model, x_img, x_txt, plan, cfg):
     b, _ = model.text_net.forward(x_txt)
     breakdown, _, _ = ob.loss_terms_from_projections(a, b, plan, cfg)
     return breakdown.total
+
+
+def anchor_constraints(t, cross):
+    """C1 + C2 of anchor 0, computed by loss_terms_from_projections.
+
+    Documents 1..m are anchor 0's only positives, with temporal values t.
+    Both cross dot products of pair (0, j) equal cross[j - 1] in [0, 1], so
+    its cross-modality similarity is 0 when that is 0, and within 1e-8 of
+    it otherwise.
+    """
+    m = len(t)
+    proj = np.zeros((m + 1, m + 1))
+    proj[0, 0] = 1.0
+    for j, c in enumerate(cross, 1):
+        proj[j, 0], proj[j, j] = c, math.sqrt(1.0 - c * c)
+    plan = empty_plan(m + 1)
+    plan.positive_mask[0, 1:] = True
+    plan.sim_temp = np.zeros((m + 1, m + 1))
+    plan.sim_temp[0, 1:] = t
+    out, _, _ = ob.loss_terms_from_projections(proj, proj, plan, ob.ObjectiveConfig(lam=1.0))
+    return out.temporal
+
+
+def c1_c2(t, cross):
+    """(C1, C2) for one positive pair: C1 = t (1 - s) and C2 = (1 - t) s are
+    linear in t, and C1 + C2 is 1 - s at t = 1 and s at t = 0."""
+    return t * anchor_constraints([1.0], [cross]), (1.0 - t) * anchor_constraints([0.0], [cross])
 
 
 def toy_setup(seed, lam=1.0):
@@ -207,28 +235,29 @@ class TestSimCmod:
         model = ProjectionModel.initialize(4, 5, 6, 3, seed=1)
         xi, xj = rng.normal(size=4), rng.normal(size=4)
         ti, tj = rng.normal(size=5), rng.normal(size=5)
-        assert ob.sim_cmod(model, xi, ti, xj, tj) == pytest.approx(
-            ob.sim_cmod(model, xj, tj, xi, ti)
+        pi, pj = model.project_images(xi), model.project_images(xj)
+        qi, qj = model.project_texts(ti), model.project_texts(tj)
+        assert ob.sim_cmod_value(pi @ qj, qi @ pj) == pytest.approx(
+            ob.sim_cmod_value(pj @ qi, qj @ pi)
         )
 
 
 class TestConstraintPenalty:
     def test_correlated_but_distant(self):
-        c1, c2 = ob.constraint_penalty([1.0], [0.0])
+        c1, c2 = c1_c2(1.0, 0.0)
         assert (c1, c2) == (1.0, 0.0)
 
     def test_uncorrelated_and_distant(self):
-        c1, c2 = ob.constraint_penalty([0.0, 0.0], [0.0, 0.0])
-        assert c1 + c2 == 0.0
+        assert anchor_constraints([0.0, 0.0], [0.0, 0.0]) == 0.0
 
     def test_mixed_half(self):
-        c1, c2 = ob.constraint_penalty([0.5], [0.5])
+        c1, c2 = c1_c2(0.5, 0.5)
         assert c1 == pytest.approx(0.25)
         assert c2 == pytest.approx(0.25)
         assert c1 + c2 == pytest.approx(0.5)
 
     def test_empty_positive_set(self):
-        assert ob.constraint_penalty([], []) == (0.0, 0.0)
+        assert anchor_constraints([], []) == 0.0
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
@@ -241,17 +270,26 @@ class TestConstraintPenalty:
                 min_size=len(t), max_size=len(t),
             )
         )
-        c1, c2 = ob.constraint_penalty(t, s)
-        assert 0.0 <= c1 + c2 <= 1.0 + 1e-12
+        assert 0.0 <= anchor_constraints(t, s) <= 1.0 + 1e-12
 
 
 class TestTotalLoss:
     def test_lambda_zero_equals_ranking(self):
         model, x_img, x_txt, plan, _ = toy_setup(seed=5, lam=0.0)
+        plan.sim_temp = None
         cfg0 = ob.ObjectiveConfig(lam=0.0)
         total, grads_t = ob.total_loss(x_img, x_txt, plan, model, cfg0)
-        rank, grads_r = ob.ranking_loss(x_img, x_txt, plan, model, cfg0)
-        assert total.total == rank.total == rank.ranking
+        a, cache_a = model.image_net.forward(x_img)
+        b, cache_b = model.text_net.forward(x_txt)
+        rank, dA, dB = reference_loss_terms(a, b, plan, cfg0)
+        grads_r = {
+            "image": model.image_net.backward(cache_a, dA)[0],
+            "text": model.text_net.backward(cache_b, dB)[0],
+        }
+        assert total.total == total.ranking and total.temporal == 0.0
+        assert rank.total == rank.ranking and rank.temporal == 0.0
+        # only the summation order of the hinge values differs
+        assert total.ranking == pytest.approx(rank.ranking, rel=1e-12, abs=0.0)
         for hk in grads_t:
             for pk in grads_t[hk]:
                 np.testing.assert_array_equal(grads_t[hk][pk], grads_r[hk][pk])

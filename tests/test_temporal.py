@@ -21,15 +21,15 @@ def day_corpus(doc_specs):
 class TestRecency:
     def test_zero_gap(self):
         model = tp.RecencyModel(h_rec=0.3)
-        assert tp.recency_sim(4.2, 4.2, model) == 1.0
+        assert model.sim(4.2, 4.2) == 1.0
 
     def test_gap_equal_to_scale(self):
         model = tp.RecencyModel(h_rec=0.3)
-        assert tp.recency_sim(1.0, 1.3, model) == pytest.approx(math.exp(-1), abs=1e-9)
+        assert model.sim(1.0, 1.3) == pytest.approx(math.exp(-1), abs=1e-9)
 
     def test_large_gap_underflow_safe(self):
         model = tp.RecencyModel(h_rec=0.3)
-        v = tp.recency_sim(0.0, 30.0, model)
+        v = model.sim(0.0, 30.0)
         assert 0.0 <= v < 1e-40
 
     def test_symmetry(self):
@@ -45,7 +45,7 @@ class TestCategoryKDE:
     def test_single_observation_peak(self):
         corpus = day_corpus([(3, {"w": 1}, ["a"]), (0, {"w": 1}, ["b"]), (6, {"w": 1}, ["b"])])
         model = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=1024)
-        assert model.density("a", 3.0) == pytest.approx(1.0, abs=1e-6)
+        assert np.interp(3.0, model.grid, model.curves["a"]) == pytest.approx(1.0, abs=1e-6)
 
     def test_two_observation_hand_values(self):
         corpus = day_corpus([(0, {"w": 1}, ["a"]), (10, {"w": 1}, ["a"])])
@@ -53,9 +53,9 @@ class TestCategoryKDE:
         raw0 = tp.gaussian_kde_density(obs, 0.0, 1.0)
         assert raw0 == pytest.approx(0.5 * 0.3989422804, abs=1e-6)
         model = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=2048)
-        assert model.density("a", 0.0) == pytest.approx(1.0, abs=1e-6)
-        assert model.density("a", 10.0) == pytest.approx(1.0, abs=1e-6)
-        mid = model.density("a", 5.0)
+        assert np.interp(0.0, model.grid, model.curves["a"]) == pytest.approx(1.0, abs=1e-6)
+        assert np.interp(10.0, model.grid, model.curves["a"]) == pytest.approx(1.0, abs=1e-6)
+        mid = np.interp(5.0, model.grid, model.curves["a"])
         assert mid == pytest.approx(7.45e-6, rel=0.05)
         assert mid == pytest.approx(tp.gaussian_kde_density(obs, 5.0, 1.0) / raw0, rel=1e-3)
 
@@ -71,23 +71,18 @@ class TestCategoryKDE:
         peak = tp.gaussian_kde_density(obs, model.grid, 1.0).max()
         for t in rng.uniform(0, 30, size=200):
             direct = tp.gaussian_kde_density(obs, float(t), 1.0) / peak
-            assert abs(model.density("a", float(t)) - direct) < 1e-3
-
-    def test_unknown_category_raises(self):
-        corpus = day_corpus([(0, {"w": 1}, ["a"]), (1, {"w": 1}, ["a"])])
-        model = tp.fit_category_kde(corpus, bandwidth=1.0)
-        with pytest.raises(tp.UnknownCategoryError):
-            model.density("nope", 0.0)
+            assert abs(np.interp(float(t), model.grid, model.curves["a"]) - direct) < 1e-3
 
     def test_sim_peak_product(self):
         corpus = day_corpus([(5, {"w": 1}, ["a"]), (0, {"w": 1}, ["b"]), (10, {"w": 1}, ["b"])])
         model = tp.fit_category_kde(corpus, bandwidth=0.5, grid_size=2048)
-        assert tp.category_sim(5.0, {"a"}, 5.0, {"a", "b"}, model) == pytest.approx(1.0, abs=1e-5)
+        value = model.sim(5.0, frozenset({"a"}), 5.0, frozenset({"a", "b"}))
+        assert value == pytest.approx(1.0, abs=1e-5)
 
     def test_sim_zero_density_region(self):
         corpus = day_corpus([(0, {"w": 1}, ["a"]), (30, {"w": 1}, ["a"])])
         model = tp.fit_category_kde(corpus, bandwidth=0.3, grid_size=4096)
-        assert tp.category_sim(0.0, {"a"}, 15.0, {"a"}, model) < 1e-12
+        assert model.sim(0.0, frozenset({"a"}), 15.0, frozenset({"a"})) < 1e-12
 
     def test_sim_takes_maximizing_label(self):
         grid = np.linspace(0.0, 1.0, 8)
@@ -117,7 +112,7 @@ class TestCategoryKDE:
         for _ in range(500):
             t_i, t_j = rng.uniform(0, 20, size=2)
             lab = str(rng.integers(3))
-            v = tp.category_sim(t_i, {lab}, t_j, {lab}, model)
+            v = model.sim(t_i, frozenset({lab}), t_j, frozenset({lab}))
             assert 0.0 <= v <= 1.0
 
 
@@ -133,7 +128,7 @@ class TestTopicDensity:
         specs[3] = (3, {"common": 3, "rare": 4}, ["l"])
         corpus = day_corpus(specs)
         model = tp.fit_topic_densities(corpus, num_topics=1, seed=1, gibbs_iters=20)
-        curve = model.word_curve("rare")
+        curve = model.phi[model.vocabulary.index("rare")]
         assert int(np.argmax(curve)) == 3
         assert curve[3] > 0.5
 
@@ -173,11 +168,11 @@ class TestTopicDensity:
     def test_uniform_densities_give_one_everywhere(self):
         model = self._manual_model(np.full((3, 4), 0.25))
         for t in range(4):
-            assert tp.topic_sim({"w0": 1, "w2": 2}, float(t), model) == pytest.approx(1.0)
+            assert model.sim({"w0": 1, "w2": 2}, float(t)) == pytest.approx(1.0)
 
     def test_fully_concentrated_word_peaks(self):
         model = self._manual_model([[0.0, 1.0, 0.0]])
-        assert tp.topic_sim({"w0": 1}, 1.0, model) == pytest.approx(1.0)
+        assert model.sim({"w0": 1}, 1.0) == pytest.approx(1.0)
 
     def test_geometric_mean_hand_value(self):
         phi = np.array([[0.5, 0.5], [0.125, 0.875]])
@@ -185,19 +180,19 @@ class TestTopicDensity:
         gm = np.sqrt(phi[0] * phi[1])  # per-slice direct product oracle
         assert gm[0] == pytest.approx(0.25)
         expected = gm / gm.max()
-        assert tp.topic_sim({"w0": 1, "w1": 1}, 0.0, model) == pytest.approx(expected[0])
-        assert tp.topic_sim({"w0": 1, "w1": 1}, 1.0, model) == pytest.approx(expected[1])
+        assert model.sim({"w0": 1, "w1": 1}, 0.0) == pytest.approx(expected[0])
+        assert model.sim({"w0": 1, "w1": 1}, 1.0) == pytest.approx(expected[1])
 
     def test_product_aggregate_matches_direct_product(self):
         phi = np.array([[0.5, 0.5], [0.125, 0.875]])
         model = self._manual_model(phi, aggregate="product")
         prod = phi[0] * phi[1]
         expected = prod / prod.max()
-        assert tp.topic_sim({"w0": 1, "w1": 1}, 0.0, model) == pytest.approx(expected[0])
+        assert model.sim({"w0": 1, "w1": 1}, 0.0) == pytest.approx(expected[0])
 
     def test_no_known_words_returns_zero(self):
         model = self._manual_model([[0.5, 0.5]])
-        assert tp.topic_sim({"mystery": 1}, 0.0, model) == 0.0
+        assert model.sim({"mystery": 1}, 0.0) == 0.0
         assert model.empty_word_count == 1
 
     def test_values_in_unit_interval(self):
