@@ -229,6 +229,7 @@ def load_corpus(
     n_rows = feats.shape[0]
 
     records = []
+    line_of_row: dict[int, int] = {}
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -238,6 +239,11 @@ def load_corpus(
                 raise CorpusError(
                     f"manifest line {lineno}: feat_row {row['feat_row']} outside"
                     f" feature file with {n_rows} rows"
+                )
+            first = line_of_row.setdefault(row["feat_row"], lineno)
+            if first != lineno:
+                raise CorpusError(
+                    f"manifest lines {first} and {lineno} share feat_row {row['feat_row']}"
                 )
             records.append(
                 (row["id"], feats[row["feat_row"]], row["tokens"], row["timestamp"], row["labels"])

@@ -139,7 +139,11 @@ def _id_ranks(doc_ids) -> np.ndarray:
 def rank_candidates(scores: np.ndarray, doc_ids) -> np.ndarray:
     """Candidate order per query row: score descending, doc_id ascending."""
     id_ranks = _id_ranks(doc_ids)
-    return np.stack([np.lexsort((id_ranks, -row)) for row in np.atleast_2d(scores)])
+    scores = np.atleast_2d(scores)
+    order = np.empty(scores.shape, dtype=np.intp)
+    for row, out in zip(scores, order):
+        out[:] = np.lexsort((id_ranks, -row))
+    return order
 
 
 def query_topk(index: RetrievalIndex, q: Query, model: ProjectionModel,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,39 +272,67 @@ def _gibbs_slice(doc_word_ids, num_topics, vocab_size, alpha, prior_kw, iters, r
 
     ``prior_kw`` is the (topics, vocab) pseudo-count matrix: the symmetric
     prior plus the scaled counts carried over from the previous slice.
-    Returns the final topic-word assignment counts.
+    Returns the final (topics, vocab) topic-word assignment counts.
+
+    Runs on Python lists and floats, since with a handful of topics NumPy's
+    per-call overhead dominates each token's draw. The draws equal those of
+    the former NumPy loop (``np.cumsum`` of ``(n_kw[:, w] + prior_kw[:, w]) /
+    (n_k + prior_k) * (n_dk[d] + alpha)``, then ``np.searchsorted``): each
+    term has the same operands and operations, the sum runs left to right,
+    and ``bisect_left`` picks the same index.
     """
-    n_docs = len(doc_word_ids)
-    n_dk = np.zeros((n_docs, num_topics))
-    n_kw = np.zeros((num_topics, vocab_size))
-    n_k = np.zeros(num_topics)
-    prior_k = prior_kw.sum(axis=1)
+    topics = range(num_topics)
+    prior_wk = prior_kw.T.tolist()
+    prior_k = prior_kw.sum(axis=1).tolist()
+    n_wk = [[0.0] * num_topics for _ in range(vocab_size)]
+    n_dk = [[0.0] * num_topics for _ in doc_word_ids]
+    n_k = [0.0] * num_topics
 
     assignments = []
     for d, words in enumerate(doc_word_ids):
-        z = rng.integers(num_topics, size=len(words))
+        z = rng.integers(num_topics, size=len(words)).tolist()
         assignments.append(z)
+        nd = n_dk[d]
         for w, k in zip(words, z):
-            n_dk[d, k] += 1
-            n_kw[k, w] += 1
-            n_k[k] += 1
+            nd[k] += 1.0
+            n_wk[w][k] += 1.0
+            n_k[k] += 1.0
+
+    # the factors of each topic's weight; an entry is recomputed from its count
+    # whenever that count changes, so it always equals count + prior exactly
+    word_terms = [[c + p for c, p in zip(nw, pw)] for nw, pw in zip(n_wk, prior_wk)]
+    denoms = [c + p for c, p in zip(n_k, prior_k)]
+    n_tokens = sum(len(words) for words in doc_word_ids)
 
     for _ in range(iters):
+        uniforms = iter(rng.random(n_tokens).tolist())
         for d, words in enumerate(doc_word_ids):
             z = assignments[d]
+            nd = n_dk[d]
+            doc_terms = [c + alpha for c in nd]
             for pos, w in enumerate(words):
                 k = z[pos]
-                n_dk[d, k] -= 1
-                n_kw[k, w] -= 1
-                n_k[k] -= 1
-                p = (n_kw[:, w] + prior_kw[:, w]) / (n_k + prior_k) * (n_dk[d] + alpha)
-                cum = np.cumsum(p)
-                k = int(np.searchsorted(cum, rng.random() * cum[-1]))
+                nw, pw, wt = n_wk[w], prior_wk[w], word_terms[w]
+                nd[k] -= 1.0
+                nw[k] -= 1.0
+                n_k[k] -= 1.0
+                doc_terms[k] = nd[k] + alpha
+                wt[k] = nw[k] + pw[k]
+                denoms[k] = n_k[k] + prior_k[k]
+                total = 0.0
+                cum = []
+                for j in topics:
+                    total += wt[j] / denoms[j] * doc_terms[j]
+                    cum.append(total)
+                k = bisect_left(cum, next(uniforms) * total)
                 z[pos] = k
-                n_dk[d, k] += 1
-                n_kw[k, w] += 1
-                n_k[k] += 1
-    return n_kw
+                nd[k] += 1.0
+                nw[k] += 1.0
+                n_k[k] += 1.0
+                doc_terms[k] = nd[k] + alpha
+                wt[k] = nw[k] + pw[k]
+                denoms[k] = n_k[k] + prior_k[k]
+    return np.array(n_wk, dtype=np.float64).T.copy()
 
 
 def fit_topic_densities(
@@ -339,14 +368,12 @@ def fit_topic_densities(
     if vocab_size == 0:
         raise TemporalModelError("training corpus has an empty vocabulary")
 
-    slice_docs: dict[int, list[np.ndarray]] = {}
+    slice_docs: dict[int, list[list[int]]] = {}
     for doc in train.documents:
         ids = []
         for tok in sorted(doc.text_counts):
             ids.extend([token_index[tok]] * doc.text_counts[tok])
-        slice_docs.setdefault(axis.slice_of(doc.timestamp), []).append(
-            np.array(ids, dtype=np.intp)
-        )
+        slice_docs.setdefault(axis.slice_of(doc.timestamp), []).append(ids)
 
     nonempty = sorted(slice_docs)
     slice_map = np.zeros(axis.num_slices, dtype=np.int64)
@@ -448,6 +475,50 @@ def _read_array(fh, shape):
     return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
 
+def _read_header(fh, path) -> dict:
+    raw_len = fh.read(4)
+    if len(raw_len) < 4:
+        raise TemporalModelError(f"{path}: truncated header")
+    (hlen,) = struct.unpack("<I", raw_len)
+    blob = fh.read(hlen)
+    if len(blob) < hlen:
+        raise TemporalModelError(f"{path}: truncated header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise TemporalModelError(f"{path}: header is not valid JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise TemporalModelError(f"{path}: header is not a JSON object")
+    return header
+
+
+def _read_model(fh, kind, header):
+    if kind == "recency":
+        return RecencyModel(h_rec=header["h_rec"])
+    if kind == "category":
+        grid = _read_array(fh, (header["grid_size"],))
+        curves = {c: _read_array(fh, (header["grid_size"],)) for c in header["categories"]}
+        observations = {
+            c: _read_array(fh, (n,))
+            for c, n in zip(header["categories"], header["obs_lens"])
+        }
+        return CategoryKDE(
+            bandwidth=header["bandwidth"], grid=grid,
+            curves=curves, observations=observations,
+        )
+    vocab = header["vocabulary"]
+    axis = TimeAxis(**header["time_axis"])
+    n_eff = header["num_effective_slices"]
+    phi = _read_array(fh, (len(vocab), n_eff))
+    beta = _read_array(fh, (n_eff, header["num_topics"], len(vocab)))
+    slice_map = _read_array(fh, (axis.num_slices,)).astype(np.int64)
+    return TopicDensity(
+        num_topics=header["num_topics"], vocabulary=vocab, phi=phi, beta=beta,
+        slice_map=slice_map, time_axis=axis,
+        floor=header["floor"], aggregate=header["aggregate"],
+    )
+
+
 def read_temporal_model(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -456,32 +527,11 @@ def read_temporal_model(path):
         kind = _TAG_KINDS.get(fh.read(4))
         if kind is None:
             raise TemporalModelError(f"{path}: unknown model kind")
-        raw_len = fh.read(4)
-        if len(raw_len) < 4:
-            raise TemporalModelError(f"{path}: truncated header")
-        (hlen,) = struct.unpack("<I", raw_len)
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if kind == "recency":
-            return RecencyModel(h_rec=header["h_rec"])
-        if kind == "category":
-            grid = _read_array(fh, (header["grid_size"],))
-            curves = {c: _read_array(fh, (header["grid_size"],)) for c in header["categories"]}
-            observations = {
-                c: _read_array(fh, (n,))
-                for c, n in zip(header["categories"], header["obs_lens"])
-            }
-            return CategoryKDE(
-                bandwidth=header["bandwidth"], grid=grid,
-                curves=curves, observations=observations,
-            )
-        vocab = header["vocabulary"]
-        axis = TimeAxis(**header["time_axis"])
-        n_eff = header["num_effective_slices"]
-        phi = _read_array(fh, (len(vocab), n_eff))
-        beta = _read_array(fh, (n_eff, header["num_topics"], len(vocab)))
-        slice_map = _read_array(fh, (axis.num_slices,)).astype(np.int64)
-        return TopicDensity(
-            num_topics=header["num_topics"], vocabulary=vocab, phi=phi, beta=beta,
-            slice_map=slice_map, time_axis=axis,
-            floor=header["floor"], aggregate=header["aggregate"],
-        )
+        header = _read_header(fh, path)
+        try:
+            model = _read_model(fh, kind, header)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TemporalModelError(f"{path}: malformed {kind} header ({exc!r})") from None
+        if fh.read(1):
+            raise TemporalModelError(f"{path}: trailing bytes after the last array")
+    return model

@@ -79,6 +79,19 @@ class TestSynthAndIngest:
         ])
         assert code == 2
 
+    def test_repeated_feat_row_is_data_error(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        lines = (data / "manifest.jsonl").read_text().splitlines(keepends=True)
+        row = json.loads(lines[4])
+        row["feat_row"] = 1
+        lines[4] = json.dumps(row) + "\n"
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(lines))
+        code = main(["ingest", str(manifest), str(data / "features.bin"),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "manifest lines 2 and 5 share feat_row 1" in capsys.readouterr().err
+
     def test_bad_mode_spec_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "d"), "--modes", "5:1"]) == 1
 
@@ -303,6 +316,64 @@ class TestTruncatedBinaries:
                 assert main(["train", "--corpus", str(data), "--config", str(cfg),
                              "--temporal", str(cut), "--out", str(tmp_path / "m.txnm")]) == 2, \
                     (model.kind, n)
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        """Replace the TXNT header with edit(header), keeping the arrays."""
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        blob = json.dumps(edit(json.loads(raw[12 : 12 + hlen]))).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+
+    @pytest.mark.parametrize("kind, key", [
+        ("recency", "h_rec"), ("category", "grid_size"), ("category", "obs_lens"),
+        ("topic", "vocabulary"), ("topic", "time_axis"),
+    ])
+    def test_temporal_header_without_key(self, workspace, capsys, kind, key):
+        tmp_path, data, cfg = workspace
+        path = tmp_path / "t.txnt"
+        model = next(m for m in self.temporal_models() if m.kind == kind)
+        tp.write_temporal_model(path, model)
+        self.rewrite_header(path, lambda header: {k: v for k, v in header.items() if k != key})
+        with pytest.raises(tp.TemporalModelError, match=f"malformed {kind} header.*'{key}'"):
+            tp.read_temporal_model(path)
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [[1, 2], "h_rec", 0.3, None])
+    def test_temporal_header_not_an_object(self, workspace, header):
+        tmp_path, data, cfg = workspace
+        path = tmp_path / "t.txnt"
+        tp.write_temporal_model(path, tp.RecencyModel(h_rec=0.3))
+        self.rewrite_header(path, lambda _: header)
+        with pytest.raises(tp.TemporalModelError, match="not a JSON object"):
+            tp.read_temporal_model(path)
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
+
+    def test_temporal_header_of_wrong_types(self, workspace):
+        tmp_path, data, cfg = workspace
+        path = tmp_path / "t.txnt"
+        model = next(m for m in self.temporal_models() if m.kind == "topic")
+        tp.write_temporal_model(path, model)
+        self.rewrite_header(path, lambda header: dict(header, time_axis=[1, 2, 3]))
+        with pytest.raises(tp.TemporalModelError, match="malformed topic header"):
+            tp.read_temporal_model(path)
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
+
+    def test_temporal_trailing_bytes(self, workspace):
+        tmp_path, data, cfg = workspace
+        path = tmp_path / "t.txnt"
+        for model in self.temporal_models():
+            tp.write_temporal_model(path, model)
+            path.write_bytes(path.read_bytes() + b"\x00")
+            with pytest.raises(tp.TemporalModelError, match="trailing bytes"):
+                tp.read_temporal_model(path)
+            assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                         "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2, \
+                model.kind
 
     def test_features(self, tmp_path):
         path, cut = tmp_path / "f.bin", tmp_path / "cut.bin"

@@ -131,6 +131,13 @@ class TestLoad:
         rows[1]["id"] = "a"
         assert_builders_reject(tmp_path, rows, np.zeros((3, 4)), "duplicate document id 'a'")
 
+    def test_repeated_feat_row_names_both_lines(self, tmp_path):
+        rows = three_doc_rows()
+        rows[2]["feat_row"] = 0
+        manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 4)))
+        with pytest.raises(cp.CorpusError, match="manifest lines 1 and 3 share feat_row 0"):
+            cp.load_corpus(manifest, features)
+
     def test_time_axis(self, tmp_path):
         manifest, features, _ = make_bundle(tmp_path, three_doc_rows(), np.zeros((3, 4)))
         corpus = cp.load_corpus(manifest, features)

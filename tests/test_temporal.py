@@ -362,3 +362,83 @@ class TestPairMatrix:
         assert model.pair_sim(doc_b, other) == pytest.approx(0.1 / 0.9)
         profiles, _, _ = model.document_table([doc_a, doc_b])
         assert not np.array_equal(profiles[0], profiles[1])
+
+
+def reference_gibbs_slice(doc_word_ids, num_topics, vocab_size, alpha, prior_kw, iters, rng):
+    """Collapsed Gibbs sweep with one NumPy call per term of each draw."""
+    n_dk = np.zeros((len(doc_word_ids), num_topics))
+    n_kw = np.zeros((num_topics, vocab_size))
+    n_k = np.zeros(num_topics)
+    prior_k = prior_kw.sum(axis=1)
+    assignments = []
+    for d, words in enumerate(doc_word_ids):
+        z = rng.integers(num_topics, size=len(words))
+        assignments.append(z)
+        for w, k in zip(words, z):
+            n_dk[d, k] += 1
+            n_kw[k, w] += 1
+            n_k[k] += 1
+    for _ in range(iters):
+        for d, words in enumerate(doc_word_ids):
+            z = assignments[d]
+            for pos, w in enumerate(words):
+                k = z[pos]
+                n_dk[d, k] -= 1
+                n_kw[k, w] -= 1
+                n_k[k] -= 1
+                p = (n_kw[:, w] + prior_kw[:, w]) / (n_k + prior_k) * (n_dk[d] + alpha)
+                cum = np.cumsum(p)
+                k = int(np.searchsorted(cum, rng.random() * cum[-1]))
+                z[pos] = k
+                n_dk[d, k] += 1
+                n_kw[k, w] += 1
+                n_k[k] += 1
+    return n_kw
+
+
+def random_slice(rng, num_docs, vocab_size):
+    """Sorted word-id lists of random lengths; the middle document is empty."""
+    docs = [sorted(rng.integers(vocab_size, size=int(rng.integers(1, 25))).tolist())
+            for _ in range(num_docs)]
+    docs[num_docs // 2] = []
+    return docs
+
+
+class TestGibbsAgainstLoopReference:
+    @pytest.mark.parametrize("num_topics", [1, 2, 3, 10])
+    @pytest.mark.parametrize("carry_over", [False, True])
+    def test_counts_and_stream_match(self, num_topics, carry_over):
+        rng = np.random.default_rng(30 + num_topics)
+        vocab_size = 12
+        docs = random_slice(rng, 9, vocab_size)
+        prior_kw = np.full((num_topics, vocab_size), 0.01)
+        if carry_over:  # kappa times an earlier slice's counts, non-uniform
+            prior_kw += 0.5 * rng.integers(0, 6, size=(num_topics, vocab_size))
+        alpha = 50.0 / num_topics
+        want_rng, got_rng = np.random.default_rng(7), np.random.default_rng(7)
+        want = reference_gibbs_slice(docs, num_topics, vocab_size, alpha, prior_kw, 6, want_rng)
+        got = tp._gibbs_slice(docs, num_topics, vocab_size, alpha, prior_kw, 6, got_rng)
+        assert got.shape == (num_topics, vocab_size) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_slice_of_empty_documents_draws_nothing(self):
+        prior_kw = np.full((3, 4), 0.01)
+        rng = np.random.default_rng(8)
+        counts = tp._gibbs_slice([[], []], 3, 4, 1.0, prior_kw, 5, rng)
+        np.testing.assert_array_equal(counts, np.zeros((3, 4)))
+        assert rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
+
+    @pytest.mark.parametrize("num_topics", [1, 2, 3, 10])
+    def test_fit_matches_reference(self, num_topics, monkeypatch):
+        rng = np.random.default_rng(40 + num_topics)
+        specs = [(int(rng.integers(0, 6)),
+                  {f"w{rng.integers(15)}": int(rng.integers(1, 4)) for _ in range(4)},
+                  ["l"]) for _ in range(30)]
+        corpus = day_corpus(specs)
+        got = tp.fit_topic_densities(corpus, num_topics=num_topics, seed=3, gibbs_iters=6)
+        monkeypatch.setattr(tp, "_gibbs_slice", reference_gibbs_slice)
+        want = tp.fit_topic_densities(corpus, num_topics=num_topics, seed=3, gibbs_iters=6)
+        assert want.num_effective_slices > 1  # later slices carry counts over
+        np.testing.assert_array_equal(got.phi, want.phi)
+        np.testing.assert_array_equal(got.beta, want.beta)
