@@ -259,6 +259,8 @@ def load_checkpoint(path):
                     raise ValueError(f"{path}: truncated checkpoint tensor {hk}.{pk}")
                 tensors.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
             halves[hk] = ProjectionHalf(*tensors)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last checkpoint tensor")
     model = ProjectionModel(image_net=halves["image"], text_net=halves["text"])
     return model, config, seed
 

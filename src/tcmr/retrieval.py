@@ -8,13 +8,20 @@ relevance is the number of shared categories. Reported metrics are mAP@K,
 nDCG@K, a precision-scope curve (mAP@k over a range of k), and the
 histogram intersection between the temporal distribution of retrieved
 relevant instances and that of all ground-truth instances.
+
+Evaluation streams over blocks of EVAL_BLOCK queries: a block's (b, n)
+scores and shared-category counts are reduced to each query's top K
+candidates (K the largest cut-off), its relevant count, its ideal grades
+and its per-bin relevant counts, then dropped. Memory is a few block × n
+arrays plus n × K, never n × n. Reports are bit-identical to a full sort
+of every row with per-query metric loops; tests keep that as a reference.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -136,13 +143,30 @@ def _id_ranks(doc_ids) -> np.ndarray:
     return ranks
 
 
-def rank_candidates(scores: np.ndarray, doc_ids) -> np.ndarray:
-    """Candidate order per query row: score descending, doc_id ascending."""
-    id_ranks = _id_ranks(doc_ids)
+def rank_candidates(scores: np.ndarray, id_ranks: np.ndarray, depth: int) -> np.ndarray:
+    """Top-``depth`` candidates of each score row: score descending, id rank ascending.
+
+    Equal to the first ``depth`` columns of a full ``lexsort`` of each row,
+    but only the candidates scoring at or above the row's depth-th score
+    are sorted. A row where equal scores straddle that score is sorted on
+    its own.
+    """
     scores = np.atleast_2d(scores)
-    order = np.empty(scores.shape, dtype=np.intp)
-    for row, out in zip(scores, order):
-        out[:] = np.lexsort((id_ranks, -row))
+    b, n = scores.shape
+    depth = min(depth, n)
+    kth = np.partition(scores, n - depth, axis=1)[:, [n - depth]]  # a copy: frees the partition
+    above = scores >= kth
+    rows, cols = np.divmod(np.flatnonzero(above), n)
+    # every row has at least depth candidates at or above its depth-th score
+    straddle = np.bincount(rows, minlength=b) > depth
+    fast = np.flatnonzero(~straddle)
+    cols = cols[~straddle[rows]].reshape(len(fast), depth)
+    by_key = np.lexsort((id_ranks[cols], -scores[fast[:, None], cols]), axis=1)
+    order = np.empty((b, depth), dtype=np.intp)
+    order[fast] = np.take_along_axis(cols, by_key, axis=1)
+    for r in np.flatnonzero(straddle):
+        cand = np.flatnonzero(above[r])
+        order[r] = cand[np.lexsort((id_ranks[cand], -scores[r, cand]))[:depth]]
     return order
 
 
@@ -158,116 +182,173 @@ def query_topk(index: RetrievalIndex, q: Query, model: ProjectionModel,
         vec = model.project_texts(tfidf_vector(q.text_counts, stats))
         candidates = index.image_matrix
     scores = candidates @ vec
-    order = rank_candidates(scores, index.doc_ids)[0]
-    truncated = k > len(index)
-    top = order[: min(k, len(index))]
-    return [(index.doc_ids[i], float(scores[i])) for i in top], truncated
+    top = rank_candidates(scores, _id_ranks(index.doc_ids), k)[0]
+    return [(index.doc_ids[i], float(scores[i])) for i in top], k > len(index)
 
 
 # ---------------------------------------------------------------------------
 # Metrics
+#
+# Each metric takes every query's top candidates (rows of a TopK) plus the
+# per-query counts that need the whole candidate set, so no metric needs the
+# full ranking. Row sums run over contiguous rows of fixed length, which
+# NumPy adds in the same pairwise order as a 1-D sum of that row.
 
 
-def average_precision_at_k(flags, total_relevant: int, k: int):
-    """Truncated AP: sum of precision at hit ranks over min(R, K); None if R=0."""
-    if total_relevant == 0:
-        return None
-    flags = np.asarray(flags, dtype=bool)[:k]
-    if not flags.any():
-        return 0.0
-    hits = np.cumsum(flags)
-    ranks = np.arange(1, len(flags) + 1)
-    return float((hits[flags] / ranks[flags]).sum() / min(total_relevant, k))
-
-
-def map_at_k(per_query_flags, k: int):
+def map_at_k(hits, relevant, k: int):
     """Mean AP@K over queries with at least one relevant candidate.
 
-    Each entry of per_query_flags is the full ranked relevance vector of one
-    query. Returns (value, number of excluded queries).
+    ``hits[i]`` flags query i's ranked candidates (at least its top K) and
+    ``relevant[i]`` counts all its relevant candidates. AP is the sum of
+    precision at hit ranks over min(R, K). Returns (value, number of
+    excluded queries).
     """
-    values, excluded = [], 0
-    for flags in per_query_flags:
-        flags = np.asarray(flags, dtype=bool)
-        ap = average_precision_at_k(flags, int(flags.sum()), k)
-        if ap is None:
-            excluded += 1
-        else:
-            values.append(ap)
-    if not values:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    hits = np.atleast_2d(np.asarray(hits, dtype=bool))[:, :k]
+    relevant = np.asarray(relevant)
+    defined = relevant > 0
+    if not defined.any():
         raise MetricError("every query has zero relevant candidates")
-    return float(np.mean(values)), excluded
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    num_hits = hits.sum(axis=1)
+    ap = np.zeros(len(hits))
+    # rows with m hits sum an (rows, m) array, each row as its own 1-D sum would
+    for m in np.flatnonzero(np.bincount(num_hits[defined])[1:]) + 1:
+        rows = np.flatnonzero(defined & (num_hits == m))
+        ap[rows] = precision[rows][hits[rows]].reshape(len(rows), m).sum(axis=1)
+    ap = ap[defined] / np.minimum(relevant[defined], k)
+    return float(np.mean(ap)), int(len(defined) - defined.sum())
 
 
-def ndcg_at_k(per_query_grades, k: int, gain: str = "linear"):
+def _gains(grades, gain):
+    grades = np.asarray(grades, dtype=np.float64)
+    if gain == "exponential":
+        return np.exp2(grades) - 1.0
+    if gain != "linear":
+        raise ValueError(f"unknown gain {gain!r}")
+    return grades
+
+
+def ndcg_at_k(grades, ideal, k: int, gain: str = "linear"):
     """Mean nDCG@K over queries with a nonzero ideal ranking.
 
-    Grades are shared-category counts in ranked order (full vectors). Linear
-    gain uses the grade directly; "exponential" uses 2^grade - 1.
+    ``grades[i]`` holds query i's shared-category counts in ranked order and
+    ``ideal[i]`` its largest counts in descending order, at least min(K, n)
+    of each. Linear gain uses the grade directly; "exponential" uses
+    2^grade - 1. Returns (value, number of excluded queries).
     """
-    values, excluded = [], 0
-    for grades in per_query_grades:
-        grades = np.asarray(grades, dtype=np.float64)
-        if gain == "exponential":
-            grades = np.exp2(grades) - 1.0
-        elif gain != "linear":
-            raise ValueError(f"unknown gain {gain!r}")
-        discounts = 1.0 / np.log2(np.arange(2, min(k, len(grades)) + 2))
-        dcg = float((grades[:k] * discounts).sum())
-        ideal = np.sort(grades)[::-1]
-        idcg = float((ideal[:k] * discounts).sum())
-        if idcg == 0.0:
-            excluded += 1
-        else:
-            values.append(dcg / idcg)
-    if not values:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    gains = _gains(np.atleast_2d(grades)[:, :k], gain)
+    discounts = 1.0 / np.log2(np.arange(2, gains.shape[1] + 2))
+    dcg = (gains * discounts).sum(axis=1)
+    idcg = (_gains(np.atleast_2d(ideal)[:, : gains.shape[1]], gain) * discounts).sum(axis=1)
+    defined = idcg != 0.0
+    if not defined.any():
         raise MetricError("every query has an all-zero ideal ranking")
-    return float(np.mean(values)), excluded
+    return float(np.mean(dcg[defined] / idcg[defined])), int(len(idcg) - defined.sum())
 
 
-def precision_scope(per_query_flags, k_list=DEFAULT_SCOPE_KS):
+def precision_scope(hits, relevant, k_list=DEFAULT_SCOPE_KS):
     """mAP@k for each k; k_list must be strictly increasing."""
     ks = list(k_list)
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be strictly increasing")
-    return [(k, map_at_k(per_query_flags, k)[0]) for k in ks]
+    return [(k, map_at_k(hits, relevant, k)[0]) for k in ks]
 
 
-def temporal_fit(result_timestamps, gt_timestamps, time_axis: TimeAxis, bins: int) -> float:
-    """Histogram intersection of the two timestamp sets over the timespan.
+def time_bins(timestamps, time_axis: TimeAxis, bins: int) -> np.ndarray:
+    """Bin of each timestamp in ``bins`` equal bins over the timespan; -1 outside it.
 
-    Both histograms are normalized to sum to 1; an empty result set scores 0.
+    The assignment is ``np.histogram``'s: bin i holds edge_i <= t < edge_i+1,
+    and the last bin also holds its right edge.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    result_timestamps = np.asarray(result_timestamps, dtype=np.float64)
-    gt_timestamps = np.asarray(gt_timestamps, dtype=np.float64)
-    if result_timestamps.size == 0 or gt_timestamps.size == 0:
-        return 0.0
-    span = (0.0, float(time_axis.num_slices))
-    p, _ = np.histogram(result_timestamps, bins=bins, range=span)
-    q, _ = np.histogram(gt_timestamps, bins=bins, range=span)
-    p = p / p.sum()
-    q = q / q.sum()
-    return float(np.minimum(p, q).sum())
+    span = float(time_axis.num_slices)
+    t = np.asarray(timestamps, dtype=np.float64)
+    out = np.searchsorted(np.linspace(0.0, span, bins + 1), t, side="right") - 1
+    out[t == span] = bins - 1
+    out[~((t >= 0.0) & (t <= span))] = -1
+    return out
+
+
+def temporal_fit(result_counts, gt_counts) -> np.ndarray:
+    """Histogram intersection of each row's result and ground-truth time histograms.
+
+    Rows are bin counts; both histograms are normalized to sum to 1, and a
+    row without results scores 0.
+    """
+    result_counts = np.atleast_2d(result_counts)
+    gt_counts = np.atleast_2d(gt_counts)
+    results = result_counts.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = result_counts / results
+        q = gt_counts / gt_counts.sum(axis=1, keepdims=True)
+    return np.where(results[:, 0] > 0, np.minimum(p, q).sum(axis=1), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Full evaluation
 
-
-def shared_label_matrix(label_sets):
-    """(n, n) shared-category counts; small integers, so exact in float64."""
-    labels = label_matrix(label_sets)
-    return labels @ labels.T
+EVAL_BLOCK = 256  # query rows scored at a time: evaluation holds a few (block, n) arrays
 
 
-def rank_direction(index: RetrievalIndex, direction: str):
-    """Rank one direction with every index row as a query.
+@dataclass
+class TopK:
+    """Each query's top candidates and the counts its metrics need beyond them."""
 
-    Returns (order, ranked): ``order[i]`` lists query i's candidates by
-    score descending, doc id ascending, and ``ranked[i]`` their
-    shared-category counts in that order.
+    order: np.ndarray  # (n, K) candidate rows, best first
+    grades: np.ndarray  # (n, K) shared-category counts in that order
+    ideal: np.ndarray  # (n, K) the K largest shared-category counts, descending
+    relevant: np.ndarray  # (n,) candidates sharing a category with the query
+    gt_counts: np.ndarray  # (n, bins) relevant candidates per time bin
+
+
+def block_topk(order, shared, doc_bins=None, bins: int = 0) -> TopK:
+    """TopK of a block of query rows from their ranked candidates and grade rows.
+
+    ``shared`` is the block's (b, n) shared-category counts, non-negative
+    integers. ``doc_bins`` gives each candidate's time bin (-1 outside the
+    timespan); without it ``gt_counts`` has no columns.
+    """
+    b, n = shared.shape
+    flat = np.flatnonzero(shared > 0)
+    rows, cols = np.divmod(flat, n)
+    grade = shared.ravel()[flat]
+    relevant = np.bincount(rows, minlength=b)
+    # counting sort of each row: position j holds the largest g with more than j grades >= g
+    ideal = np.zeros(order.shape)
+    ranks = np.arange(order.shape[1])
+    for g in range(1, int(grade.max(initial=0)) + 1):
+        ideal[ranks < np.bincount(rows[grade >= g], minlength=b)[:, None]] = g
+    return TopK(
+        order=order,
+        grades=np.take_along_axis(shared, order, axis=1),
+        ideal=ideal,
+        relevant=relevant,
+        gt_counts=(np.zeros((b, 0), dtype=np.intp) if doc_bins is None
+                   else _bin_counts(rows, doc_bins[cols], b, bins)),
+    )
+
+
+def _bin_counts(rows, item_bins, num_rows: int, bins: int) -> np.ndarray:
+    """(num_rows, bins) integer counts of items by row and time bin; bin -1 is not counted."""
+    inside = item_bins >= 0
+    cells = rows[inside] * bins + item_bins[inside]
+    return np.bincount(cells, minlength=num_rows * bins).reshape(num_rows, bins)
+
+
+def rank_direction(index: RetrievalIndex, direction: str, depth: int,
+                   doc_bins=None, bins: int = 0) -> TopK:
+    """Top ``depth`` of one direction with every index row as a query.
+
+    Queries are scored EVAL_BLOCK rows at a time, so memory grows with
+    EVAL_BLOCK x n rather than n x n. A block's scores are the rows of
+    ``queries[block] @ candidates.T``; BLAS may round them in the last bit
+    differently from the rows of the full (n, n) product, which changes a
+    ranking only where two candidates score that close.
     """
     if direction == I2T:
         queries, candidates = index.image_matrix, index.text_matrix
@@ -275,39 +356,40 @@ def rank_direction(index: RetrievalIndex, direction: str):
         queries, candidates = index.text_matrix, index.image_matrix
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    # the (n, n) scores are freed before the grade matrices are built
-    order = rank_candidates(queries @ candidates.T, index.doc_ids)
-    return order, np.take_along_axis(shared_label_matrix(index.label_sets), order, axis=1)
+    labels = label_matrix(index.label_sets)
+    id_ranks = _id_ranks(index.doc_ids)
+    blocks = []
+    for start in range(0, len(index), EVAL_BLOCK):
+        rows = slice(start, start + EVAL_BLOCK)
+        # the block's scores are freed before its grade rows are built
+        order = rank_candidates(queries[rows] @ candidates.T, id_ranks, depth)
+        blocks.append(block_topk(order, labels[rows] @ labels.T, doc_bins, bins))
+    return TopK(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+                   for f in fields(TopK)})
 
 
 def evaluate_direction(index: RetrievalIndex, direction: str, k: int = 50,
                        k_list=DEFAULT_SCOPE_KS, bins: int = 10,
                        ndcg_gain: str = "linear") -> EvalReport:
     """Evaluate one retrieval direction with every index row as a query."""
-    order, ranked = rank_direction(index, direction)
-    hits = ranked > 0
+    doc_bins = time_bins(index.timestamps, index.time_axis, bins)
+    top = rank_direction(index, direction, max([k, *k_list]), doc_bins, bins)
+    hits = top.grades > 0
 
-    map_value, excluded = map_at_k(hits, k)
-    ndcg_value, _ = ndcg_at_k(ranked, k, gain=ndcg_gain)
-    scope = precision_scope(hits, k_list)
+    map_value, excluded = map_at_k(hits, top.relevant, k)
+    ndcg_value, _ = ndcg_at_k(top.grades, top.ideal, k, gain=ndcg_gain)
+    scope = precision_scope(hits, top.relevant, k_list)
 
-    fits = []
-    pooled_results, pooled_gt = [], []
-    for i in range(len(index)):
-        if not hits[i].any():
-            continue
-        result_ts = index.timestamps[order[i, :k][hits[i, :k]]]
-        gt_ts = index.timestamps[order[i][hits[i]]]
-        fits.append(temporal_fit(result_ts, gt_ts, index.time_axis, bins))
-        pooled_results.extend(result_ts)
-        pooled_gt.extend(gt_ts)
-
-    span = (0.0, float(index.time_axis.num_slices))
-    edges = np.linspace(span[0], span[1], bins + 1)
-    gt_hist, _ = np.histogram(pooled_gt, bins=bins, range=span)
-    result_hist, _ = np.histogram(pooled_results, bins=bins, range=span)
+    n = len(index)
+    rows, ranks = np.nonzero(hits[:, :k])  # the relevant results in each top k
+    result_counts = _bin_counts(rows, doc_bins[top.order[rows, ranks]], n, bins)
+    queried = top.relevant > 0
+    fits = temporal_fit(result_counts[queried], top.gt_counts[queried])
+    gt_hist = top.gt_counts[queried].sum(axis=0)
+    result_hist = result_counts[queried].sum(axis=0)
     gt_hist = gt_hist / max(1, gt_hist.sum())
     result_hist = result_hist / max(1, result_hist.sum())
+    edges = np.linspace(0.0, float(index.time_axis.num_slices), bins + 1)
 
     return EvalReport(
         direction=direction,
@@ -315,8 +397,8 @@ def evaluate_direction(index: RetrievalIndex, direction: str, k: int = 50,
         map_at_k=map_value,
         ndcg_at_k=ndcg_value,
         scope_curve=scope,
-        temporal_fit=float(np.mean(fits)) if fits else 0.0,
-        num_queries=len(index),
+        temporal_fit=float(np.mean(fits)) if fits.size else 0.0,
+        num_queries=n,
         num_excluded=excluded,
         bin_edges=[float(e) for e in edges[:-1]],
         gt_hist=[float(v) for v in gt_hist],

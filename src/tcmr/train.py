@@ -75,7 +75,11 @@ def fit_temporal_model(kind: str, train: Corpus, cfg: RunConfig):
 
 def mean_map_both_directions(index, k: int) -> float:
     """Validation score: mAP@k averaged over both retrieval directions."""
-    return float(np.mean([map_at_k(rank_direction(index, d)[1] > 0, k)[0] for d in DIRECTIONS]))
+    values = []
+    for direction in DIRECTIONS:
+        top = rank_direction(index, direction, k)
+        values.append(map_at_k(top.grades > 0, top.relevant, k)[0])
+    return float(np.mean(values))
 
 
 def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,

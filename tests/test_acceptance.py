@@ -106,6 +106,13 @@ def test_gradient_correctness():
     )
 
 
+def ranked_topk(scores, grades, depth):
+    """One query's TopK through the production ranking; ties broken by index."""
+    scores = np.array([scores], dtype=np.float64)
+    order = rt.rank_candidates(scores, np.arange(scores.shape[1]), depth)
+    return rt.block_topk(order, np.array([grades], dtype=np.float64))
+
+
 def test_metric_oracles():
     """map_at_k / ndcg_at_k vs definitional oracles, exhaustively to n=6."""
     checked = 0
@@ -116,7 +123,8 @@ def test_metric_oracles():
                 continue
             for k in range(1, n + 1):
                 expected = synth.oracle_ap(scores, rel, k)
-                got, _ = rt.map_at_k([list(map(bool, rel))], k)
+                top = ranked_topk(scores, rel, k)
+                got, _ = rt.map_at_k(top.grades > 0, top.relevant, k)
                 assert got == expected or abs(got - expected) < 1e-12, (rel, k)
                 checked += 1
         for grades in itertools.product([0, 1, 2], repeat=min(n, 5)):
@@ -125,13 +133,16 @@ def test_metric_oracles():
             g_scores = [len(grades) - i for i in range(len(grades))]
             for k in (1, len(grades)):
                 expected = synth.oracle_ndcg(g_scores, grades, k)
-                got, _ = rt.ndcg_at_k([list(grades)], k)
+                top = ranked_topk(g_scores, grades, k)
+                got, _ = rt.ndcg_at_k(top.grades, top.ideal, k)
                 assert abs(got - expected) < 1e-12, (grades, k)
                 checked += 1
 
-    ap, _ = rt.map_at_k([[True, False, True]], 50)
+    top = ranked_topk([3, 2, 1], [1, 0, 1], 50)
+    ap, _ = rt.map_at_k(top.grades > 0, top.relevant, 50)
     assert abs(ap - 0.8333) < 1e-4
-    ndcg, _ = rt.ndcg_at_k([[2, 0, 1]], 3)
+    top = ranked_topk([3, 2, 1], [2, 0, 1], 3)
+    ndcg, _ = rt.ndcg_at_k(top.grades, top.ideal, 3)
     assert abs(ndcg - 0.9502) < 1e-4
     report("metric-oracles", True, f"{checked} oracle comparisons plus hand values")
 

@@ -1,8 +1,12 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tcmr import corpus as cp
 from tcmr import temporal as tp
@@ -375,6 +379,17 @@ class TestTruncatedBinaries:
                          "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2, \
                 model.kind
 
+    def test_checkpoint_trailing_bytes(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        save_checkpoint(path, ProjectionModel.initialize(2, 2, 2, 2, seed=0), config={}, seed=0)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--corpus", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_features(self, tmp_path):
         path, cut = tmp_path / "f.bin", tmp_path / "cut.bin"
         cp.write_features(path, np.arange(6.0).reshape(3, 2))
@@ -385,3 +400,70 @@ class TestTruncatedBinaries:
                 cp.read_features(cut)
             assert main(["ingest", str(manifest), str(cut),
                          "--out", str(tmp_path / "out")]) == 2, n
+
+
+def valid_binaries(directory):
+    """(reader, path) of one small valid TXNM, TXNT of each kind, and TXNF file."""
+    files = []
+    path = directory / "m.txnm"
+    save_checkpoint(path, ProjectionModel.initialize(2, 3, 2, 2, seed=0), config={"seed": 0},
+                    seed=0)
+    files.append((load_checkpoint, path))
+    for model in TestTruncatedBinaries.temporal_models():
+        path = directory / f"{model.kind}.txnt"
+        tp.write_temporal_model(path, model)
+        files.append((tp.read_temporal_model, path))
+    path = directory / "f.bin"
+    cp.write_features(path, np.arange(6.0).reshape(3, 2))
+    files.append((cp.read_features, path))
+    return files
+
+
+READER_ERRORS = (ValueError, tp.TemporalModelError, cp.CorpusError)
+position = st.one_of(st.integers(0, 40), st.integers(0, 10**6))  # headers come first
+mutation = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 10**6)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(position, st.integers(0, 255)),
+                                        min_size=1, max_size=4)),
+)
+
+
+class TestFuzzedBinaries:
+    """Cut, overwritten or extended binaries raise only the readers' own errors."""
+
+    @classmethod
+    def setup_class(cls):
+        cls._dir = tempfile.TemporaryDirectory()
+        cls.files = [(reader, path.read_bytes(), reader.__name__ + ":" + path.name)
+                     for reader, path in valid_binaries(Path(cls._dir.name))]
+        cls.target = Path(cls._dir.name) / "mutated"
+
+    @classmethod
+    def teardown_class(cls):
+        cls._dir.cleanup()
+
+    @staticmethod
+    def mutate(data, kind, arg):
+        if kind == "cut":
+            return data[: arg % len(data)]
+        if kind == "append":
+            return data + arg
+        out = bytearray(data)
+        for where, value in arg:
+            out[where % len(out)] = value
+        return bytes(out)
+
+    @pytest.mark.parametrize("which", range(5))
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(change=mutation)
+    def test_readers_raise_only_their_errors(self, which, change):
+        reader, data, name = self.files[which]
+        self.target.write_bytes(self.mutate(data, *change))
+        kind = change[0]
+        try:
+            reader(self.target)
+        except READER_ERRORS:
+            return
+        assert kind == "flip", f"{name}: {kind} {change[1]!r} was accepted"

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tcmr import corpus as cp
 from tcmr import retrieval as rt
 from tcmr import synth
 from tcmr.projection import ProjectionModel
+from tcmr.train import mean_map_both_directions
 
 
 class _NormalizeHalf:
@@ -138,6 +140,28 @@ class TestQueryTopK:
         for (_, sa), (_, sb) in zip(a, b):
             assert sa == pytest.approx(sb)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicates_straddling_k_keep_full_sort_order(self, seed):
+        """Equal scores of duplicated documents across rank k: the full-lexsort order."""
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-2, 3, size=(4, 3)) / 4.0
+        text = rows[[0, 1, 1, 2, 2, 2, 3, 3, 1, 0, 2, 3]]  # exact scores, each repeated
+        ids = [f"doc{j:02d}" for j in rng.permutation(12)]
+        index = make_index(np.zeros((12, 3)), text, doc_ids=ids)
+        qvec = np.array([0.5, -0.25, 0.75])
+        scores = text @ (qvec / np.linalg.norm(qvec))
+        full = reference_rank(scores, ids)[0]
+        straddled = 0
+        for k in range(1, 15):
+            results, truncated = rt.query_topk(
+                index, rt.Query(image_feat=qvec), LinearStubModel(), None, k=k
+            )
+            assert [doc for doc, _ in results] == [ids[i] for i in full[:k]]
+            assert [s for _, s in results] == [float(scores[i]) for i in full[:k]]
+            assert truncated == (k > 12)
+            straddled += k < 12 and scores[full[k - 1]] == scores[full[k]]
+        assert straddled >= 4
+
     def test_query_requires_exactly_one_modality(self):
         with pytest.raises(ValueError, match="exactly one"):
             rt.Query(image_feat=np.ones(2), text_counts={"a": 1})
@@ -145,29 +169,50 @@ class TestQueryTopK:
             rt.Query()
 
 
+def in_ranked_order(grade_rows):
+    """TopK of queries whose candidates are listed best first, via the production ranking.
+
+    Rows are padded with grade-0 candidates ranked last, which changes no metric.
+    """
+    n = max(len(row) for row in grade_rows)
+    grades = np.array([list(row) + [0] * (n - len(row)) for row in grade_rows], dtype=np.float64)
+    scores = np.broadcast_to(np.arange(n, 0, -1.0), grades.shape)
+    return rt.block_topk(rt.rank_candidates(scores, np.arange(n), n), grades)
+
+
+def map_of(flag_rows, k):
+    top = in_ranked_order(flag_rows)
+    return rt.map_at_k(top.grades > 0, top.relevant, k)
+
+
+def ndcg_of(grade_rows, k, gain="linear"):
+    top = in_ranked_order(grade_rows)
+    return rt.ndcg_at_k(top.grades, top.ideal, k, gain=gain)
+
+
 class TestMapAtK:
     def test_hand_value(self):
         flags = [True, False, True] + [False] * 47
-        value, excluded = rt.map_at_k([flags], k=50)
+        value, excluded = map_of([flags], k=50)
         assert value == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-6)
         assert excluded == 0
 
     def test_perfect_ranking(self):
-        value, _ = rt.map_at_k([[True] * 5], k=3)
+        value, _ = map_of([[True] * 5], k=3)
         assert value == 1.0
 
     def test_no_hits_in_top_k(self):
-        value, _ = rt.map_at_k([[False] * 5 + [True]], k=3)
+        value, _ = map_of([[False] * 5 + [True]], k=3)
         assert value == 0.0
 
     def test_zero_relevant_excluded_and_counted(self):
-        value, excluded = rt.map_at_k([[False, False], [True, False]], k=2)
+        value, excluded = map_of([[False, False], [True, False]], k=2)
         assert excluded == 1
         assert value == 1.0
 
     def test_all_excluded_is_error(self):
         with pytest.raises(rt.MetricError):
-            rt.map_at_k([[False], [False]], k=1)
+            map_of([[False], [False]], k=1)
 
     def test_matches_oracle_on_permutations(self):
         for n in range(1, 6):
@@ -177,65 +222,70 @@ class TestMapAtK:
                 for k in (1, 2, n):
                     scores = [n - i for i in range(n)]  # ranking = given order
                     expected = synth.oracle_ap(scores, rel, k)
-                    got, _ = rt.map_at_k([list(map(bool, rel))], k)
+                    got, _ = map_of([list(map(bool, rel))], k)
                     assert got == pytest.approx(expected), (rel, k)
 
 
 class TestNdcgAtK:
     def test_hand_value(self):
-        value, _ = rt.ndcg_at_k([[2, 0, 1]], k=3)
+        value, _ = ndcg_of([[2, 0, 1]], k=3)
         idcg = 2.0 + 1.0 / np.log2(3)
         assert value == pytest.approx(2.5 / idcg, abs=1e-9)
         assert value == pytest.approx(0.9502, abs=1e-4)
 
     def test_ideal_ordering_scores_one(self):
-        value, _ = rt.ndcg_at_k([[3, 2, 2, 1, 0]], k=5)
+        value, _ = ndcg_of([[3, 2, 2, 1, 0]], k=5)
         assert value == 1.0
 
     def test_all_zero_grades_excluded(self):
-        value, excluded = rt.ndcg_at_k([[0, 0], [1, 0]], k=2)
+        value, excluded = ndcg_of([[0, 0], [1, 0]], k=2)
         assert excluded == 1
         assert value == 1.0
 
     def test_all_excluded_is_error(self):
         with pytest.raises(rt.MetricError):
-            rt.ndcg_at_k([[0, 0]], k=2)
+            ndcg_of([[0, 0]], k=2)
 
     def test_matches_oracle_on_permutations(self):
         base = [2, 0, 1, 3]
         for perm in itertools.permutations(base):
             scores = [len(perm) - i for i in range(len(perm))]
             expected = synth.oracle_ndcg(scores, perm, k=3)
-            got, _ = rt.ndcg_at_k([list(perm)], k=3)
+            got, _ = ndcg_of([list(perm)], k=3)
             assert got == pytest.approx(expected), perm
 
     def test_exponential_gain_switch(self):
-        value, _ = rt.ndcg_at_k([[2, 0, 1]], k=3, gain="exponential")
+        value, _ = ndcg_of([[2, 0, 1]], k=3, gain="exponential")
         expected = synth.oracle_ndcg([3, 2, 1], [2, 0, 1], k=3, gain="exponential")
         assert value == pytest.approx(expected)
 
 
 class TestPrecisionScope:
+    @staticmethod
+    def scope(flag_rows, k_list):
+        top = in_ranked_order(flag_rows)
+        return rt.precision_scope(top.grades > 0, top.relevant, k_list)
+
     def test_k1_reduces_to_precision_at_one(self):
         flags = [[True, False], [False, True], [False, False, True]]
-        curve = rt.precision_scope(flags, k_list=[1])
+        curve = self.scope(flags, k_list=[1])
         assert curve == [(1, pytest.approx(1.0 / 3.0))]
 
     def test_curve_shape(self):
         flags = [[True] * 10]
-        curve = rt.precision_scope(flags, k_list=[2, 4, 6])
+        curve = self.scope(flags, k_list=[2, 4, 6])
         assert [k for k, _ in curve] == [2, 4, 6]
 
     def test_non_increasing_k_list_rejected(self):
         with pytest.raises(ValueError):
-            rt.precision_scope([[True]], k_list=[3, 3])
+            self.scope([[True]], k_list=[3, 3])
 
     def test_matches_per_k_oracle(self):
         rng = np.random.default_rng(5)
         queries = [list(rng.random(6) < 0.5) for _ in range(3)]
         if not any(any(q) for q in queries):
             queries[0][0] = True
-        curve = rt.precision_scope(queries, k_list=[1, 3, 5])
+        curve = self.scope(queries, k_list=[1, 3, 5])
         for k, value in curve:
             oracle_vals = []
             for q in queries:
@@ -249,20 +299,45 @@ class TestPrecisionScope:
 class TestTemporalFit:
     AXIS = cp.TimeAxis(unit=1.0, origin=0, num_slices=2)
 
+    def fit(self, result_ts, gt_ts, bins):
+        def counts(ts):
+            b = rt.time_bins(ts, self.AXIS, bins)
+            return np.bincount(b[b >= 0], minlength=bins)
+
+        return float(rt.temporal_fit(counts(result_ts), counts(gt_ts))[0])
+
     def test_identical_distributions(self):
         ts = [0.2, 0.4, 1.2, 1.8]
-        assert rt.temporal_fit(ts, ts, self.AXIS, bins=4) == 1.0
+        assert self.fit(ts, ts, bins=4) == 1.0
 
     def test_disjoint_supports(self):
-        assert rt.temporal_fit([0.1, 0.3], [1.5, 1.9], self.AXIS, bins=2) == 0.0
+        assert self.fit([0.1, 0.3], [1.5, 1.9], bins=2) == 0.0
 
     def test_hand_value(self):
         result = [0.5, 1.5]
         gt = [0.5, 1.5, 1.5, 1.5]
-        assert rt.temporal_fit(result, gt, self.AXIS, bins=2) == pytest.approx(0.75)
+        assert self.fit(result, gt, bins=2) == pytest.approx(0.75)
 
     def test_empty_results_zero(self):
-        assert rt.temporal_fit([], [0.5], self.AXIS, bins=2) == 0.0
+        assert self.fit([], [0.5], bins=2) == 0.0
+
+    def test_bins_match_histogram_per_value(self):
+        """Every timestamp lands in the bin np.histogram puts it in, edges included."""
+        rng = np.random.default_rng(7)
+        for num_slices in (1, 3, 7, 30):
+            axis = cp.TimeAxis(unit=1.0, origin=0, num_slices=num_slices)
+            span = (0.0, float(num_slices))
+            for bins in (1, 3, 10, 13):
+                edges = np.linspace(*span, bins + 1)
+                ts = np.concatenate([
+                    edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                    rng.uniform(0.0, num_slices, 200), [-1.0, num_slices + 0.5],
+                ])
+                got = rt.time_bins(ts, axis, bins)
+                for t, b in zip(ts, got):
+                    want, _ = np.histogram([t], bins=bins, range=span)
+                    expected = int(np.flatnonzero(want)[0]) if want.any() else -1
+                    assert b == expected, (num_slices, bins, t)
 
 
 class TestEvaluateDirection:
@@ -293,8 +368,6 @@ class TestEvaluateDirection:
         rt.write_report_json(report, tmp_path / "report.json")
         rt.write_scope_csv(report, tmp_path / "scope.csv")
         rt.write_temporal_csv(report, tmp_path / "temporal.csv")
-        import json
-
         loaded = json.loads((tmp_path / "report.json").read_text())
         assert loaded["direction"] == "I2T"
         assert loaded["map_at_k"] == pytest.approx(report.map_at_k)
@@ -318,15 +391,21 @@ class TestSharedLabelMatrix:
         return grades
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_intersection_loop(self, seed):
+    def test_matches_intersection_loop(self, seed, monkeypatch):
+        """The grades, ideal grades and relevant counts of every block of query rows."""
+        monkeypatch.setattr(rt, "EVAL_BLOCK", 16)
         rng = np.random.default_rng(seed)
         label_sets = [
             frozenset(f"c{c}" for c in rng.choice(9, size=rng.integers(1, 5), replace=False))
             for _ in range(70)
         ]
-        got = rt.shared_label_matrix(label_sets)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, self.reference(label_sets))
+        index = make_index(rng.normal(size=(70, 3)), rng.normal(size=(70, 3)), labels=label_sets)
+        want = self.reference(label_sets)
+        top = rt.rank_direction(index, rt.I2T, 30)
+        assert top.grades.dtype == np.float64
+        np.testing.assert_array_equal(top.grades, np.take_along_axis(want, top.order, axis=1))
+        np.testing.assert_array_equal(top.ideal, -np.sort(-want, axis=1)[:, :30])
+        np.testing.assert_array_equal(top.relevant, (want > 0).sum(axis=1))
 
     def test_label_matrix_columns(self):
         labels = cp.label_matrix([frozenset(["b", "a"]), frozenset(["c"])], ["a", "c"])
@@ -335,3 +414,190 @@ class TestSharedLabelMatrix:
             cp.label_matrix([frozenset(["b", "a"]), frozenset(["c"])]),
             [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         )
+
+
+# ---------------------------------------------------------------------------
+# Full-sort references: evaluation as it was before query-block streaming.
+# Every row of the (n, n) score matrix was ordered by one full lexsort, and
+# every metric looped over queries.
+
+
+def reference_rank(scores, doc_ids):
+    id_ranks = np.argsort(np.argsort(np.array(doc_ids)))
+    return np.array([np.lexsort((id_ranks, -row)) for row in np.atleast_2d(scores)])
+
+
+def reference_ap(flags, total_relevant, k):
+    if total_relevant == 0:
+        return None
+    flags = np.asarray(flags, dtype=bool)[:k]
+    if not flags.any():
+        return 0.0
+    hits = np.cumsum(flags)
+    ranks = np.arange(1, len(flags) + 1)
+    return float((hits[flags] / ranks[flags]).sum() / min(total_relevant, k))
+
+
+def reference_map(per_query_flags, k):
+    values, excluded = [], 0
+    for flags in per_query_flags:
+        ap = reference_ap(flags, int(np.sum(flags)), k)
+        if ap is None:
+            excluded += 1
+        else:
+            values.append(ap)
+    if not values:
+        raise rt.MetricError("every query has zero relevant candidates")
+    return float(np.mean(values)), excluded
+
+
+def reference_ndcg(per_query_grades, k, gain):
+    values = []
+    for grades in per_query_grades:
+        grades = np.asarray(grades, dtype=np.float64)
+        if gain == "exponential":
+            grades = np.exp2(grades) - 1.0
+        discounts = 1.0 / np.log2(np.arange(2, min(k, len(grades)) + 2))
+        dcg = float((grades[:k] * discounts).sum())
+        idcg = float((np.sort(grades)[::-1][:k] * discounts).sum())
+        if idcg != 0.0:
+            values.append(dcg / idcg)
+    return float(np.mean(values))
+
+
+def reference_temporal_fit(result_ts, gt_ts, time_axis, bins):
+    if len(result_ts) == 0 or len(gt_ts) == 0:
+        return 0.0
+    span = (0.0, float(time_axis.num_slices))
+    p, _ = np.histogram(result_ts, bins=bins, range=span)
+    q, _ = np.histogram(gt_ts, bins=bins, range=span)
+    return float(np.minimum(p / p.sum(), q / q.sum()).sum())
+
+
+def reference_ranked(index, direction):
+    queries, candidates = (
+        (index.image_matrix, index.text_matrix) if direction == rt.I2T
+        else (index.text_matrix, index.image_matrix)
+    )
+    order = reference_rank(queries @ candidates.T, index.doc_ids)
+    grades = TestSharedLabelMatrix.reference(index.label_sets)
+    return order, np.take_along_axis(grades, order, axis=1)
+
+
+def reference_evaluate_direction(index, direction, k, k_list, bins, ndcg_gain):
+    order, ranked = reference_ranked(index, direction)
+    hits = ranked > 0
+    map_value, excluded = reference_map(hits, k)
+    fits, pooled_results, pooled_gt = [], [], []
+    for i in range(len(index)):
+        if not hits[i].any():
+            continue
+        result_ts = index.timestamps[order[i, :k][hits[i, :k]]]
+        gt_ts = index.timestamps[order[i][hits[i]]]
+        fits.append(reference_temporal_fit(result_ts, gt_ts, index.time_axis, bins))
+        pooled_results.extend(result_ts)
+        pooled_gt.extend(gt_ts)
+    span = (0.0, float(index.time_axis.num_slices))
+    gt_hist, _ = np.histogram(pooled_gt, bins=bins, range=span)
+    result_hist, _ = np.histogram(pooled_results, bins=bins, range=span)
+    return rt.EvalReport(
+        direction=direction,
+        k=k,
+        map_at_k=map_value,
+        ndcg_at_k=reference_ndcg(ranked, k, ndcg_gain),
+        scope_curve=[(kk, reference_map(hits, kk)[0]) for kk in k_list],
+        temporal_fit=float(np.mean(fits)),
+        num_queries=len(index),
+        num_excluded=excluded,
+        bin_edges=[float(e) for e in np.linspace(*span, bins + 1)[:-1]],
+        gt_hist=[float(v) for v in gt_hist / max(1, gt_hist.sum())],
+        result_hist=[float(v) for v in result_hist / max(1, result_hist.sum())],
+    )
+
+
+def tie_index(seed, n=40, num_slices=3, bins=6):
+    """An index full of exact score ties, lonely queries and timestamps on bin edges.
+
+    Feature entries are multiples of 1/4 in 3 dimensions, so every score is
+    exact whatever order BLAS sums in, and a quarter of the documents are
+    copies of others. Three documents have no label, so as queries they have
+    no relevant candidate (R = 0); each other document is relevant to itself.
+    """
+    rng = np.random.default_rng(seed)
+    image = rng.integers(-2, 3, size=(n, 3)) / 4.0
+    text = rng.integers(-2, 3, size=(n, 3)) / 4.0
+    copies = rng.choice(n, size=n // 4, replace=False)
+    image[copies], text[copies] = image[copies[::-1]], text[copies[::-1]]
+    labels = [
+        frozenset(f"c{c}" for c in rng.choice(4, size=rng.integers(1, 3), replace=False))
+        for _ in range(n)
+    ]
+    for i in rng.choice(n, size=3, replace=False):
+        labels[i] = frozenset()
+    edges = np.linspace(0.0, num_slices, bins + 1)
+    timestamps = np.where(rng.random(n) < 0.5, rng.choice(edges, size=n),
+                          rng.uniform(0.0, num_slices, size=n))
+    timestamps[:2] = num_slices  # the last edge
+    ids = [f"doc{j:03d}" for j in rng.permutation(n)]
+    return make_index(image, text, doc_ids=ids, labels=labels, timestamps=timestamps,
+                      num_slices=num_slices)
+
+
+class TestAgainstFullSortReferences:
+    CASES = [  # (k, k_list); n = 40
+        (1, [1, 2]),
+        (5, [2, 5, 10, 20]),
+        (7, [3, 39, 40, 41]),
+        (50, [10, 20, 30, 40, 50]),
+        (60, [70]),
+    ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_reports_are_byte_identical(self, seed, block, case, monkeypatch):
+        monkeypatch.setattr(rt, "EVAL_BLOCK", block)
+        k, k_list = self.CASES[case]
+        index = tie_index(seed)
+        for direction in rt.DIRECTIONS:
+            for gain in ("linear", "exponential"):
+                got = rt.evaluate_direction(index, direction, k, k_list, bins=6, ndcg_gain=gain)
+                want = reference_evaluate_direction(index, direction, k, k_list, 6, gain)
+                assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cases_cover_the_edges(self, seed):
+        """The tie index has what the byte-identity test is meant to exercise."""
+        index = tie_index(seed)
+        order, ranked = reference_ranked(index, rt.I2T)
+        scores = index.image_matrix @ index.text_matrix.T
+        ranked_scores = np.take_along_axis(scores, order, axis=1)
+        relevant = (ranked > 0).sum(axis=1)
+        assert (relevant == 0).any()  # queries with R = 0
+        assert ((relevant > 0) & ~(ranked[:, :5] > 0).any(axis=1)).any()  # no hit in the top 5
+        for k in (1, 5, 7):  # equal scores straddle rank k
+            assert (ranked_scores[:, k - 1] == ranked_scores[:, k]).any()
+        edges = np.linspace(0.0, 3.0, 7)
+        assert np.isin(index.timestamps, edges[1:-1]).any()
+        assert (index.timestamps == 3.0).any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_validation_score_is_the_same_float(self, seed, block, monkeypatch):
+        monkeypatch.setattr(rt, "EVAL_BLOCK", block)
+        index = tie_index(seed)
+        for k in (1, 5, 50):
+            want = float(np.mean([reference_map(reference_ranked(index, d)[1] > 0, k)[0]
+                                  for d in rt.DIRECTIONS]))
+            assert mean_map_both_directions(index, k) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_candidates_equal_full_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 4, size=(9, 30)).astype(np.float64)  # many ties
+        id_ranks = rng.permutation(30)
+        full = np.array([np.lexsort((id_ranks, -row)) for row in scores])
+        for depth in (1, 2, 5, 29, 30, 31):
+            np.testing.assert_array_equal(
+                rt.rank_candidates(scores, id_ranks, depth), full[:, :depth]
+            )
