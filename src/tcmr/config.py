@@ -128,10 +128,19 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     return RunConfig(**values)
 
 
+# field type -> the JSON value types a checkpoint snapshot may give it (bool excluded)
+_SNAPSHOT_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 def config_from_dict(values: dict) -> RunConfig:
-    """Rebuild a RunConfig from a checkpoint's config snapshot."""
+    """Rebuild a RunConfig from a checkpoint's config snapshot, a JSON object."""
+    if not isinstance(values, dict):
+        raise ConfigError("config snapshot must be a JSON object")
     known = _field_types()
     unknown = set(values) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, _SNAPSHOT_TYPES[known[key]]):
+            raise ConfigError(f"config key {key!r}: expected {known[key]}, got {value!r}")
     return RunConfig(**values)

@@ -78,17 +78,6 @@ class Document:
     timestamp: float  # time units since TimeAxis.origin
     labels: frozenset[str]
 
-    def __eq__(self, other):
-        if not isinstance(other, Document):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and np.array_equal(self.image_feat, other.image_feat)
-            and self.text_counts == other.text_counts
-            and self.timestamp == other.timestamp
-            and self.labels == other.labels
-        )
-
 
 @dataclass(eq=False)
 class Corpus:
@@ -105,17 +94,6 @@ class Corpus:
 
     def __len__(self):
         return len(self.documents)
-
-    def __eq__(self, other):
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (
-            self.documents == other.documents
-            and self.vocabulary == other.vocabulary
-            and self.categories == other.categories
-            and self.time_axis == other.time_axis
-            and self.d_image == other.d_image
-        )
 
     def image_matrix(self) -> np.ndarray:
         return np.stack([d.image_feat for d in self.documents])

@@ -162,17 +162,17 @@ def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: Object
         pos = plan.positive_mask
         count = pos.sum(axis=1)
         t = plan.sim_temp
-        # entry [i, j] is anchor i's term for positive j: a from S[i, j], b from S[j, i]
-        a = np.maximum(S, 0.0)
-        b = np.maximum(S.T, 0.0)
-        denom = a + b + eps
-        s_cm = 2.0 * a * b / denom
+        # entry [i, j] is anchor i's term for positive j, from S[i, j] and S[j, i]
+        s_cm = sim_cmod_value(S, S.T, eps)
         c1 = np.where(pos, t * (1.0 - s_cm), 0.0).sum(axis=1)
         c2 = np.where(pos, (1.0 - t) * s_cm, 0.0).sum(axis=1)
         has_pos = count > 0
         out.temporal = float((c1[has_pos] / count[has_pos] + c2[has_pos] / count[has_pos]).sum())
         # d(C1+C2)/d(s_cm) = (1 - 2 t) / |J|, weighted by lambda
         w = cfg.lam * (1.0 - 2.0 * t) / np.maximum(count, 1)[:, None]
+        a = np.maximum(S, 0.0)
+        b = np.maximum(S.T, 0.0)
+        denom = a + b + eps
         ds_da = 2.0 * b * (b + eps) / denom**2
         ds_db = 2.0 * a * (a + eps) / denom**2
         G += np.where(pos, w * ds_da * (S > 0.0), 0.0)

@@ -27,7 +27,11 @@ HALF_KEYS = ("image", "text")
 
 
 class DegenerateProjectionError(ArithmeticError):
-    """Pre-normalization output collapsed to (near) zero norm."""
+    """Pre-normalization output collapsed to (near) zero norm at input row ``row``."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -82,7 +86,7 @@ class ProjectionHalf:
         norms = np.linalg.norm(y, axis=1, keepdims=True)
         if (norms < DEGENERATE_NORM).any():
             row = int(np.nonzero(norms[:, 0] < DEGENERATE_NORM)[0][0])
-            raise DegenerateProjectionError(f"degenerate projection for batch row {row}")
+            raise DegenerateProjectionError(f"degenerate projection for batch row {row}", row)
         y_hat = y / norms
         cache = {"x": x, "h": h, "y": y, "norms": norms, "y_hat": y_hat}
         return y_hat, cache

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -55,12 +55,10 @@ class RetrievalIndex:
 
 @dataclass
 class Query:
-    """Exactly one modality; labels/timestamp are optional evaluation hints."""
+    """Exactly one modality: image features or text token counts."""
 
     image_feat: np.ndarray | None = None
     text_counts: dict | None = None
-    labels: frozenset | None = None
-    timestamp: float | None = None
 
     def __post_init__(self):
         if (self.image_feat is None) == (self.text_counts is None):
@@ -81,21 +79,6 @@ class EvalReport:
     gt_hist: list[float] = field(default_factory=list)
     result_hist: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "k": self.k,
-            "map_at_k": self.map_at_k,
-            "ndcg_at_k": self.ndcg_at_k,
-            "scope_curve": [[int(k), v] for k, v in self.scope_curve],
-            "temporal_fit": self.temporal_fit,
-            "num_queries": self.num_queries,
-            "num_excluded": self.num_excluded,
-            "bin_edges": self.bin_edges,
-            "gt_hist": self.gt_hist,
-            "result_hist": self.result_hist,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Index construction and querying
@@ -104,17 +87,9 @@ class EvalReport:
 def build_index(test: Corpus, model: ProjectionModel, stats: DocFrequency) -> RetrievalIndex:
     if len(test.documents) == 0:
         raise ValueError("cannot build an index over an empty corpus")
-    try:
-        image_matrix = model.image_net.project(test.image_matrix())
-    except DegenerateProjectionError:
-        _raise_naming_document(test, model, modality="image")
-    try:
-        text_matrix = model.text_net.project(tfidf_matrix(test, stats))
-    except DegenerateProjectionError:
-        _raise_naming_document(test, model, modality="text", stats=stats)
     return RetrievalIndex(
-        image_matrix=image_matrix,
-        text_matrix=text_matrix,
+        image_matrix=_project_split(model.image_net, test.image_matrix(), test, "image"),
+        text_matrix=_project_split(model.text_net, tfidf_matrix(test, stats), test, "text"),
         doc_ids=[d.id for d in test.documents],
         label_sets=test.label_sets(),
         timestamps=test.timestamps(),
@@ -122,18 +97,15 @@ def build_index(test: Corpus, model: ProjectionModel, stats: DocFrequency) -> Re
     )
 
 
-def _raise_naming_document(test, model, modality, stats=None):
-    for doc in test.documents:
-        try:
-            if modality == "image":
-                model.image_net.project(doc.image_feat)
-            else:
-                model.text_net.project(tfidf_vector(doc.text_counts, stats))
-        except DegenerateProjectionError:
-            raise DegenerateProjectionError(
-                f"degenerate {modality} projection for document {doc.id!r}"
-            ) from None
-    raise DegenerateProjectionError(f"degenerate {modality} projection")  # pragma: no cover
+def _project_split(net, x, test: Corpus, modality: str) -> np.ndarray:
+    """Project a split's (n, d) inputs; a degenerate row is named by its document."""
+    try:
+        return net.project(x)
+    except DegenerateProjectionError as exc:
+        raise DegenerateProjectionError(
+            f"degenerate {modality} projection for document {test.documents[exc.row].id!r}",
+            exc.row,
+        ) from None
 
 
 def _id_ranks(doc_ids) -> np.ndarray:
@@ -412,7 +384,7 @@ def evaluate_direction(index: RetrievalIndex, direction: str, k: int = 50,
 
 def write_report_json(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

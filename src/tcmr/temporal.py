@@ -15,13 +15,13 @@ All are fitted on the training split and frozen before subspace learning.
 Training asks each model once per run for ``document_table(documents)``, the
 per-document values its scores are made of (timestamps, category densities,
 or word profiles and effective slices), and then once per mini-batch for
-``pair_matrix(table, batch, scored)``: the (b, b) matrix whose entry [i, j]
-equals ``pair_sim(doc_i, doc_j)`` for batch rows i and j. ``pair_sim`` is
-the scalar reference. Misses (pairs without a fitted curve or documents
-without a known word) are counted over the ``scored`` pairs only, as if
-``pair_sim`` had been called for each of them. The topic model conditions on
-document i's words and document j's timestamp, so it is asymmetric by
-construction.
+``pair_matrix(table, batch, scored)``: the (b, b) matrix of the correlations
+of batch rows i and j. Misses (pairs without a fitted curve or documents
+without a known word) score 0 and are counted over the ``scored`` pairs
+only. The topic model conditions on document i's words and document j's
+timestamp, so it is asymmetric by construction. Scalar one-pair references
+of every model live in the test suite (``tests/temporal_reference.py``),
+which checks ``pair_matrix`` against them entry by entry and miss by miss.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Document, TimeAxis, label_matrix
+from .corpus import Corpus, TimeAxis, label_matrix
 
 TEMPORAL_MAGIC = b"TXNT"
+TEMPORAL_VERSION = 2  # written as the header's "version" key
 KIND_TAGS = {"recency": b"REC\x00", "category": b"KDE\x00", "topic": b"TOP\x00"}
 _TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
 
@@ -63,12 +64,6 @@ class RecencyModel:
             raise TemporalModelError("h_rec must be positive")
 
     kind = "recency"
-
-    def sim(self, t_i: float, t_j: float) -> float:
-        return math.exp(-abs(t_i - t_j) / self.h_rec)
-
-    def pair_sim(self, doc_i: Document, doc_j: Document) -> float:
-        return self.sim(doc_i.timestamp, doc_j.timestamp)
 
     def document_table(self, documents) -> np.ndarray:
         return np.array([d.timestamp for d in documents], dtype=np.float64)
@@ -108,28 +103,9 @@ class CategoryKDE:
     bandwidth: float
     grid: np.ndarray
     curves: dict[str, np.ndarray]
-    observations: dict[str, np.ndarray]
     missing_pair_count: int = 0
 
     kind = "category"
-
-    def sim(self, t_i, labels_i, t_j, labels_j) -> float:
-        """Max over shared fitted labels of the two density values' product."""
-        best = None
-        for lab in labels_i & labels_j:
-            curve = self.curves.get(lab)
-            if curve is None:
-                continue
-            value = float(np.interp(t_i, self.grid, curve) * np.interp(t_j, self.grid, curve))
-            if best is None or value > best:
-                best = value
-        if best is None:
-            self.missing_pair_count += 1
-            return 0.0
-        return best
-
-    def pair_sim(self, doc_i: Document, doc_j: Document) -> float:
-        return self.sim(doc_i.timestamp, doc_i.labels, doc_j.timestamp, doc_j.labels)
 
     def document_table(self, documents):
         """(densities, labelled) over the categories that have a curve.
@@ -146,6 +122,7 @@ class CategoryKDE:
         return densities * labelled, labelled
 
     def pair_matrix(self, table, batch, scored) -> np.ndarray:
+        """Max over shared fitted categories of the two density values' product; 0 on a miss."""
         # an unshared category has a zero factor, and products are >= 0, so
         # the max over all categories is the max over the shared ones
         densities, labelled = table
@@ -170,15 +147,12 @@ def fit_category_kde(train: Corpus, bandwidth: float, grid_size: int = 2048) -> 
     for doc in train.documents:
         for lab in doc.labels:
             per_category.setdefault(lab, []).append(doc.timestamp)
-    curves, observations = {}, {}
+    curves = {}
     for lab in sorted(per_category):
         obs = np.array(per_category[lab], dtype=np.float64)
         raw = gaussian_kde_density(obs, grid, bandwidth)
         curves[lab] = raw / raw.max()
-        observations[lab] = obs
-    return CategoryKDE(
-        bandwidth=bandwidth, grid=grid, curves=curves, observations=observations
-    )
+    return CategoryKDE(bandwidth=bandwidth, grid=grid, curves=curves)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +165,12 @@ class TopicDensity:
 
     ``phi`` has one row per vocabulary word, one column per effective
     (nonempty, after forward-merging) time slice; rows sum to 1.
-    ``beta`` keeps the per-slice topic-word distributions for diagnostics.
     ``slice_map`` sends every original slice index to its effective slice.
     """
 
     num_topics: int
     vocabulary: list[str]
     phi: np.ndarray
-    beta: np.ndarray
     slice_map: np.ndarray
     time_axis: TimeAxis
     floor: float = DEFAULT_TOPIC_FLOOR
@@ -236,16 +208,6 @@ class TopicDensity:
     def effective_slice(self, t: float) -> int:
         return int(self.slice_map[self.time_axis.slice_of(t)])
 
-    def sim(self, tokens_i, t_j: float) -> float:
-        prof = self.profile(tokens_i)
-        if prof is None:
-            self.empty_word_count += 1
-            return 0.0
-        return float(prof[self.effective_slice(t_j)])
-
-    def pair_sim(self, doc_i: Document, doc_j: Document) -> float:
-        return self.sim(doc_i.text_counts, doc_j.timestamp)
-
     def document_table(self, documents):
         """(profiles, empty, slices): each document's profile (a zero row when
         no token is known), whether it has no known token, and the effective
@@ -262,6 +224,7 @@ class TopicDensity:
         return profiles, empty, slices
 
     def pair_matrix(self, table, batch, scored) -> np.ndarray:
+        """Document i's profile at document j's effective slice; 0 on a miss."""
         profiles, empty, slices = table
         self.empty_word_count += int((scored & empty[batch, None]).sum())
         return profiles[np.ix_(batch, slices[batch])]
@@ -408,7 +371,6 @@ def fit_topic_densities(
         num_topics=num_topics,
         vocabulary=vocab,
         phi=phi,
-        beta=beta,
         slice_map=slice_map,
         time_axis=axis,
         floor=floor,
@@ -421,7 +383,7 @@ def fit_topic_densities(
 
 
 def _write_blocks(fh, kind, header: dict, arrays: list[np.ndarray]):
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(dict(header, version=TEMPORAL_VERSION), sort_keys=True).encode("utf-8")
     fh.write(TEMPORAL_MAGIC)
     fh.write(KIND_TAGS[kind])
     fh.write(struct.pack("<I", len(blob)))
@@ -440,12 +402,8 @@ def write_temporal_model(path, model) -> None:
                 "bandwidth": model.bandwidth,
                 "grid_size": len(model.grid),
                 "categories": cats,
-                "obs_lens": [len(model.observations[c]) for c in cats],
             }
-            arrays = [model.grid]
-            arrays += [model.curves[c] for c in cats]
-            arrays += [model.observations[c] for c in cats]
-            _write_blocks(fh, "category", header, arrays)
+            _write_blocks(fh, "category", header, [model.grid, *(model.curves[c] for c in cats)])
         elif isinstance(model, TopicDensity):
             header = {
                 "num_topics": model.num_topics,
@@ -459,10 +417,7 @@ def write_temporal_model(path, model) -> None:
                     "num_slices": model.time_axis.num_slices,
                 },
             }
-            _write_blocks(
-                fh, "topic", header,
-                [model.phi, model.beta, model.slice_map.astype(np.float64)],
-            )
+            _write_blocks(fh, "topic", header, [model.phi, model.slice_map.astype(np.float64)])
         else:
             raise TemporalModelError(f"cannot serialize {type(model).__name__}")
 
@@ -498,22 +453,14 @@ def _read_model(fh, kind, header):
     if kind == "category":
         grid = _read_array(fh, (header["grid_size"],))
         curves = {c: _read_array(fh, (header["grid_size"],)) for c in header["categories"]}
-        observations = {
-            c: _read_array(fh, (n,))
-            for c, n in zip(header["categories"], header["obs_lens"])
-        }
-        return CategoryKDE(
-            bandwidth=header["bandwidth"], grid=grid,
-            curves=curves, observations=observations,
-        )
+        return CategoryKDE(bandwidth=header["bandwidth"], grid=grid, curves=curves)
     vocab = header["vocabulary"]
     axis = TimeAxis(**header["time_axis"])
     n_eff = header["num_effective_slices"]
     phi = _read_array(fh, (len(vocab), n_eff))
-    beta = _read_array(fh, (n_eff, header["num_topics"], len(vocab)))
     slice_map = _read_array(fh, (axis.num_slices,)).astype(np.int64)
     return TopicDensity(
-        num_topics=header["num_topics"], vocabulary=vocab, phi=phi, beta=beta,
+        num_topics=header["num_topics"], vocabulary=vocab, phi=phi,
         slice_map=slice_map, time_axis=axis,
         floor=header["floor"], aggregate=header["aggregate"],
     )
@@ -528,6 +475,12 @@ def read_temporal_model(path):
         if kind is None:
             raise TemporalModelError(f"{path}: unknown model kind")
         header = _read_header(fh, path)
+        version = header.get("version", 1)  # version 1 headers had no version key
+        if version != TEMPORAL_VERSION:
+            raise TemporalModelError(
+                f"{path}: TXNT version {version} is not supported, only version"
+                f" {TEMPORAL_VERSION}; re-run fit-temporal to rewrite the model"
+            )
         try:
             model = _read_model(fh, kind, header)
         except (KeyError, TypeError, ValueError) as exc:

@@ -11,7 +11,7 @@ The whole run is deterministic given the config seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,16 +33,6 @@ class EpochLog:
     loss_temporal: float  # lambda-weighted
     val_map: float | None
     skipped_anchors: int
-
-    def to_dict(self):
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "loss_ranking": self.loss_ranking,
-            "loss_temporal": self.loss_temporal,
-            "val_map": self.val_map,
-            "skipped_anchors": self.skipped_anchors,
-        }
 
 
 @dataclass
@@ -166,4 +156,4 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
 def write_training_log(history: list[EpochLog], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for entry in history:
-            fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(entry), sort_keys=True) + "\n")

@@ -21,6 +21,7 @@ from tcmr.cli import main
 from tcmr.config import RunConfig
 from tcmr.projection import ProjectionModel
 from tcmr.train import fit_temporal_model, train_model
+from temporal_reference import all_pairs, doc_at
 
 
 def report(name, ok, detail=""):
@@ -196,13 +197,13 @@ def test_temporal_model_correctness():
     rng = np.random.default_rng(3)
     n_evals = 100_000
 
-    # grid queries vs the direct Gaussian-sum oracle
+    # grid queries vs the direct Gaussian-sum oracle over the training observations
     days = np.concatenate([[0.0, 30.0], rng.uniform(0, 30, size=50)])
     corpus = cp.from_records(
         [(f"d{i}", np.zeros(2), {"w": 1}, int(t * 86400), ["a"]) for i, t in enumerate(days)]
     )
     kde = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=512)
-    obs = kde.observations["a"]
+    obs = np.array([d.timestamp for d in corpus.documents if "a" in d.labels])
     peak = tp.gaussian_kde_density(obs, kde.grid, 1.0).max()
     queries = rng.uniform(0, 30, size=2000)
     direct = tp.gaussian_kde_density(obs, queries, 1.0) / peak
@@ -211,7 +212,7 @@ def test_temporal_model_correctness():
     assert kde_err < 1e-3
 
     rec = tp.RecencyModel(h_rec=0.3)
-    assert abs(rec.sim(0.0, 0.3) - math.exp(-1)) < 1e-9
+    assert abs(all_pairs(rec, [doc_at(0.0, "a"), doc_at(0.3, "a")])[0, 1] - math.exp(-1)) < 1e-9
 
     topic_corpus = cp.from_records(
         [
@@ -235,20 +236,20 @@ def test_temporal_model_correctness():
     assert ((rec_vals >= 0) & (rec_vals <= 1)).all()
 
     ts = rng.uniform(0, 30, size=(n_evals, 2))
-    ok_cat = all(
-        0.0 <= kde.sim(t_i, frozenset("a"), t_j, frozenset("a")) <= 1.0
-        for t_i, t_j in ts[: n_evals // 10]
-    )  # interp is vectorizable; spot 10k via python API, rest vectorized
+    # pair_matrix over 100 documents scores 10k pairs; the rest vectorized
+    spot = math.isqrt(n_evals // 10)
+    cat_vals = all_pairs(kde, [doc_at(t, "a") for t in ts[:spot, 0]])
+    ok_cat = cat_vals.size == n_evals // 10 and bool(((cat_vals >= 0) & (cat_vals <= 1)).all())
     curve_vals = np.interp(ts[:, 0], kde.grid, kde.curves["a"]) * np.interp(
         ts[:, 1], kde.grid, kde.curves["a"]
     )
     ok_cat = ok_cat and bool(((curve_vals >= 0) & (curve_vals <= 1)).all())
 
+    # a batch of 100 documents drawn with repeats: 10k (i, j) pairs
     docs = topic_corpus.documents
-    pairs = rng.integers(0, len(docs), size=(n_evals // 10, 2))
-    topic_vals = np.array(
-        [topic.pair_sim(docs[i], docs[j]) for i, j in pairs]
-    )
+    batch = rng.integers(0, len(docs), size=spot)
+    scored = np.ones((spot, spot), dtype=bool)
+    topic_vals = topic.pair_matrix(topic.document_table(docs), batch, scored)
     prof = np.stack([topic.profile(d.text_counts) for d in docs])
     ok_topic = bool(((prof >= 0) & (prof <= 1.0 + 1e-12)).all())
     ok_topic = ok_topic and bool(((topic_vals >= 0) & (topic_vals <= 1)).all())

@@ -265,11 +265,15 @@ class TestTruncatedBinaries:
     """Every proper prefix of a valid TXNM, TXNT or TXNF file is a data error."""
 
     @staticmethod
-    def temporal_models():
-        corpus = cp.from_records([
+    def model_corpus():
+        return cp.from_records([
             ("a", np.zeros(2), {"x": 1}, 0, ["l"]),
             ("b", np.zeros(2), {"x": 1, "y": 2}, 86400, ["l"]),
         ])
+
+    @classmethod
+    def temporal_models(cls):
+        corpus = cls.model_corpus()
         return [
             tp.RecencyModel(h_rec=0.3),
             tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=4),
@@ -298,16 +302,25 @@ class TestTruncatedBinaries:
         tmp_path, data, _ = workspace
         path = tmp_path / "m.txnm"
         save_checkpoint(path, ProjectionModel.initialize(2, 2, 2, 2, seed=0), config={}, seed=0)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12 : 12 + hlen])
-        del header["dims"]
-        blob = json.dumps(header).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+        self.rewrite_header(path, lambda header: {k: v for k, v in header.items() if k != "dims"})
         with pytest.raises(ValueError, match="malformed checkpoint header"):
             load_checkpoint(path)
         assert main(["eval", "--checkpoint", str(path), "--corpus", str(data),
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("config, named", [
+        ({"epochs": "5"}, "'epochs'"), ({"lam": None}, "'lam'"), ({"seed": True}, "'seed'"),
+        ([], "JSON object"),
+    ], ids=["epochs-str", "lam-null", "seed-bool", "list"])
+    def test_checkpoint_config_of_wrong_type(self, workspace, capsys, config, named):
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        save_checkpoint(path, ProjectionModel.initialize(2, 2, 2, 2, seed=0), config={}, seed=0)
+        self.rewrite_header(path, lambda header: dict(header, config=config))
+        assert main(["eval", "--checkpoint", str(path), "--corpus", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_temporal_models(self, workspace):
         tmp_path, data, cfg = workspace
@@ -323,14 +336,17 @@ class TestTruncatedBinaries:
 
     @staticmethod
     def rewrite_header(path, edit):
-        """Replace the TXNT header with edit(header), keeping the arrays."""
+        """Replace a TXNT or TXNM header with edit(header), keeping the arrays.
+
+        Both formats keep the header's length in bytes 8-12 and the header after it.
+        """
         raw = path.read_bytes()
         (hlen,) = struct.unpack("<I", raw[8:12])
         blob = json.dumps(edit(json.loads(raw[12 : 12 + hlen]))).encode()
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
 
     @pytest.mark.parametrize("kind, key", [
-        ("recency", "h_rec"), ("category", "grid_size"), ("category", "obs_lens"),
+        ("recency", "h_rec"), ("category", "grid_size"), ("category", "version"),
         ("topic", "vocabulary"), ("topic", "time_axis"),
     ])
     def test_temporal_header_without_key(self, workspace, capsys, kind, key):
@@ -339,11 +355,51 @@ class TestTruncatedBinaries:
         model = next(m for m in self.temporal_models() if m.kind == kind)
         tp.write_temporal_model(path, model)
         self.rewrite_header(path, lambda header: {k: v for k, v in header.items() if k != key})
-        with pytest.raises(tp.TemporalModelError, match=f"malformed {kind} header.*'{key}'"):
+        # a header without a version is a version 1 header
+        match = "version 1 is not supported" if key == "version" else \
+            f"malformed {kind} header.*'{key}'"
+        with pytest.raises(tp.TemporalModelError, match=match):
             tp.read_temporal_model(path)
         assert main(["train", "--corpus", str(data), "--config", str(cfg),
                      "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_version_1_temporal_models(self, workspace, capsys):
+        """Files written before TXNT version 2, without a version key, exit 2 and say so."""
+        tmp_path, data, cfg = workspace
+        corpus = self.model_corpus()
+        kde = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=4)
+        cats = sorted(kde.curves)
+        # version 1 also stored each category's observed timestamps after the curves
+        obs = [np.array([d.timestamp for d in corpus.documents if c in d.labels]) for c in cats]
+        v1_files = {
+            "recency": (b"REC\x00", {"h_rec": 0.3}, []),
+            "category": (b"KDE\x00", {"bandwidth": 1.0, "grid_size": 4, "categories": cats,
+                                      "obs_lens": [len(o) for o in obs]},
+                         [kde.grid, *(kde.curves[c] for c in cats), *obs]),
+        }
+        path = tmp_path / "v1.txnt"
+        for kind, (tag, header, arrays) in v1_files.items():
+            blob = json.dumps(header, sort_keys=True).encode()
+            path.write_bytes(b"TXNT" + tag + struct.pack("<I", len(blob)) + blob
+                             + b"".join(a.astype("<f8").tobytes() for a in arrays))
+            with pytest.raises(tp.TemporalModelError, match="version 1 is not supported"):
+                tp.read_temporal_model(path)
+            assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                         "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2, kind
+            err = capsys.readouterr().err
+            assert "TXNT version 1 is not supported" in err and "re-run fit-temporal" in err
+            assert "Traceback" not in err
+
+    def test_temporal_version_from_the_future(self, workspace):
+        tmp_path, data, cfg = workspace
+        path = tmp_path / "t.txnt"
+        tp.write_temporal_model(path, tp.RecencyModel(h_rec=0.3))
+        self.rewrite_header(path, lambda header: dict(header, version=3))
+        with pytest.raises(tp.TemporalModelError, match="version 3 is not supported"):
+            tp.read_temporal_model(path)
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
 
     @pytest.mark.parametrize("header", [[1, 2], "h_rec", 0.3, None])
     def test_temporal_header_not_an_object(self, workspace, header):

@@ -37,6 +37,23 @@ class TestRunConfig:
         again = config_from_dict(cfg.to_dict())
         assert again == cfg
 
+    def test_snapshot_int_for_float_field(self):
+        assert config_from_dict({"lam": 2, "eta": 1}) == RunConfig(lam=2.0, eta=1.0)
+
+    @pytest.mark.parametrize("values, key", [
+        ({"epochs": "5"}, "epochs"), ({"epochs": 5.0}, "epochs"), ({"seed": True}, "seed"),
+        ({"lam": None}, "lam"), ({"lam": "1.0"}, "lam"), ({"eta": False}, "eta"),
+        ({"topic_aggregate": 1}, "topic_aggregate"),
+    ])
+    def test_snapshot_of_wrong_type_rejected(self, values, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            config_from_dict(values)
+
+    @pytest.mark.parametrize("values", [[], "lam", None, 3])
+    def test_snapshot_not_an_object_rejected(self, values):
+        with pytest.raises(ConfigError, match="JSON object"):
+            config_from_dict(values)
+
 
 class TestParsing:
     def test_key_value_lines(self):

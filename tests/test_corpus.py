@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from corpus_helpers import assert_same_corpus
 from tcmr import corpus as cp
 
 
@@ -158,7 +159,7 @@ class TestRoundTrip:
         out_m, out_f = tmp_path / "out.jsonl", tmp_path / "out.bin"
         cp.save_corpus(corpus, out_m, out_f)
         again = cp.load_corpus(out_m, out_f)
-        assert again == corpus
+        assert_same_corpus(again, corpus)
         # features survive bit-identically through float32 on disk
         np.testing.assert_array_equal(again.image_matrix(), corpus.image_matrix())
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from tcmr import corpus as cp
 from tcmr import retrieval as rt
 from tcmr import synth
-from tcmr.projection import ProjectionModel
+from tcmr.projection import DegenerateProjectionError, ProjectionModel
 from tcmr.train import mean_map_both_directions
 
 
@@ -91,6 +92,22 @@ class TestBuildIndex:
         stats = cp.document_frequencies(corpus)
         with pytest.raises(Exception, match="d0"):
             rt.build_index(corpus, model, stats)
+
+    def test_degenerate_text_projection_names_document(self):
+        # with zero biases an all-zero TF-IDF row projects to zero: d3 holds
+        # only "shared", which every document has, so its idf is 0
+        records = [(f"d{i}", np.ones(3), {f"w{i}": 1, "shared": 1}, i * DAY, ["l"])
+                   for i in range(5)]
+        records[3] = ("d3", np.ones(3), {"shared": 2}, 3 * DAY, ["l"])
+        corpus = cp.from_records(records)
+        model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=2)
+        model.text_net.b1[:] = 0.0
+        model.text_net.b2[:] = 0.0
+        stats = cp.document_frequencies(corpus)
+        with pytest.raises(DegenerateProjectionError,
+                           match="degenerate text projection for document 'd3'") as info:
+            rt.build_index(corpus, model, stats)
+        assert info.value.row == 3
 
 
 class TestQueryTopK:
@@ -563,7 +580,7 @@ class TestAgainstFullSortReferences:
             for gain in ("linear", "exponential"):
                 got = rt.evaluate_direction(index, direction, k, k_list, bins=6, ndcg_gain=gain)
                 want = reference_evaluate_direction(index, direction, k, k_list, 6, gain)
-                assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+                assert json.dumps(asdict(got)) == json.dumps(asdict(want))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cases_cover_the_edges(self, seed):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ class TestTrainModel:
                 np.testing.assert_array_equal(
                     a.model.halves()[hk].params()[pk], b.model.halves()[hk].params()[pk]
                 )
-        assert [e.to_dict() for e in a.history] == [e.to_dict() for e in b.history]
+        assert [asdict(e) for e in a.history] == [asdict(e) for e in b.history]
 
     def test_lambda_requires_temporal_model(self):
         _, cfg, train, val, _ = toy_setup(lam=1.0)
