@@ -6,6 +6,7 @@ flags override file values. Unknown keys are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -54,6 +55,10 @@ class RunConfig:
     eval_bins: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         positive = (
             "d_subspace", "hidden", "margin", "epsilon", "negatives_per_anchor",
             "eta", "momentum", "epochs", "batch_size", "kde_bandwidth",
@@ -66,6 +71,8 @@ class RunConfig:
         for name in ("lam", "decay", "patience"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if self.epsilon > 1e-6:
+            raise ConfigError("epsilon must be in (0, 1e-6]")
         if not 0.0 < self.dev_fraction <= 1.0:
             raise ConfigError("dev_fraction must be in (0, 1]")
         if not 0.0 <= self.val_fraction < 1.0:

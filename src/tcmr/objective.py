@@ -29,23 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    margin: float = 1.0
-    lam: float = 1.0
-    epsilon: float = 1e-8
-    negatives_per_anchor: int = 1
-
-    def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-        if not 0 < self.epsilon <= 1e-6:
-            raise ValueError("epsilon must be in (0, 1e-6]")
-        if self.negatives_per_anchor < 1:
-            raise ValueError("negatives_per_anchor must be >= 1")
+from .config import RunConfig
 
 
 @dataclass
@@ -130,7 +114,7 @@ def _anchor_pairs(per_anchor):
     return anchors, np.concatenate([np.empty(0, np.intp), *per_anchor]).astype(np.intp)
 
 
-def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: ObjectiveConfig):
+def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: RunConfig):
     """Loss value and gradients w.r.t. the projected batch.
 
     proj_img and proj_txt are (n, D) unit-row matrices. Returns

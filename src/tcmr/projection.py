@@ -6,16 +6,17 @@ are cosine similarities. Normalization is part of the network: gradients
 flow through the Jacobian (I - y_hat y_hat^T) / ||y||.
 
 All arithmetic is float64; gradients are exact and checked against finite
-differences in the test suite.
+differences in the test suite. Checkpoints are TXNM files in the layout of
+``container``.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .container import Container, write_container
 
 CHECKPOINT_MAGIC = b"TXNM"
 CHECKPOINT_VERSION = 1
@@ -216,63 +217,32 @@ class SgdMomentum:
 
 def save_checkpoint(path, model: ProjectionModel, config: dict | None = None,
                     seed: int | None = None) -> None:
-    """Binary checkpoint: magic, version, JSON header, float64 tensors.
+    """TXNM container (see ``container``): field = u32 version, header keys
+    ``dims``, ``config``, ``seed``.
 
-    Tensor order is image W1, b1, W2, b2 then text W1, b1, W2, b2,
-    little-endian row-major.
+    Tensor order is image W1, b1, W2, b2 then text W1, b1, W2, b2.
     """
     header = {"dims": model.dims, "config": config or {}, "seed": seed}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for hk in HALF_KEYS:
-            for pk in PARAM_KEYS:
-                fh.write(model.halves()[hk].params()[pk].astype("<f8").tobytes())
+    tensors = [half.params()[pk] for half in model.halves().values() for pk in PARAM_KEYS]
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION.to_bytes(4, "little"),
+                    header, tensors)
 
 
 def load_checkpoint(path):
     """Returns (model, config dict, seed)."""
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        magic, version, hlen = struct.unpack("<4sII", head)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        try:
-            dims = header["dims"]
-            shapes = {
-                "image": _half_shapes(dims["d_image"], dims["hidden"], dims["d_subspace"]),
-                "text": _half_shapes(dims["d_text"], dims["hidden"], dims["d_subspace"]),
-            }
-            config, seed = header["config"], header["seed"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
-        halves = {}
-        for hk in HALF_KEYS:
-            tensors = []
-            for pk in PARAM_KEYS:
-                shape = shapes[hk][pk]
-                n = int(np.prod(shape))
-                buf = fh.read(n * 8)
-                if len(buf) != n * 8:
-                    raise ValueError(f"{path}: truncated checkpoint tensor {hk}.{pk}")
-                tensors.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-            halves[hk] = ProjectionHalf(*tensors)
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last checkpoint tensor")
-    model = ProjectionModel(image_net=halves["image"], text_net=halves["text"])
+    box = Container(path, CHECKPOINT_MAGIC, ValueError)
+    version = int.from_bytes(box.field, "little")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        dims = box.header["dims"]
+        h, d = dims["hidden"], dims["d_subspace"]
+        shapes = [shape for d_in in (dims["d_image"], dims["d_text"])
+                  for shape in ((h, d_in), (h,), (d, h), (d,))]
+        config, seed = box.header["config"], box.header["seed"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
+    tensors = box.arrays(shapes)
+    model = ProjectionModel(image_net=ProjectionHalf(*tensors[:4]),
+                            text_net=ProjectionHalf(*tensors[4:]))
     return model, config, seed
-
-
-def _half_shapes(d_in, hidden, d_out):
-    return {
-        "W1": (hidden, d_in),
-        "b1": (hidden,),
-        "W2": (d_out, hidden),
-        "b2": (d_out,),
-    }

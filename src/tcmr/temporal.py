@@ -22,18 +22,18 @@ only. The topic model conditions on document i's words and document j's
 timestamp, so it is asymmetric by construction. Scalar one-pair references
 of every model live in the test suite (``tests/temporal_reference.py``),
 which checks ``pair_matrix`` against them entry by entry and miss by miss.
+Fitted models are saved as TXNT files in the layout of ``container``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import Container, write_container
 from .corpus import Corpus, TimeAxis, label_matrix
 
 TEMPORAL_MAGIC = b"TXNT"
@@ -379,112 +379,67 @@ def fit_topic_densities(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def _write_blocks(fh, kind, header: dict, arrays: list[np.ndarray]):
-    blob = json.dumps(dict(header, version=TEMPORAL_VERSION), sort_keys=True).encode("utf-8")
-    fh.write(TEMPORAL_MAGIC)
-    fh.write(KIND_TAGS[kind])
-    fh.write(struct.pack("<I", len(blob)))
-    fh.write(blob)
-    for arr in arrays:
-        fh.write(np.ascontiguousarray(arr, dtype=np.float64).astype("<f8").tobytes())
+# Serialization: a TXNT container (see ``container``) whose field is the kind tag
 
 
 def write_temporal_model(path, model) -> None:
-    with open(path, "wb") as fh:
-        if isinstance(model, RecencyModel):
-            _write_blocks(fh, "recency", {"h_rec": model.h_rec}, [])
-        elif isinstance(model, CategoryKDE):
-            cats = sorted(model.curves)
-            header = {
-                "bandwidth": model.bandwidth,
-                "grid_size": len(model.grid),
-                "categories": cats,
-            }
-            _write_blocks(fh, "category", header, [model.grid, *(model.curves[c] for c in cats)])
-        elif isinstance(model, TopicDensity):
-            header = {
-                "num_topics": model.num_topics,
-                "vocabulary": model.vocabulary,
-                "floor": model.floor,
-                "aggregate": model.aggregate,
-                "num_effective_slices": model.num_effective_slices,
-                "time_axis": {
-                    "unit": model.time_axis.unit,
-                    "origin": model.time_axis.origin,
-                    "num_slices": model.time_axis.num_slices,
-                },
-            }
-            _write_blocks(fh, "topic", header, [model.phi, model.slice_map.astype(np.float64)])
-        else:
-            raise TemporalModelError(f"cannot serialize {type(model).__name__}")
+    if isinstance(model, RecencyModel):
+        header, arrays = {"h_rec": model.h_rec}, []
+    elif isinstance(model, CategoryKDE):
+        cats = sorted(model.curves)
+        header = {"bandwidth": model.bandwidth, "grid_size": len(model.grid), "categories": cats}
+        arrays = [model.grid, *(model.curves[c] for c in cats)]
+    elif isinstance(model, TopicDensity):
+        header = {
+            "num_topics": model.num_topics,
+            "vocabulary": model.vocabulary,
+            "floor": model.floor,
+            "aggregate": model.aggregate,
+            "num_effective_slices": model.num_effective_slices,
+            "time_axis": {
+                "unit": model.time_axis.unit,
+                "origin": model.time_axis.origin,
+                "num_slices": model.time_axis.num_slices,
+            },
+        }
+        arrays = [model.phi, model.slice_map]
+    else:
+        raise TemporalModelError(f"cannot serialize {type(model).__name__}")
+    write_container(path, TEMPORAL_MAGIC, KIND_TAGS[model.kind],
+                    dict(header, version=TEMPORAL_VERSION), arrays)
 
 
-def _read_array(fh, shape):
-    n = int(np.prod(shape))
-    buf = fh.read(n * 8)
-    if len(buf) != n * 8:
-        raise TemporalModelError("truncated temporal model file")
-    return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
-
-def _read_header(fh, path) -> dict:
-    raw_len = fh.read(4)
-    if len(raw_len) < 4:
-        raise TemporalModelError(f"{path}: truncated header")
-    (hlen,) = struct.unpack("<I", raw_len)
-    blob = fh.read(hlen)
-    if len(blob) < hlen:
-        raise TemporalModelError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:  # also UnicodeDecodeError
-        raise TemporalModelError(f"{path}: header is not valid JSON ({exc})") from None
-    if not isinstance(header, dict):
-        raise TemporalModelError(f"{path}: header is not a JSON object")
-    return header
-
-
-def _read_model(fh, kind, header):
+def _read_model(box, kind):
+    header = box.header
     if kind == "recency":
+        box.arrays([])
         return RecencyModel(h_rec=header["h_rec"])
     if kind == "category":
-        grid = _read_array(fh, (header["grid_size"],))
-        curves = {c: _read_array(fh, (header["grid_size"],)) for c in header["categories"]}
-        return CategoryKDE(bandwidth=header["bandwidth"], grid=grid, curves=curves)
+        cats = header["categories"]
+        grid, *curves = box.arrays([(header["grid_size"],)] * (1 + len(cats)))
+        return CategoryKDE(bandwidth=header["bandwidth"], grid=grid, curves=dict(zip(cats, curves)))
     vocab = header["vocabulary"]
     axis = TimeAxis(**header["time_axis"])
-    n_eff = header["num_effective_slices"]
-    phi = _read_array(fh, (len(vocab), n_eff))
-    slice_map = _read_array(fh, (axis.num_slices,)).astype(np.int64)
+    phi, slice_map = box.arrays([(len(vocab), header["num_effective_slices"]), (axis.num_slices,)])
     return TopicDensity(
         num_topics=header["num_topics"], vocabulary=vocab, phi=phi,
-        slice_map=slice_map, time_axis=axis,
+        slice_map=slice_map.astype(np.int64), time_axis=axis,
         floor=header["floor"], aggregate=header["aggregate"],
     )
 
 
 def read_temporal_model(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != TEMPORAL_MAGIC:
-            raise TemporalModelError(f"{path}: bad magic {magic!r}")
-        kind = _TAG_KINDS.get(fh.read(4))
-        if kind is None:
-            raise TemporalModelError(f"{path}: unknown model kind")
-        header = _read_header(fh, path)
-        version = header.get("version", 1)  # version 1 headers had no version key
-        if version != TEMPORAL_VERSION:
-            raise TemporalModelError(
-                f"{path}: TXNT version {version} is not supported, only version"
-                f" {TEMPORAL_VERSION}; re-run fit-temporal to rewrite the model"
-            )
-        try:
-            model = _read_model(fh, kind, header)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TemporalModelError(f"{path}: malformed {kind} header ({exc!r})") from None
-        if fh.read(1):
-            raise TemporalModelError(f"{path}: trailing bytes after the last array")
-    return model
+    box = Container(path, TEMPORAL_MAGIC, TemporalModelError)
+    kind = _TAG_KINDS.get(box.field)
+    if kind is None:
+        raise TemporalModelError(f"{path}: unknown model kind")
+    version = box.header.get("version", 1)  # version 1 headers had no version key
+    if version != TEMPORAL_VERSION:
+        raise TemporalModelError(
+            f"{path}: TXNT version {version} is not supported, only version"
+            f" {TEMPORAL_VERSION}; re-run fit-temporal to rewrite the model"
+        )
+    try:
+        return _read_model(box, kind)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TemporalModelError(f"{path}: malformed {kind} header ({exc!r})") from None

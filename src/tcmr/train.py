@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import Corpus, DocFrequency, document_frequencies, label_matrix, tfidf_matrix
-from .objective import ObjectiveConfig, build_batch_plan, total_loss
+from .objective import build_batch_plan, total_loss
 from .projection import ProjectionModel, SgdMomentum
 from .retrieval import DIRECTIONS, build_index, map_at_k, rank_direction
 from .temporal import RecencyModel, fit_category_kde, fit_topic_densities
@@ -89,12 +89,6 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         train.d_image, train.d_text, cfg.hidden, cfg.d_subspace, seed=init_ss
     )
     opt = SgdMomentum(eta=cfg.eta, momentum=cfg.momentum, decay=cfg.decay)
-    obj_cfg = ObjectiveConfig(
-        margin=cfg.margin,
-        lam=cfg.lam,
-        epsilon=cfg.epsilon,
-        negatives_per_anchor=cfg.negatives_per_anchor,
-    )
     rng = np.random.default_rng(batch_ss)
     use_val = val is not None and len(val.documents) > 0
 
@@ -114,7 +108,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
             )
             if cfg.lam > 0:
                 plan.sim_temp = temporal_model.pair_matrix(table, idx, plan.positive_mask)
-            out, grads = total_loss(x_img[idx], x_txt[idx], plan, model, obj_cfg)
+            out, grads = total_loss(x_img[idx], x_txt[idx], plan, model, cfg)
             opt.step(model, grads, batch_size=len(idx))
             total += out.total
             ranking += out.ranking

@@ -73,7 +73,7 @@ def test_gradient_correctness():
         labels = cp.label_matrix([frozenset([f"c{i // 2}"]) for i in range(6)])
         plan = ob.build_batch_plan(labels, rng)
         plan.sim_temp = rng.uniform(size=(6, 6))
-        cfg = ob.ObjectiveConfig(margin=1.0, lam=1.0)
+        cfg = RunConfig(margin=1.0, lam=1.0)
 
         def loss():
             a, _ = model.image_net.forward(x_img)
@@ -161,7 +161,7 @@ def pair_constraints(t, cross):
         positive_mask=np.array([[False, True], [False, False]]),
         sim_temp=np.array([[0.0, t], [0.0, 0.0]]),
     )
-    out, _, _ = ob.loss_terms_from_projections(proj, proj, plan, ob.ObjectiveConfig(lam=1.0))
+    out, _, _ = ob.loss_terms_from_projections(proj, proj, plan, RunConfig(lam=1.0))
     return out.temporal
 
 

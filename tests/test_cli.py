@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tcmr import corpus as cp
@@ -133,6 +133,29 @@ class TestPipeline:
             "--out", str(tmp_path / "m.txnm"),
         ])
         assert code == 2
+
+    def test_train_lambda_nan_is_data_error(self, workspace, capsys):
+        tmp_path, data, cfg = workspace
+        cfg.write_text(TINY_CFG.replace("lambda = 1.0", "lambda = nan"))
+        code = main([
+            "train", "--corpus", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "m.txnm"),
+        ])
+        assert code == 2
+        assert "lam must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.txnm").exists()
+
+    def test_eval_checkpoint_config_nan_is_data_error(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        ckpt, _ = self.train(workspace)
+        TestTruncatedBinaries.rewrite_header(
+            ckpt, lambda header: dict(header, config=dict(header["config"], eta=float("nan"))))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "eta must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_train_writes_checkpoint_and_log(self, workspace, capsys):
         tmp_path, _, _ = workspace
@@ -322,6 +345,22 @@ class TestTruncatedBinaries:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [2.0, "2", None, -2, True],
+                             ids=["float", "str", "null", "negative", "bool"])
+    def test_checkpoint_dims_of_wrong_type(self, workspace, capsys, value):
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        save_checkpoint(path, ProjectionModel.initialize(2, 2, 2, 2, seed=0), config={}, seed=0)
+        self.rewrite_header(path, lambda header: dict(header, dims=dict(header["dims"],
+                                                                        d_image=value)))
+        with pytest.raises(ValueError, match="array shape"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--corpus", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert main(["query", "--checkpoint", str(path), "--corpus", str(data),
+                     "--text", "w0001"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_temporal_models(self, workspace):
         tmp_path, data, cfg = workspace
         path, cut = tmp_path / "t.txnt", tmp_path / "cut.txnt"
@@ -423,6 +462,21 @@ class TestTruncatedBinaries:
         assert main(["train", "--corpus", str(data), "--config", str(cfg),
                      "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("category", "grid_size", 4.0), ("category", "grid_size", "4"),
+        ("topic", "num_effective_slices", None),
+    ])
+    def test_temporal_header_value_of_wrong_type(self, workspace, capsys, kind, key, value):
+        tmp_path, data, cfg = workspace
+        path = tmp_path / "t.txnt"
+        tp.write_temporal_model(path, next(m for m in self.temporal_models() if m.kind == kind))
+        self.rewrite_header(path, lambda header: dict(header, **{key: value}))
+        with pytest.raises(tp.TemporalModelError, match="array shape"):
+            tp.read_temporal_model(path)
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_temporal_trailing_bytes(self, workspace):
         tmp_path, data, cfg = workspace
         path = tmp_path / "t.txnt"
@@ -483,6 +537,24 @@ mutation = st.one_of(
     st.tuples(st.just("flip"), st.lists(st.tuples(position, st.integers(0, 255)),
                                         min_size=1, max_size=4)),
 )
+json_value = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2),
+)
+
+
+def header_positions(value, path=()):
+    """Key and index paths of every value nested in a JSON header."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from header_positions(child, path + (key,))
 
 
 class TestFuzzedBinaries:
@@ -523,3 +595,28 @@ class TestFuzzedBinaries:
         except READER_ERRORS:
             return
         assert kind == "flip", f"{name}: {kind} {change[1]!r} was accepted"
+
+    @pytest.mark.parametrize("which", range(4))  # the TXNM and TXNT files; TXNF has no header
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(where=st.integers(0, 10**6), value=json_value)
+    def test_header_value_of_another_type(self, which, where, value):
+        """Byte flips seldom leave valid JSON, so this mutation retypes one header value."""
+        reader, data, _ = self.files[which]
+        self.target.write_bytes(data)
+
+        def edit(header):
+            positions = list(header_positions(header))
+            *outer, last = positions[where % len(positions)]
+            parent = header
+            for key in outer:
+                parent = parent[key]
+            assume(type(parent[last]) is not type(value))
+            parent[last] = value
+            return header
+
+        TestTruncatedBinaries.rewrite_header(self.target, edit)
+        try:
+            reader(self.target)
+        except READER_ERRORS:
+            pass

@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import pytest
 
 from tcmr.config import ConfigError, RunConfig, config_from_dict, load_config, parse_config_text
@@ -31,6 +34,22 @@ class TestRunConfig:
             RunConfig(dev_fraction=1.5)
         with pytest.raises(ConfigError):
             RunConfig(topic_aggregate="sum")
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type == "float"])
+    def test_non_finite_float_fields_rejected(self, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                RunConfig(**{name: value})
+
+    def test_non_finite_file_values_rejected(self):
+        values = parse_config_text("lambda = nan\neta = inf\nkde_bandwidth = nan")
+        assert math.isnan(values["lam"])  # the parser reads them; the config rejects them
+        with pytest.raises(ConfigError, match="must be finite"):
+            RunConfig(**values)
+
+    def test_snapshot_nan_rejected(self):
+        with pytest.raises(ConfigError, match="eta must be finite"):
+            config_from_dict({"eta": math.nan})
 
     def test_round_trip_dict(self):
         cfg = RunConfig(lam=2.0, seed=7)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcmr import objective as ob
+from tcmr.config import ConfigError, RunConfig
 from tcmr.corpus import label_matrix
 from tcmr.projection import ProjectionModel
 
@@ -133,7 +134,7 @@ def anchor_constraints(t, cross):
     plan.positive_mask[0, 1:] = True
     plan.sim_temp = np.zeros((m + 1, m + 1))
     plan.sim_temp[0, 1:] = t
-    out, _, _ = ob.loss_terms_from_projections(proj, proj, plan, ob.ObjectiveConfig(lam=1.0))
+    out, _, _ = ob.loss_terms_from_projections(proj, proj, plan, RunConfig(lam=1.0))
     return out.temporal
 
 
@@ -152,7 +153,7 @@ def toy_setup(seed, lam=1.0):
     labels = label_matrix([frozenset([f"c{i // 2}"]) for i in range(6)])
     plan = ob.build_batch_plan(labels, rng, negatives_per_anchor=1)
     plan.sim_temp = rng.uniform(size=(6, 6))
-    cfg = ob.ObjectiveConfig(margin=1.0, lam=lam, epsilon=1e-8)
+    cfg = RunConfig(margin=1.0, lam=lam, epsilon=1e-8)
     return model, x_img, x_txt, plan, cfg
 
 
@@ -165,7 +166,7 @@ class TestRankingLoss:
         plan.negatives_text[0] = np.array([1])
         plan.negatives_image[0] = np.array([1])
         out, dA, dB = ob.loss_terms_from_projections(
-            proj_img, proj_txt, plan, ob.ObjectiveConfig(lam=0.0)
+            proj_img, proj_txt, plan, RunConfig(lam=0.0)
         )
         assert out.ranking == 0.0
         assert out.total == 0.0
@@ -179,7 +180,7 @@ class TestRankingLoss:
         plan.negatives_text[0] = np.array([1])
         plan.negatives_image[0] = np.array([1])
         out, _, _ = ob.loss_terms_from_projections(
-            proj_img, proj_txt, plan, ob.ObjectiveConfig(lam=0.0)
+            proj_img, proj_txt, plan, RunConfig(lam=0.0)
         )
         assert out.ranking == pytest.approx(2.0)
         assert out.active_hinges == 2
@@ -189,7 +190,7 @@ class TestRankingLoss:
         proj = rng.normal(size=(3, 4))
         proj /= np.linalg.norm(proj, axis=1, keepdims=True)
         out, _, _ = ob.loss_terms_from_projections(
-            proj, proj, empty_plan(3), ob.ObjectiveConfig(lam=0.0)
+            proj, proj, empty_plan(3), RunConfig(lam=0.0)
         )
         assert out.total == 0.0
 
@@ -203,7 +204,7 @@ class TestRankingLoss:
             labels = label_matrix([frozenset([str(rng.integers(3))]) for _ in range(5)])
             plan = ob.build_batch_plan(labels, rng)
             out, _, _ = ob.loss_terms_from_projections(
-                a, b, plan, ob.ObjectiveConfig(lam=0.0)
+                a, b, plan, RunConfig(lam=0.0)
             )
             assert out.ranking >= 0.0
 
@@ -277,7 +278,7 @@ class TestTotalLoss:
     def test_lambda_zero_equals_ranking(self):
         model, x_img, x_txt, plan, _ = toy_setup(seed=5, lam=0.0)
         plan.sim_temp = None
-        cfg0 = ob.ObjectiveConfig(lam=0.0)
+        cfg0 = RunConfig(lam=0.0)
         total, grads_t = ob.total_loss(x_img, x_txt, plan, model, cfg0)
         a, cache_a = model.image_net.forward(x_img)
         b, cache_b = model.text_net.forward(x_txt)
@@ -355,14 +356,14 @@ class TestBatchPlan:
         assert all(p.size == 0 for p in plan.negatives_text)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ob.ObjectiveConfig(margin=0.0)
-        with pytest.raises(ValueError):
-            ob.ObjectiveConfig(epsilon=1e-3)
-        with pytest.raises(ValueError):
-            ob.ObjectiveConfig(lam=-0.1)
-        with pytest.raises(ValueError):
-            ob.ObjectiveConfig(negatives_per_anchor=0)
+        with pytest.raises(ConfigError):
+            RunConfig(margin=0.0)
+        with pytest.raises(ConfigError):
+            RunConfig(epsilon=1e-3)
+        with pytest.raises(ConfigError):
+            RunConfig(lam=-0.1)
+        with pytest.raises(ConfigError):
+            RunConfig(negatives_per_anchor=0)
 
 
 class TestAgainstLoopReferences:
@@ -394,7 +395,7 @@ class TestAgainstLoopReferences:
         plan = ob.build_batch_plan(label_matrix(label_sets), rng, 1 + seed % 3)
         plan.sim_temp = rng.uniform(size=(n, n))
         plan.sim_temp[rng.uniform(size=(n, n)) < 0.2] = 0.0
-        cfg = ob.ObjectiveConfig(margin=0.2 + 0.3 * (seed % 3), lam=0.5 * (seed % 3))
+        cfg = RunConfig(margin=0.2 + 0.3 * (seed % 3), lam=0.5 * (seed % 3))
         a, b = unit_rows(rng, n, 6), unit_rows(rng, n, 6)
         got, dA, dB = ob.loss_terms_from_projections(a, b, plan, cfg)
         want, ref_dA, ref_dB = reference_loss_terms(a, b, plan, cfg)
