@@ -23,7 +23,7 @@ from .projection import (
     load_checkpoint,
     save_checkpoint,
 )
-from .train import fit_temporal_model, train_model, write_training_log
+from .train import TEMPORAL_KINDS, fit_temporal_model, train_model, write_training_log
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -294,7 +294,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("fit-temporal", help="fit a temporal correlation model")
-    p.add_argument("--kind", required=True, choices=("recency", "category", "topic"))
+    p.add_argument("--kind", required=True, choices=TEMPORAL_KINDS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (cp.CorpusError, ConfigError, tp.TemporalModelError, sy.SynthError,
-            rt.MetricError, FileNotFoundError, ValueError) as exc:
+            rt.MetricError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

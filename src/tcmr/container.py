@@ -3,11 +3,11 @@
 Layout: a 4-byte magic, a 4-byte field (the TXNM version or the TXNT kind
 tag), a little-endian u32 header length, the JSON header with sorted keys,
 then little-endian float64 arrays, row-major, in the order the format
-fixes. No bytes follow the last array.
+fixes. No bytes follow the last array, and no array holds NaN or infinity.
 
-This module checks the layout; each format makes its own decisions (what
-the field means, which header keys it needs, the shapes of its arrays) and
-names the error class every fault raises.
+This module checks the layout and the array values; each format makes its
+own decisions (what the field means, which header keys it needs, the shapes
+of its arrays) and names the error class every fault raises.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Container:
             raise error(f"{path}: header is not a JSON object")
 
     def arrays(self, shapes) -> list[np.ndarray]:
-        """The arrays of the given shapes, which must end the file."""
+        """The arrays of the given shapes, which must be finite and end the file."""
         out = []
         for shape in shapes:
             if not all(type(n) is int and n >= 0 for n in shape):
@@ -66,6 +66,8 @@ class Container:
             if len(self._data) < self._offset + 8 * count:
                 raise self._error(f"{self.path}: truncated array")
             arr = np.frombuffer(self._data, dtype="<f8", count=count, offset=self._offset)
+            if not np.isfinite(arr).all():
+                raise self._error(f"{self.path}: array holds NaN or infinity")
             out.append(arr.reshape(shape).copy())
             self._offset += 8 * count
         if len(self._data) > self._offset:

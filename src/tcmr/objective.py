@@ -169,10 +169,10 @@ def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: RunCon
 
 
 def total_loss(image_feats, text_vecs, plan, model, cfg):
-    """Ranking loss plus lambda-weighted temporal penalty, with parameter gradients."""
+    """Ranking loss plus lambda-weighted temporal penalty, with gradients in params() order."""
     proj_img, cache_img = model.image_net.forward(image_feats)
     proj_txt, cache_txt = model.text_net.forward(text_vecs)
     breakdown, dA, dB = loss_terms_from_projections(proj_img, proj_txt, plan, cfg)
     grads_img, _ = model.image_net.backward(cache_img, dA)
     grads_txt, _ = model.text_net.backward(cache_txt, dB)
-    return breakdown, {"image": grads_img, "text": grads_txt}
+    return breakdown, grads_img + grads_txt

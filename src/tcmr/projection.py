@@ -6,8 +6,10 @@ are cosine similarities. Normalization is part of the network: gradients
 flow through the Jacobian (I - y_hat y_hat^T) / ||y||.
 
 All arithmetic is float64; gradients are exact and checked against finite
-differences in the test suite. Checkpoints are TXNM files in the layout of
-``container``.
+differences in the test suite. ``TENSOR_NAMES`` is the one order of the
+eight parameter tensors: ``params()``, the gradients of ``backward`` and
+``objective.total_loss``, the optimizer's velocity and the TXNM checkpoint
+(a file in the layout of ``container``) all follow it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ CHECKPOINT_MAGIC = b"TXNM"
 CHECKPOINT_VERSION = 1
 DEGENERATE_NORM = 1e-12
 
-# Fixed parameter order used by the optimizer and the checkpoint format.
-PARAM_KEYS = ("W1", "b1", "W2", "b2")
-HALF_KEYS = ("image", "text")
+TENSOR_NAMES = ("image.W1", "image.b1", "image.W2", "image.b2",
+                "text.W1", "text.b1", "text.W2", "text.b2")
 
 
 class DegenerateProjectionError(ArithmeticError):
@@ -70,8 +71,8 @@ class ProjectionHalf:
     def d_out(self):
         return self.W2.shape[0]
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
+    def params(self) -> list[np.ndarray]:
+        return [self.W1, self.b1, self.W2, self.b2]
 
     def forward(self, x):
         """Project a (n, d_in) batch (or single vector) to unit rows.
@@ -89,8 +90,7 @@ class ProjectionHalf:
             row = int(np.nonzero(norms[:, 0] < DEGENERATE_NORM)[0][0])
             raise DegenerateProjectionError(f"degenerate projection for batch row {row}", row)
         y_hat = y / norms
-        cache = {"x": x, "h": h, "y": y, "norms": norms, "y_hat": y_hat}
-        return y_hat, cache
+        return y_hat, (x, h, y, norms, y_hat)
 
     def project(self, x):
         """Forward pass without keeping activations; returns 1-d for 1-d input."""
@@ -102,18 +102,12 @@ class ProjectionHalf:
     def backward(self, cache, upstream):
         """Exact gradients for a cached forward pass.
 
-        upstream is dL/d(y_hat), shape (n, d_out). Returns (param gradient
-        dict, dL/dx).
+        upstream is dL/d(y_hat), shape (n, d_out). Returns (parameter
+        gradients in ``params()`` order, dL/dx).
         """
         if cache is None:
             raise ValueError("backward() needs the cache from forward()")
-        x, h, y, norms, y_hat = (
-            cache["x"],
-            cache["h"],
-            cache["y"],
-            cache["norms"],
-            cache["y_hat"],
-        )
+        x, h, y, norms, y_hat = cache
         g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
         # through normalization: (g - (g . y_hat) y_hat) / ||y||
         dy = (g - (g * y_hat).sum(axis=1, keepdims=True) * y_hat) / norms
@@ -125,7 +119,7 @@ class ProjectionHalf:
         dW1 = da1.T @ x
         db1 = da1.sum(axis=0)
         dx = da1 @ self.W1
-        return {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}, dx
+        return [dW1, db1, dW2, db2], dx
 
 
 @dataclass
@@ -153,22 +147,17 @@ class ProjectionModel:
             "d_subspace": self.image_net.d_out,
         }
 
-    def halves(self) -> dict[str, ProjectionHalf]:
-        return {"image": self.image_net, "text": self.text_net}
+    @classmethod
+    def from_params(cls, tensors):
+        """The model whose ``params()`` are ``tensors``."""
+        return cls(image_net=ProjectionHalf(*tensors[:4]), text_net=ProjectionHalf(*tensors[4:]))
 
-    def project_images(self, x):
-        return self.image_net.project(x)
-
-    def project_texts(self, x):
-        return self.text_net.project(x)
+    def params(self) -> list[np.ndarray]:
+        """The eight tensors in ``TENSOR_NAMES`` order."""
+        return self.image_net.params() + self.text_net.params()
 
     def copy(self) -> "ProjectionModel":
-        return ProjectionModel(
-            image_net=ProjectionHalf(*(p.copy() for p in (
-                self.image_net.W1, self.image_net.b1, self.image_net.W2, self.image_net.b2))),
-            text_net=ProjectionHalf(*(p.copy() for p in (
-                self.text_net.W1, self.text_net.b1, self.text_net.W2, self.text_net.b2))),
-        )
+        return ProjectionModel.from_params([p.copy() for p in self.params()])
 
 
 @dataclass
@@ -183,30 +172,23 @@ class SgdMomentum:
     momentum: float = 0.9
     decay: float = 0.0
     step_count: int = 0
-    velocity: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+    velocity: list[np.ndarray] = field(default_factory=list)
 
     def step(self, model: ProjectionModel, grads, batch_size: int) -> None:
+        """One update; ``grads`` holds one gradient per tensor of ``model.params()``."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        halves = model.halves()
+        params = model.params()
         if not self.velocity:
-            self.velocity = {
-                hk: {pk: np.zeros_like(p) for pk, p in halves[hk].params().items()}
-                for hk in HALF_KEYS
-            }
-        for hk in HALF_KEYS:
-            for pk in PARAM_KEYS:
-                g = grads[hk][pk]
-                if not np.isfinite(g).all():
-                    raise NonFiniteGradientError(f"non-finite gradient in {hk}.{pk}")
+            self.velocity = [np.zeros_like(p) for p in params]
+        for name, g in zip(TENSOR_NAMES, grads, strict=True):
+            if not np.isfinite(g).all():
+                raise NonFiniteGradientError(f"non-finite gradient in {name}")
         scale = self.eta / batch_size
-        for hk in HALF_KEYS:
-            params = halves[hk].params()
-            for pk in PARAM_KEYS:
-                v = self.velocity[hk][pk]
-                v *= self.momentum
-                v -= scale * grads[hk][pk]
-                params[pk] += v
+        for p, v, g in zip(params, self.velocity, grads, strict=True):
+            v *= self.momentum
+            v -= scale * g
+            p += v
         self.step_count += 1
         self.eta *= 1.0 / (1.0 + self.decay * self.step_count)
 
@@ -220,12 +202,11 @@ def save_checkpoint(path, model: ProjectionModel, config: dict | None = None,
     """TXNM container (see ``container``): field = u32 version, header keys
     ``dims``, ``config``, ``seed``.
 
-    Tensor order is image W1, b1, W2, b2 then text W1, b1, W2, b2.
+    The tensors follow ``TENSOR_NAMES``.
     """
     header = {"dims": model.dims, "config": config or {}, "seed": seed}
-    tensors = [half.params()[pk] for half in model.halves().values() for pk in PARAM_KEYS]
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION.to_bytes(4, "little"),
-                    header, tensors)
+                    header, model.params())
 
 
 def load_checkpoint(path):
@@ -242,7 +223,4 @@ def load_checkpoint(path):
         config, seed = box.header["config"], box.header["seed"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
-    tensors = box.arrays(shapes)
-    model = ProjectionModel(image_net=ProjectionHalf(*tensors[:4]),
-                            text_net=ProjectionHalf(*tensors[4:]))
-    return model, config, seed
+    return ProjectionModel.from_params(box.arrays(shapes)), config, seed

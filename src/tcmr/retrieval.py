@@ -148,10 +148,10 @@ def query_topk(index: RetrievalIndex, q: Query, model: ProjectionModel,
     if k < 1:
         raise ValueError("k must be >= 1")
     if q.image_feat is not None:
-        vec = model.project_images(q.image_feat)
+        vec = model.image_net.project(q.image_feat)
         candidates = index.text_matrix
     else:
-        vec = model.project_texts(tfidf_vector(q.text_counts, stats))
+        vec = model.text_net.project(tfidf_vector(q.text_counts, stats))
         candidates = index.image_matrix
     scores = candidates @ vec
     top = rank_candidates(scores, _id_ranks(index.doc_ids), k)[0]

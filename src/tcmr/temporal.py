@@ -49,6 +49,11 @@ class TemporalModelError(Exception):
     pass
 
 
+def _require_positive(name, value):
+    if not 0 < value < math.inf:  # False for NaN
+        raise TemporalModelError(f"{name} must be positive and finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Recency
 
@@ -60,8 +65,7 @@ class RecencyModel:
     h_rec: float
 
     def __post_init__(self):
-        if self.h_rec <= 0:
-            raise TemporalModelError("h_rec must be positive")
+        _require_positive("h_rec", self.h_rec)
 
     kind = "recency"
 
@@ -107,6 +111,9 @@ class CategoryKDE:
 
     kind = "category"
 
+    def __post_init__(self):
+        _require_positive("bandwidth", self.bandwidth)
+
     def document_table(self, documents):
         """(densities, labelled) over the categories that have a curve.
 
@@ -137,8 +144,7 @@ def fit_category_kde(train: Corpus, bandwidth: float, grid_size: int = 2048) -> 
     Curves are sampled on a uniform grid over the corpus timespan and
     peak-normalized so the maximum is exactly 1.
     """
-    if bandwidth <= 0:
-        raise TemporalModelError("bandwidth must be positive")
+    _require_positive("bandwidth", bandwidth)
     if grid_size < 2:
         raise TemporalModelError("grid_size must be >= 2")
     t_max = max(d.timestamp for d in train.documents)
@@ -181,6 +187,7 @@ class TopicDensity:
     kind = "topic"
 
     def __post_init__(self):
+        _require_positive("floor", self.floor)
         if self._token_index is None:
             self._token_index = {tok: i for i, tok in enumerate(self.vocabulary)}
 

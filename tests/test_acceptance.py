@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from tcmr import corpus as cp
 from tcmr import objective as ob
@@ -83,22 +84,21 @@ def test_gradient_correctness():
 
         _, grads = ob.total_loss(x_img, x_txt, plan, model, cfg)
         eps = 1e-5
-        for hk, half in model.halves().items():
-            for pk, p in half.params().items():
-                numeric = np.zeros_like(p)
-                it = np.nditer(p, flags=["multi_index"])
-                while not it.finished:
-                    idx = it.multi_index
-                    orig = p[idx]
-                    p[idx] = orig + eps
-                    up = loss()
-                    p[idx] = orig - eps
-                    down = loss()
-                    p[idx] = orig
-                    numeric[idx] = (up - down) / (2 * eps)
-                    it.iternext()
-                rel = np.abs(grads[hk][pk] - numeric) / np.maximum(1e-8, np.abs(numeric))
-                worst = max(worst, float(rel.max()))
+        for p, g in zip(model.params(), grads, strict=True):
+            numeric = np.zeros_like(p)
+            it = np.nditer(p, flags=["multi_index"])
+            while not it.finished:
+                idx = it.multi_index
+                orig = p[idx]
+                p[idx] = orig + eps
+                up = loss()
+                p[idx] = orig - eps
+                down = loss()
+                p[idx] = orig
+                numeric[idx] = (up - down) / (2 * eps)
+                it.iternext()
+            rel = np.abs(g - numeric) / np.maximum(1e-8, np.abs(numeric))
+            worst = max(worst, float(rel.max()))
     elapsed = time.monotonic() - start
     report(
         "gradient-correctness",
@@ -290,6 +290,7 @@ CENTRAL_SPEC = dict(
 CENTRAL_CFG = dict(BASE_CFG, epochs=25, kde_bandwidth=3.0)
 
 
+@pytest.mark.slow
 def test_central_claim_at_desk_scale():
     """Temporal soft-smoothing beats the lambda=0 ablation on a corpus with
     two temporally separated, feature-distinct modes per category."""
@@ -343,6 +344,7 @@ def gran_b_spec():
     )
 
 
+@pytest.mark.slow
 def test_granularity_contrast():
     """Word-level vs category-level temporal models trade places as the
     corpus's temporal structure changes."""

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -156,6 +157,54 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "eta must be finite" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["h_rec-nan", "h_rec-inf", "floor-nan", "curve-nan",
+                                      "weight-nan"])
+    def test_non_finite_value_is_data_error(self, workspace, capsys, case):
+        """NaN or infinity in a TXNT or TXNM file is a data error, not a numeric failure."""
+        tmp_path, data, cfg = workspace
+        what = case.split("-")[0]
+        fault = ("array holds NaN or infinity" if what in ("curve", "weight")
+                 else f"{what} must be positive and finite")
+        if what == "weight":
+            path, _ = self.train(workspace)
+            model, config, seed = load_checkpoint(path)
+            model.image_net.W1[0, 0] = math.nan
+            save_checkpoint(path, model, config=config, seed=seed)
+            command = ["eval", "--checkpoint", str(path), "--out", str(tmp_path / "out")]
+        else:
+            kind = {"h_rec": "recency", "floor": "topic", "curve": "category"}[what]
+            path = tmp_path / f"{kind}.txnt"
+            assert main(["fit-temporal", "--kind", kind, "--corpus", str(data),
+                         "--config", str(cfg), "--out", str(path)]) == 0
+            if what == "curve":
+                kde = tp.read_temporal_model(path)
+                next(iter(kde.curves.values()))[1] = math.nan
+                tp.write_temporal_model(path, kde)
+            else:
+                value = math.inf if case.endswith("inf") else math.nan
+                TestTruncatedBinaries.rewrite_header(path, lambda h: dict(h, **{what: value}))
+            command = ["train", "--config", str(cfg), "--temporal", str(path),
+                       "--out", str(tmp_path / "m.txnm")]
+        capsys.readouterr()
+        assert main(command + ["--corpus", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert fault in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--config", "--temporal", "--corpus"])
+    def test_unreadable_path_is_data_error(self, workspace, capsys, flag):
+        """A directory where a file belongs, or a file where the bundle directory belongs."""
+        tmp_path, data, cfg = workspace
+        bad = str(cfg) if flag == "--corpus" else str(tmp_path)
+        argv = {
+            "--checkpoint": ["eval", "--checkpoint", bad, "--corpus", str(data)],
+            "--config": ["train", "--config", bad, "--corpus", str(data)],
+            "--temporal": ["train", "--config", str(cfg), "--temporal", bad, "--corpus", str(data)],
+            "--corpus": ["train", "--config", str(cfg), "--corpus", bad],
+        }[flag]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert bad in err and "Traceback" not in err
 
     def test_train_writes_checkpoint_and_log(self, workspace, capsys):
         tmp_path, _, _ = workspace

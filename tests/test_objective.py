@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from tcmr import objective as ob
 from tcmr.config import ConfigError, RunConfig
 from tcmr.corpus import label_matrix
-from tcmr.projection import ProjectionModel
+from tcmr.projection import TENSOR_NAMES, ProjectionModel
 
 
 def empty_plan(n):
@@ -236,8 +236,8 @@ class TestSimCmod:
         model = ProjectionModel.initialize(4, 5, 6, 3, seed=1)
         xi, xj = rng.normal(size=4), rng.normal(size=4)
         ti, tj = rng.normal(size=5), rng.normal(size=5)
-        pi, pj = model.project_images(xi), model.project_images(xj)
-        qi, qj = model.project_texts(ti), model.project_texts(tj)
+        pi, pj = model.image_net.project(xi), model.image_net.project(xj)
+        qi, qj = model.text_net.project(ti), model.text_net.project(tj)
         assert ob.sim_cmod_value(pi @ qj, qi @ pj) == pytest.approx(
             ob.sim_cmod_value(pj @ qi, qj @ pi)
         )
@@ -283,17 +283,14 @@ class TestTotalLoss:
         a, cache_a = model.image_net.forward(x_img)
         b, cache_b = model.text_net.forward(x_txt)
         rank, dA, dB = reference_loss_terms(a, b, plan, cfg0)
-        grads_r = {
-            "image": model.image_net.backward(cache_a, dA)[0],
-            "text": model.text_net.backward(cache_b, dB)[0],
-        }
+        grads_r = (model.image_net.backward(cache_a, dA)[0]
+                   + model.text_net.backward(cache_b, dB)[0])
         assert total.total == total.ranking and total.temporal == 0.0
         assert rank.total == rank.ranking and rank.temporal == 0.0
         # only the summation order of the hinge values differs
         assert total.ranking == pytest.approx(rank.ranking, rel=1e-12, abs=0.0)
-        for hk in grads_t:
-            for pk in grads_t[hk]:
-                np.testing.assert_array_equal(grads_t[hk][pk], grads_r[hk][pk])
+        for g_t, g_r in zip(grads_t, grads_r, strict=True):
+            np.testing.assert_array_equal(g_t, g_r)
 
     def test_additivity(self):
         model, x_img, x_txt, plan, cfg = toy_setup(seed=6, lam=1.0)
@@ -305,23 +302,21 @@ class TestTotalLoss:
         model, x_img, x_txt, plan, cfg = toy_setup(seed=seed, lam=1.0)
         _, grads = ob.total_loss(x_img, x_txt, plan, model, cfg)
         eps = 1e-5
-        for hk, half in model.halves().items():
-            for pk, p in half.params().items():
-                analytic = grads[hk][pk]
-                numeric = np.zeros_like(p)
-                it = np.nditer(p, flags=["multi_index"])
-                while not it.finished:
-                    idx = it.multi_index
-                    orig = p[idx]
-                    p[idx] = orig + eps
-                    up = loss_value(model, x_img, x_txt, plan, cfg)
-                    p[idx] = orig - eps
-                    down = loss_value(model, x_img, x_txt, plan, cfg)
-                    p[idx] = orig
-                    numeric[idx] = (up - down) / (2 * eps)
-                    it.iternext()
-                denom = np.maximum(1e-8, np.abs(numeric))
-                assert (np.abs(analytic - numeric) / denom).max() < 1e-4, (hk, pk)
+        for name, p, analytic in zip(TENSOR_NAMES, model.params(), grads, strict=True):
+            numeric = np.zeros_like(p)
+            it = np.nditer(p, flags=["multi_index"])
+            while not it.finished:
+                idx = it.multi_index
+                orig = p[idx]
+                p[idx] = orig + eps
+                up = loss_value(model, x_img, x_txt, plan, cfg)
+                p[idx] = orig - eps
+                down = loss_value(model, x_img, x_txt, plan, cfg)
+                p[idx] = orig
+                numeric[idx] = (up - down) / (2 * eps)
+                it.iternext()
+            denom = np.maximum(1e-8, np.abs(numeric))
+            assert (np.abs(analytic - numeric) / denom).max() < 1e-4, name
 
     def test_missing_sim_temp_rejected(self):
         model, x_img, x_txt, plan, cfg = toy_setup(seed=7, lam=1.0)

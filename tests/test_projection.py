@@ -13,8 +13,8 @@ def finite_diff_param_grads(half, x, direction, eps=1e-5):
         y, _ = half.forward(x)
         return float((y * direction).sum())
 
-    grads = {}
-    for key, p in half.params().items():
+    grads = []
+    for p in half.params():
         g = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
         while not it.finished:
@@ -27,7 +27,7 @@ def finite_diff_param_grads(half, x, direction, eps=1e-5):
             p[idx] = orig
             g[idx] = (up - down) / (2 * eps)
             it.iternext()
-        grads[key] = g
+        grads.append(g)
     return grads
 
 
@@ -38,9 +38,9 @@ def rel_err(a, b):
 class TestForward:
     def test_scalar_hand_value(self):
         half = pj.ProjectionHalf(W1=[[1.0]], b1=[0.0], W2=[[1.0]], b2=[0.0])
-        y, cache = half.forward([[0.5]])
-        assert cache["y"][0, 0] == pytest.approx(math.tanh(math.tanh(0.5)), abs=1e-12)
-        assert cache["y"][0, 0] == pytest.approx(0.43181, abs=5e-5)
+        y, (_, _, pre_norm, _, _) = half.forward([[0.5]])
+        assert pre_norm[0, 0] == pytest.approx(math.tanh(math.tanh(0.5)), abs=1e-12)
+        assert pre_norm[0, 0] == pytest.approx(0.43181, abs=5e-5)
         assert y[0, 0] == pytest.approx(1.0)
 
     def test_all_zero_weights_degenerate(self):
@@ -68,7 +68,7 @@ class TestBackward:
         half = pj.ProjectionHalf.initialize(4, 6, 3, rng)
         y, cache = half.forward(rng.normal(size=(5, 4)))
         grads, dx = half.backward(cache, np.zeros_like(y))
-        for g in grads.values():
+        for g in grads:
             assert not g.any()
         assert not dx.any()
 
@@ -77,7 +77,7 @@ class TestBackward:
         half = pj.ProjectionHalf.initialize(4, 6, 3, rng)
         y, cache = half.forward(rng.normal(size=(1, 4)))
         grads, dx = half.backward(cache, 2.5 * y)
-        for g in grads.values():
+        for g in grads:
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
         np.testing.assert_allclose(dx, 0.0, atol=1e-12)
 
@@ -90,11 +90,11 @@ class TestBackward:
         y, cache = half.forward(x)
         analytic, _ = half.backward(cache, direction[None, :])
         numeric = finite_diff_param_grads(half, x, direction)
-        for key in analytic:
-            mask = np.abs(numeric[key]) > 1e-10
+        for a, n in zip(analytic, numeric, strict=True):
+            mask = np.abs(n) > 1e-10
             if mask.any():
-                assert rel_err(analytic[key][mask], numeric[key][mask]).max() < 1e-4
-            np.testing.assert_allclose(analytic[key][~mask], numeric[key][~mask], atol=1e-7)
+                assert rel_err(a[mask], n[mask]).max() < 1e-4
+            np.testing.assert_allclose(a[~mask], n[~mask], atol=1e-7)
 
     def test_input_grad_matches_finite_difference(self):
         rng = np.random.default_rng(9)
@@ -125,9 +125,8 @@ class TestSgd:
 
     @staticmethod
     def _unit_grads(value):
-        g = {"W1": np.array([[value]]), "b1": np.zeros(1),
-             "W2": np.zeros((1, 1)), "b2": np.zeros(1)}
-        return {"image": g, "text": {k: v.copy() for k, v in g.items()}}
+        half = [np.array([[value]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1)]
+        return half + [g.copy() for g in half]
 
     def test_single_step_no_momentum(self):
         model = self._scalar_model()
@@ -164,22 +163,43 @@ class TestSgd:
         assert opt.eta == pytest.approx(1.0 / 1.5 / 2.0)
         assert opt.eta > 0
 
-    def test_non_finite_gradient_aborts(self):
+    def test_every_tensor_moves_by_its_own_gradient(self):
+        model = pj.ProjectionModel.initialize(3, 4, 5, 2, seed=0)
+        before = [p.copy() for p in model.params()]
+        rng = np.random.default_rng(1)
+        grads = [rng.normal(size=p.shape) for p in before]
+        opt = pj.SgdMomentum(eta=0.5, momentum=0.9, decay=0.0)
+        opt.step(model, grads, batch_size=4)
+        for name, p, p0, g in zip(pj.TENSOR_NAMES, model.params(), before, grads, strict=True):
+            np.testing.assert_array_equal(p, p0 + (-(0.5 / 4) * g), err_msg=name)
+
+    @pytest.mark.parametrize("tensor, name", [(0, "image.W1"), (7, "text.b2")],
+                             ids=["image.W1", "text.b2"])
+    def test_non_finite_gradient_aborts(self, tensor, name):
+        model = self._scalar_model()
+        before = [p.copy() for p in model.params()]
+        grads = self._unit_grads(1.0)
+        grads[tensor] = np.full_like(grads[tensor], np.nan)
+        opt = pj.SgdMomentum(eta=0.1)
+        with pytest.raises(pj.NonFiniteGradientError, match=f"non-finite gradient in {name}$"):
+            opt.step(model, grads, batch_size=1)
+        for p, p0 in zip(model.params(), before, strict=True):
+            np.testing.assert_array_equal(p, p0)
+
+    def test_short_gradient_list_raises(self):
         model = self._scalar_model()
         opt = pj.SgdMomentum(eta=0.1)
-        with pytest.raises(pj.NonFiniteGradientError, match="image.W1"):
-            opt.step(model, self._unit_grads(float("nan")), batch_size=1)
+        with pytest.raises(ValueError, match="zip"):
+            opt.step(model, self._unit_grads(1.0)[:4], batch_size=1)
+        assert model.text_net.W1[0, 0] == 0.0 and model.image_net.W1[0, 0] == 0.0
 
 
 class TestModel:
     def test_seeded_init_is_bit_identical(self):
         a = pj.ProjectionModel.initialize(5, 7, 4, 3, seed=42)
         b = pj.ProjectionModel.initialize(5, 7, 4, 3, seed=42)
-        for hk in pj.HALF_KEYS:
-            for pk in pj.PARAM_KEYS:
-                np.testing.assert_array_equal(
-                    a.halves()[hk].params()[pk], b.halves()[hk].params()[pk]
-                )
+        for pa, pb in zip(a.params(), b.params(), strict=True):
+            np.testing.assert_array_equal(pa, pb)
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = pj.ProjectionModel.initialize(5, 7, 4, 3, seed=1)
@@ -188,11 +208,8 @@ class TestModel:
         loaded, config, seed = pj.load_checkpoint(path)
         assert config == {"eta": 0.005}
         assert seed == 1
-        for hk in pj.HALF_KEYS:
-            for pk in pj.PARAM_KEYS:
-                np.testing.assert_array_equal(
-                    loaded.halves()[hk].params()[pk], model.halves()[hk].params()[pk]
-                )
+        for pa, pb in zip(loaded.params(), model.params(), strict=True):
+            np.testing.assert_array_equal(pa, pb)
 
     def test_copy_is_independent(self):
         model = pj.ProjectionModel.initialize(3, 4, 2, 2, seed=0)

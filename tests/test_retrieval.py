@@ -26,12 +26,6 @@ class LinearStubModel:
         self.image_net = _NormalizeHalf()
         self.text_net = _NormalizeHalf()
 
-    def project_images(self, x):
-        return self.image_net.project(x)
-
-    def project_texts(self, x):
-        return self.text_net.project(x)
-
 
 def make_index(image_rows, text_rows, doc_ids=None, labels=None, timestamps=None,
                num_slices=4):

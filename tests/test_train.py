@@ -7,7 +7,6 @@ import pytest
 from tcmr import corpus as cp
 from tcmr import synth
 from tcmr.config import RunConfig
-from tcmr.projection import HALF_KEYS, PARAM_KEYS
 from tcmr.train import fit_temporal_model, train_model, write_training_log
 
 
@@ -50,11 +49,8 @@ class TestTrainModel:
         _, cfg, train, val, _ = toy_setup(epochs=3)
         a = train_model(train, val, cfg)
         b = train_model(train, val, cfg)
-        for hk in HALF_KEYS:
-            for pk in PARAM_KEYS:
-                np.testing.assert_array_equal(
-                    a.model.halves()[hk].params()[pk], b.model.halves()[hk].params()[pk]
-                )
+        for pa, pb in zip(a.model.params(), b.model.params(), strict=True):
+            np.testing.assert_array_equal(pa, pb)
         assert [asdict(e) for e in a.history] == [asdict(e) for e in b.history]
 
     def test_lambda_requires_temporal_model(self):
