@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import corpus as cp
@@ -194,27 +195,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_query(args) -> int:
-    if (args.text is None) == (args.image_row is None):
-        raise UsageError("provide exactly one of --text or --image-row")
     cfg, model, corpus, _, stats = _restore(args)
     index = rt.build_index(corpus, model, stats)
     if args.text is not None:
-        counts = {}
-        for token in args.text.split():
-            counts[token] = counts.get(token, 0) + 1
-        known = [t for t in counts if t in stats.token_index and stats.doc_freq[stats.token_index[t]] > 0]
-        if not known:
-            print(
-                "warning: no query token is in the training vocabulary;"
-                " projecting an empty text vector",
-                file=sys.stderr,
-            )
-        query = rt.Query(text_counts=counts)
+        direction, row = rt.T2I, cp.tfidf_matrix([Counter(args.text.split())], stats)
+        if not row.any():
+            print("warning: the query text row is empty: no query token has a nonzero"
+                  " TF-IDF weight in the training vocabulary", file=sys.stderr)
     else:
         if not 0 <= args.image_row < len(corpus.documents):
             raise cp.CorpusError(f"--image-row {args.image_row} outside corpus")
-        query = rt.Query(image_feat=corpus.documents[args.image_row].image_feat)
-    results, truncated = rt.query_topk(index, query, model, stats, k=args.k)
+        direction, row = rt.I2T, corpus.documents[args.image_row].image_feat[None, :]
+    results, truncated = rt.query_topk(index, model, direction, row, k=args.k)
     by_id = {doc.id: doc for doc in corpus.documents}
     axis = corpus.time_axis
     for doc_id, score in results:
@@ -321,8 +313,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("query", help="run one cross-modal query")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--text", default=None)
-    p.add_argument("--image-row", type=int, default=None)
+    modality = p.add_mutually_exclusive_group(required=True)
+    modality.add_argument("--text", default=None)
+    modality.add_argument("--image-row", type=int, default=None)
     p.add_argument("--k", type=_k_value, default=10)
     p.set_defaults(func=cmd_query)
 

@@ -297,6 +297,8 @@ def from_records(
         raise CorpusError(f"duplicate document id {dupe!r}")
     feats = _feature_matrix(records)
 
+    if not 0 < time_unit < math.inf:  # False for NaN
+        raise CorpusError(f"time unit must be positive and finite, got {time_unit!r}")
     epochs = [int(rec[3]) for rec in records]
     origin = min(epochs)
     span = (max(epochs) - origin) / time_unit
@@ -368,28 +370,22 @@ def document_frequencies(train: Corpus) -> DocFrequency:
     return DocFrequency(num_docs=len(train.documents), doc_freq=df, token_index=index)
 
 
-def tfidf_vector(text_counts: Mapping[str, int], stats: DocFrequency) -> np.ndarray:
-    """TF-IDF vector, tf * ln(N/df), unit-normalized unless all-zero.
+def tfidf_matrix(rows: Sequence[Mapping[str, int]], stats: DocFrequency) -> np.ndarray:
+    """TF-IDF rows, tf * ln(N/df), of token-count mappings, unit-normalized unless all-zero.
 
-    Tokens missing from the vocabulary, or unseen in the training split
-    (df = 0), contribute nothing.
+    Tokens missing from the vocabulary, unseen in the training split (df =
+    0) or in every training document (idf 0) contribute nothing.
     """
-    v = np.zeros(len(stats.token_index), dtype=np.float64)
-    for tok, count in text_counts.items():
-        i = stats.token_index.get(tok)
-        if i is None:
-            continue
-        df = stats.doc_freq[i]
-        if df > 0:
-            v[i] = count * math.log(stats.num_docs / df)
-    norm = np.linalg.norm(v)
-    if norm > 0:
-        v /= norm
-    return v
-
-
-def tfidf_matrix(corpus: Corpus, stats: DocFrequency) -> np.ndarray:
-    return np.stack([tfidf_vector(d.text_counts, stats) for d in corpus.documents])
+    out = np.zeros((len(rows), len(stats.token_index)), dtype=np.float64)
+    for v, counts in zip(out, rows):
+        for tok, count in counts.items():
+            i = stats.token_index.get(tok)
+            if i is not None and stats.doc_freq[i] > 0:
+                v[i] = count * math.log(stats.num_docs / stats.doc_freq[i])
+        norm = np.linalg.norm(v)
+        if norm > 0:
+            v /= norm
+    return out
 
 
 def label_matrix(label_sets, categories=None) -> np.ndarray:

@@ -67,15 +67,11 @@ class ProjectionHalf:
     def d_in(self):
         return self.W1.shape[1]
 
-    @property
-    def d_out(self):
-        return self.W2.shape[0]
-
     def params(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2]
 
     def forward(self, x):
-        """Project a (n, d_in) batch (or single vector) to unit rows.
+        """Project a (n, d_in) batch to unit rows; a 1-d input is one row.
 
         Returns (projections, cache); the cache holds the pre-normalization
         activations needed by backward().
@@ -91,13 +87,6 @@ class ProjectionHalf:
             raise DegenerateProjectionError(f"degenerate projection for batch row {row}", row)
         y_hat = y / norms
         return y_hat, (x, h, y, norms, y_hat)
-
-    def project(self, x):
-        """Forward pass without keeping activations; returns 1-d for 1-d input."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        y_hat, _ = self.forward(x)
-        return y_hat[0] if single else y_hat
 
     def backward(self, cache, upstream):
         """Exact gradients for a cached forward pass.
@@ -144,7 +133,7 @@ class ProjectionModel:
             "d_image": self.image_net.d_in,
             "d_text": self.text_net.d_in,
             "hidden": self.image_net.W1.shape[0],
-            "d_subspace": self.image_net.d_out,
+            "d_subspace": self.image_net.W2.shape[0],
         }
 
     @classmethod

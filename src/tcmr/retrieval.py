@@ -15,6 +15,10 @@ candidates (K the largest cut-off), its relevant count, its ideal grades
 and its per-bin relevant counts, then dropped. Memory is a few block × n
 arrays plus n × K, never n × n. Reports are bit-identical to a full sort
 of every row with per-query metric loops; tests keep that as a reference.
+
+Every score comes one way: text rows from ``tfidf_matrix``, a ``forward``
+pass, then ``rank_candidates``. ``evaluate_direction`` serves ``eval`` and
+training-time validation; ``query_topk`` serves one ad-hoc input row.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .corpus import Corpus, DocFrequency, TimeAxis, label_matrix, tfidf_matrix, tfidf_vector
+from .corpus import Corpus, DocFrequency, TimeAxis, label_matrix, tfidf_matrix
 from .projection import DegenerateProjectionError, ProjectionModel
 
 I2T = "I2T"
@@ -54,18 +58,6 @@ class RetrievalIndex:
 
 
 @dataclass
-class Query:
-    """Exactly one modality: image features or text token counts."""
-
-    image_feat: np.ndarray | None = None
-    text_counts: dict | None = None
-
-    def __post_init__(self):
-        if (self.image_feat is None) == (self.text_counts is None):
-            raise ValueError("query must set exactly one of image_feat or text_counts")
-
-
-@dataclass
 class EvalReport:
     direction: str
     k: int
@@ -87,9 +79,10 @@ class EvalReport:
 def build_index(test: Corpus, model: ProjectionModel, stats: DocFrequency) -> RetrievalIndex:
     if len(test.documents) == 0:
         raise ValueError("cannot build an index over an empty corpus")
+    text_rows = tfidf_matrix([d.text_counts for d in test.documents], stats)
     return RetrievalIndex(
         image_matrix=_project_split(model.image_net, test.image_matrix(), test, "image"),
-        text_matrix=_project_split(model.text_net, tfidf_matrix(test, stats), test, "text"),
+        text_matrix=_project_split(model.text_net, text_rows, test, "text"),
         doc_ids=[d.id for d in test.documents],
         label_sets=test.label_sets(),
         timestamps=test.timestamps(),
@@ -100,7 +93,7 @@ def build_index(test: Corpus, model: ProjectionModel, stats: DocFrequency) -> Re
 def _project_split(net, x, test: Corpus, modality: str) -> np.ndarray:
     """Project a split's (n, d) inputs; a degenerate row is named by its document."""
     try:
-        return net.project(x)
+        return net.forward(x)[0]
     except DegenerateProjectionError as exc:
         raise DegenerateProjectionError(
             f"degenerate {modality} projection for document {test.documents[exc.row].id!r}",
@@ -116,14 +109,13 @@ def _id_ranks(doc_ids) -> np.ndarray:
 
 
 def rank_candidates(scores: np.ndarray, id_ranks: np.ndarray, depth: int) -> np.ndarray:
-    """Top-``depth`` candidates of each score row: score descending, id rank ascending.
+    """Top-``depth`` candidates of each (b, n) score row: score descending, id rank ascending.
 
     Equal to the first ``depth`` columns of a full ``lexsort`` of each row,
     but only the candidates scoring at or above the row's depth-th score
     are sorted. A row where equal scores straddle that score is sorted on
     its own.
     """
-    scores = np.atleast_2d(scores)
     b, n = scores.shape
     depth = min(depth, n)
     kth = np.partition(scores, n - depth, axis=1)[:, [n - depth]]  # a copy: frees the partition
@@ -142,19 +134,24 @@ def rank_candidates(scores: np.ndarray, id_ranks: np.ndarray, depth: int) -> np.
     return order
 
 
-def query_topk(index: RetrievalIndex, q: Query, model: ProjectionModel,
-               stats: DocFrequency, k: int):
-    """Top-K (doc_id, score) from the opposite modality, plus a truncation flag."""
+def _sides(index: RetrievalIndex, direction: str):
+    if direction == I2T:
+        return index.image_matrix, index.text_matrix
+    if direction == T2I:
+        return index.text_matrix, index.image_matrix
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def query_topk(index: RetrievalIndex, model: ProjectionModel, direction: str, row, k: int):
+    """Top-K (doc_id, score) and a truncation flag for one input row: a (1, d)
+    image row for I2T or a (1, V) ``tfidf_matrix`` row for T2I."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if q.image_feat is not None:
-        vec = model.image_net.project(q.image_feat)
-        candidates = index.text_matrix
-    else:
-        vec = model.text_net.project(tfidf_vector(q.text_counts, stats))
-        candidates = index.image_matrix
+    candidates = _sides(index, direction)[1]
+    net = model.image_net if direction == I2T else model.text_net
+    (vec,) = net.forward(row)[0]  # exactly one row
     scores = candidates @ vec
-    top = rank_candidates(scores, _id_ranks(index.doc_ids), k)[0]
+    top = rank_candidates(scores[None], _id_ranks(index.doc_ids), k)[0]
     return [(index.doc_ids[i], float(scores[i])) for i in top], k > len(index)
 
 
@@ -278,12 +275,12 @@ class TopK:
     gt_counts: np.ndarray  # (n, bins) relevant candidates per time bin
 
 
-def block_topk(order, shared, doc_bins=None, bins: int = 0) -> TopK:
+def block_topk(order, shared, doc_bins, bins: int) -> TopK:
     """TopK of a block of query rows from their ranked candidates and grade rows.
 
     ``shared`` is the block's (b, n) shared-category counts, non-negative
-    integers. ``doc_bins`` gives each candidate's time bin (-1 outside the
-    timespan); without it ``gt_counts`` has no columns.
+    integers. ``doc_bins`` gives each candidate's time bin among ``bins``
+    (-1 outside the timespan).
     """
     b, n = shared.shape
     flat = np.flatnonzero(shared > 0)
@@ -300,8 +297,7 @@ def block_topk(order, shared, doc_bins=None, bins: int = 0) -> TopK:
         grades=np.take_along_axis(shared, order, axis=1),
         ideal=ideal,
         relevant=relevant,
-        gt_counts=(np.zeros((b, 0), dtype=np.intp) if doc_bins is None
-                   else _bin_counts(rows, doc_bins[cols], b, bins)),
+        gt_counts=_bin_counts(rows, doc_bins[cols], b, bins),
     )
 
 
@@ -313,7 +309,7 @@ def _bin_counts(rows, item_bins, num_rows: int, bins: int) -> np.ndarray:
 
 
 def rank_direction(index: RetrievalIndex, direction: str, depth: int,
-                   doc_bins=None, bins: int = 0) -> TopK:
+                   doc_bins, bins: int) -> TopK:
     """Top ``depth`` of one direction with every index row as a query.
 
     Queries are scored EVAL_BLOCK rows at a time, so memory grows with
@@ -322,12 +318,7 @@ def rank_direction(index: RetrievalIndex, direction: str, depth: int,
     differently from the rows of the full (n, n) product, which changes a
     ranking only where two candidates score that close.
     """
-    if direction == I2T:
-        queries, candidates = index.image_matrix, index.text_matrix
-    elif direction == T2I:
-        queries, candidates = index.text_matrix, index.image_matrix
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    queries, candidates = _sides(index, direction)
     labels = label_matrix(index.label_sets)
     id_ranks = _id_ranks(index.doc_ids)
     blocks = []

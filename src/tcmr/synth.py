@@ -44,20 +44,20 @@ class SynthSpec:
     def __post_init__(self):
         if self.num_categories < 1 or self.docs_per_category < 1:
             raise SynthError("need at least one category and one document per category")
-        if self.timespan <= 0:
-            raise SynthError("timespan must be positive")
+        if not 0 < self.timespan < math.inf:  # NaN fails each of these
+            raise SynthError(f"timespan must be positive and finite, got {self.timespan!r}")
         if self.d_image < 1:
             raise SynthError("d_image must be >= 1")
-        if self.image_noise < 0:
-            raise SynthError("image noise must be >= 0")
+        if not 0 <= self.image_noise < math.inf:
+            raise SynthError(f"image_noise must be finite and >= 0, got {self.image_noise!r}")
         if self.vocab_size < 1:
             raise SynthError("vocab_size must be >= 1")
         if self.words_per_doc < 1:
             raise SynthError("words_per_doc must be >= 1")
-        if self.word_concentration <= 0:
-            raise SynthError("word_concentration must be positive")
-        if self.drift < 0:
-            raise SynthError("drift rate must be >= 0")
+        if not 0 < self.word_concentration < math.inf:
+            raise SynthError("word_concentration must be positive and finite")
+        if not 0 <= self.drift < math.inf:
+            raise SynthError(f"drift must be finite and >= 0, got {self.drift!r}")
 
     def modes_for(self, category: int) -> list[tuple[float, float, float]]:
         per_cat = self.modes and isinstance(self.modes[0], list)
@@ -65,11 +65,11 @@ class SynthSpec:
         if not modes:
             raise SynthError(f"category {category} has no temporal modes")
         total = sum(w for _, _, w in modes)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails
             raise SynthError(f"category {category}: mode weights sum to {total}, not 1")
         for center, width, _ in modes:
-            if width <= 0:
-                raise SynthError("mode width must be positive")
+            if not 0 < width < math.inf:
+                raise SynthError(f"category {category}: mode width must be positive and finite")
             if not 0 <= center <= self.timespan:
                 raise SynthError("mode center outside the timespan")
         return [tuple(m) for m in modes]

@@ -42,6 +42,8 @@ KIND_TAGS = {"recency": b"REC\x00", "category": b"KDE\x00", "topic": b"TOP\x00"}
 _TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
 
 DEFAULT_TOPIC_FLOOR = 1e-6
+TOPIC_ALPHA_MASS = 50.0  # the document-topic prior alpha is TOPIC_ALPHA_MASS / num_topics
+TOPIC_BETA_PRIOR = 0.01  # the symmetric topic-word prior
 KDE_BLOCK = 64  # query points per block in gaussian_kde_density
 
 
@@ -310,8 +312,6 @@ def fit_topic_densities(
     num_topics: int,
     seed: int,
     gibbs_iters: int = 60,
-    alpha: float | None = None,
-    beta_prior: float = 0.01,
     kappa: float = 0.5,
     floor: float = DEFAULT_TOPIC_FLOOR,
     aggregate: str = "geometric",
@@ -329,8 +329,7 @@ def fit_topic_densities(
         raise TemporalModelError("need at least one topic")
     if aggregate not in ("geometric", "product"):
         raise TemporalModelError(f"unknown aggregate {aggregate!r}")
-    if alpha is None:
-        alpha = 50.0 / num_topics
+    alpha = TOPIC_ALPHA_MASS / num_topics
     axis = train.time_axis
     vocab = list(train.vocabulary)
     token_index = {tok: i for i, tok in enumerate(vocab)}
@@ -346,19 +345,14 @@ def fit_topic_densities(
         slice_docs.setdefault(axis.slice_of(doc.timestamp), []).append(ids)
 
     nonempty = sorted(slice_docs)
-    slice_map = np.zeros(axis.num_slices, dtype=np.int64)
-    eff_of = {s: e for e, s in enumerate(nonempty)}
-    nxt = len(nonempty) - 1
-    for s in range(axis.num_slices - 1, -1, -1):
-        if s in eff_of:
-            nxt = eff_of[s]
-        slice_map[s] = nxt
+    # each slice goes to the first nonempty slice at or after it, else the last one
+    slice_map = np.minimum(np.searchsorted(nonempty, np.arange(axis.num_slices)), len(nonempty) - 1)
 
     rng = np.random.default_rng(seed)
     beta = np.zeros((len(nonempty), num_topics, vocab_size))
     prev_counts = None
     for e, s in enumerate(nonempty):
-        prior_kw = np.full((num_topics, vocab_size), beta_prior)
+        prior_kw = np.full((num_topics, vocab_size), TOPIC_BETA_PRIOR)
         if prev_counts is not None:
             prior_kw += kappa * prev_counts
         counts = _gibbs_slice(
@@ -417,17 +411,28 @@ def write_temporal_model(path, model) -> None:
 
 
 def _read_model(box, kind):
+    def require(ok, fault):
+        if not ok:
+            raise TemporalModelError(f"{box.path}: {fault}")
+
     header = box.header
     if kind == "recency":
         box.arrays([])
         return RecencyModel(h_rec=header["h_rec"])
     if kind == "category":
         cats = header["categories"]
+        require(len(set(cats)) == len(cats), "repeated entry in categories")
         grid, *curves = box.arrays([(header["grid_size"],)] * (1 + len(cats)))
+        require(len(grid) >= 2 and (np.diff(grid) >= 0).all(),
+                "the KDE grid needs at least 2 points in non-decreasing order")
+        require(all(((c >= 0) & (c <= 1)).all() for c in curves), "KDE curve values outside [0, 1]")
         return CategoryKDE(bandwidth=header["bandwidth"], grid=grid, curves=dict(zip(cats, curves)))
     vocab = header["vocabulary"]
+    require(len(set(vocab)) == len(vocab), "repeated entry in vocabulary")
     axis = TimeAxis(**header["time_axis"])
     phi, slice_map = box.arrays([(len(vocab), header["num_effective_slices"]), (axis.num_slices,)])
+    require(((slice_map % 1 == 0) & (slice_map >= 0) & (slice_map < phi.shape[1])).all(),
+            f"slice_map entries must be integers in [0, {phi.shape[1]})")
     return TopicDensity(
         num_topics=header["num_topics"], vocabulary=vocab, phi=phi,
         slice_map=slice_map.astype(np.int64), time_axis=axis,

@@ -19,7 +19,7 @@ from .config import RunConfig
 from .corpus import Corpus, DocFrequency, document_frequencies, label_matrix, tfidf_matrix
 from .objective import build_batch_plan, total_loss
 from .projection import ProjectionModel, SgdMomentum
-from .retrieval import DIRECTIONS, build_index, map_at_k, rank_direction
+from .retrieval import DIRECTIONS, build_index, evaluate_direction
 from .temporal import RecencyModel, fit_category_kde, fit_topic_densities
 
 TEMPORAL_KINDS = ("recency", "category", "topic")
@@ -64,11 +64,8 @@ def fit_temporal_model(kind: str, train: Corpus, cfg: RunConfig):
 
 
 def mean_map_both_directions(index, k: int) -> float:
-    """Validation score: mAP@k averaged over both retrieval directions."""
-    values = []
-    for direction in DIRECTIONS:
-        top = rank_direction(index, direction, k)
-        values.append(map_at_k(top.grades > 0, top.relevant, k)[0])
+    """Validation score: the ``eval`` mAP@k, averaged over both retrieval directions."""
+    values = [evaluate_direction(index, d, k, k_list=()).map_at_k for d in DIRECTIONS]
     return float(np.mean(values))
 
 
@@ -79,7 +76,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
 
     stats = document_frequencies(train)
     x_img = train.image_matrix()
-    x_txt = tfidf_matrix(train, stats)
+    x_txt = tfidf_matrix([d.text_counts for d in train.documents], stats)
     labels = label_matrix(train.label_sets())
     table = temporal_model.document_table(train.documents) if cfg.lam > 0 else None
     n = len(train.documents)

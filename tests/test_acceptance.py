@@ -111,7 +111,8 @@ def ranked_topk(scores, grades, depth):
     """One query's TopK through the production ranking; ties broken by index."""
     scores = np.array([scores], dtype=np.float64)
     order = rt.rank_candidates(scores, np.arange(scores.shape[1]), depth)
-    return rt.block_topk(order, np.array([grades], dtype=np.float64))
+    return rt.block_topk(order, np.array([grades], dtype=np.float64),
+                         np.zeros(scores.shape[1], dtype=np.intp), 1)
 
 
 def test_metric_oracles():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tcmr import corpus as cp
 from tcmr import temporal as tp
-from tcmr.cli import main
+from tcmr.cli import load_bundle, main, save_bundle
 from tcmr.projection import ProjectionModel, load_checkpoint, save_checkpoint
 
 TINY_CFG = """
@@ -41,6 +41,15 @@ def workspace(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_CFG)
     return tmp_path, data, cfg
+
+
+TXNT_FAULTS = {  # case prefix -> what the reader says
+    "slice_map": "slice_map entries must be integers in [0, ",
+    "vocabulary": "repeated entry in vocabulary",
+    "grid": "the KDE grid needs at least 2 points in non-decreasing order",
+    "curve": "KDE curve values outside [0, 1]",
+    "categories": "repeated entry in categories",
+}
 
 
 def read_summary(capsys):
@@ -99,6 +108,35 @@ class TestSynthAndIngest:
 
     def test_bad_mode_spec_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "d"), "--modes", "5:1"]) == 1
+
+    @pytest.mark.parametrize("flags, fault", [
+        pytest.param(["--image-noise", "nan"], "image_noise must be finite", id="noise-nan"),
+        pytest.param(["--drift", "nan"], "drift must be finite", id="drift-nan"),
+        pytest.param(["--timespan", "inf"], "timespan must be positive and finite",
+                     id="timespan-inf"),
+        pytest.param(["--timespan", "nan"], "timespan must be positive and finite",
+                     id="timespan-nan"),
+        pytest.param(["--modes", "8:nan:1"], "mode width must be positive and finite",
+                     id="width-nan"),
+        pytest.param(["--modes", "8:1.5:nan"], "mode weights sum to nan", id="weight-nan"),
+        pytest.param(["--concentration", "inf"], "word_concentration must be positive and finite",
+                     id="concentration-inf"),
+    ])
+    def test_non_finite_synth_value_is_data_error(self, tmp_path, capsys, flags, fault):
+        assert main(["synth", "--out", str(tmp_path / "d"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert fault in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("unit", ["0", "nan", "inf", "-1"])
+    def test_bad_time_unit_is_data_error(self, workspace, capsys, unit):
+        tmp_path, data, _ = workspace
+        code = main(["ingest", str(data / "manifest.jsonl"), str(data / "features.bin"),
+                     "--out", str(tmp_path / "x"), "--time-unit", unit])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "time unit must be positive and finite" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestPipeline:
@@ -190,6 +228,42 @@ class TestPipeline:
         assert main(command + ["--corpus", str(data)]) == 2
         err = capsys.readouterr().err
         assert fault in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", [
+        "slice_map=99", "slice_map=-1", "slice_map=0.5", "vocabulary-repeated",
+        "grid-reversed", "grid_size=1", "grid_size=0", "curve*5", "categories-repeated",
+    ])
+    def test_temporal_model_that_fit_cannot_write_is_data_error(self, workspace, capsys, case):
+        tmp_path, data, cfg = workspace
+        fault = next(text for prefix, text in TXNT_FAULTS.items() if case.startswith(prefix))
+        kind = "topic" if case.startswith(("slice_map", "vocabulary")) else "category"
+        path = tmp_path / f"{kind}.txnt"
+        assert main(["fit-temporal", "--kind", kind, "--corpus", str(data),
+                     "--config", str(cfg), "--out", str(path)]) == 0
+        model = tp.read_temporal_model(path)
+        if case.startswith("slice_map="):
+            model.slice_map = model.slice_map.astype(np.float64)
+            model.slice_map[0] = float(case.split("=")[1])
+        elif case == "vocabulary-repeated":
+            model.vocabulary[1] = model.vocabulary[0]
+        elif case == "grid-reversed":
+            model.grid = model.grid[::-1].copy()
+        elif case.startswith("grid_size="):
+            n = int(case.split("=")[1])
+            model.grid = model.grid[:n]
+            model.curves = {c: curve[:n] for c, curve in model.curves.items()}
+        elif case == "curve*5":
+            model.curves = {c: 5.0 * curve for c, curve in model.curves.items()}
+        tp.write_temporal_model(path, model)
+        if case == "categories-repeated":  # the curves stay, one name appears twice
+            TestTruncatedBinaries.rewrite_header(
+                path, lambda h: dict(h, categories=h["categories"][:1] + h["categories"][:-1]))
+        capsys.readouterr()
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
+        err = capsys.readouterr().err
+        assert fault in err and str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "m.txnm").exists()
 
     @pytest.mark.parametrize("flag", ["--checkpoint", "--config", "--temporal", "--corpus"])
     def test_unreadable_path_is_data_error(self, workspace, capsys, flag):
@@ -301,6 +375,31 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "training vocabulary" in err
         assert code in (0, 3)
+
+    def test_query_of_tokens_in_every_training_document_warns(self, workspace, capsys):
+        """Such tokens have idf 0, so the text row is empty, as for unknown tokens."""
+        tmp_path, data, cfg = workspace
+        corpus = load_bundle(data, cp.DEFAULT_TIME_UNIT)
+        records = [(d.id, d.image_feat, dict(d.text_counts, common=1),
+                    corpus.time_axis.to_epoch(d.timestamp), sorted(d.labels))
+                   for d in corpus.documents]
+        common = tmp_path / "common"
+        save_bundle(cp.from_records(records), common)
+        cfg.write_text(TINY_CFG.replace("lambda = 1.0", "lambda = 0.0"))
+        ckpt = tmp_path / "m.txnm"
+        assert main(["train", "--corpus", str(common), "--config", str(cfg),
+                     "--out", str(ckpt)]) == 0
+        base = ["query", "--checkpoint", str(ckpt), "--corpus", str(common), "--k", "3"]
+        outputs = []
+        for text in ("common", "common zebra common", "zebra"):
+            capsys.readouterr()
+            assert main(base + ["--text", text]) == 0
+            out, err = capsys.readouterr()
+            assert "warning: the query text row is empty" in err
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert main(base + ["--text", "common w0001 w0002"]) == 0
+        assert "warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flags", [
         ("eval", ["--k", "0"]),

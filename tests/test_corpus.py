@@ -148,6 +148,12 @@ class TestLoad:
         assert [d.timestamp for d in corpus.documents] == [0.0, 1.0, 3.0]
         assert axis.slice_of(3.0) == 3
 
+    @pytest.mark.parametrize("unit", [0.0, -1.0, math.nan, math.inf])
+    def test_time_unit_must_be_positive_and_finite(self, tmp_path, unit):
+        manifest, features, _ = make_bundle(tmp_path, three_doc_rows(), np.zeros((3, 4)))
+        with pytest.raises(cp.CorpusError, match="time unit must be positive and finite"):
+            cp.load_corpus(manifest, features, time_unit=unit)
+
 
 class TestRoundTrip:
     def test_save_then_load_is_equal(self, tmp_path):
@@ -186,13 +192,14 @@ class TestTfidf:
     def test_no_known_tokens_gives_zero_vector(self):
         train = self._corpus([{"a": 1}, {"b": 1}])
         stats = cp.document_frequencies(train)
-        v = cp.tfidf_vector({"zzz": 5}, stats)
-        assert not v.any()
+        rows = cp.tfidf_matrix([{"zzz": 5}], stats)
+        assert rows.shape == (1, 2)
+        assert not rows.any()
 
     def test_idf_vanishes_when_token_in_every_doc(self):
         train = self._corpus([{"a": 1}, {"a": 3}])
         stats = cp.document_frequencies(train)
-        v = cp.tfidf_vector({"a": 2}, stats)
+        (v,) = cp.tfidf_matrix([{"a": 2}], stats)
         assert v[stats.token_index["a"]] == 0.0
 
     def test_hand_value(self):
@@ -200,7 +207,7 @@ class TestTfidf:
         train = self._corpus([{"a": 2, "b": 1}, {"b": 1}, {"b": 2}, {"b": 1}])
         stats = cp.document_frequencies(train)
         raw_a = 2 * math.log(4 / 1)
-        v = cp.tfidf_vector({"a": 2}, stats)
+        (v,) = cp.tfidf_matrix([{"a": 2}], stats)
         assert v[stats.token_index["a"]] == pytest.approx(1.0)
         assert v[stats.token_index["b"]] == 0.0
         unnormalized = np.zeros(2)
@@ -215,10 +222,21 @@ class TestTfidf:
         ]
         train = self._corpus(docs)
         stats = cp.document_frequencies(train)
-        for doc in train.documents:
-            v = cp.tfidf_vector(doc.text_counts, stats)
+        for v in cp.tfidf_matrix([doc.text_counts for doc in train.documents], stats):
             norm = np.linalg.norm(v)
             assert norm == 0.0 or abs(norm - 1.0) < 1e-12
+
+    def test_one_row_equals_its_row_in_a_split(self):
+        """A query's row is built as a document's row in a split is, bit for bit."""
+        rng = np.random.default_rng(8)
+        docs = [
+            {f"w{rng.integers(12)}": int(rng.integers(1, 5)) for _ in range(rng.integers(1, 6))}
+            for _ in range(25)
+        ]
+        stats = cp.document_frequencies(self._corpus(docs[:20]))
+        split = cp.tfidf_matrix(docs, stats)
+        for counts, row in zip(docs, split):
+            np.testing.assert_array_equal(cp.tfidf_matrix([counts], stats)[0], row)
 
 
 class TestSplit:

@@ -236,8 +236,8 @@ class TestSimCmod:
         model = ProjectionModel.initialize(4, 5, 6, 3, seed=1)
         xi, xj = rng.normal(size=4), rng.normal(size=4)
         ti, tj = rng.normal(size=5), rng.normal(size=5)
-        pi, pj = model.image_net.project(xi), model.image_net.project(xj)
-        qi, qj = model.text_net.project(ti), model.text_net.project(tj)
+        (pi, pj), _ = model.image_net.forward(np.stack([xi, xj]))
+        (qi, qj), _ = model.text_net.forward(np.stack([ti, tj]))
         assert ob.sim_cmod_value(pi @ qj, qi @ pj) == pytest.approx(
             ob.sim_cmod_value(pj @ qi, qj @ pi)
         )

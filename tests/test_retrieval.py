@@ -13,10 +13,9 @@ from tcmr.train import mean_map_both_directions
 
 
 class _NormalizeHalf:
-    def project(self, x):
+    def forward(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = x / np.linalg.norm(x, axis=1, keepdims=True)
-        return out if out.shape[0] > 1 else out[0]
+        return x / np.linalg.norm(x, axis=1, keepdims=True), None
 
 
 class LinearStubModel:
@@ -109,22 +108,19 @@ class TestQueryTopK:
         index = make_index(np.eye(3), [[0.9], [0.5], [0.1]])
         index.text_matrix = np.array([[0.9], [0.5], [0.1]])
         index.image_matrix = np.array([[0.9], [0.5], [0.1]])
-        q = rt.Query(image_feat=np.array([2.0]))
-        results, truncated = rt.query_topk(index, q, LinearStubModel(), None, k=3)
+        results, truncated = rt.query_topk(index, LinearStubModel(), rt.I2T, [[2.0]], k=3)
         assert [doc for doc, _ in results] == ["d0", "d1", "d2"]
         assert [round(s, 6) for _, s in results] == [0.9, 0.5, 0.1]
         assert not truncated
 
     def test_tie_broken_by_doc_id(self):
         index = make_index([[1.0], [1.0]], [[0.5], [0.5]], doc_ids=["zz", "aa"])
-        q = rt.Query(image_feat=np.array([1.0]))
-        results, _ = rt.query_topk(index, q, LinearStubModel(), None, k=2)
+        results, _ = rt.query_topk(index, LinearStubModel(), rt.I2T, [[1.0]], k=2)
         assert [doc for doc, _ in results] == ["aa", "zz"]
 
     def test_k_beyond_index_flags_truncation(self):
         index = make_index([[1.0]], [[1.0]])
-        q = rt.Query(image_feat=np.array([1.0]))
-        results, truncated = rt.query_topk(index, q, LinearStubModel(), None, k=10)
+        results, truncated = rt.query_topk(index, LinearStubModel(), rt.I2T, [[1.0]], k=10)
         assert len(results) == 1
         assert truncated
 
@@ -134,7 +130,7 @@ class TestQueryTopK:
         text /= np.linalg.norm(text, axis=1, keepdims=True)
         index = make_index(np.zeros((8, 4)), text)
         qvec = rng.normal(size=4)
-        results, _ = rt.query_topk(index, rt.Query(image_feat=qvec), LinearStubModel(), None, k=1)
+        results, _ = rt.query_topk(index, LinearStubModel(), rt.I2T, qvec[None], k=1)
         scores = text @ (qvec / np.linalg.norm(qvec))
         assert results[0][0] == f"d{int(np.argmax(scores))}"
         assert results[0][1] == pytest.approx(scores.max())
@@ -145,8 +141,8 @@ class TestQueryTopK:
         text /= np.linalg.norm(text, axis=1, keepdims=True)
         index = make_index(np.zeros((6, 5)), text)
         x = rng.normal(size=5)
-        a, _ = rt.query_topk(index, rt.Query(image_feat=x), LinearStubModel(), None, k=6)
-        b, _ = rt.query_topk(index, rt.Query(image_feat=7.3 * x), LinearStubModel(), None, k=6)
+        a, _ = rt.query_topk(index, LinearStubModel(), rt.I2T, x[None], k=6)
+        b, _ = rt.query_topk(index, LinearStubModel(), rt.I2T, 7.3 * x[None], k=6)
         assert [d for d, _ in a] == [d for d, _ in b]
         for (_, sa), (_, sb) in zip(a, b):
             assert sa == pytest.approx(sb)
@@ -164,20 +160,45 @@ class TestQueryTopK:
         full = reference_rank(scores, ids)[0]
         straddled = 0
         for k in range(1, 15):
-            results, truncated = rt.query_topk(
-                index, rt.Query(image_feat=qvec), LinearStubModel(), None, k=k
-            )
+            results, truncated = rt.query_topk(index, LinearStubModel(), rt.I2T, qvec[None], k=k)
             assert [doc for doc, _ in results] == [ids[i] for i in full[:k]]
             assert [s for _, s in results] == [float(scores[i]) for i in full[:k]]
             assert truncated == (k > 12)
             straddled += k < 12 and scores[full[k - 1]] == scores[full[k]]
         assert straddled >= 4
 
-    def test_query_requires_exactly_one_modality(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            rt.Query(image_feat=np.ones(2), text_counts={"a": 1})
-        with pytest.raises(ValueError, match="exactly one"):
-            rt.Query()
+    def test_t2i_row_is_scored_against_the_images(self):
+        index = make_index([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+        results, _ = rt.query_topk(index, LinearStubModel(), rt.T2I, [[3.0, 0.0]], k=2)
+        assert results == [("d1", 1.0), ("d0", 0.0)]
+        results, _ = rt.query_topk(index, LinearStubModel(), rt.I2T, [[3.0, 0.0]], k=2)
+        assert results == [("d0", 1.0), ("d1", 0.0)]
+
+    def test_one_row_and_a_known_direction(self):
+        index = make_index(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError):  # two rows
+            rt.query_topk(index, LinearStubModel(), rt.I2T, np.eye(2), k=1)
+        with pytest.raises(ValueError, match="unknown direction"):
+            rt.query_topk(index, LinearStubModel(), "X2Y", [[1.0, 0.0]], k=1)
+
+    def test_scores_equal_the_index_rows_of_the_same_input(self):
+        """A query row projects as the same document's index row does.
+
+        BLAS may round a one-row product differently from a batch in the last bits.
+        """
+        corpus = tiny_corpus(6)
+        model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=5)
+        stats = cp.document_frequencies(corpus)
+        index = rt.build_index(corpus, model, stats)
+        for i, doc in enumerate(corpus.documents):
+            text_row = cp.tfidf_matrix([doc.text_counts], stats)
+            for direction, row, query in ((rt.I2T, doc.image_feat[None], index.image_matrix[i]),
+                                          (rt.T2I, text_row, index.text_matrix[i])):
+                candidates = index.text_matrix if direction == rt.I2T else index.image_matrix
+                results, _ = rt.query_topk(index, model, direction, row, k=6)
+                scores = dict(results)
+                for j, doc_id in enumerate(index.doc_ids):
+                    assert scores[doc_id] == pytest.approx(candidates[j] @ query, abs=1e-12)
 
 
 def in_ranked_order(grade_rows):
@@ -188,7 +209,8 @@ def in_ranked_order(grade_rows):
     n = max(len(row) for row in grade_rows)
     grades = np.array([list(row) + [0] * (n - len(row)) for row in grade_rows], dtype=np.float64)
     scores = np.broadcast_to(np.arange(n, 0, -1.0), grades.shape)
-    return rt.block_topk(rt.rank_candidates(scores, np.arange(n), n), grades)
+    order = rt.rank_candidates(scores, np.arange(n), n)
+    return rt.block_topk(order, grades, np.zeros(n, dtype=np.intp), 1)
 
 
 def map_of(flag_rows, k):
@@ -412,11 +434,12 @@ class TestSharedLabelMatrix:
         ]
         index = make_index(rng.normal(size=(70, 3)), rng.normal(size=(70, 3)), labels=label_sets)
         want = self.reference(label_sets)
-        top = rt.rank_direction(index, rt.I2T, 30)
+        top = rt.rank_direction(index, rt.I2T, 30, np.zeros(70, dtype=np.intp), 1)
         assert top.grades.dtype == np.float64
         np.testing.assert_array_equal(top.grades, np.take_along_axis(want, top.order, axis=1))
         np.testing.assert_array_equal(top.ideal, -np.sort(-want, axis=1)[:, :30])
         np.testing.assert_array_equal(top.relevant, (want > 0).sum(axis=1))
+        np.testing.assert_array_equal(top.gt_counts, top.relevant[:, None])  # one bin
 
     def test_label_matrix_columns(self):
         labels = cp.label_matrix([frozenset(["b", "a"]), frozenset(["c"])], ["a", "c"])

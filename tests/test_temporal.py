@@ -239,6 +239,24 @@ class TestTopicDensity:
         assert model.num_effective_slices == 2
         assert list(model.slice_map) == [0, 1, 1, 1, 1, 1]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slice_map_equals_forward_merge_loop(self, seed):
+        """Empty slices go to the next nonempty one; slices after the last go to the last."""
+        rng = np.random.default_rng(seed)
+        days = rng.choice(12, size=5, replace=False).tolist() + [12]
+        corpus = day_corpus([(day, {"a": 1}, ["l"]) for day in days])
+        train = corpus.with_documents(corpus.documents[:5])  # the axis still ends at day 12
+        model = tp.fit_topic_densities(train, num_topics=1, seed=0, gibbs_iters=1)
+        axis = train.time_axis
+        nonempty = sorted({axis.slice_of(d.timestamp) for d in train.documents})
+        want, nxt = [], len(nonempty) - 1
+        for s in range(axis.num_slices - 1, -1, -1):
+            if s in nonempty:
+                nxt = nonempty.index(s)
+            want.append(nxt)
+        assert model.slice_map.dtype == np.int64
+        assert model.slice_map.tolist() == want[::-1]
+
 
 class TestSerialization:
     def test_recency_round_trip(self, tmp_path):
@@ -274,6 +292,16 @@ class TestSerialization:
         assert loaded.time_axis == model.time_axis
         np.testing.assert_array_equal(all_pairs(loaded, corpus.documents[:5]),
                                       all_pairs(model, corpus.documents[:5]))
+
+    def test_single_timestamp_kde_round_trip(self, tmp_path):
+        """A train split with one timestamp fits an all-zero grid, which loads."""
+        corpus = day_corpus([(2, {"w": 1}, ["a"]), (2, {"w": 1}, ["b"])])
+        model = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=8)
+        assert not model.grid.any()
+        path = tmp_path / "model.txnt"
+        tp.write_temporal_model(path, model)
+        loaded = tp.read_temporal_model(path)
+        np.testing.assert_array_equal(loaded.grid, model.grid)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.txnt"
