@@ -102,7 +102,7 @@ def cmd_fit_temporal(args) -> int:
     tp.write_temporal_model(args.out, model)
     summary = {"kind": args.kind, "train_documents": len(train)}
     if args.kind == "category":
-        summary["categories_with_curves"] = len(model.curves)
+        summary["categories_with_curves"] = len(model.categories)
     if args.kind == "topic":
         summary["effective_slices"] = model.num_effective_slices
         summary["vocabulary"] = len(model.vocabulary)
@@ -117,6 +117,10 @@ def cmd_train(args) -> int:
     temporal_model = None
     if args.temporal is not None:
         temporal_model = tp.read_temporal_model(args.temporal)
+        axis = getattr(temporal_model, "time_axis", corpus.time_axis)  # only topic models have one
+        if axis != corpus.time_axis:
+            raise tp.TemporalModelError(f"{args.temporal}: the model's time axis {axis} is not"
+                                        f" the corpus's {corpus.time_axis}")
     if cfg.lam > 0 and temporal_model is None:
         raise ConfigError("lambda > 0 requires --temporal with a fitted model")
     result = train_model(train, val, cfg, temporal_model=temporal_model)

@@ -91,15 +91,9 @@ def _field_types():
 
 
 def _coerce(name: str, raw: str):
-    types = {"int": int, "float": float, "str": str}
-    kind = _field_types()[name]
-    py = types.get(kind, str) if isinstance(kind, str) else kind
+    parse = {"int": int, "float": float, "str": str}[_field_types()[name]]
     try:
-        if py is int:
-            return int(raw)
-        if py is float:
-            return float(raw)
-        return raw
+        return parse(raw)
     except ValueError:
         raise ConfigError(f"config key {name!r}: cannot parse {raw!r}") from None
 
@@ -107,7 +101,7 @@ def _coerce(name: str, raw: str):
 def parse_config_text(text: str) -> dict:
     """Parse flat key-value lines into a field dict; unknown keys rejected."""
     known = _field_types()
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -118,7 +112,9 @@ def parse_config_text(text: str) -> dict:
         key = _ALIASES.get(key, key)
         if key not in known:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw)
+        if key in lines:
+            raise ConfigError(f"config lines {lines[key]} and {lineno} both set {key!r}")
+        values[key], lines[key] = _coerce(key, raw), lineno
     return values
 
 

@@ -41,6 +41,11 @@ class CorpusError(Exception):
     """Malformed manifest/features input or invalid document data."""
 
 
+def positive_finite(value) -> bool:
+    """True for a positive finite int or float; False for a bool, NaN or any other type."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class TimeAxis:
     """Continuous time axis of a corpus plus its discrete slice view.
@@ -55,14 +60,15 @@ class TimeAxis:
     num_slices: int
 
     def __post_init__(self):
-        if self.unit <= 0:
-            raise CorpusError("time unit must be positive")
-        if self.num_slices < 1:
-            raise CorpusError("num_slices must be >= 1")
+        if not positive_finite(self.unit):
+            raise CorpusError(f"time unit must be positive and finite, got {self.unit!r}")
+        if type(self.origin) is not int or type(self.num_slices) is not int or self.num_slices < 1:
+            raise CorpusError(f"origin must be an int and num_slices an int >= 1 (bool excluded),"
+                              f" got {self.origin!r} and {self.num_slices!r}")
 
-    def slice_of(self, t: float) -> int:
-        """Slice index of a timestamp given in time units; clamped to range."""
-        return min(max(int(math.floor(t)), 0), self.num_slices - 1)
+    def slice_of(self, t) -> np.ndarray:
+        """Slice indices of timestamps given in time units; clamped to range."""
+        return np.clip(np.floor(t), 0, self.num_slices - 1).astype(np.int64)
 
     def to_epoch(self, t: float) -> int:
         return self.origin + int(round(t * self.unit))
@@ -297,7 +303,7 @@ def from_records(
         raise CorpusError(f"duplicate document id {dupe!r}")
     feats = _feature_matrix(records)
 
-    if not 0 < time_unit < math.inf:  # False for NaN
+    if not positive_finite(time_unit):
         raise CorpusError(f"time unit must be positive and finite, got {time_unit!r}")
     epochs = [int(rec[3]) for rec in records]
     origin = min(epochs)

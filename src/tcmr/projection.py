@@ -158,8 +158,8 @@ class SgdMomentum:
     """
 
     eta: float
-    momentum: float = 0.9
-    decay: float = 0.0
+    momentum: float
+    decay: float
     step_count: int = 0
     velocity: list[np.ndarray] = field(default_factory=list)
 

@@ -12,16 +12,17 @@ time, each returning values in [0, 1]:
     seeded from the previous slice), aggregated over a document's words.
 
 All are fitted on the training split and frozen before subspace learning.
-Training asks each model once per run for ``document_table(documents)``, the
-per-document values its scores are made of (timestamps, category densities,
-or word profiles and effective slices), and then once per mini-batch for
+Each model holds the arrays it scores with, and its constructor owns every
+rule a fitted model must meet, so fitters, the TXNT reader and direct
+construction share one rule. There are no scalar one-pair helpers: training
+asks each model once per run for ``document_table(documents)``, the
+per-document values its scores are made of, and then once per mini-batch for
 ``pair_matrix(table, batch, scored)``: the (b, b) matrix of the correlations
 of batch rows i and j. Misses (pairs without a fitted curve or documents
 without a known word) score 0 and are counted over the ``scored`` pairs
 only. The topic model conditions on document i's words and document j's
-timestamp, so it is asymmetric by construction. Scalar one-pair references
-of every model live in the test suite (``tests/temporal_reference.py``),
-which checks ``pair_matrix`` against them entry by entry and miss by miss.
+timestamp, so it is asymmetric by construction. The tests check
+``pair_matrix`` against scalar references (``tests/temporal_reference.py``).
 Fitted models are saved as TXNT files in the layout of ``container``.
 """
 
@@ -29,19 +30,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .container import Container, write_container
-from .corpus import Corpus, TimeAxis, label_matrix
+from .corpus import Corpus, CorpusError, TimeAxis, label_matrix, positive_finite
 
 TEMPORAL_MAGIC = b"TXNT"
 TEMPORAL_VERSION = 2  # written as the header's "version" key
 KIND_TAGS = {"recency": b"REC\x00", "category": b"KDE\x00", "topic": b"TOP\x00"}
 _TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
 
-DEFAULT_TOPIC_FLOOR = 1e-6
 TOPIC_ALPHA_MASS = 50.0  # the document-topic prior alpha is TOPIC_ALPHA_MASS / num_topics
 TOPIC_BETA_PRIOR = 0.01  # the symmetric topic-word prior
 KDE_BLOCK = 64  # query points per block in gaussian_kde_density
@@ -51,9 +51,20 @@ class TemporalModelError(Exception):
     pass
 
 
+def _require(ok, fault):
+    if not ok:
+        raise TemporalModelError(fault)
+
+
 def _require_positive(name, value):
-    if not 0 < value < math.inf:  # False for NaN
-        raise TemporalModelError(f"{name} must be positive and finite, got {value!r}")
+    _require(positive_finite(value),
+             f"{name} must be positive and finite (an int or a float), got {value!r}")
+
+
+def _require_names(name, values):
+    _require(isinstance(values, list) and all(isinstance(v, str) for v in values),
+             f"{name} must be a list of strings")
+    _require(len(set(values)) == len(values), f"repeated entry in {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +119,21 @@ class CategoryKDE:
 
     bandwidth: float
     grid: np.ndarray
-    curves: dict[str, np.ndarray]
+    categories: list[str]
+    curves: np.ndarray  # row c is the curve of categories[c], sampled at grid
     missing_pair_count: int = 0
 
     kind = "category"
 
     def __post_init__(self):
         _require_positive("bandwidth", self.bandwidth)
+        _require_names("categories", self.categories)
+        _require(np.ndim(self.grid) == 1 and len(self.grid) >= 2
+                 and (np.diff(self.grid) >= 0).all(),
+                 "the KDE grid needs at least 2 points in non-decreasing order")
+        _require(np.shape(self.curves) == (len(self.categories), len(self.grid)),
+                 "KDE curves need one row per category and one column per grid point")
+        _require(((self.curves >= 0) & (self.curves <= 1)).all(), "KDE curve values outside [0, 1]")
 
     def document_table(self, documents):
         """(densities, labelled) over the categories that have a curve.
@@ -122,12 +141,11 @@ class CategoryKDE:
         ``labelled[i, c]`` is 1 when document i carries category c, and
         ``densities[i, c]`` is then the curve's value at its timestamp, else 0.
         """
-        cats = sorted(self.curves)
-        labelled = label_matrix([d.labels for d in documents], cats)
+        labelled = label_matrix([d.labels for d in documents], self.categories)
         t = np.array([d.timestamp for d in documents], dtype=np.float64)
         densities = np.empty_like(labelled)
-        for k, cat in enumerate(cats):
-            densities[:, k] = np.interp(t, self.grid, self.curves[cat])
+        for k, curve in enumerate(self.curves):
+            densities[:, k] = np.interp(t, self.grid, curve)
         return densities * labelled, labelled
 
     def pair_matrix(self, table, batch, scored) -> np.ndarray:
@@ -140,27 +158,20 @@ class CategoryKDE:
         return (d[:, None, :] * d[None, :, :]).max(axis=2, initial=0.0)
 
 
-def fit_category_kde(train: Corpus, bandwidth: float, grid_size: int = 2048) -> CategoryKDE:
+def fit_category_kde(train: Corpus, bandwidth: float, grid_size: int) -> CategoryKDE:
     """Fit one Gaussian-KDE curve per category with at least one observation.
 
     Curves are sampled on a uniform grid over the corpus timespan and
     peak-normalized so the maximum is exactly 1.
     """
     _require_positive("bandwidth", bandwidth)
-    if grid_size < 2:
-        raise TemporalModelError("grid_size must be >= 2")
-    t_max = max(d.timestamp for d in train.documents)
-    grid = np.linspace(0.0, t_max, grid_size)
-    per_category: dict[str, list[float]] = {}
-    for doc in train.documents:
-        for lab in doc.labels:
-            per_category.setdefault(lab, []).append(doc.timestamp)
-    curves = {}
-    for lab in sorted(per_category):
-        obs = np.array(per_category[lab], dtype=np.float64)
-        raw = gaussian_kde_density(obs, grid, bandwidth)
-        curves[lab] = raw / raw.max()
-    return CategoryKDE(bandwidth=bandwidth, grid=grid, curves=curves)
+    t, labels = train.timestamps(), train.label_sets()
+    grid = np.linspace(0.0, t.max(), grid_size)
+    cats = sorted(set().union(*labels))
+    raw = np.array([gaussian_kde_density(t[member > 0], grid, bandwidth)
+                    for member in label_matrix(labels, cats).T])
+    return CategoryKDE(bandwidth=bandwidth, grid=grid, categories=cats,
+                       curves=raw / raw.max(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +184,7 @@ class TopicDensity:
 
     ``phi`` has one row per vocabulary word, one column per effective
     (nonempty, after forward-merging) time slice; rows sum to 1.
-    ``slice_map`` sends every original slice index to its effective slice.
+    ``slice_map`` sends every slice of ``time_axis`` to its effective slice.
     """
 
     num_topics: int
@@ -181,55 +192,50 @@ class TopicDensity:
     phi: np.ndarray
     slice_map: np.ndarray
     time_axis: TimeAxis
-    floor: float = DEFAULT_TOPIC_FLOOR
-    aggregate: str = "geometric"
+    floor: float
+    aggregate: str
     empty_word_count: int = 0
-    _token_index: dict = field(default=None, repr=False)
 
     kind = "topic"
 
     def __post_init__(self):
+        _require(type(self.num_topics) is int and self.num_topics >= 1,  # bool is not int here
+                 f"num_topics must be an int >= 1, got {self.num_topics!r}")
+        _require_names("vocabulary", self.vocabulary)
+        _require(np.ndim(self.phi) == 2 and len(self.phi) == len(self.vocabulary),
+                 "phi needs one row per vocabulary word")
+        _require(np.shape(self.slice_map) == (self.time_axis.num_slices,),
+                 "slice_map needs one entry per time slice")
+        s, e = self.slice_map, self.num_effective_slices
+        _require(((s % 1 == 0) & (s >= 0) & (s < e)).all(),
+                 f"slice_map entries must be integers in [0, {e})")
+        self.slice_map = s.astype(np.int64)
         _require_positive("floor", self.floor)
-        if self._token_index is None:
-            self._token_index = {tok: i for i, tok in enumerate(self.vocabulary)}
+        _require(self.aggregate in ("geometric", "product"),
+                 f"unknown aggregate {self.aggregate!r}")
 
     @property
     def num_effective_slices(self) -> int:
         return self.phi.shape[1]
 
-    def profile(self, tokens) -> np.ndarray | None:
-        """Aggregate word-density profile over effective slices, peaking at 1.
-
-        Computed in log space; None when no token is in the vocabulary.
-        """
-        ids = sorted({self._token_index[t] for t in tokens if t in self._token_index})
-        if not ids:
-            return None
-        logq = np.log(np.maximum(self.phi[ids, :], self.floor))
-        if self.aggregate == "geometric":
-            m = logq.mean(axis=0)
-        elif self.aggregate == "product":
-            m = logq.sum(axis=0)
-        else:
-            raise TemporalModelError(f"unknown aggregate {self.aggregate!r}")
-        return np.exp(m - m.max())
-
-    def effective_slice(self, t: float) -> int:
-        return int(self.slice_map[self.time_axis.slice_of(t)])
-
     def document_table(self, documents):
-        """(profiles, empty, slices): each document's profile (a zero row when
-        no token is known), whether it has no known token, and the effective
-        slice of its timestamp."""
+        """(profiles, empty, slices): each document's profile (the mean or, for
+        ``product``, the sum of log(max(phi, floor)) over its known words, shifted
+        to peak at 1 after exp; a zero row when none is known), whether it has no
+        known word, and the effective slice of its timestamp."""
+        column = {tok: i for i, tok in enumerate(self.vocabulary)}
+        log_phi = np.log(np.maximum(self.phi, self.floor))
         profiles = np.zeros((len(documents), self.num_effective_slices))
         empty = np.zeros(len(documents), dtype=bool)
         for i, doc in enumerate(documents):
-            prof = self.profile(doc.text_counts)
-            if prof is None:
+            rows = sorted(column[t] for t in doc.text_counts if t in column)
+            if not rows:
                 empty[i] = True
-            else:
-                profiles[i] = prof
-        slices = np.array([self.effective_slice(d.timestamp) for d in documents], dtype=np.intp)
+                continue
+            logq = log_phi[rows]
+            m = logq.mean(axis=0) if self.aggregate == "geometric" else logq.sum(axis=0)
+            profiles[i] = np.exp(m - m.max())
+        slices = self.slice_map[self.time_axis.slice_of([d.timestamp for d in documents])]
         return profiles, empty, slices
 
     def pair_matrix(self, table, batch, scored) -> np.ndarray:
@@ -311,10 +317,10 @@ def fit_topic_densities(
     train: Corpus,
     num_topics: int,
     seed: int,
-    gibbs_iters: int = 60,
-    kappa: float = 0.5,
-    floor: float = DEFAULT_TOPIC_FLOOR,
-    aggregate: str = "geometric",
+    gibbs_iters: int,
+    kappa: float,
+    floor: float,
+    aggregate: str,
 ) -> TopicDensity:
     """Fit per-word temporal densities with the chained-slice estimator.
 
@@ -327,8 +333,6 @@ def fit_topic_densities(
     """
     if num_topics < 1:
         raise TemporalModelError("need at least one topic")
-    if aggregate not in ("geometric", "product"):
-        raise TemporalModelError(f"unknown aggregate {aggregate!r}")
     alpha = TOPIC_ALPHA_MASS / num_topics
     axis = train.time_axis
     vocab = list(train.vocabulary)
@@ -338,11 +342,11 @@ def fit_topic_densities(
         raise TemporalModelError("training corpus has an empty vocabulary")
 
     slice_docs: dict[int, list[list[int]]] = {}
-    for doc in train.documents:
+    for doc, s in zip(train.documents, axis.slice_of(train.timestamps()).tolist()):
         ids = []
         for tok in sorted(doc.text_counts):
             ids.extend([token_index[tok]] * doc.text_counts[tok])
-        slice_docs.setdefault(axis.slice_of(doc.timestamp), []).append(ids)
+        slice_docs.setdefault(s, []).append(ids)
 
     nonempty = sorted(slice_docs)
     # each slice goes to the first nonempty slice at or after it, else the last one
@@ -387,9 +391,9 @@ def write_temporal_model(path, model) -> None:
     if isinstance(model, RecencyModel):
         header, arrays = {"h_rec": model.h_rec}, []
     elif isinstance(model, CategoryKDE):
-        cats = sorted(model.curves)
-        header = {"bandwidth": model.bandwidth, "grid_size": len(model.grid), "categories": cats}
-        arrays = [model.grid, *(model.curves[c] for c in cats)]
+        header = {"bandwidth": model.bandwidth, "grid_size": len(model.grid),
+                  "categories": model.categories}
+        arrays = [model.grid, model.curves]
     elif isinstance(model, TopicDensity):
         header = {
             "num_topics": model.num_topics,
@@ -397,11 +401,7 @@ def write_temporal_model(path, model) -> None:
             "floor": model.floor,
             "aggregate": model.aggregate,
             "num_effective_slices": model.num_effective_slices,
-            "time_axis": {
-                "unit": model.time_axis.unit,
-                "origin": model.time_axis.origin,
-                "num_slices": model.time_axis.num_slices,
-            },
+            "time_axis": asdict(model.time_axis),
         }
         arrays = [model.phi, model.slice_map]
     else:
@@ -411,32 +411,22 @@ def write_temporal_model(path, model) -> None:
 
 
 def _read_model(box, kind):
-    def require(ok, fault):
-        if not ok:
-            raise TemporalModelError(f"{box.path}: {fault}")
-
-    header = box.header
+    """Read the arrays; return the call that builds the model from them and the header."""
+    h = box.header
     if kind == "recency":
         box.arrays([])
-        return RecencyModel(h_rec=header["h_rec"])
+        return lambda: RecencyModel(h_rec=h["h_rec"])
     if kind == "category":
-        cats = header["categories"]
-        require(len(set(cats)) == len(cats), "repeated entry in categories")
-        grid, *curves = box.arrays([(header["grid_size"],)] * (1 + len(cats)))
-        require(len(grid) >= 2 and (np.diff(grid) >= 0).all(),
-                "the KDE grid needs at least 2 points in non-decreasing order")
-        require(all(((c >= 0) & (c <= 1)).all() for c in curves), "KDE curve values outside [0, 1]")
-        return CategoryKDE(bandwidth=header["bandwidth"], grid=grid, curves=dict(zip(cats, curves)))
-    vocab = header["vocabulary"]
-    require(len(set(vocab)) == len(vocab), "repeated entry in vocabulary")
-    axis = TimeAxis(**header["time_axis"])
-    phi, slice_map = box.arrays([(len(vocab), header["num_effective_slices"]), (axis.num_slices,)])
-    require(((slice_map % 1 == 0) & (slice_map >= 0) & (slice_map < phi.shape[1])).all(),
-            f"slice_map entries must be integers in [0, {phi.shape[1]})")
-    return TopicDensity(
-        num_topics=header["num_topics"], vocabulary=vocab, phi=phi,
-        slice_map=slice_map.astype(np.int64), time_axis=axis,
-        floor=header["floor"], aggregate=header["aggregate"],
+        size = h["grid_size"]
+        grid, curves = box.arrays([(size,), (len(h["categories"]), size)])
+        return lambda: CategoryKDE(bandwidth=h["bandwidth"], grid=grid,
+                                   categories=h["categories"], curves=curves)
+    axis = h["time_axis"]
+    phi, slice_map = box.arrays([(len(h["vocabulary"]), h["num_effective_slices"]),
+                                 (axis["num_slices"],)])
+    return lambda: TopicDensity(
+        num_topics=h["num_topics"], vocabulary=h["vocabulary"], phi=phi, slice_map=slice_map,
+        time_axis=TimeAxis(**axis), floor=h["floor"], aggregate=h["aggregate"],
     )
 
 
@@ -452,6 +442,10 @@ def read_temporal_model(path):
             f" {TEMPORAL_VERSION}; re-run fit-temporal to rewrite the model"
         )
     try:
-        return _read_model(box, kind)
+        build = _read_model(box, kind)  # the box's own faults name the path already
+        try:
+            return build()
+        except (TemporalModelError, CorpusError) as exc:
+            raise TemporalModelError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise TemporalModelError(f"{path}: malformed {kind} header ({exc!r})") from None

@@ -24,9 +24,9 @@ def category_sim(model, doc_i, doc_j):
     """Max over shared fitted categories of the two density values' product."""
     best = None
     for lab in doc_i.labels & doc_j.labels:
-        curve = model.curves.get(lab)
-        if curve is None:
+        if lab not in model.categories:
             continue
+        curve = model.curves[model.categories.index(lab)]
         value = float(np.interp(doc_i.timestamp, model.grid, curve)
                       * np.interp(doc_j.timestamp, model.grid, curve))
         if best is None or value > best:
@@ -35,11 +35,22 @@ def category_sim(model, doc_i, doc_j):
 
 
 def topic_sim(model, doc_i, doc_j):
-    """doc_i's word profile at the effective slice of doc_j's timestamp."""
-    prof = model.profile(doc_i.text_counts)
-    if prof is None:
+    """doc_i's word profile at the effective slice of doc_j's timestamp.
+
+    The profile is exp(m - max m), where m is the mean (geometric) or the sum
+    (product) of log(max(phi, floor)) over doc_i's known words, taken in
+    vocabulary order. The slice of doc_j is its floored timestamp, clamped to
+    the time axis, sent through the slice map.
+    """
+    rows = sorted(model.vocabulary.index(tok) for tok in doc_i.text_counts
+                  if tok in model.vocabulary)
+    if not rows:
         return None
-    return float(prof[model.effective_slice(doc_j.timestamp)])
+    logq = np.log(np.maximum(model.phi[rows, :], model.floor))
+    m = {"geometric": logq.mean(axis=0), "product": logq.sum(axis=0)}[model.aggregate]
+    profile = np.exp(m - m.max())
+    t = min(max(math.floor(doc_j.timestamp), 0), model.time_axis.num_slices - 1)
+    return float(profile[int(model.slice_map[t])])
 
 
 REFERENCES = {"recency": recency_sim, "category": category_sim, "topic": topic_sim}

@@ -208,7 +208,8 @@ def test_temporal_model_correctness():
     peak = tp.gaussian_kde_density(obs, kde.grid, 1.0).max()
     queries = rng.uniform(0, 30, size=2000)
     direct = tp.gaussian_kde_density(obs, queries, 1.0) / peak
-    interp = np.interp(queries, kde.grid, kde.curves["a"])
+    curve_a = kde.curves[kde.categories.index("a")]
+    interp = np.interp(queries, kde.grid, curve_a)
     kde_err = float(np.abs(interp - direct).max())
     assert kde_err < 1e-3
 
@@ -227,7 +228,8 @@ def test_temporal_model_correctness():
             for i in range(60)
         ]
     )
-    topic = tp.fit_topic_densities(topic_corpus, num_topics=3, seed=0, gibbs_iters=10)
+    topic = tp.fit_topic_densities(topic_corpus, num_topics=3, seed=0, gibbs_iters=10,
+                                   kappa=0.5, floor=1e-6, aggregate="geometric")
     phi_err = float(np.abs(topic.phi.sum(axis=1) - 1.0).max())
     assert phi_err < 1e-9
 
@@ -241,18 +243,17 @@ def test_temporal_model_correctness():
     spot = math.isqrt(n_evals // 10)
     cat_vals = all_pairs(kde, [doc_at(t, "a") for t in ts[:spot, 0]])
     ok_cat = cat_vals.size == n_evals // 10 and bool(((cat_vals >= 0) & (cat_vals <= 1)).all())
-    curve_vals = np.interp(ts[:, 0], kde.grid, kde.curves["a"]) * np.interp(
-        ts[:, 1], kde.grid, kde.curves["a"]
-    )
+    curve_vals = np.interp(ts[:, 0], kde.grid, curve_a) * np.interp(ts[:, 1], kde.grid, curve_a)
     ok_cat = ok_cat and bool(((curve_vals >= 0) & (curve_vals <= 1)).all())
 
     # a batch of 100 documents drawn with repeats: 10k (i, j) pairs
     docs = topic_corpus.documents
     batch = rng.integers(0, len(docs), size=spot)
     scored = np.ones((spot, spot), dtype=bool)
-    topic_vals = topic.pair_matrix(topic.document_table(docs), batch, scored)
-    prof = np.stack([topic.profile(d.text_counts) for d in docs])
-    ok_topic = bool(((prof >= 0) & (prof <= 1.0 + 1e-12)).all())
+    table = topic.document_table(docs)
+    topic_vals = topic.pair_matrix(table, batch, scored)
+    prof, empty, _ = table  # every document has a known word, so every row is a profile
+    ok_topic = not empty.any() and bool(((prof >= 0) & (prof <= 1.0 + 1e-12)).all())
     ok_topic = ok_topic and bool(((topic_vals >= 0) & (topic_vals <= 1)).all())
 
     report(

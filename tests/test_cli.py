@@ -217,7 +217,7 @@ class TestPipeline:
                          "--config", str(cfg), "--out", str(path)]) == 0
             if what == "curve":
                 kde = tp.read_temporal_model(path)
-                next(iter(kde.curves.values()))[1] = math.nan
+                kde.curves[0, 1] = math.nan
                 tp.write_temporal_model(path, kde)
             else:
                 value = math.inf if case.endswith("inf") else math.nan
@@ -251,9 +251,9 @@ class TestPipeline:
         elif case.startswith("grid_size="):
             n = int(case.split("=")[1])
             model.grid = model.grid[:n]
-            model.curves = {c: curve[:n] for c, curve in model.curves.items()}
+            model.curves = model.curves[:, :n]
         elif case == "curve*5":
-            model.curves = {c: 5.0 * curve for c, curve in model.curves.items()}
+            model.curves = 5.0 * model.curves
         tp.write_temporal_model(path, model)
         if case == "categories-repeated":  # the curves stay, one name appears twice
             TestTruncatedBinaries.rewrite_header(
@@ -263,6 +263,60 @@ class TestPipeline:
                      "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
         err = capsys.readouterr().err
         assert fault in err and str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "m.txnm").exists()
+
+    @pytest.mark.parametrize("kind, edit, fault", [
+        pytest.param("recency", lambda h: dict(h, h_rec=True), "h_rec must be positive and finite",
+                     id="h_rec=true"),
+        pytest.param("category", lambda h: dict(h, bandwidth=True),
+                     "bandwidth must be positive and finite", id="bandwidth=true"),
+        pytest.param("category", lambda h: dict(h, categories=[1 + i for i in
+                                                               range(len(h["categories"]))]),
+                     "categories must be a list of strings", id="categories=ints"),
+        pytest.param("category", lambda h: dict(h, categories="abcdefgh"[:len(h["categories"])]),
+                     "categories must be a list of strings", id="categories=string"),
+        pytest.param("topic", lambda h: dict(h, vocabulary=list(range(len(h["vocabulary"])))),
+                     "vocabulary must be a list of strings", id="vocabulary=ints"),
+        pytest.param("topic", lambda h: dict(h, num_topics=-3), "num_topics must be an int >= 1",
+                     id="num_topics=-3"),
+        pytest.param("topic", lambda h: dict(h, aggregate="sum"), "unknown aggregate 'sum'",
+                     id="aggregate=sum"),
+        pytest.param("topic", lambda h: dict(h, time_axis=dict(h["time_axis"], unit=math.inf)),
+                     "time unit must be positive and finite", id="unit=inf"),
+        pytest.param("topic", lambda h: dict(h, time_axis=dict(h["time_axis"], unit=0)),
+                     "time unit must be positive and finite", id="unit=0"),
+        pytest.param("topic", lambda h: dict(h, time_axis=dict(h["time_axis"], origin="x")),
+                     "origin must be an int", id="origin=x"),
+    ])
+    def test_temporal_header_value_breaking_a_model_rule(self, workspace, capsys, kind, edit,
+                                                         fault):
+        """Every rule a fitted model meets holds for a read one; the fault names the file."""
+        tmp_path, data, cfg = workspace
+        path = tmp_path / f"{kind}.txnt"
+        assert main(["fit-temporal", "--kind", kind, "--corpus", str(data),
+                     "--config", str(cfg), "--out", str(path)]) == 0
+        TestTruncatedBinaries.rewrite_header(path, edit)
+        capsys.readouterr()
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {fault}" in err and "Traceback" not in err
+        assert not (tmp_path / "m.txnm").exists()
+
+    def test_topic_model_of_another_time_axis_is_data_error(self, workspace, capsys):
+        """A topic model fitted in days does not score a corpus read in hours."""
+        tmp_path, data, cfg = workspace
+        path = tmp_path / "topic.txnt"
+        assert main(["fit-temporal", "--kind", "topic", "--corpus", str(data),
+                     "--config", str(cfg), "--out", str(path)]) == 0
+        hours = tmp_path / "hours.cfg"
+        hours.write_text(TINY_CFG + "time_unit = 3600\n")
+        capsys.readouterr()
+        assert main(["train", "--corpus", str(data), "--config", str(hours),
+                     "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert "TimeAxis(unit=86400.0" in err and "TimeAxis(unit=3600.0" in err
         assert not (tmp_path / "m.txnm").exists()
 
     @pytest.mark.parametrize("flag", ["--checkpoint", "--config", "--temporal", "--corpus"])
@@ -448,7 +502,8 @@ class TestTruncatedBinaries:
         return [
             tp.RecencyModel(h_rec=0.3),
             tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=4),
-            tp.fit_topic_densities(corpus, num_topics=1, seed=0, gibbs_iters=1),
+            tp.fit_topic_densities(corpus, num_topics=1, seed=0, gibbs_iters=1, kappa=0.5,
+                                   floor=1e-6, aggregate="geometric"),
         ]
 
     @staticmethod
@@ -556,14 +611,14 @@ class TestTruncatedBinaries:
         tmp_path, data, cfg = workspace
         corpus = self.model_corpus()
         kde = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=4)
-        cats = sorted(kde.curves)
+        cats = kde.categories
         # version 1 also stored each category's observed timestamps after the curves
         obs = [np.array([d.timestamp for d in corpus.documents if c in d.labels]) for c in cats]
         v1_files = {
             "recency": (b"REC\x00", {"h_rec": 0.3}, []),
             "category": (b"KDE\x00", {"bandwidth": 1.0, "grid_size": 4, "categories": cats,
                                       "obs_lens": [len(o) for o in obs]},
-                         [kde.grid, *(kde.curves[c] for c in cats), *obs]),
+                         [kde.grid, *kde.curves, *obs]),
         }
         path = tmp_path / "v1.txnt"
         for kind, (tag, header, arrays) in v1_files.items():
@@ -750,7 +805,7 @@ class TestFuzzedBinaries:
     @given(where=st.integers(0, 10**6), value=json_value)
     def test_header_value_of_another_type(self, which, where, value):
         """Byte flips seldom leave valid JSON, so this mutation retypes one header value."""
-        reader, data, _ = self.files[which]
+        reader, data, name = self.files[which]
         self.target.write_bytes(data)
 
         def edit(header):
@@ -767,4 +822,8 @@ class TestFuzzedBinaries:
         try:
             reader(self.target)
         except READER_ERRORS:
-            pass
+            return
+        # a TXNT header holds no value that null, a bool, a string, a list or an object
+        # may stand in for; a number may stand in for another number
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        assert which == 0 or numeric, f"{name}: a header value retyped to {value!r} was accepted"

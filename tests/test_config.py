@@ -87,6 +87,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config_text("epochs = soon")
 
+    @pytest.mark.parametrize("text, fault", [
+        ("lambda = 1.0\nlam = 0.0", "config lines 1 and 2 both set 'lam'"),
+        ("epochs = 3\n\n# again\nepochs = 4", "config lines 1 and 4 both set 'epochs'"),
+    ], ids=["alias", "same-key"])
+    def test_key_given_twice_rejected(self, text, fault):
+        with pytest.raises(ConfigError, match=fault):
+            parse_config_text(text)
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("epochs")

@@ -44,8 +44,8 @@ AXIS = TimeAxis(unit=86400.0, origin=1_500_000_000, num_slices=3)
 TEMPORAL_LAYOUTS = {
     "recency": (tp.RecencyModel(h_rec=0.3), b"REC\x00", {"h_rec": 0.3}, []),
     "category": (
-        tp.CategoryKDE(bandwidth=1.5, grid=np.array([0.0, 1.0, 2.0]),
-                       curves={"b": np.array([0.25, 1.0, 0.5]), "a": np.array([1.0, 0.0, 0.125])}),
+        tp.CategoryKDE(bandwidth=1.5, grid=np.array([0.0, 1.0, 2.0]), categories=["a", "b"],
+                       curves=np.array([[1.0, 0.0, 0.125], [0.25, 1.0, 0.5]])),
         b"KDE\x00",
         {"bandwidth": 1.5, "grid_size": 3, "categories": ["a", "b"]},
         [[0.0, 1.0, 2.0], [1.0, 0.0, 0.125], [0.25, 1.0, 0.5]],
@@ -53,9 +53,10 @@ TEMPORAL_LAYOUTS = {
     "topic": (
         tp.TopicDensity(num_topics=2, vocabulary=["y", "x"],
                         phi=np.array([[0.75, 0.25], [0.5, 0.5]]),
-                        slice_map=np.array([0, 1, 1]), time_axis=AXIS),
+                        slice_map=np.array([0, 1, 1]), time_axis=AXIS, floor=1e-6,
+                        aggregate="geometric"),
         b"TOP\x00",
-        {"num_topics": 2, "vocabulary": ["y", "x"], "floor": tp.DEFAULT_TOPIC_FLOOR,
+        {"num_topics": 2, "vocabulary": ["y", "x"], "floor": 1e-6,
          "aggregate": "geometric", "num_effective_slices": 2,
          "time_axis": {"unit": 86400.0, "origin": 1_500_000_000, "num_slices": 3}},
         [[[0.75, 0.25], [0.5, 0.5]], [0.0, 1.0, 1.0]],

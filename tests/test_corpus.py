@@ -148,6 +148,25 @@ class TestLoad:
         assert [d.timestamp for d in corpus.documents] == [0.0, 1.0, 3.0]
         assert axis.slice_of(3.0) == 3
 
+    def test_slice_of_floors_and_clamps_an_array(self):
+        axis = cp.TimeAxis(unit=1.0, origin=0, num_slices=4)
+        t = [-0.5, 0.0, 0.99, 1.0, 2.5, 3.999, 4.0, 1e300]
+        got = axis.slice_of(np.array(t))
+        assert got.dtype == np.int64
+        assert got.tolist() == [0, 0, 0, 1, 2, 3, 3, 3]
+        assert got.tolist() == [min(max(math.floor(x), 0), 3) for x in t]  # the scalar rule
+
+    @pytest.mark.parametrize("field, value", [
+        ("unit", 0), ("unit", -1.0), ("unit", math.nan), ("unit", math.inf), ("unit", True),
+        ("unit", "1"), ("origin", "x"), ("origin", 0.0), ("origin", True), ("num_slices", 2.0),
+        ("num_slices", True), ("num_slices", 0),
+    ])
+    def test_time_axis_checks_itself(self, field, value):
+        fault = ("time unit must be positive and finite" if field == "unit"
+                 else "origin must be an int and num_slices an int >= 1")
+        with pytest.raises(cp.CorpusError, match=fault):
+            cp.TimeAxis(**dict({"unit": 1.0, "origin": 0, "num_slices": 2}, **{field: value}))
+
     @pytest.mark.parametrize("unit", [0.0, -1.0, math.nan, math.inf])
     def test_time_unit_must_be_positive_and_finite(self, tmp_path, unit):
         manifest, features, _ = make_bundle(tmp_path, three_doc_rows(), np.zeros((3, 4)))

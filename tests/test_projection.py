@@ -180,7 +180,7 @@ class TestSgd:
         before = [p.copy() for p in model.params()]
         grads = self._unit_grads(1.0)
         grads[tensor] = np.full_like(grads[tensor], np.nan)
-        opt = pj.SgdMomentum(eta=0.1)
+        opt = pj.SgdMomentum(eta=0.1, momentum=0.9, decay=0.0)
         with pytest.raises(pj.NonFiniteGradientError, match=f"non-finite gradient in {name}$"):
             opt.step(model, grads, batch_size=1)
         for p, p0 in zip(model.params(), before, strict=True):
@@ -188,7 +188,7 @@ class TestSgd:
 
     def test_short_gradient_list_raises(self):
         model = self._scalar_model()
-        opt = pj.SgdMomentum(eta=0.1)
+        opt = pj.SgdMomentum(eta=0.1, momentum=0.9, decay=0.0)
         with pytest.raises(ValueError, match="zip"):
             opt.step(model, self._unit_grads(1.0)[:4], batch_size=1)
         assert model.text_net.W1[0, 0] == 0.0 and model.image_net.W1[0, 0] == 0.0

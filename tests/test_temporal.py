@@ -9,6 +9,7 @@ from temporal_reference import all_pairs, counted_misses, doc_at, pair_sim, refe
 
 DAY = 86400
 ONE_PAIR = np.array([[False, True], [False, False]])  # scores only (doc_i, doc_j)
+TOPIC_FIT = {"kappa": 0.5, "floor": 1e-6, "aggregate": "geometric"}  # RunConfig's defaults
 
 
 def day_corpus(doc_specs):
@@ -18,6 +19,10 @@ def day_corpus(doc_specs):
         for i, (day, tokens, labels) in enumerate(doc_specs)
     ]
     return cp.from_records(records)
+
+
+def curve(model, category):
+    return model.curves[model.categories.index(category)]
 
 
 def batch_sim(model, doc_i, doc_j):
@@ -54,7 +59,7 @@ class TestCategoryKDE:
     def test_single_observation_peak(self):
         corpus = day_corpus([(3, {"w": 1}, ["a"]), (0, {"w": 1}, ["b"]), (6, {"w": 1}, ["b"])])
         model = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=1024)
-        assert np.interp(3.0, model.grid, model.curves["a"]) == pytest.approx(1.0, abs=1e-6)
+        assert np.interp(3.0, model.grid, curve(model, "a")) == pytest.approx(1.0, abs=1e-6)
 
     def test_two_observation_hand_values(self):
         corpus = day_corpus([(0, {"w": 1}, ["a"]), (10, {"w": 1}, ["a"])])
@@ -62,9 +67,9 @@ class TestCategoryKDE:
         raw0 = tp.gaussian_kde_density(obs, 0.0, 1.0)
         assert raw0 == pytest.approx(0.5 * 0.3989422804, abs=1e-6)
         model = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=2048)
-        assert np.interp(0.0, model.grid, model.curves["a"]) == pytest.approx(1.0, abs=1e-6)
-        assert np.interp(10.0, model.grid, model.curves["a"]) == pytest.approx(1.0, abs=1e-6)
-        mid = np.interp(5.0, model.grid, model.curves["a"])
+        assert np.interp(0.0, model.grid, curve(model, "a")) == pytest.approx(1.0, abs=1e-6)
+        assert np.interp(10.0, model.grid, curve(model, "a")) == pytest.approx(1.0, abs=1e-6)
+        mid = np.interp(5.0, model.grid, curve(model, "a"))
         assert mid == pytest.approx(7.45e-6, rel=0.05)
         assert mid == pytest.approx(tp.gaussian_kde_density(obs, 5.0, 1.0) / raw0, rel=1e-3)
 
@@ -80,7 +85,7 @@ class TestCategoryKDE:
         peak = tp.gaussian_kde_density(obs, model.grid, 1.0).max()
         for t in rng.uniform(0, 30, size=200):
             direct = tp.gaussian_kde_density(obs, float(t), 1.0) / peak
-            assert abs(np.interp(float(t), model.grid, model.curves["a"]) - direct) < 1e-3
+            assert abs(np.interp(float(t), model.grid, curve(model, "a")) - direct) < 1e-3
 
     def test_sim_peak_product(self):
         corpus = day_corpus([(5, {"w": 1}, ["a"]), (0, {"w": 1}, ["b"]), (10, {"w": 1}, ["b"])])
@@ -98,16 +103,14 @@ class TestCategoryKDE:
         model = tp.CategoryKDE(
             bandwidth=1.0,
             grid=grid,
-            curves={
-                "a": np.full(8, math.sqrt(0.2)),
-                "b": np.full(8, math.sqrt(0.6)),
-            },
+            categories=["a", "b"],
+            curves=np.array([np.full(8, math.sqrt(0.2)), np.full(8, math.sqrt(0.6))]),
         )
         assert batch_sim(model, doc_at(0.2, "ab"), doc_at(0.8, "ab")) == pytest.approx(0.6)
 
     def test_sim_without_fitted_shared_label(self):
         corpus = day_corpus([(0, {"w": 1}, ["a"]), (1, {"w": 1}, ["a"])])
-        model = tp.fit_category_kde(corpus, bandwidth=1.0)
+        model = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=2048)
         assert batch_sim(model, doc_at(0.0, ["z"]), doc_at(1.0, ["z"])) == 0.0
         assert model.missing_pair_count == 1
 
@@ -127,7 +130,7 @@ class TestCategoryKDE:
 class TestTopicDensity:
     def test_single_slice_profile_is_one(self):
         corpus = day_corpus([(0, {"a": 2, "b": 1}, ["l"]), (0, {"b": 3}, ["l"])])
-        model = tp.fit_topic_densities(corpus, num_topics=2, seed=0, gibbs_iters=10)
+        model = tp.fit_topic_densities(corpus, num_topics=2, seed=0, gibbs_iters=10, **TOPIC_FIT)
         assert model.phi.shape[1] == 1
         np.testing.assert_allclose(model.phi, 1.0)
 
@@ -135,7 +138,7 @@ class TestTopicDensity:
         specs = [(d, {"common": 3}, ["l"]) for d in range(5)]
         specs[3] = (3, {"common": 3, "rare": 4}, ["l"])
         corpus = day_corpus(specs)
-        model = tp.fit_topic_densities(corpus, num_topics=1, seed=1, gibbs_iters=20)
+        model = tp.fit_topic_densities(corpus, num_topics=1, seed=1, gibbs_iters=20, **TOPIC_FIT)
         curve = model.phi[model.vocabulary.index("rare")]
         assert int(np.argmax(curve)) == 3
         assert curve[3] > 0.5
@@ -147,7 +150,7 @@ class TestTopicDensity:
             for _ in range(30)
         ]
         corpus = day_corpus(specs)
-        model = tp.fit_topic_densities(corpus, num_topics=3, seed=2, gibbs_iters=15)
+        model = tp.fit_topic_densities(corpus, num_topics=3, seed=2, gibbs_iters=15, **TOPIC_FIT)
         np.testing.assert_allclose(model.phi.sum(axis=1), 1.0, atol=1e-9)
         assert (model.phi >= 0).all()
 
@@ -156,9 +159,9 @@ class TestTopicDensity:
         corpus = day_corpus(specs)
         gibbs_slice = tp._gibbs_slice
         counts_a = record_slice_counts(monkeypatch, gibbs_slice)
-        a = tp.fit_topic_densities(corpus, num_topics=3, seed=9, gibbs_iters=15)
+        a = tp.fit_topic_densities(corpus, num_topics=3, seed=9, gibbs_iters=15, **TOPIC_FIT)
         counts_b = record_slice_counts(monkeypatch, gibbs_slice)
-        b = tp.fit_topic_densities(corpus, num_topics=3, seed=9, gibbs_iters=15)
+        b = tp.fit_topic_densities(corpus, num_topics=3, seed=9, gibbs_iters=15, **TOPIC_FIT)
         np.testing.assert_array_equal(a.phi, b.phi)
         assert len(counts_a) == len(counts_b) == a.num_effective_slices
         for got, want in zip(counts_a, counts_b):
@@ -174,6 +177,7 @@ class TestTopicDensity:
             phi=phi,
             slice_map=np.arange(n_slices, dtype=np.int64),
             time_axis=axis,
+            floor=1e-6,
             aggregate=aggregate,
         )
 
@@ -221,7 +225,7 @@ class TestTopicDensity:
             for _ in range(40)
         ]
         corpus = day_corpus(specs)
-        model = tp.fit_topic_densities(corpus, num_topics=2, seed=3, gibbs_iters=10)
+        model = tp.fit_topic_densities(corpus, num_topics=2, seed=3, gibbs_iters=10, **TOPIC_FIT)
         values = all_pairs(model, corpus.documents)
         assert ((values >= 0.0) & (values <= 1.0)).all()
 
@@ -235,7 +239,7 @@ class TestTopicDensity:
     def test_empty_slices_merge_forward(self):
         # days 0 and 5 populated; slices 1..4 map forward to day 5's slot
         corpus = day_corpus([(0, {"a": 2}, ["l"]), (5, {"b": 2}, ["l"])])
-        model = tp.fit_topic_densities(corpus, num_topics=1, seed=0, gibbs_iters=5)
+        model = tp.fit_topic_densities(corpus, num_topics=1, seed=0, gibbs_iters=5, **TOPIC_FIT)
         assert model.num_effective_slices == 2
         assert list(model.slice_map) == [0, 1, 1, 1, 1, 1]
 
@@ -246,7 +250,7 @@ class TestTopicDensity:
         days = rng.choice(12, size=5, replace=False).tolist() + [12]
         corpus = day_corpus([(day, {"a": 1}, ["l"]) for day in days])
         train = corpus.with_documents(corpus.documents[:5])  # the axis still ends at day 12
-        model = tp.fit_topic_densities(train, num_topics=1, seed=0, gibbs_iters=1)
+        model = tp.fit_topic_densities(train, num_topics=1, seed=0, gibbs_iters=1, **TOPIC_FIT)
         axis = train.time_axis
         nonempty = sorted({axis.slice_of(d.timestamp) for d in train.documents})
         want, nxt = [], len(nonempty) - 1
@@ -256,6 +260,77 @@ class TestTopicDensity:
             want.append(nxt)
         assert model.slice_map.dtype == np.int64
         assert model.slice_map.tolist() == want[::-1]
+
+
+def valid_arguments(kind):
+    """Constructor arguments of a small valid model of each kind."""
+    return {
+        "recency": {"h_rec": 0.3},
+        "category": {"bandwidth": 1.0, "grid": np.array([0.0, 1.0]), "categories": ["a"],
+                     "curves": np.array([[0.5, 1.0]])},
+        "topic": {"num_topics": 1, "vocabulary": ["x", "y"],
+                  "phi": np.array([[0.5, 0.5], [1.0, 0.0]]), "slice_map": np.array([0.0, 1.0, 1.0]),
+                  "time_axis": cp.TimeAxis(unit=1.0, origin=0, num_slices=3), "floor": 1e-6,
+                  "aggregate": "geometric"},
+    }[kind]
+
+
+MODEL_CLASSES = {"recency": tp.RecencyModel, "category": tp.CategoryKDE, "topic": tp.TopicDensity}
+
+
+class TestConstructorRules:
+    """Fitters, the TXNT reader and direct construction share the constructors' rules."""
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_CLASSES))
+    def test_valid_arguments_construct(self, kind):
+        model = MODEL_CLASSES[kind](**valid_arguments(kind))
+        if kind == "topic":
+            assert model.slice_map.dtype == np.int64
+            assert model.slice_map.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("kind, field, value, fault", [
+        ("recency", "h_rec", True, "h_rec must be positive and finite"),
+        ("recency", "h_rec", "0.3", "h_rec must be positive and finite"),
+        ("recency", "h_rec", math.nan, "h_rec must be positive and finite"),
+        ("category", "bandwidth", False, "bandwidth must be positive and finite"),
+        ("category", "bandwidth", math.inf, "bandwidth must be positive and finite"),
+        ("category", "categories", ["a", "a"], "repeated entry in categories"),
+        ("category", "categories", "a", "categories must be a list of strings"),
+        ("category", "categories", [1], "categories must be a list of strings"),
+        ("category", "grid", np.array([1.0, 0.0]), "at least 2 points in non-decreasing order"),
+        ("category", "grid", np.array([0.0]), "at least 2 points in non-decreasing order"),
+        ("category", "grid", np.array([[0.0, 1.0]]), "at least 2 points in non-decreasing order"),
+        ("category", "curves", np.array([0.5, 1.0]), "one row per category"),
+        ("category", "curves", np.array([[0.5, 1.5]]), r"values outside \[0, 1\]"),
+        ("category", "curves", np.array([[0.5, math.nan]]), r"values outside \[0, 1\]"),
+        ("topic", "num_topics", 0, "num_topics must be an int >= 1"),
+        ("topic", "num_topics", True, "num_topics must be an int >= 1"),
+        ("topic", "num_topics", 2.0, "num_topics must be an int >= 1"),
+        ("topic", "vocabulary", ["x", "x"], "repeated entry in vocabulary"),
+        ("topic", "vocabulary", ("x", "y"), "vocabulary must be a list of strings"),
+        ("topic", "phi", np.array([[0.5, 0.5]]), "phi needs one row per vocabulary word"),
+        ("topic", "slice_map", np.array([0, 1]), "one entry per time slice"),
+        ("topic", "slice_map", np.array([0, 1, 2]), r"integers in \[0, 2\)"),
+        ("topic", "slice_map", np.array([0.0, 0.5, 1.0]), r"integers in \[0, 2\)"),
+        ("topic", "slice_map", np.array([-1, 0, 1]), r"integers in \[0, 2\)"),
+        ("topic", "floor", 0.0, "floor must be positive and finite"),
+        ("topic", "aggregate", "sum", "unknown aggregate 'sum'"),
+    ])
+    def test_rule_is_enforced(self, kind, field, value, fault):
+        args = dict(valid_arguments(kind), **{field: value})
+        with pytest.raises(tp.TemporalModelError, match=fault):
+            MODEL_CLASSES[kind](**args)
+
+    def test_fit_with_one_grid_point_breaks_the_grid_rule(self):
+        corpus = day_corpus([(0, {"w": 1}, ["a"]), (3, {"w": 1}, ["a"])])
+        with pytest.raises(tp.TemporalModelError, match="at least 2 points"):
+            tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=1)
+
+    def test_fit_with_unknown_aggregate_breaks_the_aggregate_rule(self):
+        corpus = day_corpus([(0, {"w": 1}, ["a"]), (3, {"w": 1}, ["a"])])
+        with pytest.raises(tp.TemporalModelError, match="unknown aggregate 'sum'"):
+            tp.fit_topic_densities(corpus, num_topics=1, seed=0, gibbs_iters=1, kappa=0.5,
+                                   floor=1e-6, aggregate="sum")
 
 
 class TestSerialization:
@@ -275,15 +350,15 @@ class TestSerialization:
         tp.write_temporal_model(path, model)
         loaded = tp.read_temporal_model(path)
         np.testing.assert_array_equal(loaded.grid, model.grid)
-        for cat in model.curves:
-            np.testing.assert_array_equal(loaded.curves[cat], model.curves[cat])
+        assert loaded.categories == model.categories == ["a", "b"]
+        np.testing.assert_array_equal(loaded.curves, model.curves)
         np.testing.assert_array_equal(all_pairs(loaded, corpus.documents),
                                       all_pairs(model, corpus.documents))
 
     def test_topic_round_trip(self, tmp_path):
         specs = [(d % 3, {f"w{d % 4}": 1, "z": 1}, ["l"]) for d in range(12)]
         corpus = day_corpus(specs)
-        model = tp.fit_topic_densities(corpus, num_topics=2, seed=4, gibbs_iters=8)
+        model = tp.fit_topic_densities(corpus, num_topics=2, seed=4, gibbs_iters=8, **TOPIC_FIT)
         path = tmp_path / "model.txnt"
         tp.write_temporal_model(path, model)
         loaded = tp.read_temporal_model(path)
@@ -348,8 +423,10 @@ class TestPairMatrix:
                   sorted({f"c{rng.integers(4)}", f"c{rng.integers(4)}"})) for _ in range(40)]
         specs += [(4, {"w": 1}, ["c3"]), (9, {"w": 1}, ["c3"])]
         corpus = day_corpus(specs)
-        model = tp.fit_category_kde(corpus, bandwidth=1.5, grid_size=300)
-        del model.curves["c3"]  # pairs sharing only c3 now miss
+        fitted = tp.fit_category_kde(corpus, bandwidth=1.5, grid_size=300)
+        keep = [c != "c3" for c in fitted.categories]  # pairs sharing only c3 now miss
+        model = tp.CategoryKDE(bandwidth=1.5, grid=fitted.grid, curves=fitted.curves[keep],
+                               categories=[c for c in fitted.categories if c != "c3"])
         docs = corpus.documents
         values = assert_pair_matrix_is_reference(model, docs, rng.permutation(len(docs))[:36])
         assert model.missing_pair_count > 0
@@ -361,7 +438,7 @@ class TestPairMatrix:
                   {f"w{rng.integers(10)}": int(rng.integers(1, 3)) for _ in range(3)},
                   [f"c{rng.integers(3)}"]) for _ in range(40)]
         corpus = day_corpus(specs)
-        model = tp.fit_topic_densities(corpus, num_topics=2, seed=5, gibbs_iters=5)
+        model = tp.fit_topic_densities(corpus, num_topics=2, seed=5, gibbs_iters=5, **TOPIC_FIT)
         docs = corpus.documents + [
             cp.Document("unknown", np.zeros(2), {"mystery": 2}, 2.5, frozenset(["c0"])),
             cp.Document("late", np.zeros(2), {"w1": 1, "zzz": 1}, 99.0, frozenset(["c1"])),
@@ -376,6 +453,7 @@ class TestPairMatrix:
         model = tp.TopicDensity(
             num_topics=1, vocabulary=["w0", "w1"], phi=np.array([[0.9, 0.1], [0.1, 0.9]]),
             slice_map=np.arange(2), time_axis=cp.TimeAxis(unit=1.0, origin=0, num_slices=2),
+            floor=1e-6, aggregate="geometric",
         )
         doc_a = cp.Document("doc00000", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]))
         doc_b = cp.Document("doc00000", np.zeros(1), {"w1": 1}, 0.0, frozenset(["l"]))
@@ -472,9 +550,11 @@ class TestGibbsAgainstLoopReference:
                   ["l"]) for _ in range(30)]
         corpus = day_corpus(specs)
         got_counts = record_slice_counts(monkeypatch, tp._gibbs_slice)
-        got = tp.fit_topic_densities(corpus, num_topics=num_topics, seed=3, gibbs_iters=6)
+        got = tp.fit_topic_densities(corpus, num_topics=num_topics, seed=3, gibbs_iters=6,
+                                     **TOPIC_FIT)
         want_counts = record_slice_counts(monkeypatch, reference_gibbs_slice)
-        want = tp.fit_topic_densities(corpus, num_topics=num_topics, seed=3, gibbs_iters=6)
+        want = tp.fit_topic_densities(corpus, num_topics=num_topics, seed=3, gibbs_iters=6,
+                                      **TOPIC_FIT)
         assert want.num_effective_slices > 1  # later slices carry counts over
         np.testing.assert_array_equal(got.phi, want.phi)
         assert len(got_counts) == len(want_counts) == want.num_effective_slices
