@@ -200,7 +200,6 @@ def cmd_eval(args) -> int:
 
 def cmd_query(args) -> int:
     cfg, model, corpus, _, stats = _restore(args)
-    index = rt.build_index(corpus, model, stats)
     if args.text is not None:
         direction, row = rt.T2I, cp.tfidf_matrix([Counter(args.text.split())], stats)
         if not row.any():
@@ -210,6 +209,7 @@ def cmd_query(args) -> int:
         if not 0 <= args.image_row < len(corpus.documents):
             raise cp.CorpusError(f"--image-row {args.image_row} outside corpus")
         direction, row = rt.I2T, corpus.documents[args.image_row].image_feat[None, :]
+    index = rt.build_index(corpus, model, stats, candidates_of=direction)
     results, truncated = rt.query_topk(index, model, direction, row, k=args.k)
     by_id = {doc.id: doc for doc in corpus.documents}
     axis = corpus.time_axis

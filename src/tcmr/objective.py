@@ -16,9 +16,16 @@ constants, one (b, b) matrix per batch; gradients flow only through the
 projections. With lambda = 0 the temporal part is skipped, which is the
 ranking-only ablation; ``plan.sim_temp`` may then stay None.
 
+Each batch samples its negatives with one ``rng.integers`` call. It draws
+what one ``rng.choice(pool, k, replace=False)`` per anchor and direction
+would draw, in the same order (anchor by anchor, text then image; for each,
+Floyd's k draws and then the shuffle's k - 1), so the negatives and the
+stream position equal that loop's for every pool of at most 10,000. The plan
+holds them as (anchor, negative) index arrays, one pair per direction.
+
 Positives come from the batch label matrix as masks over ``L @ L.T``; the
-hinge terms are gathered through index arrays and the constraint terms are
-masked (b, b) operations. Hinge entries of dL/dS (the diagonal and pairs
+hinge terms are gathered through those index arrays and the constraint terms
+are masked (b, b) operations. Hinge entries of dL/dS (the diagonal and pairs
 sharing no label) never overlap constraint entries (distinct pairs sharing a
 label), so the gradient equals the per-anchor accumulation bit for bit.
 """
@@ -36,15 +43,20 @@ from .config import RunConfig
 class BatchPlan:
     """Sampled negatives and the positive-pair mask of one mini-batch.
 
-    All indices are batch-local. ``negatives_text[i]`` and
-    ``negatives_image[i]`` are anchor i's sampled negatives;
-    ``positive_mask[i, j]`` is True when documents i != j share a category.
-    ``sim_temp`` is the (b, b) temporal correlation matrix, read at the
-    positive pairs; it stays None when no temporal model is in play.
+    All indices are batch-local. The sampled (anchor, negative) pairs are
+    (h,) index arrays, one pair of arrays per direction: ``text_negatives[h]``
+    is a text negative of anchor ``text_anchors[h]``, and likewise for image.
+    Pairs run anchor-major; an anchor's negatives keep the order that
+    ``rng.choice`` returns them in. ``positive_mask[i, j]`` is True when
+    documents i != j share a category. ``sim_temp`` is the (b, b) temporal
+    correlation matrix, read at the positive pairs; it stays None when no
+    temporal model is in play.
     """
 
-    negatives_text: list[np.ndarray]
-    negatives_image: list[np.ndarray]
+    text_anchors: np.ndarray
+    text_negatives: np.ndarray
+    image_anchors: np.ndarray
+    image_negatives: np.ndarray
     positive_mask: np.ndarray
     sim_temp: np.ndarray | None = None
     skipped_anchors: int = 0
@@ -53,34 +65,60 @@ class BatchPlan:
 def build_batch_plan(labels, rng, negatives_per_anchor=1) -> BatchPlan:
     """Sample per-anchor negatives and mask the in-batch positives.
 
-    ``labels`` is the batch's (b, C) 0/1 label matrix. Negatives are drawn
-    uniformly (without replacement) from batch members sharing no category
-    with the anchor, with one ``rng.choice`` per anchor and direction, text
-    first; anchors with an empty negative pool are skipped for the ranking
-    term and counted.
+    ``labels`` is the batch's (b, C) 0/1 label matrix. Each anchor draws k =
+    min(negatives_per_anchor, n) text and then k image negatives, uniformly
+    without replacement from its n batch members sharing no category with
+    it; anchors with an empty pool are skipped for the ranking term and
+    counted.
+
+    The negatives, and the stream position afterwards, equal those of one
+    ``rng.choice(pool, k, replace=False)`` per anchor and direction, text
+    first. For a pool of at most 10,000, ``choice`` runs Floyd's algorithm,
+    drawing against the bounds n-k+1 ... n, then shuffles the k values,
+    drawing against k ... 2. Those bounds depend only on n and k, so one
+    ``rng.integers(0, highs)`` call draws them all, in the order the calls
+    would, and the collisions, swaps and pool lookups are replayed here. A
+    bound of 1 draws nothing, as in ``choice``. Above 10,000, ``choice``
+    switches to a tail shuffle when k > n // 50; batches never get there.
     """
     labels = np.asarray(labels, dtype=np.float64)
     shared = labels @ labels.T > 0.0
-    neg_text, neg_image = [], []
-    skipped = 0
-    for i in range(len(labels)):
-        pool = np.flatnonzero(~shared[i])
-        if pool.size == 0:
-            skipped += 1
-            chosen_t = np.empty(0, dtype=np.intp)
-            chosen_i = np.empty(0, dtype=np.intp)
-        else:
-            k = min(negatives_per_anchor, pool.size)
-            chosen_t = rng.choice(pool, size=k, replace=False)
-            chosen_i = rng.choice(pool, size=k, replace=False)
-        neg_text.append(chosen_t)
-        neg_image.append(chosen_i)
+    pool_size = (~shared).sum(axis=1)
+    # one row per choice call: each anchor with a pool, text then image
+    anchor = np.repeat(np.flatnonzero(pool_size), 2)
+    n = pool_size[anchor]
+    k = np.minimum(negatives_per_anchor, n)
+    width = int(k.max(initial=1))
+    pos = np.arange(2 * width - 1)
+    floyd = pos < k[:, None]
+    drawn = pos < 2 * k[:, None] - 1
+    highs = np.where(floyd, (n - k + 1)[:, None] + pos, 2 * k[:, None] - pos)
+    draws = np.zeros(highs.shape, dtype=np.int64)
+    draws[drawn] = rng.integers(0, highs[drawn])
+
+    # Floyd: a value already chosen is replaced by its bound's top, n-k+j
+    chosen = draws[:, :width].copy()
+    for j in range(1, width):
+        seen = (chosen[:, :j] == chosen[:, j : j + 1]).any(axis=1) & floyd[:, j]
+        chosen[seen, j] = (n - k)[seen] + j
+    # the shuffle swaps position i with the draw at 2k-1-i, i from k-1 down to 1
+    for i in range(width - 1, 0, -1):
+        r = np.flatnonzero(k > i)
+        j = draws[r, 2 * k[r] - 1 - i]
+        chosen[r, i], chosen[r, j] = chosen[r, j], chosen[r, i]
+
+    # a stable argsort lists each row's pool, in column order, before the rest
+    pool = np.argsort(shared, axis=1, kind="stable")
+    negatives = pool[anchor[:, None], chosen]
+    kept = floyd[:, :width]
     np.fill_diagonal(shared, False)
     return BatchPlan(
-        negatives_text=neg_text,
-        negatives_image=neg_image,
+        text_anchors=np.repeat(anchor[0::2], k[0::2]),
+        text_negatives=negatives[0::2][kept[0::2]],
+        image_anchors=np.repeat(anchor[1::2], k[1::2]),
+        image_negatives=negatives[1::2][kept[1::2]],
         positive_mask=shared,
-        skipped_anchors=skipped,
+        skipped_anchors=int((pool_size == 0).sum()),
     )
 
 
@@ -108,12 +146,6 @@ class LossBreakdown:
     active_hinges: int = 0
 
 
-def _anchor_pairs(per_anchor):
-    """(anchor, negative) index arrays from per-anchor negative arrays."""
-    anchors = np.repeat(np.arange(len(per_anchor)), [len(j) for j in per_anchor])
-    return anchors, np.concatenate([np.empty(0, np.intp), *per_anchor]).astype(np.intp)
-
-
 def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: RunConfig):
     """Loss value and gradients w.r.t. the projected batch.
 
@@ -127,8 +159,8 @@ def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: RunCon
     out = LossBreakdown(skipped_anchors=plan.skipped_anchors)
 
     # anchor i's text negative j scores S[i, j], its image negative j S[j, i]
-    anc_t, neg_t = _anchor_pairs(plan.negatives_text)
-    anc_i, neg_i = _anchor_pairs(plan.negatives_image)
+    anc_t, neg_t = plan.text_anchors, plan.text_negatives
+    anc_i, neg_i = plan.image_anchors, plan.image_negatives
     anchors = np.concatenate([anc_t, anc_i])
     rows = np.concatenate([anc_t, neg_i])
     cols = np.concatenate([neg_t, anc_i])

@@ -44,10 +44,13 @@ class MetricError(ValueError):
 
 @dataclass
 class RetrievalIndex:
-    """Projected, unit-normalized test corpus; immutable after construction."""
+    """Projected, unit-normalized test corpus; immutable after construction.
 
-    image_matrix: np.ndarray
-    text_matrix: np.ndarray
+    An index built for one direction's candidates holds None for the other side.
+    """
+
+    image_matrix: np.ndarray | None
+    text_matrix: np.ndarray | None
     doc_ids: list[str]
     label_sets: list[frozenset[str]]
     timestamps: np.ndarray
@@ -76,13 +79,22 @@ class EvalReport:
 # Index construction and querying
 
 
-def build_index(test: Corpus, model: ProjectionModel, stats: DocFrequency) -> RetrievalIndex:
+def build_index(
+    test: Corpus, model: ProjectionModel, stats: DocFrequency, candidates_of: str | None = None
+) -> RetrievalIndex:
+    """Project both sides of ``test``, or with ``candidates_of`` a direction
+    only that direction's candidates, which is all ``query_topk`` reads."""
     if len(test.documents) == 0:
         raise ValueError("cannot build an index over an empty corpus")
-    text_rows = tfidf_matrix([d.text_counts for d in test.documents], stats)
+    image = text = None
+    if candidates_of != I2T:
+        image = _project_split(model.image_net, test.image_matrix(), test, "image")
+    if candidates_of != T2I:
+        text_rows = tfidf_matrix([d.text_counts for d in test.documents], stats)
+        text = _project_split(model.text_net, text_rows, test, "text")
     return RetrievalIndex(
-        image_matrix=_project_split(model.image_net, test.image_matrix(), test, "image"),
-        text_matrix=_project_split(model.text_net, text_rows, test, "text"),
+        image_matrix=image,
+        text_matrix=text,
         doc_ids=[d.id for d in test.documents],
         label_sets=test.label_sets(),
         timestamps=test.timestamps(),

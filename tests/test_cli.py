@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tcmr import corpus as cp
 from tcmr import temporal as tp
 from tcmr.cli import load_bundle, main, save_bundle
-from tcmr.projection import ProjectionModel, load_checkpoint, save_checkpoint
+from tcmr.projection import ProjectionHalf, ProjectionModel, load_checkpoint, save_checkpoint
 
 TINY_CFG = """
 d_subspace = 16
@@ -418,6 +418,27 @@ class TestPipeline:
         ]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1
+
+    def test_query_projects_only_the_candidate_side(self, workspace, monkeypatch):
+        """The query's own network sees its one row; the other sees every candidate."""
+        tmp_path, data, _ = workspace
+        ckpt, _ = self.train(workspace)
+        corpus = load_bundle(data, cp.DEFAULT_TIME_UNIT)
+        forward = ProjectionHalf.forward
+        rows = {}
+
+        def counting_forward(net, x):
+            side = "image" if net.d_in == corpus.d_image else "text"
+            rows.setdefault(side, []).append(np.atleast_2d(x).shape[0])
+            return forward(net, x)
+
+        monkeypatch.setattr(ProjectionHalf, "forward", counting_forward)
+        base = ["query", "--checkpoint", str(ckpt), "--corpus", str(data), "--k", "2"]
+        assert main(base + ["--text", "w0001"]) == 0
+        assert rows == {"image": [len(corpus.documents)], "text": [1]}
+        rows.clear()
+        assert main(base + ["--image-row", "3"]) == 0
+        assert rows == {"text": [len(corpus.documents)], "image": [1]}
 
     def test_query_unknown_tokens_prints_diagnostic(self, workspace, capsys):
         tmp_path, data, _ = workspace

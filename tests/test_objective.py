@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcmr import objective as ob
 from tcmr.config import ConfigError, RunConfig
@@ -11,11 +11,17 @@ from tcmr.projection import TENSOR_NAMES, ProjectionModel
 
 
 def empty_plan(n):
-    e = [np.empty(0, dtype=np.intp) for _ in range(n)]
+    e = np.empty(0, dtype=np.intp)
     return ob.BatchPlan(
-        negatives_text=list(e), negatives_image=list(e),
+        text_anchors=e, text_negatives=e, image_anchors=e, image_negatives=e,
         positive_mask=np.zeros((n, n), dtype=bool),
     )
+
+
+def per_anchor(anchors, negatives, n):
+    """Each anchor's negatives from one direction's pair arrays, which run anchor-major."""
+    assert (np.diff(anchors) >= 0).all() and (anchors < n).all()
+    return [negatives[anchors == i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +66,14 @@ def reference_loss_terms(proj_img, proj_txt, plan, cfg):
     m = cfg.margin
     for i in range(n):
         s_pos = S[i, i]
-        for j in plan.negatives_text[i]:
+        for j in plan.text_negatives[plan.text_anchors == i]:
             hinge = m - s_pos + S[i, j]
             if hinge > 0.0:
                 out.ranking += hinge
                 out.active_hinges += 1
                 G[i, i] -= 1.0
                 G[i, j] += 1.0
-        for j in plan.negatives_image[i]:
+        for j in plan.image_negatives[plan.image_anchors == i]:
             hinge = m - s_pos + S[j, i]
             if hinge > 0.0:
                 out.ranking += hinge
@@ -163,8 +169,8 @@ class TestRankingLoss:
         proj_img = np.array([[1.0, 0.0], [-1.0, 0.0]])
         proj_txt = np.array([[1.0, 0.0], [-1.0, 0.0]])
         plan = empty_plan(2)
-        plan.negatives_text[0] = np.array([1])
-        plan.negatives_image[0] = np.array([1])
+        plan.text_anchors = plan.image_anchors = np.array([0])
+        plan.text_negatives = plan.image_negatives = np.array([1])
         out, dA, dB = ob.loss_terms_from_projections(
             proj_img, proj_txt, plan, RunConfig(lam=0.0)
         )
@@ -177,8 +183,8 @@ class TestRankingLoss:
         proj_img = np.array([[1.0, 0.0], [1.0, 0.0]])
         proj_txt = np.array([[0.0, 1.0], [0.0, -1.0]])
         plan = empty_plan(2)
-        plan.negatives_text[0] = np.array([1])
-        plan.negatives_image[0] = np.array([1])
+        plan.text_anchors = plan.image_anchors = np.array([0])
+        plan.text_negatives = plan.image_negatives = np.array([1])
         out, _, _ = ob.loss_terms_from_projections(
             proj_img, proj_txt, plan, RunConfig(lam=0.0)
         )
@@ -331,8 +337,9 @@ class TestBatchPlan:
         labels = [frozenset(["a"]), frozenset(["a", "b"]), frozenset(["c"]),
                   frozenset(["b"]), frozenset(["c", "d"])]
         plan = ob.build_batch_plan(label_matrix(labels), rng, negatives_per_anchor=2)
-        for i, (nt, ni) in enumerate(zip(plan.negatives_text, plan.negatives_image)):
-            for j in list(nt) + list(ni):
+        for anchors, negatives in ((plan.text_anchors, plan.text_negatives),
+                                   (plan.image_anchors, plan.image_negatives)):
+            for i, j in zip(anchors, negatives):
                 assert not (labels[i] & labels[j])
 
     def test_positives_share_a_category_and_exclude_self(self):
@@ -348,7 +355,7 @@ class TestBatchPlan:
         labels = label_matrix([frozenset(["a"]), frozenset(["a"])])
         plan = ob.build_batch_plan(labels, rng)
         assert plan.skipped_anchors == 2
-        assert all(p.size == 0 for p in plan.negatives_text)
+        assert plan.text_anchors.size == plan.text_negatives.size == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -372,7 +379,9 @@ class TestAgainstLoopReferences:
         )
         rng_new = np.random.default_rng(100 + seed)
         plan = ob.build_batch_plan(label_matrix(label_sets), rng_new, negatives)
-        for got, want in zip(plan.negatives_text + plan.negatives_image, ref_t + ref_i):
+        got_t = per_anchor(plan.text_anchors, plan.text_negatives, len(label_sets))
+        got_i = per_anchor(plan.image_anchors, plan.image_negatives, len(label_sets))
+        for got, want in zip(got_t + got_i, ref_t + ref_i):
             np.testing.assert_array_equal(got, want)
         for i, pos in enumerate(ref_pos):
             np.testing.assert_array_equal(np.flatnonzero(plan.positive_mask[i]), pos)
@@ -381,6 +390,37 @@ class TestAgainstLoopReferences:
         ref_rng = np.random.default_rng(100 + seed)
         reference_batch_plan(label_sets, ref_rng, negatives)
         assert rng_new.random() == ref_rng.random()
+
+    # pools of 3 == k and 2 < k; pools of 1, 2 and 3, all < k; an empty pool and
+    # pools of 1 == k; every pool empty
+    @example(label_sets=[{"a"}, {"b"}, {"c"}, {"c"}], negatives=3, seed=0)
+    @example(label_sets=[{"a"}, {"a", "c"}, {"b"}, {"c"}], negatives=4, seed=1)
+    @example(label_sets=[{"a"}, {"a", "b"}, {"b"}], negatives=1, seed=2)
+    @example(label_sets=[{"a"}, {"a"}], negatives=2, seed=3)
+    @settings(deadline=None)
+    @given(
+        label_sets=st.integers(1, 8).flatmap(lambda c: st.lists(
+            st.frozensets(st.sampled_from([f"c{j}" for j in range(c)]), min_size=1, max_size=3),
+            min_size=1, max_size=70,
+        )),
+        negatives=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_plan_replays_rng_choice(self, label_sets, negatives, seed):
+        """Negatives and the stream position equal the rng.choice loop's, for any batch."""
+        label_sets = [frozenset(s) for s in label_sets]
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref_t, ref_i, ref_pos, ref_skipped = reference_batch_plan(label_sets, ref_rng, negatives)
+        plan = ob.build_batch_plan(label_matrix(label_sets), rng, negatives)
+        n = len(label_sets)
+        for got, want in zip(per_anchor(plan.text_anchors, plan.text_negatives, n)
+                             + per_anchor(plan.image_anchors, plan.image_negatives, n),
+                             ref_t + ref_i):
+            np.testing.assert_array_equal(got, want)
+        for i, pos in enumerate(ref_pos):
+            np.testing.assert_array_equal(np.flatnonzero(plan.positive_mask[i]), pos)
+        assert plan.skipped_anchors == ref_skipped
+        assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_loss_terms_match_per_anchor_loops(self, seed):
