@@ -380,17 +380,23 @@ def tfidf_matrix(rows: Sequence[Mapping[str, int]], stats: DocFrequency) -> np.n
     """TF-IDF rows, tf * ln(N/df), of token-count mappings, unit-normalized unless all-zero.
 
     Tokens missing from the vocabulary, unseen in the training split (df =
-    0) or in every training document (idf 0) contribute nothing.
+    0) or in every training document (idf 0) contribute nothing. The rows
+    are built from flat (row, column, count) arrays in one assignment, and
+    each row's norm is sqrt(v . v), as ``np.linalg.norm`` computes it.
     """
+    idf = np.array([math.log(stats.num_docs / df) if df > 0 else 0.0
+                    for df in stats.doc_freq.tolist()])
+    doc = np.repeat(np.arange(len(rows)), [len(counts) for counts in rows])
+    col = np.array([stats.token_index.get(tok, -1) for counts in rows for tok in counts],
+                   dtype=np.intp)
+    count = np.array([c for counts in rows for c in counts.values()], dtype=np.float64)
+    known = col >= 0
+    doc, col, count = doc[known], col[known], count[known]
     out = np.zeros((len(rows), len(stats.token_index)), dtype=np.float64)
-    for v, counts in zip(out, rows):
-        for tok, count in counts.items():
-            i = stats.token_index.get(tok)
-            if i is not None and stats.doc_freq[i] > 0:
-                v[i] = count * math.log(stats.num_docs / stats.doc_freq[i])
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            v /= norm
+    out[doc, col] = count * idf[col]
+    norms = np.sqrt(out[:, None, :] @ out[:, :, None]).reshape(-1)
+    nonzero = norms > 0
+    out[nonzero] /= norms[nonzero, None]
     return out
 
 

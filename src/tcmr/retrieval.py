@@ -10,11 +10,15 @@ histogram intersection between the temporal distribution of retrieved
 relevant instances and that of all ground-truth instances.
 
 Evaluation streams over blocks of EVAL_BLOCK queries: a block's (b, n)
-scores and shared-category counts are reduced to each query's top K
-candidates (K the largest cut-off), its relevant count, its ideal grades
-and its per-bin relevant counts, then dropped. Memory is a few block × n
-arrays plus n × K, never n × n. Reports are bit-identical to a full sort
-of every row with per-query metric loops; tests keep that as a reference.
+scores are reduced to each query's top K candidates (K the largest
+cut-off), then dropped. Grading needs only the query's label set, so each
+block is graded against the G distinct candidate label sets, not the n
+candidates: its (b, G) shared-category counts, with each set's size and
+candidates per time bin, give every query's relevant count, ideal grades
+and per-bin relevant counts. That saves most where G is much smaller
+than n, as with one label per document. Memory is a few block × n arrays
+plus n × K, never n × n. Reports are bit-identical to a full sort of every
+row with per-query metric loops; tests keep that as a reference.
 
 Every score comes one way: text rows from ``tfidf_matrix``, a ``forward``
 pass, then ``rank_candidates``. ``evaluate_direction`` serves ``eval`` and
@@ -287,32 +291,6 @@ class TopK:
     gt_counts: np.ndarray  # (n, bins) relevant candidates per time bin
 
 
-def block_topk(order, shared, doc_bins, bins: int) -> TopK:
-    """TopK of a block of query rows from their ranked candidates and grade rows.
-
-    ``shared`` is the block's (b, n) shared-category counts, non-negative
-    integers. ``doc_bins`` gives each candidate's time bin among ``bins``
-    (-1 outside the timespan).
-    """
-    b, n = shared.shape
-    flat = np.flatnonzero(shared > 0)
-    rows, cols = np.divmod(flat, n)
-    grade = shared.ravel()[flat]
-    relevant = np.bincount(rows, minlength=b)
-    # counting sort of each row: position j holds the largest g with more than j grades >= g
-    ideal = np.zeros(order.shape)
-    ranks = np.arange(order.shape[1])
-    for g in range(1, int(grade.max(initial=0)) + 1):
-        ideal[ranks < np.bincount(rows[grade >= g], minlength=b)[:, None]] = g
-    return TopK(
-        order=order,
-        grades=np.take_along_axis(shared, order, axis=1),
-        ideal=ideal,
-        relevant=relevant,
-        gt_counts=_bin_counts(rows, doc_bins[cols], b, bins),
-    )
-
-
 def _bin_counts(rows, item_bins, num_rows: int, bins: int) -> np.ndarray:
     """(num_rows, bins) integer counts of items by row and time bin; bin -1 is not counted."""
     inside = item_bins >= 0
@@ -329,16 +307,43 @@ def rank_direction(index: RetrievalIndex, direction: str, depth: int,
     ``queries[block] @ candidates.T``; BLAS may round them in the last bit
     differently from the rows of the full (n, n) product, which changes a
     ranking only where two candidates score that close.
+
+    A block is graded against the G distinct candidate label sets, so its
+    grade counts are (b, G). ``doc_bins`` gives each candidate's time bin
+    among ``bins`` (-1 outside the timespan).
     """
     queries, candidates = _sides(index, direction)
-    labels = label_matrix(index.label_sets)
+    groups = {}  # each distinct label set and its row in ``sets``
+    group = np.array([groups.setdefault(s, len(groups)) for s in index.label_sets], dtype=np.intp)
+    sets = label_matrix(list(groups))
+    # counts go through float64 products, which run in BLAS and stay exact below 2**53
+    size = np.bincount(group, minlength=len(sets)).astype(np.float64)
+    group_bins = _bin_counts(group, doc_bins, len(sets), bins).astype(np.float64)
+    # one scores buffer for every block: a fresh (b, n) array can page-fault on each block
+    scores = np.empty((min(EVAL_BLOCK, len(index)), len(index)))
     id_ranks = _id_ranks(index.doc_ids)
     blocks = []
     for start in range(0, len(index), EVAL_BLOCK):
-        rows = slice(start, start + EVAL_BLOCK)
-        # the block's scores are freed before its grade rows are built
-        order = rank_candidates(queries[rows] @ candidates.T, id_ranks, depth)
-        blocks.append(block_topk(order, labels[rows] @ labels.T, doc_bins, bins))
+        stop = min(start + EVAL_BLOCK, len(index))
+        rows = slice(start, stop)
+        order = rank_candidates(np.matmul(queries[rows], candidates.T, out=scores[:stop - start]),
+                                id_ranks, depth)
+        shared = sets[group[rows]] @ sets.T  # exact small integers
+        relevant = (shared > 0).astype(np.float64)
+        num_relevant = relevant @ size
+        # counting sort of each row: position j holds the largest g with more than j grades >= g
+        ideal = np.zeros(order.shape)
+        ranks = np.arange(order.shape[1])
+        for g in range(1, int(shared.max(initial=0)) + 1):
+            at_least = num_relevant if g == 1 else (shared >= g).astype(np.float64) @ size
+            ideal[ranks < at_least[:, None]] = g
+        blocks.append(TopK(
+            order=order,
+            grades=np.take_along_axis(shared, group[order], axis=1),
+            ideal=ideal,
+            relevant=num_relevant.astype(np.int64),
+            gt_counts=(relevant @ group_bins).astype(np.int64),
+        ))
     return TopK(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
                    for f in fields(TopK)})
 

@@ -155,7 +155,10 @@ class CategoryKDE:
         densities, labelled = table
         d, lab = densities[batch], labelled[batch]
         self.missing_pair_count += int((scored & (lab @ lab.T == 0)).sum())
-        return (d[:, None, :] * d[None, :, :]).max(axis=2, initial=0.0)
+        out = np.zeros((len(d), len(d)))
+        for col in d.T:
+            np.maximum(out, np.multiply.outer(col, col), out=out)
+        return out
 
 
 def fit_category_kde(train: Corpus, bandwidth: float, grid_size: int) -> CategoryKDE:

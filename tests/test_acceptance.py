@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from retrieval_reference import topk_of_grades
 from tcmr import corpus as cp
 from tcmr import objective as ob
 from tcmr import retrieval as rt
@@ -110,9 +111,9 @@ def test_gradient_correctness():
 def ranked_topk(scores, grades, depth):
     """One query's TopK through the production ranking; ties broken by index."""
     scores = np.array([scores], dtype=np.float64)
+    grades = np.array([grades], dtype=np.float64)
     order = rt.rank_candidates(scores, np.arange(scores.shape[1]), depth)
-    return rt.block_topk(order, np.array([grades], dtype=np.float64),
-                         np.zeros(scores.shape[1], dtype=np.intp), 1)
+    return topk_of_grades(grades, order, (grades > 0).sum(axis=1, keepdims=True))
 
 
 def test_metric_oracles():

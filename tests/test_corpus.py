@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_helpers import assert_same_corpus
 from tcmr import corpus as cp
@@ -201,7 +203,46 @@ class TestRoundTrip:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+def reference_tfidf_matrix(rows, stats):
+    """The per-document loop that ``tfidf_matrix``'s flat-array build replaces."""
+    out = np.zeros((len(rows), len(stats.token_index)), dtype=np.float64)
+    for v, counts in zip(out, rows):
+        for tok, count in counts.items():
+            i = stats.token_index.get(tok)
+            if i is not None and stats.doc_freq[i] > 0:
+                v[i] = count * math.log(stats.num_docs / stats.doc_freq[i])
+        norm = np.linalg.norm(v)
+        if norm > 0:
+            v /= norm
+    return out
+
+
+def token_counts(num_tokens, max_size):
+    return st.dictionaries(st.integers(0, num_tokens - 1).map(lambda j: f"w{j}"),
+                           st.integers(1, 10**6), max_size=max_size)
+
+
 class TestTfidf:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vocab_size=st.integers(1, 40), common=st.booleans(),
+           train=st.lists(token_counts(48, 30), min_size=1, max_size=8),
+           queries=st.lists(token_counts(56, 60), max_size=8))
+    def test_matches_per_document_loop(self, vocab_size, common, train, queries):
+        """Bit for bit, with unknown tokens, df-0 and idf-0 words and all-zero rows.
+
+        Tokens past the vocabulary are unknown; vocabulary words in no
+        training document have df 0; with ``common`` w0 is in every training
+        document, so its idf is 0.
+        """
+        if common:
+            train = [dict(doc, w0=1) for doc in train]
+        vocab = [f"w{j}" for j in range(vocab_size)]
+        records = [(f"d{i}", np.zeros(2), doc, i * DAY, ["l"]) for i, doc in enumerate(train)]
+        stats = cp.document_frequencies(cp.from_records(records, vocabulary=vocab))
+        rows = train + queries
+        got = cp.tfidf_matrix(rows, stats)
+        assert got.tobytes() == reference_tfidf_matrix(rows, stats).tobytes()
+
     def _corpus(self, docs):
         records = [
             (f"d{i}", np.zeros(2), tokens, i * DAY, ["l"]) for i, tokens in enumerate(docs)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from dataclasses import asdict
@@ -5,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from retrieval_reference import topk_of_grades
 from tcmr import corpus as cp
 from tcmr import retrieval as rt
 from tcmr import synth
@@ -210,7 +212,7 @@ def in_ranked_order(grade_rows):
     grades = np.array([list(row) + [0] * (n - len(row)) for row in grade_rows], dtype=np.float64)
     scores = np.broadcast_to(np.arange(n, 0, -1.0), grades.shape)
     order = rt.rank_candidates(scores, np.arange(n), n)
-    return rt.block_topk(order, grades, np.zeros(n, dtype=np.intp), 1)
+    return topk_of_grades(grades, order, (grades > 0).sum(axis=1, keepdims=True))
 
 
 def map_of(flag_rows, k):
@@ -423,23 +425,56 @@ class TestSharedLabelMatrix:
                 grades[i, j] = grades[j, i] = len(label_sets[i] & label_sets[j])
         return grades
 
+    @staticmethod
+    def reference_topk(label_sets, scores, doc_ids, depth, doc_bins, bins):
+        """Every TopK field from the (n, n) intersection counts and a full sort of each row."""
+        grades = TestSharedLabelMatrix.reference(label_sets)
+        order = reference_rank(scores, doc_ids)[:, :depth]
+        gt_counts = np.zeros((len(grades), bins), dtype=np.int64)
+        for i, row in enumerate(grades):
+            for j in np.flatnonzero(row > 0):
+                if doc_bins[j] >= 0:
+                    gt_counts[i, doc_bins[j]] += 1
+        return topk_of_grades(grades, order, gt_counts)
+
+    LABEL_CASES = [  # (categories, largest label set, least and most distinct sets); n = 70
+        (1, 1, 1, 1),
+        (3, 2, 2, 6),
+        (9, 4, 30, 70),
+        (16, 8, 60, 70),
+    ]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_intersection_loop(self, seed, monkeypatch):
-        """The grades, ideal grades and relevant counts of every block of query rows."""
+        """Every TopK field of every block of query rows, dtypes included.
+
+        The candidates fall into anywhere from one label-set group to nearly
+        one per document; some have no time bin (-1), and the depth may
+        exceed n. Features are multiples of 1/4, so every score is exact.
+        """
         monkeypatch.setattr(rt, "EVAL_BLOCK", 16)
+        n, bins = 70, 5
         rng = np.random.default_rng(seed)
-        label_sets = [
-            frozenset(f"c{c}" for c in rng.choice(9, size=rng.integers(1, 5), replace=False))
-            for _ in range(70)
-        ]
-        index = make_index(rng.normal(size=(70, 3)), rng.normal(size=(70, 3)), labels=label_sets)
-        want = self.reference(label_sets)
-        top = rt.rank_direction(index, rt.I2T, 30, np.zeros(70, dtype=np.intp), 1)
-        assert top.grades.dtype == np.float64
-        np.testing.assert_array_equal(top.grades, np.take_along_axis(want, top.order, axis=1))
-        np.testing.assert_array_equal(top.ideal, -np.sort(-want, axis=1)[:, :30])
-        np.testing.assert_array_equal(top.relevant, (want > 0).sum(axis=1))
-        np.testing.assert_array_equal(top.gt_counts, top.relevant[:, None])  # one bin
+        for categories, largest, fewest, most in self.LABEL_CASES:
+            label_sets = [
+                frozenset(f"c{c}" for c in rng.choice(categories, replace=False,
+                                                       size=rng.integers(1, largest + 1)))
+                for _ in range(n)
+            ]
+            assert fewest <= len(set(label_sets)) <= most
+            image = rng.integers(-2, 3, size=(n, 3)) / 4.0
+            text = rng.integers(-2, 3, size=(n, 3)) / 4.0
+            ids = [f"doc{j:03d}" for j in rng.permutation(n)]
+            index = make_index(image, text, doc_ids=ids, labels=label_sets)
+            doc_bins = rng.integers(-1, bins, size=n)
+            assert (doc_bins == -1).any()
+            for depth in (30, n + 5):
+                got = rt.rank_direction(index, rt.I2T, depth, doc_bins, bins)
+                want = self.reference_topk(label_sets, image @ text.T, ids, depth, doc_bins, bins)
+                for f in dataclasses.fields(rt.TopK):
+                    a, b = getattr(got, f.name), getattr(want, f.name)
+                    assert a.dtype == b.dtype, f.name
+                    np.testing.assert_array_equal(a, b, err_msg=f.name)
 
     def test_label_matrix_columns(self):
         labels = cp.label_matrix([frozenset(["b", "a"]), frozenset(["c"])], ["a", "c"])
