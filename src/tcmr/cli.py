@@ -258,8 +258,7 @@ def cmd_synth(args) -> int:
     corpus, truth = sy.generate(spec)
     save_bundle(corpus, args.out)
     truth_path = Path(args.out) / "truth.json"
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(truth.to_dict(), fh, sort_keys=True)
+    truth_path.write_text(json.dumps(truth.to_dict(), sort_keys=True), encoding="utf-8")
     _emit(
         {
             "documents": len(corpus),

@@ -149,44 +149,48 @@ def write_features(path, matrix: np.ndarray) -> None:
         fh.write(matrix.astype("<f4").tobytes())
 
 
-def _parse_timestamp(value, where: str) -> int:
+def _parse_timestamp(value) -> int:
     if isinstance(value, bool):
-        raise CorpusError(f"{where}: timestamp must be numeric")
+        raise CorpusError("timestamp must be numeric")
     if isinstance(value, (int, float)):
         ts = float(value)
     elif isinstance(value, str):
         try:
             ts = float(value)
         except ValueError:
-            raise CorpusError(f"{where}: non-numeric timestamp {value!r}") from None
+            raise CorpusError(f"non-numeric timestamp {value!r}") from None
     else:
-        raise CorpusError(f"{where}: timestamp must be numeric")
+        raise CorpusError("timestamp must be numeric")
     if not math.isfinite(ts):
-        raise CorpusError(f"{where}: non-finite timestamp")
+        raise CorpusError("non-finite timestamp")
     return int(round(ts))
 
 
-def _parse_manifest_line(line: str, lineno: int) -> dict:
-    """JSON structure of one manifest line; the document checks are the builder's."""
-    where = f"manifest line {lineno}"
+# in the order a missing key is named; a keys view compares as a set
+_MANIFEST_KEYS = dict.fromkeys(("id", "timestamp", "tokens", "labels", "feat_row")).keys()
+
+
+def _parse_manifest_line(line: str) -> dict:
+    """JSON structure of one manifest line (messages without the line number);
+    the document checks are the builder's."""
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from None
+        raise CorpusError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(row, dict):
-        raise CorpusError(f"{where}: expected a JSON object")
-    for key in ("id", "timestamp", "tokens", "labels", "feat_row"):
-        if key not in row:
-            raise CorpusError(f"{where}: missing key {key!r}")
+        raise CorpusError("expected a JSON object")
+    if not row.keys() >= _MANIFEST_KEYS:
+        missing = next(key for key in _MANIFEST_KEYS if key not in row)
+        raise CorpusError(f"missing key {missing!r}")
     if not isinstance(row["id"], str) or not row["id"]:
-        raise CorpusError(f"{where}: id must be a non-empty string")
-    row["timestamp"] = _parse_timestamp(row["timestamp"], where)
+        raise CorpusError("id must be a non-empty string")
+    row["timestamp"] = _parse_timestamp(row["timestamp"])
     if not isinstance(row["tokens"], dict):
-        raise CorpusError(f"{where}: tokens must be an object")
+        raise CorpusError("tokens must be an object")
     if not isinstance(row["labels"], list):
-        raise CorpusError(f"{where}: labels must be a list")
+        raise CorpusError("labels must be a list")
     if not isinstance(row["feat_row"], int) or isinstance(row["feat_row"], bool):
-        raise CorpusError(f"{where}: feat_row must be an integer")
+        raise CorpusError("feat_row must be an integer")
     return row
 
 
@@ -218,7 +222,10 @@ def load_corpus(
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = _parse_manifest_line(line, lineno)
+            try:
+                row = _parse_manifest_line(line)
+            except CorpusError as exc:
+                raise CorpusError(f"manifest line {lineno}: {exc}") from None
             if not 0 <= row["feat_row"] < n_rows:
                 raise CorpusError(
                     f"manifest line {lineno}: feat_row {row['feat_row']} outside"
@@ -247,16 +254,18 @@ def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -
     so re-ingesting its own output is byte-identical.
     """
     axis = corpus.time_axis
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        for i, doc in enumerate(corpus.documents):
-            row = {
-                "id": doc.id,
-                "timestamp": axis.to_epoch(doc.timestamp),
-                "tokens": {tok: doc.text_counts[tok] for tok in sorted(doc.text_counts)},
-                "labels": sorted(doc.labels),
-                "feat_row": i,
-            }
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    text = "".join(
+        encode({
+            "id": doc.id,
+            "timestamp": axis.to_epoch(doc.timestamp),
+            "tokens": dict(sorted(doc.text_counts.items())),
+            "labels": sorted(doc.labels),
+            "feat_row": i,
+        }) + "\n"
+        for i, doc in enumerate(corpus.documents)
+    )
+    Path(manifest_path).write_text(text, encoding="utf-8")
     write_features(features_path, corpus.image_matrix())
     if vocab_path is not None:
         Path(vocab_path).write_text("".join(tok + "\n" for tok in corpus.vocabulary))
@@ -319,8 +328,9 @@ def from_records(
     for (doc_id, _, tokens, _, labels), feat, epoch in zip(records, feats, epochs):
         if not labels:
             raise CorpusError(f"document {doc_id!r}: empty label set")
-        if not all(isinstance(lab, str) and lab for lab in labels):
-            raise CorpusError(f"document {doc_id!r}: labels must be non-empty strings")
+        for lab in labels:
+            if not isinstance(lab, str) or not lab:
+                raise CorpusError(f"document {doc_id!r}: labels must be non-empty strings")
         counts = {}
         for tok, count in sorted(tokens.items()):
             if type(count) is not int or count < 1:  # bool is not int here
@@ -331,19 +341,12 @@ def from_records(
                 counts[tok] = count
             else:
                 dropped += count
-        documents.append(
-            Document(
-                id=doc_id,
-                image_feat=feat,
-                text_counts=counts,
-                timestamp=(epoch - origin) / time_unit,
-                labels=frozenset(labels),
-            )
-        )
+        documents.append(Document(doc_id, feat, counts, (epoch - origin) / time_unit,
+                                  frozenset(labels)))
     if dropped:
         log.warning("dropped %d token occurrences outside the vocabulary", dropped)
 
-    categories = sorted({lab for doc in documents for lab in doc.labels})
+    categories = sorted(set().union(*[doc.labels for doc in documents]))
     return Corpus(
         documents=documents,
         vocabulary=vocabulary,
@@ -369,10 +372,9 @@ class DocFrequency:
 
 def document_frequencies(train: Corpus) -> DocFrequency:
     index = {tok: i for i, tok in enumerate(train.vocabulary)}
-    df = np.zeros(len(index), dtype=np.float64)
-    for doc in train.documents:
-        for tok in doc.text_counts:
-            df[index[tok]] += 1.0
+    col = np.array([index[tok] for doc in train.documents for tok in doc.text_counts],
+                   dtype=np.intp)
+    df = np.bincount(col, minlength=len(index)).astype(np.float64)
     return DocFrequency(num_docs=len(train.documents), doc_freq=df, token_index=index)
 
 

@@ -14,6 +14,7 @@ module's vectorized implementations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,8 @@ class SynthSpec:
         total = sum(w for _, _, w in modes)
         if not abs(total - 1.0) <= 1e-9:  # NaN fails
             raise SynthError(f"category {category}: mode weights sum to {total}, not 1")
+        if any(w < 0 for _, _, w in modes):
+            raise SynthError(f"category {category}: mode weights must be non-negative")
         for center, width, _ in modes:
             if not 0 < width < math.inf:
                 raise SynthError(f"category {category}: mode width must be positive and finite")
@@ -98,8 +101,20 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def choice_replay(p):
+    """A draw ``rng -> int`` equal to ``rng.choice(len(p), p=p)``, without its check of ``p``
+    (the caller's: non-negative, positive sum). As ``choice`` does, it searches one
+    ``rng.random()`` on the right side of the cumulative sum of ``p`` over its last entry."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf = (cdf / cdf[-1]).tolist()
+    return lambda rng: bisect_right(cdf, rng.random())
+
+
 def generate(spec: SynthSpec) -> tuple[Corpus, SynthTruth]:
-    """Sample a corpus from the spec; deterministic given the seed."""
+    """Sample a corpus from the spec; deterministic given the seed, and byte-identical
+    to earlier versions. After its category's draws, each document draws, in order: one
+    ``random()`` for its mode (as ``rng.choice`` with the weights would), a normal time
+    redrawn up to 20 times while outside the timespan, image noise if any, and its words."""
     rng = np.random.default_rng(spec.seed)
     vocab = [f"w{i:04d}" for i in range(spec.vocab_size)]
 
@@ -125,10 +140,10 @@ def generate(spec: SynthSpec) -> tuple[Corpus, SynthTruth]:
     records = []
     counter = 0
     for c in range(spec.num_categories):
-        modes = category_modes[c]
-        weights = np.array([w for _, _, w in modes])
+        modes, protos, dists = category_modes[c], prototypes[c], word_dists[c]
+        draw_mode = choice_replay([w for _, _, w in modes])
         for _ in range(spec.docs_per_category):
-            m = int(rng.choice(len(modes), p=weights))
+            m = draw_mode(rng)
             center, width, _ = modes[m]
             t = float(rng.normal(center, width))
             for _ in range(20):
@@ -137,17 +152,15 @@ def generate(spec: SynthSpec) -> tuple[Corpus, SynthTruth]:
                 t = float(rng.normal(center, width))
             t = min(max(t, 0.0), spec.timespan)
 
-            feat = prototypes[c][m].copy()
+            feat = protos[m]
             if spec.image_noise > 0:
                 feat = feat + spec.image_noise * rng.normal(size=spec.d_image)
-            counts = rng.multinomial(spec.words_per_doc, word_dists[c][m])
-            tokens = {vocab[i]: int(n) for i, n in enumerate(counts) if n > 0}
+            counts = rng.multinomial(spec.words_per_doc, dists[m]).tolist()
+            tokens = {vocab[i]: n for i, n in enumerate(counts) if n}
 
             doc_id = f"doc{counter:05d}"
             counter += 1
-            records.append(
-                (doc_id, feat, tokens, int(round(t * DAY_SECONDS)), [f"cat{c:02d}"])
-            )
+            records.append((doc_id, feat, tokens, int(round(t * DAY_SECONDS)), [f"cat{c:02d}"]))
             truth.doc_source[doc_id] = (c, m)
 
     corpus = from_records(records, time_unit=DAY_SECONDS, vocabulary=vocab)

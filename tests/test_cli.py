@@ -128,6 +128,12 @@ class TestSynthAndIngest:
         assert fault in err and "Traceback" not in err
         assert not (tmp_path / "d").exists()
 
+    def test_negative_mode_weight_names_category(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--modes", "5:1:-0.5,15:1:1.5"]) == 2
+        err = capsys.readouterr().err
+        assert "category 0: mode weights must be non-negative" in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("unit", ["0", "nan", "inf", "-1"])
     def test_bad_time_unit_is_data_error(self, workspace, capsys, unit):
         tmp_path, data, _ = workspace

@@ -134,6 +134,17 @@ class TestLoad:
         rows[1]["id"] = "a"
         assert_builders_reject(tmp_path, rows, np.zeros((3, 4)), "duplicate document id 'a'")
 
+    @pytest.mark.parametrize("drop, named", [
+        (("id",), "id"), (("feat_row",), "feat_row"), (("labels", "timestamp"), "timestamp"),
+    ])
+    def test_missing_key_named_in_key_order(self, tmp_path, drop, named):
+        rows = three_doc_rows()
+        for key in drop:
+            del rows[1][key]
+        manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 2)))
+        with pytest.raises(cp.CorpusError, match=f"^manifest line 2: missing key '{named}'$"):
+            cp.load_corpus(manifest, features)
+
     def test_repeated_feat_row_names_both_lines(self, tmp_path):
         rows = three_doc_rows()
         rows[2]["feat_row"] = 0
@@ -242,6 +253,24 @@ class TestTfidf:
         rows = train + queries
         got = cp.tfidf_matrix(rows, stats)
         assert got.tobytes() == reference_tfidf_matrix(rows, stats).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vocab_size=st.integers(1, 40),
+           train=st.lists(token_counts(48, 30), min_size=1, max_size=12))
+    def test_document_frequencies_match_per_token_loop(self, vocab_size, train):
+        """Equal to counting each training document's tokens one at a time, as float64,
+        with empty documents, tokens outside the vocabulary and words of df 0."""
+        vocab = [f"w{j}" for j in range(vocab_size)]
+        records = [(f"d{i}", np.zeros(2), doc, i * DAY, ["l"]) for i, doc in enumerate(train)]
+        corpus = cp.from_records(records, vocabulary=vocab)
+        want = np.zeros(vocab_size, dtype=np.float64)
+        for doc in corpus.documents:
+            for tok in doc.text_counts:
+                want[vocab.index(tok)] += 1.0
+        stats = cp.document_frequencies(corpus)
+        assert stats.doc_freq.dtype == np.float64
+        assert np.array_equal(stats.doc_freq, want)
+        assert stats.num_docs == len(train)
 
     def _corpus(self, docs):
         records = [

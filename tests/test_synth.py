@@ -1,9 +1,17 @@
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from corpus_helpers import assert_same_corpus
 from tcmr import synth
+from tcmr.cli import main, save_bundle
 from temporal_reference import pair_sim
 
 
@@ -93,6 +101,90 @@ class TestGenerate:
             synth.generate(basic_spec(modes=[(25.0, 1.0, 1.0)]))
         with pytest.raises(synth.SynthError):
             basic_spec(words_per_doc=0)
+
+
+class TestChoiceReplay:
+    # with a step, the next random() is a CDF value after a zero weight (with four
+    # modes, also before one): a left-side search there, or with off > 0 a CDF left
+    # unnormalised, picks another mode
+    @example(weights=[0.5, 0.0, 0.5], off=1e-9, step=1, seed=0)
+    @example(weights=[0.0, 0.3, 0.0, 0.7], off=0.0, step=1, seed=3)
+    @example(weights=[1.0], off=0.0, step=None, seed=5)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        weights=st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=1, max_size=8).filter(any),
+        off=st.floats(-1e-9, 1e-9),
+        step=st.none() | st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_and_stream_equal_rng_choice(self, weights, off, step, seed):
+        """Index and stream position equal rng.choice's, for 1-8 modes with zero
+        weights and sums off 1 by up to 1e-9, also where random() lands on a step."""
+        ref = np.random.default_rng(seed)
+        if step is not None and len(weights) > 1:
+            # the next random() is u: weight u at ``step``, 1 - u at the end,
+            # zero elsewhere, so u itself is a CDF value
+            u = np.random.default_rng(seed).random()
+            weights = [0.0] * len(weights)
+            step %= len(weights) - 1
+            weights[step], weights[-1] = u, 1.0 - u
+        p = np.array(weights) / sum(weights) * (1.0 + off)
+        if step is not None and len(weights) > 1:
+            cdf = p.cumsum()
+            assume(u in (cdf / cdf[-1]).tolist())
+        rng = np.random.default_rng(seed)
+        draw = synth.choice_replay(p)
+        assert [draw(rng) for _ in range(6)] == [ref.choice(len(p), p=p) for _ in range(6)]
+        assert rng.random() == ref.random()
+
+
+PIN_SYNTH_ARGS = [  # drift 0, noise 0: every document of a category shares one prototype
+    "synth", "--categories", "3", "--docs-per-category", "12", "--timespan", "10",
+    "--modes", "3:1:0.5,7:1.5:0.5", "--d-image", "4", "--image-noise", "0",
+    "--vocab-size", "15", "--words-per-doc", "5", "--concentration", "0.3",
+    "--drift", "0", "--seed", "4",
+]
+PIN_SPEC = dict(  # drift 1, per-category modes, a zero-weight mode
+    num_categories=3, docs_per_category=15, timespan=10.0,
+    modes=[
+        [(2.0, 0.5, 0.25), (5.0, 1.0, 0.0), (8.0, 1.0, 0.75)],
+        [(3.0, 1.0, 1.0)],
+        [(1.0, 1.0, 0.5), (9.0, 2.0, 0.5)],
+    ],
+    d_image=6, image_noise=0.3, vocab_size=20, words_per_doc=7, word_concentration=0.5,
+    drift=1.0, seed=9,
+)
+PINNED = {  # SHA-256 of each file; a change means the draws or the writers changed
+    "cli": {
+        "manifest.jsonl": "de4cb6a6d49ea53be2a1ee9ac1aac966b7eefcc4e5cce5df417d4ce099827913",
+        "features.bin": "3731d16ea0ca902963557bc8afc5e8dbd4bdfb8b30fec576357bf839b5704f40",
+        "vocab.txt": "f985c720789a3e62fa0b310b1dae1e157d383082dec9051676d25aca99ee8c45",
+        "truth.json": "bc6d9b69182eebed4bdd8bbbfe5176a6c2c23f26883b941d5b5e975cc5bfbbb9",
+    },
+    "spec": {
+        "manifest.jsonl": "99766205a7e79d0a58d235af5a94d1508fccaa5e6266f7ff853e989cffd70d7f",
+        "features.bin": "12c1dc730031b9114d0800c66668b82463dd8f869e87a4d56ddab1941775d58c",
+        "vocab.txt": "6a4e443165523da34709daa52f70fb97f7e8a563f76fc28a23d8f2bd9a589aea",
+        "truth.json": "b789389b096991e2b0da6a618fad72e8bf95e6f97783a407bf96e086f3f682de",
+    },
+}
+
+
+class TestPinnedBundles:
+    def digests(self, directory):
+        return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+                for name in PINNED["cli"]}
+
+    def test_cli_bundle_bytes(self, tmp_path):
+        with redirect_stdout(io.StringIO()):
+            assert main(PIN_SYNTH_ARGS + ["--out", str(tmp_path)]) == 0
+        assert self.digests(tmp_path) == PINNED["cli"]
+
+    def test_per_category_modes_bundle_bytes(self, tmp_path):
+        corpus, truth = synth.generate(synth.SynthSpec(**PIN_SPEC))
+        save_bundle(corpus, tmp_path)
+        (tmp_path / "truth.json").write_text(json.dumps(truth.to_dict(), sort_keys=True))
+        assert self.digests(tmp_path) == PINNED["spec"]
 
 
 class TestPlantedStructure:
