@@ -11,13 +11,14 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus as cp
 from . import retrieval as rt
 from . import synth as sy
 from . import temporal as tp
-from .config import ConfigError, RunConfig, config_from_dict, load_config
+from .config import RunConfig, config_from_dict, load_config
 from .projection import (
     DegenerateProjectionError,
     NonFiniteGradientError,
@@ -65,11 +66,10 @@ def _emit(payload: dict):
     print(json.dumps(payload, sort_keys=True))
 
 
-def _splits(corpus, cfg: RunConfig):
-    spec = cp.SplitSpec(
-        dev_fraction=cfg.dev_fraction, val_fraction_of_dev=cfg.val_fraction, seed=cfg.seed
-    )
-    return cp.split(corpus, spec)
+def _split_bundle(directory, cfg: RunConfig):
+    """The bundle at ``directory`` and its (train, val, test) split under ``cfg``."""
+    corpus = load_bundle(directory, cfg.time_unit)
+    return corpus, cp.split(corpus, cp.SplitSpec(cfg.dev_fraction, cfg.val_fraction, cfg.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +95,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit_temporal(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed})
-    corpus = load_bundle(args.corpus, cfg.time_unit)
-    train, _, _ = _splits(corpus, cfg)
+    cfg = load_config(args.config, args.seed)
+    _, (train, _, _) = _split_bundle(args.corpus, cfg)
     model = fit_temporal_model(args.kind, train, cfg)
     tp.write_temporal_model(args.out, model)
     summary = {"kind": args.kind, "train_documents": len(train)}
@@ -111,9 +110,8 @@ def cmd_fit_temporal(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed})
-    corpus = load_bundle(args.corpus, cfg.time_unit)
-    train, val, _ = _splits(corpus, cfg)
+    cfg = load_config(args.config, args.seed)
+    corpus, (train, val, _) = _split_bundle(args.corpus, cfg)
     temporal_model = None
     if args.temporal is not None:
         temporal_model = tp.read_temporal_model(args.temporal)
@@ -121,10 +119,8 @@ def cmd_train(args) -> int:
         if axis != corpus.time_axis:
             raise tp.TemporalModelError(f"{args.temporal}: the model's time axis {axis} is not"
                                         f" the corpus's {corpus.time_axis}")
-    if cfg.lam > 0 and temporal_model is None:
-        raise ConfigError("lambda > 0 requires --temporal with a fitted model")
     result = train_model(train, val, cfg, temporal_model=temporal_model)
-    save_checkpoint(args.out, result.model, config=cfg.to_dict(), seed=cfg.seed)
+    save_checkpoint(args.out, result.model, config=asdict(cfg), seed=cfg.seed)
     if args.log is not None:
         write_training_log(result.history, args.log)
     _emit(
@@ -139,13 +135,11 @@ def cmd_train(args) -> int:
 
 
 def _restore(args):
-    """Checkpoint + bundle -> (config, model, splits, tf-idf stats)."""
+    """Checkpoint + bundle -> (config, model, corpus, test split, training tf-idf stats)."""
     model, config_snapshot, _ = load_checkpoint(args.checkpoint)
     cfg = config_from_dict(config_snapshot)
-    corpus = load_bundle(args.corpus, cfg.time_unit)
-    train, val, test = _splits(corpus, cfg)
-    stats = cp.document_frequencies(train)
-    return cfg, model, corpus, (train, val, test), stats
+    corpus, (train, _, test) = _split_bundle(args.corpus, cfg)
+    return cfg, model, corpus, test, cp.document_frequencies(train)
 
 
 def _k_value(raw) -> int:
@@ -159,25 +153,21 @@ def _k_value(raw) -> int:
     return k
 
 
-def _parse_k_list(raw):
+def _k_list(raw) -> list[int]:
+    """argparse type for the scope cut-offs: comma-separated, strictly increasing k values;
+    an empty value means the defaults."""
     if not raw:
         return list(rt.DEFAULT_SCOPE_KS)
-    try:
-        ks = [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"bad k list {raw!r}") from None
+    ks = [_k_value(part) for part in raw.split(",") if part.strip()]
     if not ks:
-        raise UsageError("empty k list")
-    if min(ks) < 1:
-        raise UsageError(f"k list values must be >= 1, got {raw!r}")
+        raise argparse.ArgumentTypeError("empty k list")
     if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise UsageError(f"k list must be strictly increasing, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"k list must be strictly increasing, got {raw!r}")
     return ks
 
 
 def cmd_eval(args) -> int:
-    k_list = _parse_k_list(args.k_list)
-    cfg, model, _, (train, _, test), stats = _restore(args)
+    cfg, model, _, test, stats = _restore(args)
     k = cfg.k_eval if args.k is None else args.k
     index = rt.build_index(test, model, stats)
     out_dir = Path(args.out)
@@ -185,7 +175,7 @@ def cmd_eval(args) -> int:
     summary = {"k": k, "test_documents": len(test)}
     for direction in rt.DIRECTIONS:
         report = rt.evaluate_direction(
-            index, direction, k=k, k_list=k_list, bins=cfg.eval_bins, ndcg_gain=cfg.ndcg_gain
+            index, direction, k, args.k_list, bins=cfg.eval_bins, ndcg_gain=cfg.ndcg_gain
         )
         tag = direction.lower()
         rt.write_report_json(report, out_dir / f"report-{tag}.json")
@@ -199,7 +189,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_query(args) -> int:
-    cfg, model, corpus, _, stats = _restore(args)
+    _, model, corpus, _, stats = _restore(args)
     if args.text is not None:
         direction, row = rt.T2I, cp.tfidf_matrix([Counter(args.text.split())], stats)
         if not row.any():
@@ -228,16 +218,18 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def _parse_modes(raw):
+def _modes(raw) -> list[tuple[float, float, float]]:
+    """argparse type for temporal modes: comma-separated center:width:weight triples."""
     modes = []
     for part in raw.split(","):
         fields = part.split(":")
         if len(fields) != 3:
-            raise UsageError(f"bad mode spec {part!r}, expected center:width:weight")
+            raise argparse.ArgumentTypeError(
+                f"bad mode spec {part!r}, expected center:width:weight")
         try:
             modes.append(tuple(float(x) for x in fields))
         except ValueError:
-            raise UsageError(f"bad mode spec {part!r}") from None
+            raise argparse.ArgumentTypeError(f"bad mode spec {part!r}") from None
     return modes
 
 
@@ -246,7 +238,7 @@ def cmd_synth(args) -> int:
         num_categories=args.categories,
         docs_per_category=args.docs_per_category,
         timespan=args.timespan,
-        modes=_parse_modes(args.modes),
+        modes=args.modes,
         d_image=args.d_image,
         image_noise=args.image_noise,
         vocab_size=args.vocab_size,
@@ -310,7 +302,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=_k_value, default=None)
-    p.add_argument("--k-list", default=None)
+    p.add_argument("--k-list", type=_k_list, default="")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("query", help="run one cross-modal query")
@@ -327,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--categories", type=int, default=10)
     p.add_argument("--docs-per-category", type=int, default=200)
     p.add_argument("--timespan", type=float, default=30.0)
-    p.add_argument("--modes", default="8:1.5:0.5,22:1.5:0.5")
+    p.add_argument("--modes", type=_modes, default="8:1.5:0.5,22:1.5:0.5")
     p.add_argument("--d-image", type=int, default=16)
     p.add_argument("--image-noise", type=float, default=0.1)
     p.add_argument("--vocab-size", type=int, default=60)
@@ -344,19 +336,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
-    except UsageError as exc:
+    except UsageError as exc:  # raised by the parser only
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DegenerateProjectionError, NonFiniteGradientError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (cp.CorpusError, ConfigError, tp.TemporalModelError, sy.SynthError,
-            rt.MetricError, OSError, ValueError) as exc:
+    # ValueError covers ConfigError, SynthError and MetricError
+    except (cp.CorpusError, tp.TemporalModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,7 +1,7 @@
 """Run configuration: one flat key-value file drives every stage.
 
-Files hold ``key = value`` lines (``#`` comments allowed); command-line
-flags override file values. Unknown keys are rejected.
+Files hold ``key = value`` lines (``#`` comments allowed); a ``--seed``
+flag overrides the file's seed. Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .corpus import DEFAULT_TIME_UNIT
 
 
 class ConfigError(ValueError):
@@ -46,7 +48,7 @@ class RunConfig:
     topic_aggregate: str = "geometric"
     # data handling
     seed: int = 0
-    time_unit: float = 86400.0
+    time_unit: float = DEFAULT_TIME_UNIT
     dev_fraction: float = 0.9
     val_fraction: float = 0.15
     # evaluation
@@ -82,9 +84,6 @@ class RunConfig:
         if self.ndcg_gain not in ("linear", "exponential"):
             raise ConfigError("ndcg_gain must be 'linear' or 'exponential'")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def _field_types():
     return {f.name: f.type for f in fields(RunConfig)}
@@ -118,16 +117,11 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus override values."""
+def load_config(path=None, seed: int | None = None) -> RunConfig:
+    """Build a RunConfig from an optional file; a ``seed`` that is not None replaces the file's."""
     values = parse_config_text(Path(path).read_text()) if path else {}
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        key = _ALIASES.get(key, key)
-        if key not in _field_types():
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = value
+    if seed is not None:
+        values["seed"] = seed
     return RunConfig(**values)
 
 

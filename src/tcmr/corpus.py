@@ -35,6 +35,7 @@ log = logging.getLogger(__name__)
 
 FEATURES_MAGIC = b"TXNF"
 DEFAULT_TIME_UNIT = 86400.0  # one day, in seconds
+EXACT_INT = 2**53  # float64 holds every integer of at most this magnitude exactly
 
 
 class CorpusError(Exception):
@@ -150,20 +151,17 @@ def write_features(path, matrix: np.ndarray) -> None:
 
 
 def _parse_timestamp(value) -> int:
-    if isinstance(value, bool):
-        raise CorpusError("timestamp must be numeric")
-    if isinstance(value, (int, float)):
-        ts = float(value)
-    elif isinstance(value, str):
+    """Epoch seconds of a manifest timestamp; an integer stays exact, a float is rounded."""
+    if isinstance(value, str):
         try:
-            ts = float(value)
+            value = float(value)
         except ValueError:
             raise CorpusError(f"non-numeric timestamp {value!r}") from None
-    else:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CorpusError("timestamp must be numeric")
-    if not math.isfinite(ts):
+    if isinstance(value, float) and not math.isfinite(value):
         raise CorpusError("non-finite timestamp")
-    return int(round(ts))
+    return round(value)
 
 
 # in the order a missing key is named; a keys view compares as a set
@@ -297,10 +295,11 @@ def from_records(
     """Build and validate a corpus from (id, image_feat, tokens, epoch, labels) tuples.
 
     Every document needs a non-empty set of non-empty string labels and
-    positive integer token counts; ids are unique and features finite, of
-    one dimension. Features are rounded through float32 so a corpus is
-    exactly representable in the on-disk feature format. The vocabulary is
-    the sorted token union unless given, in which case its order is
+    positive integer token counts; counts and epochs are at most 2**53 in
+    magnitude, ids are unique and features finite, of one dimension.
+    Features are rounded through float32 so a corpus is exactly
+    representable in the on-disk feature format. The vocabulary is the
+    sorted token union unless given, in which case its order is
     authoritative and unknown tokens are dropped (count recorded on the
     corpus).
     """
@@ -315,6 +314,9 @@ def from_records(
     if not positive_finite(time_unit):
         raise CorpusError(f"time unit must be positive and finite, got {time_unit!r}")
     epochs = [int(rec[3]) for rec in records]
+    for rec, epoch in zip(records, epochs):
+        if abs(epoch) > EXACT_INT:
+            raise CorpusError(f"document {rec[0]!r}: timestamp outside [-2**53, 2**53]")
     origin = min(epochs)
     span = (max(epochs) - origin) / time_unit
     axis = TimeAxis(unit=time_unit, origin=origin, num_slices=int(math.floor(span)) + 1)
@@ -333,9 +335,10 @@ def from_records(
                 raise CorpusError(f"document {doc_id!r}: labels must be non-empty strings")
         counts = {}
         for tok, count in sorted(tokens.items()):
-            if type(count) is not int or count < 1:  # bool is not int here
+            if type(count) is not int or not 0 < count <= EXACT_INT:  # bool is not int here
                 raise CorpusError(
                     f"document {doc_id!r}: token count for {tok!r} must be a positive integer"
+                    " of at most 2**53"
                 )
             if tok in known:
                 counts[tok] = count
@@ -428,9 +431,9 @@ def label_matrix(label_sets, categories=None) -> np.ndarray:
 class SplitSpec:
     """Development/test split fractions plus the shuffle seed."""
 
-    dev_fraction: float = 0.9
-    val_fraction_of_dev: float = 0.15
-    seed: int = 0
+    dev_fraction: float
+    val_fraction_of_dev: float
+    seed: int
 
     def __post_init__(self):
         if not 0.0 < self.dev_fraction <= 1.0:

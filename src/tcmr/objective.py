@@ -62,7 +62,7 @@ class BatchPlan:
     skipped_anchors: int = 0
 
 
-def build_batch_plan(labels, rng, negatives_per_anchor=1) -> BatchPlan:
+def build_batch_plan(labels, rng, negatives_per_anchor: int) -> BatchPlan:
     """Sample per-anchor negatives and mask the in-batch positives.
 
     ``labels`` is the batch's (b, C) 0/1 label matrix. Each anchor draws k =
@@ -126,7 +126,7 @@ def build_batch_plan(labels, rng, negatives_per_anchor=1) -> BatchPlan:
 # Similarity and constraint algebra
 
 
-def sim_cmod_value(s_ij, s_ji, epsilon=1e-8):
+def sim_cmod_value(s_ij, s_ji, epsilon: float):
     """Harmonic-mean cross-modality similarity from the two cross dot products.
 
     Negative dot products are clamped to 0 first, keeping the result in
@@ -142,7 +142,6 @@ class LossBreakdown:
     total: float = 0.0
     ranking: float = 0.0
     temporal: float = 0.0  # unweighted sum of per-anchor C1+C2
-    skipped_anchors: int = 0
     active_hinges: int = 0
 
 
@@ -156,7 +155,7 @@ def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: RunCon
     B = np.asarray(proj_txt, dtype=np.float64)
     S = A @ B.T  # S[i, j] = image_i . text_j
     G = np.zeros_like(S)  # dL/dS
-    out = LossBreakdown(skipped_anchors=plan.skipped_anchors)
+    out = LossBreakdown()
 
     # anchor i's text negative j scores S[i, j], its image negative j S[j, i]
     anc_t, neg_t = plan.text_anchors, plan.text_negatives

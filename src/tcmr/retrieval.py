@@ -215,7 +215,7 @@ def _gains(grades, gain):
     return grades
 
 
-def ndcg_at_k(grades, ideal, k: int, gain: str = "linear"):
+def ndcg_at_k(grades, ideal, k: int, gain: str):
     """Mean nDCG@K over queries with a nonzero ideal ranking.
 
     ``grades[i]`` holds query i's shared-category counts in ranked order and
@@ -348,9 +348,8 @@ def rank_direction(index: RetrievalIndex, direction: str, depth: int,
                    for f in fields(TopK)})
 
 
-def evaluate_direction(index: RetrievalIndex, direction: str, k: int = 50,
-                       k_list=DEFAULT_SCOPE_KS, bins: int = 10,
-                       ndcg_gain: str = "linear") -> EvalReport:
+def evaluate_direction(index: RetrievalIndex, direction: str, k: int,
+                       k_list=DEFAULT_SCOPE_KS, *, bins: int, ndcg_gain: str) -> EvalReport:
     """Evaluate one retrieval direction with every index row as a query."""
     doc_bins = time_bins(index.timestamps, index.time_axis, bins)
     top = rank_direction(index, direction, max([k, *k_list]), doc_bins, bins)

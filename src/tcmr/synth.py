@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, from_records
-
-DAY_SECONDS = 86400.0
+from .corpus import DEFAULT_TIME_UNIT, Corpus, from_records
 
 
 class SynthError(ValueError):
@@ -160,10 +158,11 @@ def generate(spec: SynthSpec) -> tuple[Corpus, SynthTruth]:
 
             doc_id = f"doc{counter:05d}"
             counter += 1
-            records.append((doc_id, feat, tokens, int(round(t * DAY_SECONDS)), [f"cat{c:02d}"]))
+            epoch = int(round(t * DEFAULT_TIME_UNIT))
+            records.append((doc_id, feat, tokens, epoch, [f"cat{c:02d}"]))
             truth.doc_source[doc_id] = (c, m)
 
-    corpus = from_records(records, time_unit=DAY_SECONDS, vocabulary=vocab)
+    corpus = from_records(records, time_unit=DEFAULT_TIME_UNIT, vocabulary=vocab)
     return corpus, truth
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .corpus import Corpus, DocFrequency, document_frequencies, label_matrix, tfidf_matrix
 from .objective import build_batch_plan, total_loss
 from .projection import ProjectionModel, SgdMomentum
@@ -63,16 +63,17 @@ def fit_temporal_model(kind: str, train: Corpus, cfg: RunConfig):
     raise ValueError(f"unknown temporal model kind {kind!r}")
 
 
-def mean_map_both_directions(index, k: int) -> float:
-    """Validation score: the ``eval`` mAP@k, averaged over both retrieval directions."""
-    values = [evaluate_direction(index, d, k, k_list=()).map_at_k for d in DIRECTIONS]
+def mean_map_both_directions(index, cfg: RunConfig) -> float:
+    """Validation score: the ``eval`` mAP@k_eval, averaged over both retrieval directions."""
+    values = [evaluate_direction(index, d, cfg.k_eval, (), bins=cfg.eval_bins,
+                                 ndcg_gain=cfg.ndcg_gain).map_at_k for d in DIRECTIONS]
     return float(np.mean(values))
 
 
 def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
                 temporal_model=None) -> TrainResult:
     if cfg.lam > 0 and temporal_model is None:
-        raise ValueError("lambda > 0 requires a fitted temporal model")
+        raise ConfigError("lambda > 0 requires --temporal with a fitted model")
 
     stats = document_frequencies(train)
     x_img = train.image_matrix()
@@ -89,8 +90,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
     rng = np.random.default_rng(batch_ss)
     use_val = val is not None and len(val.documents) > 0
 
-    result = TrainResult(model=model, stats=stats)
-    best_model = model.copy()
+    result = TrainResult(model=model, stats=stats)  # kept as trained when there is no val split
     best_map = -np.inf
     bad_epochs = 0
 
@@ -100,9 +100,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         skipped = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            plan = build_batch_plan(
-                labels[idx], rng, negatives_per_anchor=cfg.negatives_per_anchor
-            )
+            plan = build_batch_plan(labels[idx], rng, cfg.negatives_per_anchor)
             if cfg.lam > 0:
                 plan.sim_temp = temporal_model.pair_matrix(table, idx, plan.positive_mask)
             out, grads = total_loss(x_img[idx], x_txt[idx], plan, model, cfg)
@@ -110,12 +108,22 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
             total += out.total
             ranking += out.ranking
             temporal += cfg.lam * out.temporal
-            skipped += out.skipped_anchors
+            skipped += plan.skipped_anchors
 
         val_map = None
-        if use_val:
+        if not use_val:
+            result.best_epoch = epoch
+        else:
             val_index = build_index(val, model, stats)
-            val_map = mean_map_both_directions(val_index, cfg.k_eval)
+            val_map = mean_map_both_directions(val_index, cfg)
+            if val_map > best_map:
+                best_map = val_map
+                result.model = model.copy()
+                result.best_epoch = epoch
+                result.best_val_map = val_map
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
         result.history.append(
             EpochLog(
                 epoch=epoch,
@@ -126,21 +134,8 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
                 skipped_anchors=skipped,
             )
         )
-        if use_val:
-            if val_map > best_map:
-                best_map = val_map
-                best_model = model.copy()
-                result.best_epoch = epoch
-                result.best_val_map = val_map
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs > cfg.patience:
-                    break
-
-    result.model = best_model if use_val else model
-    if not use_val:
-        result.best_epoch = len(result.history)
+        if bad_epochs > cfg.patience:
+            break
     return result
 
 

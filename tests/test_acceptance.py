@@ -51,7 +51,8 @@ def run_experiment(spec_kwargs, cfg_kwargs, seed, lam, temporal_kind=None):
     )
     result = train_model(train, val, cfg, temporal_model=temporal_model)
     index = rt.build_index(test, result.model, result.stats)
-    reports = [rt.evaluate_direction(index, d, k=cfg.k_eval) for d in rt.DIRECTIONS]
+    reports = [rt.evaluate_direction(index, d, cfg.k_eval, bins=cfg.eval_bins,
+                                      ndcg_gain=cfg.ndcg_gain) for d in rt.DIRECTIONS]
     mean_map = float(np.mean([r.map_at_k for r in reports]))
     mean_fit = float(np.mean([r.temporal_fit for r in reports]))
     return mean_map, mean_fit
@@ -73,7 +74,7 @@ def test_gradient_correctness():
         x_img = rng.normal(size=(6, 8))
         x_txt = rng.normal(size=(6, 8))
         labels = cp.label_matrix([frozenset([f"c{i // 2}"]) for i in range(6)])
-        plan = ob.build_batch_plan(labels, rng)
+        plan = ob.build_batch_plan(labels, rng, 1)
         plan.sim_temp = rng.uniform(size=(6, 6))
         cfg = RunConfig(margin=1.0, lam=1.0)
 
@@ -137,7 +138,7 @@ def test_metric_oracles():
             for k in (1, len(grades)):
                 expected = synth.oracle_ndcg(g_scores, grades, k)
                 top = ranked_topk(g_scores, grades, k)
-                got, _ = rt.ndcg_at_k(top.grades, top.ideal, k)
+                got, _ = rt.ndcg_at_k(top.grades, top.ideal, k, "linear")
                 assert abs(got - expected) < 1e-12, (grades, k)
                 checked += 1
 
@@ -145,7 +146,7 @@ def test_metric_oracles():
     ap, _ = rt.map_at_k(top.grades > 0, top.relevant, 50)
     assert abs(ap - 0.8333) < 1e-4
     top = ranked_topk([3, 2, 1], [2, 0, 1], 3)
-    ndcg, _ = rt.ndcg_at_k(top.grades, top.ideal, 3)
+    ndcg, _ = rt.ndcg_at_k(top.grades, top.ideal, 3, "linear")
     assert abs(ndcg - 0.9502) < 1e-4
     report("metric-oracles", True, f"{checked} oracle comparisons plus hand values")
 
@@ -185,7 +186,7 @@ def test_constraint_algebra():
     n, d = 100_000, 8
     a = (unit(n, d) * unit(n, d)).sum(axis=1)
     b = (unit(n, d) * unit(n, d)).sum(axis=1)
-    s = ob.sim_cmod_value(a, b)
+    s = ob.sim_cmod_value(a, b, RunConfig().epsilon)
     inside = (s >= 0.0).all() and (s <= 1.0).all()
     report(
         "constraint-algebra",

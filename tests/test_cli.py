@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import struct
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tcmr import corpus as cp
@@ -171,13 +173,15 @@ class TestPipeline:
             ]) == 0
             assert out.exists()
 
-    def test_train_lambda_without_temporal_is_data_error(self, workspace):
+    def test_train_lambda_without_temporal_is_data_error(self, workspace, capsys):
         tmp_path, data, cfg = workspace
         code = main([
             "train", "--corpus", str(data), "--config", str(cfg),
             "--out", str(tmp_path / "m.txnm"),
         ])
         assert code == 2
+        assert ("error: lambda > 0 requires --temporal with a fitted model"
+                in capsys.readouterr().err)
 
     def test_train_lambda_nan_is_data_error(self, workspace, capsys):
         tmp_path, data, cfg = workspace
@@ -505,6 +509,57 @@ class TestPipeline:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_k_list_means_the_defaults(self, workspace):
+        tmp_path, data, _ = workspace
+        ckpt, _ = self.train(workspace)
+        outs = [tmp_path / "eval-flag", tmp_path / "eval-default"]
+        base = ["eval", "--checkpoint", str(ckpt), "--corpus", str(data)]
+        assert main(base + ["--out", str(outs[0]), "--k-list", ""]) == 0
+        assert main(base + ["--out", str(outs[1])]) == 0
+        report = json.loads((outs[0] / "report-i2t.json").read_text())
+        assert [k for k, _ in report["scope_curve"]] == [10, 20, 30, 40, 50]
+        for name in ("report-i2t.json", "scope-t2i.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--checkpoint", "m", "--corpus", "d", "--out", "o", "--k-list", "4,2"],
+         "usage error: argument --k-list: k list must be strictly increasing, got '4,2'"),
+        (["eval", "--checkpoint", "m", "--corpus", "d", "--out", "o", "--k-list", "2,x"],
+         "usage error: argument --k-list: bad k 'x'"),
+        (["synth", "--out", "d", "--modes", "1:2"],
+         "usage error: argument --modes: bad mode spec '1:2', expected center:width:weight"),
+        (["synth", "--out", "d", "--modes", "1:2:x"],
+         "usage error: argument --modes: bad mode spec '1:2:x'"),
+    ], ids=["k-list-order", "k-list-text", "modes-fields", "modes-text"])
+    def test_bad_value_message_names_the_argument(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_degenerate_projection_is_numeric_failure(self, workspace, capsys):
+        tmp_path, data, cfg = workspace
+        ckpt, _ = self.train(workspace)
+        model, config, seed = load_checkpoint(ckpt)
+        model.image_net.W2[:] = 0.0
+        model.image_net.b2[:] = 0.0
+        save_checkpoint(ckpt, model, config=config, seed=seed)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(data),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: degenerate image projection for document 'doc")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row", ["100", "-1"])
+    def test_query_image_row_outside_corpus(self, workspace, capsys, row):
+        tmp_path, data, _ = workspace
+        ckpt, _ = self.train(workspace)
+        capsys.readouterr()
+        assert main(["query", "--checkpoint", str(ckpt), "--corpus", str(data),
+                     "--image-row", row]) == 2
+        assert capsys.readouterr().err == f"error: --image-row {row} outside corpus\n"
+
     def test_query_modality_flags_usage_errors(self, workspace):
         tmp_path, data, _ = workspace
         ckpt, _ = self.train(workspace)
@@ -550,6 +605,16 @@ class TestTruncatedBinaries:
             assert main(["eval", "--checkpoint", str(cut), "--corpus", str(data),
                          "--out", str(tmp_path / "out")]) == 2, n
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_checkpoint_version_unsupported(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        save_checkpoint(path, ProjectionModel.initialize(2, 2, 2, 2, seed=0), config={}, seed=0)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])  # the version field
+        assert main(["eval", "--checkpoint", str(path), "--corpus", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: unsupported checkpoint version 2\n"
 
     def test_checkpoint_header_without_dims(self, workspace):
         tmp_path, data, _ = workspace
@@ -854,3 +919,62 @@ class TestFuzzedBinaries:
         # may stand in for; a number may stand in for another number
         numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
         assert which == 0 or numeric, f"{name}: a header value retyped to {value!r} was accepted"
+
+
+# every JSON type, numbers float64 cannot hold exactly, and text float() reads as non-finite
+MANIFEST_VALUES = (None, True, "x", [1], {"a": 1}, 10**400, -(10**400), 2**53 + 1, "nan", "inf")
+MANIFEST_PLACES = ("id", "timestamp", "tokens", "token count", "labels", "label", "feat_row")
+
+
+class TestFuzzedManifest:
+    """A manifest value retyped to any JSON value makes ingest exit 0 or 2, never 1 or a
+    traceback; a bundle that ingest accepts trains for an epoch with exit 0 or 2."""
+
+    @classmethod
+    def setup_class(cls):
+        cls._dir = tempfile.TemporaryDirectory()
+        cls.root = Path(cls._dir.name)
+        data = cls.root / "data"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out", str(data), "--categories", "2",
+                         "--docs-per-category", "8", "--d-image", "2", "--vocab-size", "6",
+                         "--words-per-doc", "3"]) == 0
+        cls.lines = (data / "manifest.jsonl").read_text().splitlines()
+        cls.features = data / "features.bin"
+        (cls.root / "run.cfg").write_text(
+            "d_subspace = 2\nhidden = 4\nepochs = 1\nk_eval = 5\nlambda = 0\n")
+
+    @classmethod
+    def teardown_class(cls):
+        cls._dir.cleanup()
+
+    def run(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)  # an exception escaping main fails the test
+        return code, err.getvalue()
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(line=st.integers(0, 10**6), place=st.sampled_from(MANIFEST_PLACES),
+           value=st.sampled_from(MANIFEST_VALUES))
+    @example(line=0, place="timestamp", value=10**400)
+    @example(line=0, place="token count", value=10**400)
+    def test_ingest_then_train_exit_0_or_2(self, line, place, value):
+        lines = list(self.lines)
+        row = json.loads(lines[line % len(lines)])
+        if place == "token count":
+            row["tokens"][min(row["tokens"])] = value
+        elif place == "label":
+            row["labels"][0] = value
+        else:
+            row[place] = value
+        lines[line % len(lines)] = json.dumps(row)
+        manifest, bundle = self.root / "manifest.jsonl", self.root / "bundle"
+        manifest.write_text("\n".join(lines) + "\n")
+        code, err = self.run(["ingest", str(manifest), str(self.features), "--out", str(bundle)])
+        assert code in (0, 2), err
+        if code == 0:
+            code, err = self.run(["train", "--corpus", str(bundle), "--config",
+                                  str(self.root / "run.cfg"), "--out", str(self.root / "m.txnm")])
+            assert code in (0, 2), err

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -53,7 +53,7 @@ class TestRunConfig:
 
     def test_round_trip_dict(self):
         cfg = RunConfig(lam=2.0, seed=7)
-        again = config_from_dict(cfg.to_dict())
+        again = config_from_dict(asdict(cfg))
         assert again == cfg
 
     def test_snapshot_int_for_float_field(self):
@@ -101,14 +101,14 @@ class TestParsing:
 
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("epochs = 10\nlambda = 0.5\n")
-        cfg = load_config(path, overrides={"epochs": 3, "seed": 9})
-        assert cfg.epochs == 3
+        path.write_text("epochs = 10\nlambda = 0.5\nseed = 4\n")
+        cfg = load_config(path, seed=9)
+        assert cfg.epochs == 10
         assert cfg.lam == 0.5
         assert cfg.seed == 9
 
     def test_none_overrides_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("epochs = 10\n")
-        cfg = load_config(path, overrides={"seed": None})
-        assert cfg.seed == 0
+        path.write_text("epochs = 10\nseed = 4\n")
+        cfg = load_config(path, seed=None)
+        assert cfg.seed == 4

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -187,6 +188,154 @@ class TestLoad:
             cp.load_corpus(manifest, features, time_unit=unit)
 
 
+_DROP = object()
+
+
+def _row_b(**changes):
+    """Manifest line 2 of ``three_doc_rows`` as JSON text, with keys changed or dropped."""
+    row = dict(three_doc_rows()[1], **changes)
+    return json.dumps({k: v for k, v in row.items() if v is not _DROP})
+
+
+def _manifest_fault(line2, n_rows=3):
+    """Load the three-document bundle with manifest line 2 replaced by ``line2``."""
+    def load(tmp_path):
+        lines = [json.dumps(row) for row in three_doc_rows()]
+        lines[1] = line2
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(line + "\n" for line in lines))
+        cp.write_features(tmp_path / "features.bin", np.zeros((n_rows, 2)))
+        cp.load_corpus(manifest, tmp_path / "features.bin")
+    return load
+
+
+def _duplicate_vocabulary(tmp_path):
+    (tmp_path / "vocab.txt").write_text("dog\ncat\ndog\n")
+    cp.read_vocabulary(tmp_path / "vocab.txt")
+
+
+def _ragged_features(tmp_path):
+    cp.from_records([("a", np.zeros(2), {"x": 1}, 0, ["l"]),
+                     ("b", np.zeros(3), {"x": 1}, 0, ["l"])])
+
+
+def _split_of(n, dev, val):
+    def split(tmp_path):
+        docs = [cp.Document(f"d{i}", np.zeros(2), {}, 0.0, frozenset(["l"])) for i in range(n)]
+        corpus = cp.Corpus(docs, [], ["l"], cp.TimeAxis(1.0, 0, 1), 2)
+        cp.split(corpus, cp.SplitSpec(dev, val, 0))
+    return split
+
+
+REJECTIONS = {  # case -> (action on a tmp_path, the whole message)
+    "timestamp-bool": (_manifest_fault(_row_b(timestamp=True)),
+                       "manifest line 2: timestamp must be numeric"),
+    "timestamp-list": (_manifest_fault(_row_b(timestamp=[1])),
+                       "manifest line 2: timestamp must be numeric"),
+    "timestamp-null": (_manifest_fault(_row_b(timestamp=None)),
+                       "manifest line 2: timestamp must be numeric"),
+    "timestamp-text": (_manifest_fault(_row_b(timestamp="soon")),
+                       "manifest line 2: non-numeric timestamp 'soon'"),
+    "timestamp-nan-text": (_manifest_fault(_row_b(timestamp="nan")),
+                           "manifest line 2: non-finite timestamp"),
+    "timestamp-NaN": (_manifest_fault(_row_b(timestamp=math.nan)),
+                      "manifest line 2: non-finite timestamp"),
+    "timestamp-overflow": (_manifest_fault(_row_b().replace("86400", "1e999")),
+                           "manifest line 2: non-finite timestamp"),
+    "invalid-json": (_manifest_fault('{"id": '),
+                     "manifest line 2: invalid JSON (Expecting value)"),
+    "not-an-object": (_manifest_fault("[1, 2]"), "manifest line 2: expected a JSON object"),
+    "id-empty": (_manifest_fault(_row_b(id="")), "manifest line 2: id must be a non-empty string"),
+    "id-number": (_manifest_fault(_row_b(id=7)), "manifest line 2: id must be a non-empty string"),
+    "tokens-list": (_manifest_fault(_row_b(tokens=["dog"])),
+                    "manifest line 2: tokens must be an object"),
+    "labels-text": (_manifest_fault(_row_b(labels="pets")),
+                    "manifest line 2: labels must be a list"),
+    "feat_row-text": (_manifest_fault(_row_b(feat_row="1")),
+                      "manifest line 2: feat_row must be an integer"),
+    "feat_row-bool": (_manifest_fault(_row_b(feat_row=True)),
+                      "manifest line 2: feat_row must be an integer"),
+    "feat_row-float": (_manifest_fault(_row_b(feat_row=1.0)),
+                       "manifest line 2: feat_row must be an integer"),
+    "feat_row-past-end": (_manifest_fault(_row_b(feat_row=3)),
+                          "manifest line 2: feat_row 3 outside feature file with 3 rows"),
+    "feat_row-negative": (_manifest_fault(_row_b(feat_row=-1)),
+                          "manifest line 2: feat_row -1 outside feature file with 3 rows"),
+    # a line with two faults names the first the reader checks
+    "missing-key-before-id": (_manifest_fault(_row_b(id="", labels=_DROP)),
+                              "manifest line 2: missing key 'labels'"),
+    "id-before-timestamp": (_manifest_fault(_row_b(id=7, timestamp=True)),
+                            "manifest line 2: id must be a non-empty string"),
+    "timestamp-before-tokens": (_manifest_fault(_row_b(timestamp="soon", tokens=[])),
+                                "manifest line 2: non-numeric timestamp 'soon'"),
+    "tokens-before-labels": (_manifest_fault(_row_b(tokens=[], labels={})),
+                             "manifest line 2: tokens must be an object"),
+    "labels-before-feat_row": (_manifest_fault(_row_b(labels={}, feat_row=None)),
+                               "manifest line 2: labels must be a list"),
+    "line-before-feature-file": (_manifest_fault(_row_b(feat_row=9, labels=[]), n_rows=1),
+                                 "manifest line 2: feat_row 9 outside feature file with 1 rows"),
+    "duplicate-vocabulary": (_duplicate_vocabulary,
+                             "{tmp_path}/vocab.txt: duplicate tokens in vocabulary file"),
+    "ragged-features": (_ragged_features,
+                        "document 'b': feature vectors must share one dimension"),
+    "empty-corpus": (lambda tmp_path: cp.from_records([]), "cannot build an empty corpus"),
+    "split-empty": (_split_of(0, 0.9, 0.15), "cannot split an empty corpus"),
+    "split-no-train": (_split_of(2, 0.5, 0.9), "train split would be empty"),
+    "split-no-test": (_split_of(1, 0.9, 0.15), "test split would be empty"),
+    "split-no-val": (_split_of(10, 0.9, 0.01), "validation split would be empty"),
+}
+
+
+class TestRejections:
+    @pytest.mark.parametrize("case", REJECTIONS)
+    def test_message(self, tmp_path, case):
+        action, message = REJECTIONS[case]
+        with pytest.raises(cp.CorpusError) as caught:
+            action(tmp_path)
+        assert str(caught.value) == message.format(tmp_path=tmp_path)
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        rows = three_doc_rows()
+        text = "\n".join(json.dumps(row) for row in rows).replace("\n", "\n\n  \n", 1)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(text + "\n")
+        cp.write_features(tmp_path / "features.bin", np.zeros((3, 2)))
+        assert [d.id for d in cp.load_corpus(manifest, tmp_path / "features.bin").documents] \
+            == ["a", "b", "c"]
+        manifest.write_text(text.replace('"feat_row": 2', '"feat_row": 5') + "\n")
+        with pytest.raises(cp.CorpusError, match="^manifest line 5: feat_row 5 outside"):
+            cp.load_corpus(manifest, tmp_path / "features.bin")
+
+
+class TestExactIntegers:
+    """Timestamps and token counts lie within +-2**53, where float64 holds every integer."""
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("timestamp", 10**400, id="timestamp-10**400"),
+        pytest.param("timestamp", -(10**400), id="timestamp--10**400"),
+        pytest.param("timestamp", 2**60 + 1, id="timestamp-2**60+1"),
+        pytest.param("timestamp", 2**53 + 1, id="timestamp-2**53+1"),
+        pytest.param("timestamp", 1e300, id="timestamp-1e300"),
+        pytest.param("tokens", {"dog": 10**400}, id="count-10**400"),
+        pytest.param("tokens", {"dog": 2**53 + 1}, id="count-2**53+1"),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, key, value):
+        rows = three_doc_rows()
+        rows[1][key] = value
+        fault = ("document 'b': timestamp outside [-2**53, 2**53]" if key == "timestamp" else
+                 "document 'b': token count for 'dog' must be a positive integer of at most 2**53")
+        assert_builders_reject(tmp_path, rows, np.zeros((3, 4)), f"^{re.escape(fault)}$")
+
+    def test_bounds_accepted_exactly(self, tmp_path):
+        rows = three_doc_rows()
+        rows[0]["timestamp"], rows[1]["timestamp"] = -(2**53), 2**53
+        rows[2]["tokens"] = {"tree": 2**53}
+        manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 4)))
+        corpus = cp.load_corpus(manifest, features)
+        assert corpus.time_axis.origin == -(2**53)
+        assert corpus.documents[2].text_counts == {"tree": 2**53}
+
+
 class TestRoundTrip:
     def test_save_then_load_is_equal(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -368,6 +517,6 @@ class TestSplit:
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(cp.CorpusError):
-            cp.SplitSpec(dev_fraction=0.0)
+            cp.SplitSpec(0.0, 0.15, 0)
         with pytest.raises(cp.CorpusError):
-            cp.SplitSpec(val_fraction_of_dev=1.0)
+            cp.SplitSpec(0.9, 1.0, 0)

@@ -10,6 +10,7 @@ from retrieval_reference import topk_of_grades
 from tcmr import corpus as cp
 from tcmr import retrieval as rt
 from tcmr import synth
+from tcmr.config import RunConfig
 from tcmr.projection import DegenerateProjectionError, ProjectionModel
 from tcmr.train import mean_map_both_directions
 
@@ -389,7 +390,8 @@ class TestEvaluateDirection:
     def test_report_fields_in_range(self):
         index = self._index()
         for direction in rt.DIRECTIONS:
-            report = rt.evaluate_direction(index, direction, k=5, k_list=[1, 3, 5], bins=4)
+            report = rt.evaluate_direction(index, direction, 5, [1, 3, 5], bins=4,
+                                           ndcg_gain="linear")
             assert 0.0 <= report.map_at_k <= 1.0
             assert 0.0 <= report.ndcg_at_k <= 1.0
             assert 0.0 <= report.temporal_fit <= 1.0
@@ -399,7 +401,7 @@ class TestEvaluateDirection:
 
     def test_report_round_trip_files(self, tmp_path):
         index = self._index()
-        report = rt.evaluate_direction(index, rt.I2T, k=5, k_list=[1, 5], bins=4)
+        report = rt.evaluate_direction(index, rt.I2T, 5, [1, 5], bins=4, ndcg_gain="linear")
         rt.write_report_json(report, tmp_path / "report.json")
         rt.write_scope_csv(report, tmp_path / "scope.csv")
         rt.write_temporal_csv(report, tmp_path / "temporal.csv")
@@ -658,7 +660,7 @@ class TestAgainstFullSortReferences:
         for k in (1, 5, 50):
             want = float(np.mean([reference_map(reference_ranked(index, d)[1] > 0, k)[0]
                                   for d in rt.DIRECTIONS]))
-            assert mean_map_both_directions(index, k) == want
+            assert mean_map_both_directions(index, RunConfig(k_eval=k)) == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_candidates_equal_full_lexsort(self, seed):

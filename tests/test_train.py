@@ -6,7 +6,7 @@ import pytest
 
 from tcmr import corpus as cp
 from tcmr import synth
-from tcmr.config import RunConfig
+from tcmr.config import ConfigError, RunConfig
 from tcmr.train import fit_temporal_model, train_model, write_training_log
 
 
@@ -55,7 +55,7 @@ class TestTrainModel:
 
     def test_lambda_requires_temporal_model(self):
         _, cfg, train, val, _ = toy_setup(lam=1.0)
-        with pytest.raises(ValueError, match="temporal"):
+        with pytest.raises(ConfigError, match="^lambda > 0 requires --temporal with a fitted model$"):
             train_model(train, val, cfg)
 
     def test_temporal_loss_reported(self):
@@ -93,6 +93,7 @@ class TestTrainModel:
         assert len(result.history) == 3
         assert all(e.val_map is None for e in result.history)
         assert result.best_val_map is None
+        assert result.best_epoch == 3
 
     def test_recency_and_topic_models_train(self):
         _, cfg, train, val, _ = toy_setup(lam=0.5, epochs=2, gibbs_iters=5, num_topics=2)
