@@ -25,6 +25,8 @@ import json
 import logging
 import math
 import struct
+from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -75,7 +77,7 @@ class TimeAxis:
         return self.origin + int(round(t * self.unit))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Document:
     """One bimodal instance: image features, token counts, time, labels."""
 
@@ -151,15 +153,15 @@ def write_features(path, matrix: np.ndarray) -> None:
 
 
 def _parse_timestamp(value) -> int:
-    """Epoch seconds of a manifest timestamp; an integer stays exact, a float is rounded."""
-    if isinstance(value, str):
+    """Epoch seconds of a manifest timestamp that is not an int (an int is exact as it is)."""
+    if type(value) is str:
         try:
             value = float(value)
         except ValueError:
             raise CorpusError(f"non-numeric timestamp {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) is not float:
         raise CorpusError("timestamp must be numeric")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not math.isfinite(value):
         raise CorpusError("non-finite timestamp")
     return round(value)
 
@@ -168,33 +170,33 @@ def _parse_timestamp(value) -> int:
 _MANIFEST_KEYS = dict.fromkeys(("id", "timestamp", "tokens", "labels", "feat_row")).keys()
 
 
-def _parse_manifest_line(line: str) -> dict:
-    """JSON structure of one manifest line (messages without the line number);
-    the document checks are the builder's."""
-    try:
-        row = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"invalid JSON ({exc.msg})") from None
-    if not isinstance(row, dict):
+def _parse_manifest_line(row) -> tuple:
+    """(id, feat_row, tokens, epoch, labels) of a decoded manifest line, its JSON structure
+    checked (messages without the line number); the document checks are the builder's. A JSON
+    decoder makes exact types only, so ``type(x) is T`` does for isinstance; a bool is no int."""
+    if type(row) is not dict:
         raise CorpusError("expected a JSON object")
     if not row.keys() >= _MANIFEST_KEYS:
         missing = next(key for key in _MANIFEST_KEYS if key not in row)
         raise CorpusError(f"missing key {missing!r}")
-    if not isinstance(row["id"], str) or not row["id"]:
+    doc_id, epoch, tokens, labels, feat_row = (
+        row["id"], row["timestamp"], row["tokens"], row["labels"], row["feat_row"])
+    if type(doc_id) is not str or not doc_id:
         raise CorpusError("id must be a non-empty string")
-    row["timestamp"] = _parse_timestamp(row["timestamp"])
-    if not isinstance(row["tokens"], dict):
+    if type(epoch) is not int:
+        epoch = _parse_timestamp(epoch)
+    if type(tokens) is not dict:
         raise CorpusError("tokens must be an object")
-    if not isinstance(row["labels"], list):
+    if type(labels) is not list:
         raise CorpusError("labels must be a list")
-    if not isinstance(row["feat_row"], int) or isinstance(row["feat_row"], bool):
+    if type(feat_row) is not int:
         raise CorpusError("feat_row must be an integer")
-    return row
+    return doc_id, feat_row, tokens, epoch, labels
 
 
 def read_vocabulary(path) -> list[str]:
-    vocab = [line.rstrip("\n") for line in Path(path).read_text().splitlines()]
-    vocab = [tok for tok in vocab if tok]
+    """The UTF-8 vocabulary file's tokens, one a line: split at "\\n" only, blank lines skipped."""
+    vocab = [tok for tok in Path(path).read_text(encoding="utf-8").split("\n") if tok]
     if len(set(vocab)) != len(vocab):
         raise CorpusError(f"{path}: duplicate tokens in vocabulary file")
     return vocab
@@ -208,35 +210,40 @@ def load_corpus(
 ) -> Corpus:
     """Read a manifest + features pair (and vocabulary file) and build the Corpus.
 
-    Only the file formats are checked here; ``from_records`` validates the
-    documents, exactly as for an in-memory corpus.
+    Only the file formats are checked here; ``from_records`` validates the documents,
+    exactly as for an in-memory corpus. The manifest is read once as UTF-8 text (CR and
+    CRLF read as "\\n") and split at "\\n" only, as a JSON string may hold U+2028; the
+    decoder's scanner takes each line, and ``json.loads`` words a line it cannot take whole.
     """
-    feats = read_features(features_path)
-    n_rows = feats.shape[0]
-
+    feat_rows = list(read_features(features_path))  # a view of each row
+    n_rows = len(feat_rows)
+    scan = json.JSONDecoder().scan_once
+    lines = Path(manifest_path).read_text(encoding="utf-8").split("\n")
     records = []
     line_of_row: dict[int, int] = {}
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = _parse_manifest_line(line)
-            except CorpusError as exc:
-                raise CorpusError(f"manifest line {lineno}: {exc}") from None
-            if not 0 <= row["feat_row"] < n_rows:
-                raise CorpusError(
-                    f"manifest line {lineno}: feat_row {row['feat_row']} outside"
-                    f" feature file with {n_rows} rows"
-                )
-            first = line_of_row.setdefault(row["feat_row"], lineno)
-            if first != lineno:
-                raise CorpusError(
-                    f"manifest lines {first} and {lineno} share feat_row {row['feat_row']}"
-                )
-            records.append(
-                (row["id"], feats[row["feat_row"]], row["tokens"], row["timestamp"], row["labels"])
-            )
+    for lineno, line in enumerate(lines, 1):
+        try:
+            row, end = scan(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        try:
+            if end != len(line):  # blank, whitespace around the value, or a fault
+                if not line.strip():
+                    continue
+                try:  # the line as the file holds it: all but the last end in "\n"
+                    row = json.loads(line + "\n" if lineno < len(lines) else line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"invalid JSON ({exc.msg})") from None
+            doc_id, feat_row, tokens, epoch, labels = _parse_manifest_line(row)
+        except CorpusError as exc:
+            raise CorpusError(f"manifest line {lineno}: {exc}") from None
+        if not 0 <= feat_row < n_rows:
+            raise CorpusError(f"manifest line {lineno}: feat_row {feat_row} outside"
+                              f" feature file with {n_rows} rows")
+        first = line_of_row.setdefault(feat_row, lineno)
+        if first != lineno:
+            raise CorpusError(f"manifest lines {first} and {lineno} share feat_row {feat_row}")
+        records.append((doc_id, feat_rows[feat_row], tokens, epoch, labels))
     if len(records) != n_rows:
         raise CorpusError(
             f"manifest has {len(records)} documents but feature file has {n_rows} rows"
@@ -266,7 +273,8 @@ def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -
     Path(manifest_path).write_text(text, encoding="utf-8")
     write_features(features_path, corpus.image_matrix())
     if vocab_path is not None:
-        Path(vocab_path).write_text("".join(tok + "\n" for tok in corpus.vocabulary))
+        Path(vocab_path).write_text("".join(tok + "\n" for tok in corpus.vocabulary),
+                                    encoding="utf-8")
 
 
 def _feature_matrix(records) -> np.ndarray:
@@ -287,6 +295,11 @@ def _feature_matrix(records) -> np.ndarray:
     return matrix
 
 
+def _bad_token(tok) -> bool:
+    """A vocabulary file holds one token a line: a token is a non-empty str with no line end."""
+    return not isinstance(tok, str) or not tok or "\n" in tok or "\r" in tok
+
+
 def from_records(
     records: Sequence[tuple[str, np.ndarray, Mapping[str, int], int, Sequence[str]]],
     time_unit: float = DEFAULT_TIME_UNIT,
@@ -294,66 +307,73 @@ def from_records(
 ) -> Corpus:
     """Build and validate a corpus from (id, image_feat, tokens, epoch, labels) tuples.
 
-    Every document needs a non-empty set of non-empty string labels and
-    positive integer token counts; counts and epochs are at most 2**53 in
-    magnitude, ids are unique and features finite, of one dimension.
-    Features are rounded through float32 so a corpus is exactly
-    representable in the on-disk feature format. The vocabulary is the
-    sorted token union unless given, in which case its order is
-    authoritative and unknown tokens are dropped (count recorded on the
-    corpus).
+    Every document needs a non-empty set of non-empty string labels and positive integer
+    token counts; tokens are non-empty strings without "\\n" or "\\r", counts and epochs
+    at most 2**53 in magnitude, ids unique and features finite, of one dimension. Features
+    are rounded through float32 so a corpus is exactly representable in the on-disk feature
+    format. The vocabulary is the sorted token union unless given, in which case its order
+    is authoritative and unknown tokens are dropped (count recorded on the corpus).
     """
     if not records:
         raise CorpusError("cannot build an empty corpus")
     ids = [rec[0] for rec in records]
     if len(set(ids)) != len(ids):
-        dupe = next(i for i in ids if ids.count(i) > 1)
-        raise CorpusError(f"duplicate document id {dupe!r}")
+        seen = Counter(ids)
+        raise CorpusError(f"duplicate document id {next(i for i in ids if seen[i] > 1)!r}")
     feats = _feature_matrix(records)
 
     if not positive_finite(time_unit):
         raise CorpusError(f"time unit must be positive and finite, got {time_unit!r}")
     epochs = [int(rec[3]) for rec in records]
-    for rec, epoch in zip(records, epochs):
-        if abs(epoch) > EXACT_INT:
-            raise CorpusError(f"document {rec[0]!r}: timestamp outside [-2**53, 2**53]")
-    origin = min(epochs)
-    span = (max(epochs) - origin) / time_unit
-    axis = TimeAxis(unit=time_unit, origin=origin, num_slices=int(math.floor(span)) + 1)
+    origin, last = min(epochs), max(epochs)
+    if origin < -EXACT_INT or last > EXACT_INT:
+        bad = next(rec[0] for rec, epoch in zip(records, epochs) if abs(epoch) > EXACT_INT)
+        raise CorpusError(f"document {bad!r}: timestamp outside [-2**53, 2**53]")
+    axis = TimeAxis(unit=time_unit, origin=origin,
+                    num_slices=int(math.floor((last - origin) / time_unit)) + 1)
 
+    token_maps = [rec[2] for rec in records]
+    label_lists = [rec[4] for rec in records]
+    tokens = set().union(*token_maps)
     if vocabulary is None:
-        vocabulary = sorted({tok for rec in records for tok in rec[2]})
-    known = set(vocabulary)
-
-    documents = []
-    dropped = 0
-    for (doc_id, _, tokens, _, labels), feat, epoch in zip(records, feats, epochs):
-        if not labels:
-            raise CorpusError(f"document {doc_id!r}: empty label set")
-        for lab in labels:
-            if not isinstance(lab, str) or not lab:
+        vocabulary = sorted(tokens)
+    # each rule over all documents at once; on a fault, the loop names the first in order
+    labels = list(chain.from_iterable(label_lists))
+    counts = list(chain.from_iterable(mapping.values() for mapping in token_maps))
+    if not (all(label_lists) and all(issubclass(t, str) for t in set(map(type, labels)))
+            and all(labels) and not any(map(_bad_token, tokens))
+            and set(map(type, counts)) <= {int}
+            and 0 < min(counts, default=1) and max(counts, default=1) <= EXACT_INT):
+        for doc_id, _, mapping, _, labs in records:
+            if not labs:
+                raise CorpusError(f"document {doc_id!r}: empty label set")
+            if not all(isinstance(lab, str) and lab for lab in labs):
                 raise CorpusError(f"document {doc_id!r}: labels must be non-empty strings")
-        counts = {}
-        for tok, count in sorted(tokens.items()):
-            if type(count) is not int or not 0 < count <= EXACT_INT:  # bool is not int here
-                raise CorpusError(
-                    f"document {doc_id!r}: token count for {tok!r} must be a positive integer"
-                    " of at most 2**53"
-                )
-            if tok in known:
-                counts[tok] = count
-            else:
-                dropped += count
-        documents.append(Document(doc_id, feat, counts, (epoch - origin) / time_unit,
-                                  frozenset(labels)))
-    if dropped:
-        log.warning("dropped %d token occurrences outside the vocabulary", dropped)
+            for tok, count in sorted(mapping.items()):
+                if _bad_token(tok):
+                    raise CorpusError(f"document {doc_id!r}: token {tok!r} must be a non-empty"
+                                      " string without a line break")
+                if type(count) is not int or not 0 < count <= EXACT_INT:  # bool is not int
+                    raise CorpusError(f"document {doc_id!r}: token count for {tok!r} must be"
+                                      " a positive integer of at most 2**53")
 
-    categories = sorted(set().union(*[doc.labels for doc in documents]))
+    # a copy of each token map in sorted order, less the tokens outside the vocabulary
+    text = [dict(mapping) if list(mapping) == sorted(mapping) else dict(sorted(mapping.items()))
+            for mapping in token_maps]
+    dropped = 0
+    unknown = tokens.difference(vocabulary)
+    if unknown:
+        for mapping in text:
+            for tok in mapping.keys() & unknown:
+                dropped += mapping.pop(tok)
+        log.warning("dropped %d token occurrences outside the vocabulary", dropped)
+    labelsets = list(map(frozenset, label_lists))
+    documents = list(map(Document, ids, feats, text,
+                         [(epoch - origin) / time_unit for epoch in epochs], labelsets))
     return Corpus(
         documents=documents,
         vocabulary=vocabulary,
-        categories=categories,
+        categories=sorted(set().union(*labelsets)),
         time_axis=axis,
         d_image=feats.shape[1],
         dropped_token_count=dropped,

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -145,6 +148,73 @@ class TestSynthAndIngest:
         assert code == 2
         assert "time unit must be positive and finite" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+
+def write_token_manifest(path, tokens):
+    """Three documents, the second holding ``tokens``, with raw (unescaped) non-ASCII text."""
+    rows = [{"id": "a", "timestamp": 0, "tokens": {"z": 1}, "labels": ["l"], "feat_row": 0},
+            {"id": "b", "timestamp": 86400, "tokens": tokens, "labels": ["l"], "feat_row": 1},
+            {"id": "c", "timestamp": 0, "tokens": {"z": 2}, "labels": ["m"], "feat_row": 2}]
+    path.write_bytes("".join(json.dumps(row, ensure_ascii=False) + "\n"
+                             for row in rows).encode("utf-8"))
+    cp.write_features(path.parent / "features.bin", np.zeros((3, 2)))
+    return path, path.parent / "features.bin"
+
+
+class TestTokenFiles:
+    """``vocab.txt`` is UTF-8, one token a line, split at "\\n" only."""
+
+    def test_unicode_line_breaks_in_tokens_survive_ingest(self, tmp_path, capsys):
+        manifest, features = write_token_manifest(tmp_path / "m.jsonl",
+                                                  {"x\u2028y": 1, "p\x0cq": 2})
+        assert main(["ingest", str(manifest), str(features), "--out", str(tmp_path / "b")]) == 0
+        assert read_summary(capsys)["d_text"] == 3
+        bundle = tmp_path / "b"
+        assert main(["ingest", str(bundle / "manifest.jsonl"), str(bundle / "features.bin"),
+                     "--vocab", str(bundle / "vocab.txt"), "--out", str(tmp_path / "again")]) == 0
+        summary = read_summary(capsys)
+        assert (summary["d_text"], summary["dropped_tokens"]) == (3, 0)
+        assert load_bundle(tmp_path / "again", cp.DEFAULT_TIME_UNIT).vocabulary \
+            == ["p\x0cq", "x\u2028y", "z"]
+        for name in ("manifest.jsonl", "features.bin", "vocab.txt"):
+            assert (tmp_path / "again" / name).read_bytes() == (bundle / name).read_bytes()
+
+    @pytest.mark.parametrize("token", ["a\nb", "a\rb", ""])
+    def test_token_a_vocabulary_file_cannot_hold_is_data_error(self, tmp_path, capsys, token):
+        manifest, features = write_token_manifest(tmp_path / "m.jsonl", {token: 1})
+        assert main(["ingest", str(manifest), str(features), "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert f"document 'b': token {token!r} must be a non-empty string without a line break" \
+            in err and "Traceback" not in err
+        assert not (tmp_path / "b").exists()
+
+    def test_non_utf8_manifest_is_data_error(self, tmp_path, capsys):
+        manifest, features = write_token_manifest(tmp_path / "m.jsonl", {"caf\u00e9": 1})
+        manifest.write_bytes(manifest.read_bytes().replace("\u00e9".encode("utf-8"), b"\xe9"))
+        assert main(["ingest", str(manifest), str(features), "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert "'utf-8' codec can't decode byte 0xe9" in err and "Traceback" not in err
+
+    def test_bundle_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(cp.__file__).resolve().parents[1]))
+        env.pop("PYTHONIOENCODING", None)
+
+        def tcmr(*argv):
+            return subprocess.run([sys.executable, "-m", "tcmr.cli", *map(str, argv)], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        manifest, features = write_token_manifest(tmp_path / "m.jsonl", {"caf\u00e9": 1})
+        written = tcmr("ingest", manifest, features, "--out", tmp_path / "b")
+        assert written.returncode == 0, written.stderr
+        assert (tmp_path / "b" / "vocab.txt").read_bytes() == "caf\u00e9\nz\n".encode("utf-8")
+        save_bundle(load_bundle(tmp_path / "b", cp.DEFAULT_TIME_UNIT), tmp_path / "utf8")
+        bundle = tmp_path / "utf8"
+        read = tcmr("ingest", bundle / "manifest.jsonl", bundle / "features.bin",
+                    "--vocab", bundle / "vocab.txt", "--out", tmp_path / "again")
+        assert read.returncode == 0, read.stderr
+        assert json.loads(read.stdout)["dropped_tokens"] == 0
+        assert (tmp_path / "again" / "vocab.txt").read_bytes() == (bundle / "vocab.txt").read_bytes()
 
 
 class TestPipeline:

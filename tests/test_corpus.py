@@ -2,13 +2,15 @@ import json
 import math
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_helpers import assert_same_corpus
+from corpus_helpers import assert_same_corpus, reference_document_fault, reference_load_corpus
 from tcmr import corpus as cp
 
 
@@ -361,6 +363,176 @@ class TestRoundTrip:
         cp.save_corpus(cp.load_corpus(m1, f1), m2, f2)
         assert m1.read_bytes() == m2.read_bytes()
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def _lines():
+    """The three-document manifest as canonical JSON lines, without line ends."""
+    return [json.dumps(row, separators=(",", ":")) for row in three_doc_rows()]
+
+
+def _unterminated(line):
+    """``line`` cut inside its "id" string."""
+    return line[:line.index('"id":') + 7]
+
+
+READER_CASES = {  # case -> whole manifest text, written as UTF-8 bytes
+    "crlf": "\r\n".join(_lines()) + "\r\n",
+    "lone-cr": "\r".join(_lines()) + "\r",
+    "mixed-endings": _lines()[0] + "\r\n" + _lines()[1] + "\r" + _lines()[2] + "\n",
+    "leading-space-and-tab": "".join(" \t" + line + "\n" for line in _lines()),
+    "trailing-space-and-tab": "".join(line + "\t  \n" for line in _lines()),
+    "leading-crlf-space": "".join("  " + line + " \r\n" for line in _lines()),
+    "blank-lines": "\n\n" + "\n \n\t\n".join(_lines()) + "\n\n  \n",
+    "formfeed-and-fs-lines": "\x0c\n" + "\n\x1c\n".join(_lines()) + "\n\x1c\x0c \n",
+    "formfeed-before-value": _lines()[0] + "\n\x0c" + _lines()[1] + "\n" + _lines()[2] + "\n",
+    "u2028-in-token": "\n".join(_lines()).replace('"dog"', '"d\u2028o\x85g\u2029"') + "\n",
+    "key-order-and-spacing": "".join(
+        json.dumps(dict(reversed(row.items())), indent=None, separators=(" ,  ", " : ")) + "\n"
+        for row in three_doc_rows()),
+    "bom": "\ufeff" + "\n".join(_lines()) + "\n",
+    "bom-on-blank-line": "\ufeff\n" + "\n".join(_lines()) + "\n",
+    "extra-data": _lines()[0] + "\n" + _lines()[1] + " " + _lines()[1] + "\n" + _lines()[2] + "\n",
+    "no-final-newline": "\n".join(_lines()),
+    "truncated-last-line": "\n".join(_lines()[:2]) + "\n" + _unterminated(_lines()[2]),
+    "truncated-middle-line": "\n".join([_lines()[0], _unterminated(_lines()[1]), _lines()[2]]),
+    "escaped-u2028-and-nan": "\n".join(_lines()).replace('"dog"', '"d\\u2028g"')
+                             .replace('"timestamp":86400', '"timestamp":NaN') + "\n",
+}
+
+
+def _read(reader, manifest, features):
+    """The corpus ``reader`` builds, or the type and whole message of what it raises."""
+    try:
+        return reader(manifest, features)
+    except Exception as exc:  # any fault must be the reference's, word for word
+        return type(exc), str(exc)
+
+
+def assert_same_reading(tmp_path, text):
+    manifest, features = tmp_path / "manifest.jsonl", tmp_path / "features.bin"
+    manifest.write_bytes(text.encode("utf-8"))
+    cp.write_features(features, np.arange(6.0).reshape(3, 2))
+    got = _read(cp.load_corpus, manifest, features)
+    want = _read(reference_load_corpus, manifest, features)
+    if isinstance(want, cp.Corpus):
+        assert isinstance(got, cp.Corpus), got
+        assert_same_corpus(got, want)
+    else:
+        assert got == want
+    return got
+
+
+class TestReaderEquivalence:
+    """``load_corpus`` scans each line and gives the same corpus, or the same whole message, as
+    the per-line ``json.loads`` reader it replaced (``corpus_helpers.reference_load_corpus``)."""
+
+    @pytest.mark.parametrize("case", READER_CASES)
+    def test_case(self, tmp_path, case):
+        assert_same_reading(tmp_path, READER_CASES[case])
+
+    def test_cases_cover_faults_and_corpora(self, tmp_path):
+        outcomes = {case: assert_same_reading(tmp_path, text)
+                    for case, text in READER_CASES.items()}
+        assert outcomes["bom"] == (cp.CorpusError, "manifest line 1: invalid JSON"
+                                   " (Unexpected UTF-8 BOM (decode using utf-8-sig))")
+        assert outcomes["extra-data"] == (cp.CorpusError, "manifest line 2: invalid JSON"
+                                          " (Extra data)")
+        assert outcomes["truncated-last-line"] == (
+            cp.CorpusError, "manifest line 3: invalid JSON (Unterminated string starting at)")
+        assert outcomes["truncated-middle-line"] == (
+            cp.CorpusError, "manifest line 2: invalid JSON (Invalid control character at)")
+        assert outcomes["u2028-in-token"].vocabulary == ["cat", "d\u2028o\x85g\u2029", "tree"]
+        assert isinstance(outcomes["formfeed-and-fs-lines"], cp.Corpus)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(parts=st.lists(st.tuples(
+               st.sampled_from(["", " ", "\t", " \t", "\x0c", "\x1c", "\ufeff"]),
+               st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\u2028"]),
+               st.sampled_from(["\n", "\r\n", "\r"]),
+               st.sampled_from(["", "\n", " \n", "\x0c\n", "\u2028\n", "\t\r\n"])),
+               min_size=3, max_size=3),
+           cut=st.one_of(st.none(), st.integers(0, 400)))
+    def test_fuzzed_layout(self, parts, cut):
+        text = "".join(before + line + after + end + blank
+                       for line, (before, after, end, blank) in zip(_lines(), parts))
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_same_reading(Path(tmp), text if cut is None else text[:cut])
+
+
+class TestTokenNames:
+    """A vocabulary file holds one token a line, split at "\\n" only."""
+
+    @pytest.mark.parametrize("token", ["x\u2028y", "p\x0cq", "r\x0bs", "t\x1cu", "v\x85w",
+                                       "a\u2029b", " pad "])
+    def test_vocabulary_file_keeps_unicode_line_breaks(self, tmp_path, token):
+        rows = three_doc_rows()
+        rows[1]["tokens"] = {token: 2, "z": 1}
+        manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 2)))
+        corpus = cp.load_corpus(manifest, features)
+        out = tmp_path / "out"
+        out.mkdir()
+        cp.save_corpus(corpus, out / "m.jsonl", out / "f.bin", out / "vocab.txt")
+        again = cp.load_corpus(out / "m.jsonl", out / "f.bin", out / "vocab.txt")
+        assert again.vocabulary == corpus.vocabulary == sorted(["cat", "dog", "tree", "z", token])
+        assert again.dropped_token_count == 0
+        assert_same_corpus(again, corpus)
+
+    def test_vocabulary_lines_end_at_newline_only(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("a\u2028b\r\nc\x0cd\n\ne\rf\x1c\n".encode("utf-8"))
+        assert cp.read_vocabulary(path) == ["a\u2028b", "c\x0cd", "e", "f\x1c"]
+
+    @pytest.mark.parametrize("token", ["", "a\nb", "a\rb", "\n", "ab\r"])
+    def test_token_that_a_vocabulary_file_cannot_hold_rejected(self, tmp_path, token):
+        rows = three_doc_rows()
+        rows[1]["tokens"] = {"dog": 1, token: 1}
+        fault = f"document 'b': token {token!r} must be a non-empty string without a line break"
+        assert_builders_reject(tmp_path, rows, np.zeros((3, 2)), f"^{re.escape(fault)}$")
+
+
+class TestDocumentFaults:
+    """``from_records`` checks every document rule over the whole corpus at once, then names
+    the first fault as one loop over the documents in order would."""
+
+    def test_first_repeated_id_in_document_order_named(self):
+        records = [(i, np.zeros(2), {"x": 1}, 0, ["l"]) for i in ["a", "b", "b", "a"]]
+        with pytest.raises(cp.CorpusError, match="^duplicate document id 'a'$"):
+            cp.from_records(records)
+
+    @pytest.mark.parametrize("labels, tokens, fault", [
+        ([], {"x": 0}, "empty label set"),
+        ([""], {"x": 0}, "labels must be non-empty strings"),
+        (["l", 3], {"": 1}, "labels must be non-empty strings"),
+        (["l"], {"b": 0, "a\n": 1}, "token 'a\\n' must be a non-empty string without a line break"),
+        (["l"], {"b": 1, "a": True}, "token count for 'a' must be a positive integer of at most 2**53"),
+    ])
+    def test_fault_order_within_a_document(self, labels, tokens, fault):
+        records = [("a", np.zeros(2), {"x": 1}, 0, ["l"]),
+                   ("b", np.zeros(2), tokens, 0, labels),
+                   ("c", np.zeros(2), {"x": -1}, 0, [])]
+        with pytest.raises(cp.CorpusError) as caught:
+            cp.from_records(records)
+        assert str(caught.value) == f"document 'b': {fault}"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(docs=st.lists(st.tuples(
+        st.lists(st.sampled_from(["l", "m", "", 0, None, True, ("l",)]), max_size=3),
+        st.dictionaries(st.sampled_from(["a", "b", "", "c\n", "d\r", "e\u2028"]),
+                        st.sampled_from([1, 2, 0, -1, True, 1.0, 2**53, 2**53 + 1, None]),
+                        max_size=3),
+    ), min_size=1, max_size=6))
+    def test_named_fault_matches_ordered_loop(self, docs):
+        records = [(f"d{i}", np.zeros(2), tokens, 0, labels)
+                   for i, (labels, tokens) in enumerate(docs)]
+        fault = reference_document_fault(records)
+        if fault is None:
+            corpus = cp.from_records(records)
+            assert [sorted(d.text_counts) for d in corpus.documents] \
+                == [list(d.text_counts) for d in corpus.documents]
+        else:
+            with pytest.raises(cp.CorpusError) as caught:
+                cp.from_records(records)
+            assert str(caught.value) == fault
 
 
 def reference_tfidf_matrix(rows, stats):
