@@ -170,9 +170,10 @@ def cmd_eval(args) -> int:
     cfg, model, _, test, stats = _restore(args)
     k = cfg.k_eval if args.k is None else args.k
     index = rt.build_index(test, model, stats)
+    del _, test  # the index holds all that scoring reads; free the documents first
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"k": k, "test_documents": len(test)}
+    summary = {"k": k, "test_documents": len(index)}
     for direction in rt.DIRECTIONS:
         report = rt.evaluate_direction(
             index, direction, k, args.k_list, bins=cfg.eval_bins, ndcg_gain=cfg.ndcg_gain
@@ -202,14 +203,13 @@ def cmd_query(args) -> int:
     index = rt.build_index(corpus, model, stats, candidates_of=direction)
     results, truncated = rt.query_topk(index, model, direction, row, k=args.k)
     by_id = {doc.id: doc for doc in corpus.documents}
-    axis = corpus.time_axis
     for doc_id, score in results:
         doc = by_id[doc_id]
         _emit(
             {
                 "doc_id": doc_id,
                 "score": round(score, 6),
-                "timestamp": axis.to_epoch(doc.timestamp),
+                "timestamp": doc.epoch,
                 "labels": sorted(doc.labels),
             }
         )

@@ -73,9 +73,6 @@ class TimeAxis:
         """Slice indices of timestamps given in time units; clamped to range."""
         return np.clip(np.floor(t), 0, self.num_slices - 1).astype(np.int64)
 
-    def to_epoch(self, t: float) -> int:
-        return self.origin + int(round(t * self.unit))
-
 
 @dataclass(eq=False, slots=True)
 class Document:
@@ -86,6 +83,7 @@ class Document:
     text_counts: dict[str, int]
     timestamp: float  # time units since TimeAxis.origin
     labels: frozenset[str]
+    epoch: int  # the input's epoch seconds, which the float timestamp may not give back exactly
 
 
 @dataclass(eq=False)
@@ -258,12 +256,11 @@ def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -
     The writer is deterministic (sorted tokens and labels, fixed key order),
     so re-ingesting its own output is byte-identical.
     """
-    axis = corpus.time_axis
     encode = json.JSONEncoder(separators=(",", ":")).encode
     text = "".join(
         encode({
             "id": doc.id,
-            "timestamp": axis.to_epoch(doc.timestamp),
+            "timestamp": doc.epoch,
             "tokens": dict(sorted(doc.text_counts.items())),
             "labels": sorted(doc.labels),
             "feat_row": i,
@@ -311,8 +308,10 @@ def from_records(
     token counts; tokens are non-empty strings without "\\n" or "\\r", counts and epochs
     at most 2**53 in magnitude, ids unique and features finite, of one dimension. Features
     are rounded through float32 so a corpus is exactly representable in the on-disk feature
-    format. The vocabulary is the sorted token union unless given, in which case its order
-    is authoritative and unknown tokens are dropped (count recorded on the corpus).
+    format. The vocabulary is the sorted token union unless given, in which case its tokens
+    must be distinct and follow the token rule, its order is authoritative, and unknown
+    tokens are dropped (count recorded on the corpus). Each document keeps its integer
+    epoch, which ``save_corpus`` writes back.
     """
     if not records:
         raise CorpusError("cannot build an empty corpus")
@@ -337,6 +336,15 @@ def from_records(
     tokens = set().union(*token_maps)
     if vocabulary is None:
         vocabulary = sorted(tokens)
+    else:  # a vocabulary file must hold it: distinct tokens, one a line
+        seen = set()
+        for tok in vocabulary:
+            if _bad_token(tok):
+                raise CorpusError(f"vocabulary token {tok!r} must be a non-empty string"
+                                  " without a line break")
+            if tok in seen:
+                raise CorpusError(f"duplicate vocabulary token {tok!r}")
+            seen.add(tok)
     # each rule over all documents at once; on a fault, the loop names the first in order
     labels = list(chain.from_iterable(label_lists))
     counts = list(chain.from_iterable(mapping.values() for mapping in token_maps))
@@ -369,7 +377,7 @@ def from_records(
         log.warning("dropped %d token occurrences outside the vocabulary", dropped)
     labelsets = list(map(frozenset, label_lists))
     documents = list(map(Document, ids, feats, text,
-                         [(epoch - origin) / time_unit for epoch in epochs], labelsets))
+                         [(epoch - origin) / time_unit for epoch in epochs], labelsets, epochs))
     return Corpus(
         documents=documents,
         vocabulary=vocabulary,

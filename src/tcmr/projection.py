@@ -79,8 +79,13 @@ class ProjectionHalf:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.d_in:
             raise ValueError(f"input has dimension {x.shape[1]}, expected {self.d_in}")
-        h = np.tanh(x @ self.W1.T + self.b1)
-        y = np.tanh(h @ self.W2.T + self.b2)
+        # bias and tanh in place: one (n, width) array per layer, the same operations and bits
+        h = x @ self.W1.T
+        h += self.b1
+        np.tanh(h, out=h)
+        y = h @ self.W2.T
+        y += self.b2
+        np.tanh(y, out=y)
         norms = np.linalg.norm(y, axis=1, keepdims=True)
         if (norms < DEGENERATE_NORM).any():
             row = int(np.nonzero(norms[:, 0] < DEGENERATE_NORM)[0][0])

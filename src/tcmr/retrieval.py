@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -277,7 +277,11 @@ def temporal_fit(result_counts, gt_counts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Full evaluation
 
-EVAL_BLOCK = 256  # query rows scored at a time: evaluation holds a few (block, n) arrays
+# Query rows scored at a time: evaluation holds a few (block, n) arrays. A
+# (128, n) float64 array stays under glibc's 32 MB ceiling for reusing freed
+# memory up to n = 32,768, so a block's temporaries are not mapped and zeroed
+# afresh each time; at n = 1,920 it is about L2-sized.
+EVAL_BLOCK = 128
 
 
 @dataclass
@@ -319,33 +323,37 @@ def rank_direction(index: RetrievalIndex, direction: str, depth: int,
     # counts go through float64 products, which run in BLAS and stay exact below 2**53
     size = np.bincount(group, minlength=len(sets)).astype(np.float64)
     group_bins = _bin_counts(group, doc_bins, len(sets), bins).astype(np.float64)
-    # one scores buffer for every block: a fresh (b, n) array can page-fault on each block
-    scores = np.empty((min(EVAL_BLOCK, len(index)), len(index)))
+    # every buffer allocated once: fresh arrays for each block can page-fault on every block
+    n = len(index)
+    depth = min(depth, n)
+    scores = np.empty((min(EVAL_BLOCK, n), n))
+    top = TopK(
+        order=np.empty((n, depth), dtype=np.intp),
+        grades=np.empty((n, depth)),
+        ideal=np.zeros((n, depth)),
+        relevant=np.empty(n, dtype=np.int64),
+        gt_counts=np.empty((n, bins), dtype=np.int64),
+    )
     id_ranks = _id_ranks(index.doc_ids)
-    blocks = []
-    for start in range(0, len(index), EVAL_BLOCK):
-        stop = min(start + EVAL_BLOCK, len(index))
+    ranks = np.arange(depth)
+    for start in range(0, n, EVAL_BLOCK):
+        stop = min(start + EVAL_BLOCK, n)
         rows = slice(start, stop)
-        order = rank_candidates(np.matmul(queries[rows], candidates.T, out=scores[:stop - start]),
-                                id_ranks, depth)
+        order = top.order[rows]
+        order[:] = rank_candidates(np.matmul(queries[rows], candidates.T,
+                                             out=scores[:stop - start]), id_ranks, depth)
         shared = sets[group[rows]] @ sets.T  # exact small integers
         relevant = (shared > 0).astype(np.float64)
         num_relevant = relevant @ size
         # counting sort of each row: position j holds the largest g with more than j grades >= g
-        ideal = np.zeros(order.shape)
-        ranks = np.arange(order.shape[1])
+        ideal = top.ideal[rows]
         for g in range(1, int(shared.max(initial=0)) + 1):
             at_least = num_relevant if g == 1 else (shared >= g).astype(np.float64) @ size
             ideal[ranks < at_least[:, None]] = g
-        blocks.append(TopK(
-            order=order,
-            grades=np.take_along_axis(shared, group[order], axis=1),
-            ideal=ideal,
-            relevant=num_relevant.astype(np.int64),
-            gt_counts=(relevant @ group_bins).astype(np.int64),
-        ))
-    return TopK(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
-                   for f in fields(TopK)})
+        top.grades[rows] = np.take_along_axis(shared, group[order], axis=1)
+        top.relevant[rows] = num_relevant
+        top.gt_counts[rows] = relevant @ group_bins
+    return top
 
 
 def evaluate_direction(index: RetrievalIndex, direction: str, k: int,

@@ -18,6 +18,7 @@ def assert_same_corpus(got, want):
         assert list(a.text_counts.items()) == list(b.text_counts.items()), a.id
         assert a.timestamp == b.timestamp and type(a.timestamp) is type(b.timestamp), a.id
         assert a.labels == b.labels, a.id
+        assert a.epoch == b.epoch and type(a.epoch) is type(b.epoch), a.id
     assert got.vocabulary == want.vocabulary
     assert got.categories == want.categories
     assert got.time_axis == want.time_axis

@@ -87,4 +87,4 @@ def all_pairs(model, docs):
 
 def doc_at(t, labels=("l",), tokens=None):
     """A document at time ``t`` (time units) with the given labels and tokens."""
-    return Document(f"t{t}", np.zeros(1), dict(tokens or {}), float(t), frozenset(labels))
+    return Document(f"t{t}", np.zeros(1), dict(tokens or {}), float(t), frozenset(labels), round(t))

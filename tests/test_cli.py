@@ -464,6 +464,24 @@ class TestPipeline:
             assert (out_a / f"report-{tag}.json").read_bytes() == \
                 (out_b / f"report-{tag}.json").read_bytes()
 
+    def test_eval_bytes_do_not_depend_on_blas_threads(self, workspace):
+        tmp_path, data, _ = workspace
+        ckpt, _ = self.train(workspace)
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"eval-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(cp.__file__).resolve().parents[1]))
+            done = subprocess.run(
+                [sys.executable, "-m", "tcmr.cli", "eval", "--checkpoint", str(ckpt),
+                 "--corpus", str(data), "--out", str(out), "--k", "10"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        assert len(runs[0][1]) == 6  # a report and two CSVs per direction
+        assert runs[0] == runs[1]
+
     def test_curves(self, workspace, capsys):
         tmp_path, data, _ = workspace
         ckpt, _ = self.train(workspace)
@@ -536,7 +554,7 @@ class TestPipeline:
         tmp_path, data, cfg = workspace
         corpus = load_bundle(data, cp.DEFAULT_TIME_UNIT)
         records = [(d.id, d.image_feat, dict(d.text_counts, common=1),
-                    corpus.time_axis.to_epoch(d.timestamp), sorted(d.labels))
+                    d.epoch, sorted(d.labels))
                    for d in corpus.documents]
         common = tmp_path / "common"
         save_bundle(cp.from_records(records), common)

@@ -223,7 +223,7 @@ def _ragged_features(tmp_path):
 
 def _split_of(n, dev, val):
     def split(tmp_path):
-        docs = [cp.Document(f"d{i}", np.zeros(2), {}, 0.0, frozenset(["l"])) for i in range(n)]
+        docs = [cp.Document(f"d{i}", np.zeros(2), {}, 0.0, frozenset(["l"]), 0) for i in range(n)]
         corpus = cp.Corpus(docs, [], ["l"], cp.TimeAxis(1.0, 0, 1), 2)
         cp.split(corpus, cp.SplitSpec(dev, val, 0))
     return split
@@ -365,6 +365,26 @@ class TestRoundTrip:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+    @pytest.mark.parametrize("epochs", [
+        (0, 2**53 - 1, 3 * DAY),
+        (-(2**53), 2**53 - 1, 1234567890123457),
+        (-(2**53), 2**53, 0),
+    ])
+    def test_epochs_far_from_the_origin_are_written_back(self, tmp_path, epochs):
+        """An epoch 2**51 s or more from the origin is not given back by its float offset."""
+        rows = three_doc_rows()
+        for row, epoch in zip(rows, epochs):
+            row["timestamp"] = epoch
+        manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 2)))
+        m1, f1 = tmp_path / "m1.jsonl", tmp_path / "f1.bin"
+        cp.save_corpus(cp.load_corpus(manifest, features), m1, f1)
+        written = [json.loads(line)["timestamp"] for line in m1.read_text().splitlines()]
+        assert written == list(epochs)
+        m2, f2 = tmp_path / "m2.jsonl", tmp_path / "f2.bin"
+        cp.save_corpus(cp.load_corpus(m1, f1), m2, f2)
+        assert m1.read_bytes() == m2.read_bytes()
+
+
 def _lines():
     """The three-document manifest as canonical JSON lines, without line ends."""
     return [json.dumps(row, separators=(",", ":")) for row in three_doc_rows()]
@@ -488,6 +508,22 @@ class TestTokenNames:
         rows[1]["tokens"] = {"dog": 1, token: 1}
         fault = f"document 'b': token {token!r} must be a non-empty string without a line break"
         assert_builders_reject(tmp_path, rows, np.zeros((3, 2)), f"^{re.escape(fault)}$")
+
+
+    @pytest.mark.parametrize("vocabulary, token", [
+        (["x", "a\nb", ""], "a\nb"),
+        (["x", ""], ""),
+        (["x", "ab\r"], "ab\r"),
+        (["x", 7], 7),
+    ])
+    def test_in_memory_vocabulary_token_a_file_cannot_hold_rejected(self, vocabulary, token):
+        fault = f"vocabulary token {token!r} must be a non-empty string without a line break"
+        with pytest.raises(cp.CorpusError, match=f"^{re.escape(fault)}$"):
+            cp.from_records([("a", np.zeros(2), {"x": 1}, 0, ["l"])], vocabulary=vocabulary)
+
+    def test_in_memory_vocabulary_duplicate_rejected(self):
+        with pytest.raises(cp.CorpusError, match="^duplicate vocabulary token 'x'$"):
+            cp.from_records([("a", np.zeros(2), {"x": 1}, 0, ["l"])], vocabulary=["x", "y", "x"])
 
 
 class TestDocumentFaults:

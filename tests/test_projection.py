@@ -56,6 +56,18 @@ class TestForward:
         y, _ = half.forward(rng.normal(size=(10, 5)))
         np.testing.assert_allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-9)
 
+    def test_equals_the_expression_bit_for_bit(self):
+        """The in-place bias and tanh make the same bits as the out-of-place expression."""
+        rng = np.random.default_rng(2)
+        half = pj.ProjectionHalf(W1=rng.normal(size=(7, 5)), b1=rng.normal(size=7),
+                                 W2=rng.normal(size=(3, 7)), b2=rng.normal(size=3))
+        x = rng.normal(size=(40, 5))
+        y = np.tanh(np.tanh(x @ half.W1.T + half.b1) @ half.W2.T + half.b2)
+        got, (_, h, pre_norm, _, _) = half.forward(x)
+        assert np.array_equal(h, np.tanh(x @ half.W1.T + half.b1))
+        assert np.array_equal(pre_norm, y)
+        assert np.array_equal(got, y / np.linalg.norm(y, axis=1, keepdims=True))
+
     def test_dimension_check(self):
         half = pj.ProjectionHalf.initialize(4, 3, 2, np.random.default_rng(1))
         with pytest.raises(ValueError, match="dimension"):

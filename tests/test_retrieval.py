@@ -624,7 +624,7 @@ class TestAgainstFullSortReferences:
     ]
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("block", [1, 7, 13, 128, 256])  # 13 leaves a short last block
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_reports_are_byte_identical(self, seed, block, case, monkeypatch):
         monkeypatch.setattr(rt, "EVAL_BLOCK", block)
@@ -653,7 +653,7 @@ class TestAgainstFullSortReferences:
         assert (index.timestamps == 3.0).any()
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("block", [1, 7, 13, 128, 256])  # 13 leaves a short last block
     def test_validation_score_is_the_same_float(self, seed, block, monkeypatch):
         monkeypatch.setattr(rt, "EVAL_BLOCK", block)
         index = tie_index(seed)

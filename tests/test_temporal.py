@@ -232,8 +232,8 @@ class TestTopicDensity:
     def test_asymmetric_by_construction(self):
         phi = np.array([[0.9, 0.1], [0.2, 0.8]])
         model = self._manual_model(phi)
-        doc_i = cp.Document("i", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]))
-        doc_j = cp.Document("j", np.zeros(1), {"w1": 1}, 1.0, frozenset(["l"]))
+        doc_i = cp.Document("i", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]), 0)
+        doc_j = cp.Document("j", np.zeros(1), {"w1": 1}, 1.0, frozenset(["l"]), 1)
         assert batch_sim(model, doc_i, doc_j) != batch_sim(model, doc_j, doc_i)
 
     def test_empty_slices_merge_forward(self):
@@ -411,7 +411,8 @@ class TestPairMatrix:
     def test_recency(self):
         rng = np.random.default_rng(20)
         days = np.concatenate([rng.uniform(0, 30, size=40), [3.0, 3.0, 0.0, 29.9]])
-        docs = [cp.Document(f"d{i}", np.zeros(2), {"w": 1}, float(t), frozenset([f"c{i % 3}"]))
+        docs = [cp.Document(f"d{i}", np.zeros(2), {"w": 1}, float(t), frozenset([f"c{i % 3}"]),
+                            round(t))
                 for i, t in enumerate(days)]
         model = tp.RecencyModel(h_rec=0.3)
         values = assert_pair_matrix_is_reference(model, docs, rng.permutation(len(docs))[:30])
@@ -440,8 +441,8 @@ class TestPairMatrix:
         corpus = day_corpus(specs)
         model = tp.fit_topic_densities(corpus, num_topics=2, seed=5, gibbs_iters=5, **TOPIC_FIT)
         docs = corpus.documents + [
-            cp.Document("unknown", np.zeros(2), {"mystery": 2}, 2.5, frozenset(["c0"])),
-            cp.Document("late", np.zeros(2), {"w1": 1, "zzz": 1}, 99.0, frozenset(["c1"])),
+            cp.Document("unknown", np.zeros(2), {"mystery": 2}, 2.5, frozenset(["c0"]), 2),
+            cp.Document("late", np.zeros(2), {"w1": 1, "zzz": 1}, 99.0, frozenset(["c1"]), 99),
         ]
         batch = np.concatenate([[len(docs) - 2, len(docs) - 1], rng.permutation(40)[:28]])
         values = assert_pair_matrix_is_reference(model, docs, batch)
@@ -455,9 +456,9 @@ class TestPairMatrix:
             slice_map=np.arange(2), time_axis=cp.TimeAxis(unit=1.0, origin=0, num_slices=2),
             floor=1e-6, aggregate="geometric",
         )
-        doc_a = cp.Document("doc00000", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]))
-        doc_b = cp.Document("doc00000", np.zeros(1), {"w1": 1}, 0.0, frozenset(["l"]))
-        other = cp.Document("doc00001", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]))
+        doc_a = cp.Document("doc00000", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]), 0)
+        doc_b = cp.Document("doc00000", np.zeros(1), {"w1": 1}, 0.0, frozenset(["l"]), 0)
+        other = cp.Document("doc00001", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]), 0)
         values = all_pairs(model, [doc_a, doc_b, other])
         assert values[0, 2] == pytest.approx(1.0)
         assert values[1, 2] == pytest.approx(0.1 / 0.9)
