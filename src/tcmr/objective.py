@@ -204,6 +204,5 @@ def total_loss(image_feats, text_vecs, plan, model, cfg):
     proj_img, cache_img = model.image_net.forward(image_feats)
     proj_txt, cache_txt = model.text_net.forward(text_vecs)
     breakdown, dA, dB = loss_terms_from_projections(proj_img, proj_txt, plan, cfg)
-    grads_img, _ = model.image_net.backward(cache_img, dA)
-    grads_txt, _ = model.text_net.backward(cache_txt, dB)
-    return breakdown, grads_img + grads_txt
+    grads = model.image_net.backward(cache_img, dA) + model.text_net.backward(cache_txt, dB)
+    return breakdown, grads

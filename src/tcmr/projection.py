@@ -94,13 +94,11 @@ class ProjectionHalf:
         return y_hat, (x, h, y, norms, y_hat)
 
     def backward(self, cache, upstream):
-        """Exact gradients for a cached forward pass.
+        """Exact parameter gradients for a cached forward pass.
 
-        upstream is dL/d(y_hat), shape (n, d_out). Returns (parameter
-        gradients in ``params()`` order, dL/dx).
+        upstream is dL/d(y_hat), shape (n, d_out). Returns [dW1, db1, dW2,
+        db2], in ``params()`` order.
         """
-        if cache is None:
-            raise ValueError("backward() needs the cache from forward()")
         x, h, y, norms, y_hat = cache
         g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
         # through normalization: (g - (g . y_hat) y_hat) / ||y||
@@ -112,8 +110,7 @@ class ProjectionHalf:
         da1 = dh * (1.0 - h * h)
         dW1 = da1.T @ x
         db1 = da1.sum(axis=0)
-        dx = da1 @ self.W1
-        return [dW1, db1, dW2, db2], dx
+        return [dW1, db1, dW2, db2]
 
 
 @dataclass

@@ -236,11 +236,8 @@ def ndcg_at_k(grades, ideal, k: int, gain: str):
 
 
 def precision_scope(hits, relevant, k_list=DEFAULT_SCOPE_KS):
-    """mAP@k for each k; k_list must be strictly increasing."""
-    ks = list(k_list)
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k_list must be strictly increasing")
-    return [(k, map_at_k(hits, relevant, k)[0]) for k in ks]
+    """mAP@k for each k of the strictly increasing k_list."""
+    return [(k, map_at_k(hits, relevant, k)[0]) for k in k_list]
 
 
 def time_bins(timestamps, time_axis: TimeAxis, bins: int) -> np.ndarray:

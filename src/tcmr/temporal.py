@@ -11,17 +11,17 @@ time, each returning values in [0, 1]:
     (collapsed Gibbs LDA per time slice, each slice's topic-word counts
     seeded from the previous slice), aggregated over a document's words.
 
-All are fitted on the training split and frozen before subspace learning.
-Each model holds the arrays it scores with, and its constructor owns every
-rule a fitted model must meet, so fitters, the TXNT reader and direct
-construction share one rule. There are no scalar one-pair helpers: training
-asks each model once per run for ``document_table(documents)``, the
-per-document values its scores are made of, and then once per mini-batch for
-``pair_matrix(table, batch, scored)``: the (b, b) matrix of the correlations
-of batch rows i and j. Misses (pairs without a fitted curve or documents
-without a known word) score 0 and are counted over the ``scored`` pairs
-only. The topic model conditions on document i's words and document j's
-timestamp, so it is asymmetric by construction. The tests check
+All are fitted on the training split and frozen before subspace learning:
+each model is a frozen dataclass holding the arrays it scores with, and its
+constructor owns every rule a fitted model must meet, so fitters, the TXNT
+reader and direct construction share one rule. There are no scalar one-pair
+helpers: training asks each model once per run for
+``document_table(documents)``, the per-document values its scores are made
+of, and then once per mini-batch for ``pair_matrix(table, batch)``: the
+(b, b) matrix of the correlations of batch rows i and j, with no other
+effect. Misses (pairs without a shared fitted curve, or document i without a
+known word) score 0. The topic model conditions on document i's words and
+document j's timestamp, so it is asymmetric by construction. The tests check
 ``pair_matrix`` against scalar references (``tests/temporal_reference.py``).
 Fitted models are saved as TXNT files in the layout of ``container``.
 """
@@ -85,7 +85,7 @@ class RecencyModel:
     def document_table(self, documents) -> np.ndarray:
         return np.array([d.timestamp for d in documents], dtype=np.float64)
 
-    def pair_matrix(self, table, batch, scored) -> np.ndarray:
+    def pair_matrix(self, table, batch) -> np.ndarray:
         # math.exp per entry: np.exp differs from it in the last bit on some inputs
         t = table[batch]
         exponents = (-np.abs(t[:, None] - t[None, :]) / self.h_rec).ravel().tolist()
@@ -113,7 +113,7 @@ def gaussian_kde_density(obs: np.ndarray, t, bandwidth: float):
     return density.reshape(t.shape)[()]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CategoryKDE:
     """Peak-normalized per-category density curves on a uniform grid."""
 
@@ -121,7 +121,6 @@ class CategoryKDE:
     grid: np.ndarray
     categories: list[str]
     curves: np.ndarray  # row c is the curve of categories[c], sampled at grid
-    missing_pair_count: int = 0
 
     kind = "category"
 
@@ -135,26 +134,21 @@ class CategoryKDE:
                  "KDE curves need one row per category and one column per grid point")
         _require(((self.curves >= 0) & (self.curves <= 1)).all(), "KDE curve values outside [0, 1]")
 
-    def document_table(self, documents):
-        """(densities, labelled) over the categories that have a curve.
-
-        ``labelled[i, c]`` is 1 when document i carries category c, and
-        ``densities[i, c]`` is then the curve's value at its timestamp, else 0.
-        """
+    def document_table(self, documents) -> np.ndarray:
+        """(n, categories): the curve of category c at document i's timestamp
+        when document i carries c, else 0."""
         labelled = label_matrix([d.labels for d in documents], self.categories)
         t = np.array([d.timestamp for d in documents], dtype=np.float64)
         densities = np.empty_like(labelled)
         for k, curve in enumerate(self.curves):
             densities[:, k] = np.interp(t, self.grid, curve)
-        return densities * labelled, labelled
+        return densities * labelled
 
-    def pair_matrix(self, table, batch, scored) -> np.ndarray:
+    def pair_matrix(self, table, batch) -> np.ndarray:
         """Max over shared fitted categories of the two density values' product; 0 on a miss."""
         # an unshared category has a zero factor, and products are >= 0, so
         # the max over all categories is the max over the shared ones
-        densities, labelled = table
-        d, lab = densities[batch], labelled[batch]
-        self.missing_pair_count += int((scored & (lab @ lab.T == 0)).sum())
+        d = table[batch]
         out = np.zeros((len(d), len(d)))
         for col in d.T:
             np.maximum(out, np.multiply.outer(col, col), out=out)
@@ -181,7 +175,7 @@ def fit_category_kde(train: Corpus, bandwidth: float, grid_size: int) -> Categor
 # Topic densities (chained-slice Gibbs LDA)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TopicDensity:
     """Per-word temporal density profiles from the chained-slice topic model.
 
@@ -197,7 +191,6 @@ class TopicDensity:
     time_axis: TimeAxis
     floor: float
     aggregate: str
-    empty_word_count: int = 0
 
     kind = "topic"
 
@@ -212,7 +205,7 @@ class TopicDensity:
         s, e = self.slice_map, self.num_effective_slices
         _require(((s % 1 == 0) & (s >= 0) & (s < e)).all(),
                  f"slice_map entries must be integers in [0, {e})")
-        self.slice_map = s.astype(np.int64)
+        object.__setattr__(self, "slice_map", s.astype(np.int64))
         _require_positive("floor", self.floor)
         _require(self.aggregate in ("geometric", "product"),
                  f"unknown aggregate {self.aggregate!r}")
@@ -222,29 +215,26 @@ class TopicDensity:
         return self.phi.shape[1]
 
     def document_table(self, documents):
-        """(profiles, empty, slices): each document's profile (the mean or, for
+        """(profiles, slices): each document's profile (the mean or, for
         ``product``, the sum of log(max(phi, floor)) over its known words, shifted
-        to peak at 1 after exp; a zero row when none is known), whether it has no
-        known word, and the effective slice of its timestamp."""
+        to peak at 1 after exp; a zero row when none is known) and the effective
+        slice of its timestamp."""
         column = {tok: i for i, tok in enumerate(self.vocabulary)}
         log_phi = np.log(np.maximum(self.phi, self.floor))
         profiles = np.zeros((len(documents), self.num_effective_slices))
-        empty = np.zeros(len(documents), dtype=bool)
         for i, doc in enumerate(documents):
             rows = sorted(column[t] for t in doc.text_counts if t in column)
             if not rows:
-                empty[i] = True
                 continue
             logq = log_phi[rows]
             m = logq.mean(axis=0) if self.aggregate == "geometric" else logq.sum(axis=0)
             profiles[i] = np.exp(m - m.max())
         slices = self.slice_map[self.time_axis.slice_of([d.timestamp for d in documents])]
-        return profiles, empty, slices
+        return profiles, slices
 
-    def pair_matrix(self, table, batch, scored) -> np.ndarray:
+    def pair_matrix(self, table, batch) -> np.ndarray:
         """Document i's profile at document j's effective slice; 0 on a miss."""
-        profiles, empty, slices = table
-        self.empty_word_count += int((scored & empty[batch, None]).sum())
+        profiles, slices = table
         return profiles[np.ix_(batch, slices[batch])]
 
 

@@ -102,7 +102,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
             idx = perm[start : start + cfg.batch_size]
             plan = build_batch_plan(labels[idx], rng, cfg.negatives_per_anchor)
             if cfg.lam > 0:
-                plan.sim_temp = temporal_model.pair_matrix(table, idx, plan.positive_mask)
+                plan.sim_temp = temporal_model.pair_matrix(table, idx)
             out, grads = total_loss(x_img[idx], x_txt[idx], plan, model, cfg)
             opt.step(model, grads, batch_size=len(idx))
             total += out.total

@@ -4,8 +4,7 @@ Training scores a whole batch at once through ``document_table`` and
 ``pair_matrix``. These functions score one (doc_i, doc_j) pair straight from
 a fitted model's parameters, one loop per definition, so tests can check the
 batched path entry by entry. ``reference_sim`` returns None for a miss (no
-shared fitted category, or no known word in doc_i), which the model scores 0
-and counts.
+shared fitted category, or no known word in doc_i), which the model scores 0.
 """
 
 import math
@@ -67,22 +66,9 @@ def pair_sim(model, doc_i, doc_j):
     return 0.0 if value is None else value
 
 
-def reference_misses(model, docs, batch, scored):
-    """Misses among the ``scored`` pairs of batch rows, one reference call per pair."""
-    return sum(reference_sim(model, docs[batch[i]], docs[batch[j]]) is None
-               for i, j in zip(*np.nonzero(scored)))
-
-
-def counted_misses(model):
-    """The model's own miss counter, which ``pair_matrix`` advances; recency has none."""
-    name = {"category": "missing_pair_count", "topic": "empty_word_count"}.get(model.kind)
-    return getattr(model, name) if name else 0
-
-
 def all_pairs(model, docs):
-    """Production ``pair_matrix`` over every pair of ``docs``, all of them scored."""
-    n = len(docs)
-    return model.pair_matrix(model.document_table(docs), np.arange(n), np.ones((n, n), bool))
+    """Production ``pair_matrix`` over every pair of ``docs``."""
+    return model.pair_matrix(model.document_table(docs), np.arange(len(docs)))
 
 
 def doc_at(t, labels=("l",), tokens=None):

@@ -251,11 +251,10 @@ def test_temporal_model_correctness():
     # a batch of 100 documents drawn with repeats: 10k (i, j) pairs
     docs = topic_corpus.documents
     batch = rng.integers(0, len(docs), size=spot)
-    scored = np.ones((spot, spot), dtype=bool)
     table = topic.document_table(docs)
-    topic_vals = topic.pair_matrix(table, batch, scored)
-    prof, empty, _ = table  # every document has a known word, so every row is a profile
-    ok_topic = not empty.any() and bool(((prof >= 0) & (prof <= 1.0 + 1e-12)).all())
+    topic_vals = topic.pair_matrix(table, batch)
+    prof, _ = table  # every document has a known word, so every row is a profile peaking at 1
+    ok_topic = bool((prof.max(axis=1) == 1.0).all() and ((prof >= 0) & (prof <= 1.0 + 1e-12)).all())
     ok_topic = ok_topic and bool(((topic_vals >= 0) & (topic_vals <= 1)).all())
 
     report(

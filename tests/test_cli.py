@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -321,19 +322,20 @@ class TestPipeline:
         assert main(["fit-temporal", "--kind", kind, "--corpus", str(data),
                      "--config", str(cfg), "--out", str(path)]) == 0
         model = tp.read_temporal_model(path)
+        force = partial(object.__setattr__, model)  # past the frozen model's constructor rules
         if case.startswith("slice_map="):
-            model.slice_map = model.slice_map.astype(np.float64)
+            force("slice_map", model.slice_map.astype(np.float64))
             model.slice_map[0] = float(case.split("=")[1])
         elif case == "vocabulary-repeated":
             model.vocabulary[1] = model.vocabulary[0]
         elif case == "grid-reversed":
-            model.grid = model.grid[::-1].copy()
+            force("grid", model.grid[::-1].copy())
         elif case.startswith("grid_size="):
             n = int(case.split("=")[1])
-            model.grid = model.grid[:n]
-            model.curves = model.curves[:, :n]
+            force("grid", model.grid[:n])
+            force("curves", model.curves[:, :n])
         elif case == "curve*5":
-            model.curves = 5.0 * model.curves
+            force("curves", 5.0 * model.curves)
         tp.write_temporal_model(path, model)
         if case == "categories-repeated":  # the curves stay, one name appears twice
             TestTruncatedBinaries.rewrite_header(

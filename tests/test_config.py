@@ -32,6 +32,10 @@ class TestRunConfig:
             RunConfig(lam=-1.0)
         with pytest.raises(ConfigError):
             RunConfig(dev_fraction=1.5)
+        with pytest.raises(ConfigError, match=r"dev_fraction must be in \(0, 1\]"):
+            RunConfig(dev_fraction=0.0)
+        with pytest.raises(ConfigError, match=r"val_fraction must be in \[0, 1\)"):
+            RunConfig(val_fraction=1.0)
         with pytest.raises(ConfigError):
             RunConfig(topic_aggregate="sum")
 

@@ -212,8 +212,8 @@ def _manifest_fault(line2, n_rows=3):
 
 
 def _duplicate_vocabulary(tmp_path):
-    (tmp_path / "vocab.txt").write_text("dog\ncat\ndog\n")
-    cp.read_vocabulary(tmp_path / "vocab.txt")
+    cp.load_corpus(*make_bundle(tmp_path, three_doc_rows(), np.zeros((3, 2)),
+                                vocab=["dog", "cat", "tree", "dog"]))
 
 
 def _ragged_features(tmp_path):
@@ -276,8 +276,7 @@ REJECTIONS = {  # case -> (action on a tmp_path, the whole message)
                                "manifest line 2: labels must be a list"),
     "line-before-feature-file": (_manifest_fault(_row_b(feat_row=9, labels=[]), n_rows=1),
                                  "manifest line 2: feat_row 9 outside feature file with 1 rows"),
-    "duplicate-vocabulary": (_duplicate_vocabulary,
-                             "{tmp_path}/vocab.txt: duplicate tokens in vocabulary file"),
+    "duplicate-vocabulary": (_duplicate_vocabulary, "duplicate vocabulary token 'dog'"),
     "ragged-features": (_ragged_features,
                         "document 'b': feature vectors must share one dimension"),
     "empty-corpus": (lambda tmp_path: cp.from_records([]), "cannot build an empty corpus"),
@@ -723,8 +722,3 @@ class TestSplit:
             assert part.time_axis == corpus.time_axis
             assert part.vocabulary == corpus.vocabulary
 
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(cp.CorpusError):
-            cp.SplitSpec(0.0, 0.15, 0)
-        with pytest.raises(cp.CorpusError):
-            cp.SplitSpec(0.9, 1.0, 0)

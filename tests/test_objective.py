@@ -291,8 +291,7 @@ class TestTotalLoss:
         a, cache_a = model.image_net.forward(x_img)
         b, cache_b = model.text_net.forward(x_txt)
         rank, dA, dB = reference_loss_terms(a, b, plan, cfg0)
-        grads_r = (model.image_net.backward(cache_a, dA)[0]
-                   + model.text_net.backward(cache_b, dB)[0])
+        grads_r = model.image_net.backward(cache_a, dA) + model.text_net.backward(cache_b, dB)
         assert total.total == total.ranking and total.temporal == 0.0
         assert rank.total == rank.ranking and rank.temporal == 0.0
         # only the summation order of the hinge values differs

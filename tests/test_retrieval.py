@@ -312,10 +312,6 @@ class TestPrecisionScope:
         curve = self.scope(flags, k_list=[2, 4, 6])
         assert [k for k, _ in curve] == [2, 4, 6]
 
-    def test_non_increasing_k_list_rejected(self):
-        with pytest.raises(ValueError):
-            self.scope([[True]], k_list=[3, 3])
-
     def test_matches_per_k_oracle(self):
         rng = np.random.default_rng(5)
         queries = [list(rng.random(6) < 0.5) for _ in range(3)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from tcmr import corpus as cp
 from tcmr import temporal as tp
-from temporal_reference import all_pairs, counted_misses, doc_at, pair_sim, reference_misses
+from tcmr.config import RunConfig
+from tcmr.train import fit_temporal_model
+from temporal_reference import all_pairs, doc_at, pair_sim, reference_sim
 
 DAY = 86400
-ONE_PAIR = np.array([[False, True], [False, False]])  # scores only (doc_i, doc_j)
 TOPIC_FIT = {"kappa": 0.5, "floor": 1e-6, "aggregate": "geometric"}  # RunConfig's defaults
 
 
@@ -26,9 +28,8 @@ def curve(model, category):
 
 
 def batch_sim(model, doc_i, doc_j):
-    """pair_matrix's value for (doc_i, doc_j) in a batch of the two, scoring only that pair."""
-    table = model.document_table([doc_i, doc_j])
-    return float(model.pair_matrix(table, np.arange(2), ONE_PAIR)[0, 1])
+    """pair_matrix's value for (doc_i, doc_j) in a batch of the two."""
+    return float(all_pairs(model, [doc_i, doc_j])[0, 1])
 
 
 class TestRecency:
@@ -112,7 +113,6 @@ class TestCategoryKDE:
         corpus = day_corpus([(0, {"w": 1}, ["a"]), (1, {"w": 1}, ["a"])])
         model = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=2048)
         assert batch_sim(model, doc_at(0.0, ["z"]), doc_at(1.0, ["z"])) == 0.0
-        assert model.missing_pair_count == 1
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(3)
@@ -212,7 +212,6 @@ class TestTopicDensity:
     def test_no_known_words_returns_zero(self):
         model = self._manual_model([[0.5, 0.5]])
         assert batch_sim(model, doc_at(0.0, tokens={"mystery": 1}), doc_at(0.0)) == 0.0
-        assert model.empty_word_count == 1
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(11)
@@ -384,27 +383,31 @@ class TestSerialization:
         with pytest.raises(tp.TemporalModelError, match="magic"):
             tp.read_temporal_model(path)
 
+    @pytest.mark.parametrize("source", ["fit", "txnt"])
+    @pytest.mark.parametrize("kind", sorted(MODEL_CLASSES))
+    def test_models_are_frozen(self, tmp_path, kind, source):
+        corpus = day_corpus([(d % 3, {f"w{d % 4}": 1}, [f"c{d % 2}"]) for d in range(12)])
+        model = fit_temporal_model(kind, corpus, RunConfig(num_topics=2, gibbs_iters=2))
+        if source == "txnt":
+            tp.write_temporal_model(tmp_path / "model.txnt", model)
+            model = tp.read_temporal_model(tmp_path / "model.txnt")
+        assert type(model) is MODEL_CLASSES[kind]
+        for field in dataclasses.fields(model):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, field.name, getattr(model, field.name))
+
 
 def assert_pair_matrix_is_reference(model, docs, batch):
-    """pair_matrix equals the scalar reference entry by entry, and counts its misses.
-
-    Misses are compared both over every pair and over the pairs training
-    scores: distinct documents sharing a label.
-    """
-    table = model.document_table(docs)
-    labels = cp.label_matrix([docs[i].labels for i in batch])
-    training = labels @ labels.T > 0
-    np.fill_diagonal(training, False)
-    everything = np.ones((len(batch), len(batch)), dtype=bool)
+    """pair_matrix equals the scalar reference entry by entry, and is exactly 0
+    at each miss. Returns (the values, the mask of missed pairs)."""
     want = np.array([[pair_sim(model, docs[i], docs[j]) for j in batch] for i in batch])
-    for scored in (everything, training):
-        start = counted_misses(model)
-        got = model.pair_matrix(table, batch, scored)
-        counted = counted_misses(model) - start
-        assert got.shape == (len(batch), len(batch))
-        np.testing.assert_array_equal(got, want)
-        assert counted == reference_misses(model, docs, batch, scored)
-    return want
+    missed = np.array([[reference_sim(model, docs[i], docs[j]) is None for j in batch]
+                       for i in batch])
+    got = model.pair_matrix(model.document_table(docs), batch)
+    assert got.shape == (len(batch), len(batch))
+    np.testing.assert_array_equal(got, want)
+    assert (got[missed] == 0.0).all()
+    return want, missed
 
 
 class TestPairMatrix:
@@ -415,7 +418,9 @@ class TestPairMatrix:
                             round(t))
                 for i, t in enumerate(days)]
         model = tp.RecencyModel(h_rec=0.3)
-        values = assert_pair_matrix_is_reference(model, docs, rng.permutation(len(docs))[:30])
+        values, missed = assert_pair_matrix_is_reference(model, docs,
+                                                         rng.permutation(len(docs))[:30])
+        assert not missed.any()
         assert (values > 0.0).any() and (values < 1e-40).any()
 
     def test_category_with_uncurved_shared_label(self):
@@ -429,8 +434,9 @@ class TestPairMatrix:
         model = tp.CategoryKDE(bandwidth=1.5, grid=fitted.grid, curves=fitted.curves[keep],
                                categories=[c for c in fitted.categories if c != "c3"])
         docs = corpus.documents
-        values = assert_pair_matrix_is_reference(model, docs, rng.permutation(len(docs))[:36])
-        assert model.missing_pair_count > 0
+        values, missed = assert_pair_matrix_is_reference(model, docs,
+                                                         rng.permutation(len(docs))[:36])
+        assert missed.any() and not missed.all()
         assert ((values > 0.0) & (values < 1.0)).any()
 
     def test_topic_with_unknown_words(self):
@@ -445,8 +451,8 @@ class TestPairMatrix:
             cp.Document("late", np.zeros(2), {"w1": 1, "zzz": 1}, 99.0, frozenset(["c1"]), 99),
         ]
         batch = np.concatenate([[len(docs) - 2, len(docs) - 1], rng.permutation(40)[:28]])
-        values = assert_pair_matrix_is_reference(model, docs, batch)
-        assert model.empty_word_count > 0
+        values, missed = assert_pair_matrix_is_reference(model, docs, batch)
+        assert missed[0].all() and not missed[1:].any()
         assert not values[0].any()
 
     def test_topic_profile_follows_tokens_not_id(self):
@@ -462,7 +468,7 @@ class TestPairMatrix:
         values = all_pairs(model, [doc_a, doc_b, other])
         assert values[0, 2] == pytest.approx(1.0)
         assert values[1, 2] == pytest.approx(0.1 / 0.9)
-        profiles, _, _ = model.document_table([doc_a, doc_b])
+        profiles, _ = model.document_table([doc_a, doc_b])
         assert not np.array_equal(profiles[0], profiles[1])
 
 
