@@ -171,13 +171,13 @@ def cmd_eval(args) -> int:
     k = cfg.k_eval if args.k is None else args.k
     index = rt.build_index(test, model, stats)
     del _, test  # the index holds all that scoring reads; free the documents first
+    grading = rt.grade_split(index, cfg.eval_bins, k)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"k": k, "test_documents": len(index)}
     for direction in rt.DIRECTIONS:
-        report = rt.evaluate_direction(
-            index, direction, k, args.k_list, bins=cfg.eval_bins, ndcg_gain=cfg.ndcg_gain
-        )
+        report = rt.evaluate_direction(index, grading, direction, k, args.k_list,
+                                       ndcg_gain=cfg.ndcg_gain)
         tag = direction.lower()
         rt.write_report_json(report, out_dir / f"report-{tag}.json")
         rt.write_scope_csv(report, out_dir / f"scope-{tag}.csv")

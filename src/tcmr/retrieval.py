@@ -9,19 +9,24 @@ nDCG@K, a precision-scope curve (mAP@k over a range of k), and the
 histogram intersection between the temporal distribution of retrieved
 relevant instances and that of all ground-truth instances.
 
-Evaluation streams over blocks of EVAL_BLOCK queries: a block's (b, n)
-scores are reduced to each query's top K candidates (K the largest
-cut-off), then dropped. Grading needs only the query's label set, so each
-block is graded against the G distinct candidate label sets, not the n
-candidates: its (b, G) shared-category counts, with each set's size and
-candidates per time bin, give every query's relevant count, ideal grades
-and per-bin relevant counts. That saves most where G is much smaller
-than n, as with one label per document. Memory is a few block × n arrays
-plus n × K, never n × n. Reports are bit-identical to a full sort of every
-row with per-query metric loops; tests keep that as a reference.
+Evaluation has two steps. Grading (``grade_split``) runs once per split
+and builds all that depends only on labels, ids and times: grading needs
+only a query's label set, so the G distinct label sets are graded against
+each other, and their (G, G) shared-category counts, with each set's size
+and documents per time bin, give every query's relevant count, ideal
+grades and per-bin relevant counts. That saves most where G is much
+smaller than n, as with one label per document. Ranking
+(``rank_direction``) runs per direction or validation epoch and streams
+over blocks of EVAL_BLOCK queries: a block's (b, n) scores are reduced to
+each query's top K candidates (K the largest cut-off), sorted on the score
+alone with the id tie-break only in rows that hold equal scores, then
+dropped. Memory is a few block × n arrays plus n × K, never n × n. Every
+mAP cut-off reads one cumulative-hit array. Reports are bit-identical to
+a full sort of every row with per-query metric loops; tests keep that as
+a reference.
 
 Every score comes one way: text rows from ``tfidf_matrix``, a ``forward``
-pass, then ``rank_candidates``. ``evaluate_direction`` serves ``eval`` and
+pass, then ``rank_candidates``. ``rank_direction`` serves ``eval`` and
 training-time validation; ``query_topk`` serves one ad-hoc input row.
 """
 
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -90,15 +95,26 @@ def build_index(
     only that direction's candidates, which is all ``query_topk`` reads."""
     if len(test.documents) == 0:
         raise ValueError("cannot build an index over an empty corpus")
+
+    def doc_id(row):
+        return test.documents[row].id
+
     image = text = None
     if candidates_of != I2T:
-        image = _project_split(model.image_net, test.image_matrix(), test, "image")
+        image = _project_split(model.image_net, test.image_matrix(), doc_id, "image")
     if candidates_of != T2I:
         text_rows = tfidf_matrix([d.text_counts for d in test.documents], stats)
-        text = _project_split(model.text_net, text_rows, test, "text")
+        text = _project_split(model.text_net, text_rows, doc_id, "text")
+    # ids, label sets and times last: the network pass sets the peak of ``eval``,
+    # and at n = 20,000 they would add 0.5 MB to it
+    return replace(split_index(test), image_matrix=image, text_matrix=text)
+
+
+def split_index(test: Corpus) -> RetrievalIndex:
+    """The index of ``test`` before projection: ids, label sets and times, no matrices."""
     return RetrievalIndex(
-        image_matrix=image,
-        text_matrix=text,
+        image_matrix=None,
+        text_matrix=None,
         doc_ids=[d.id for d in test.documents],
         label_sets=test.label_sets(),
         timestamps=test.timestamps(),
@@ -106,13 +122,27 @@ def build_index(
     )
 
 
-def _project_split(net, x, test: Corpus, modality: str) -> np.ndarray:
+def project_index(base: RetrievalIndex, model: ProjectionModel, image_rows,
+                  text_rows) -> RetrievalIndex:
+    """``base`` with its (n, d) image and (n, V) TF-IDF input rows projected.
+
+    Training-time validation projects the same val rows every epoch.
+    """
+    doc_id = base.doc_ids.__getitem__
+    return replace(
+        base,
+        image_matrix=_project_split(model.image_net, image_rows, doc_id, "image"),
+        text_matrix=_project_split(model.text_net, text_rows, doc_id, "text"),
+    )
+
+
+def _project_split(net, x, doc_id, modality: str) -> np.ndarray:
     """Project a split's (n, d) inputs; a degenerate row is named by its document."""
     try:
         return net.forward(x)[0]
     except DegenerateProjectionError as exc:
         raise DegenerateProjectionError(
-            f"degenerate {modality} projection for document {test.documents[exc.row].id!r}",
+            f"degenerate {modality} projection for document {doc_id(exc.row)!r}",
             exc.row,
         ) from None
 
@@ -129,8 +159,9 @@ def rank_candidates(scores: np.ndarray, id_ranks: np.ndarray, depth: int) -> np.
 
     Equal to the first ``depth`` columns of a full ``lexsort`` of each row,
     but only the candidates scoring at or above the row's depth-th score
-    are sorted. A row where equal scores straddle that score is sorted on
-    its own.
+    are sorted, and on the score alone: a row where two of them score the
+    same is sorted again with the id key, and a row where equal scores
+    straddle the depth-th score is sorted on its own.
     """
     b, n = scores.shape
     depth = min(depth, n)
@@ -141,9 +172,16 @@ def rank_candidates(scores: np.ndarray, id_ranks: np.ndarray, depth: int) -> np.
     straddle = np.bincount(rows, minlength=b) > depth
     fast = np.flatnonzero(~straddle)
     cols = cols[~straddle[rows]].reshape(len(fast), depth)
-    by_key = np.lexsort((id_ranks[cols], -scores[fast[:, None], cols]), axis=1)
+    neg = -scores[fast[:, None], cols]
+    by_score = np.argsort(neg, axis=1)
+    cols = np.take_along_axis(cols, by_score, axis=1)
+    neg = np.take_along_axis(neg, by_score, axis=1)
+    # a row not strictly ascending holds equal scores (or NaN), which the id key orders
+    tied = np.flatnonzero(~(neg[:, 1:] > neg[:, :-1]).all(axis=1))
+    by_key = np.lexsort((id_ranks[cols[tied]], neg[tied]), axis=1)
+    cols[tied] = np.take_along_axis(cols[tied], by_key, axis=1)
     order = np.empty((b, depth), dtype=np.intp)
-    order[fast] = np.take_along_axis(cols, by_key, axis=1)
+    order[fast] = cols
     for r in np.flatnonzero(straddle):
         cand = np.flatnonzero(above[r])
         order[r] = cand[np.lexsort((id_ranks[cand], -scores[r, cand]))[:depth]]
@@ -174,7 +212,7 @@ def query_topk(index: RetrievalIndex, model: ProjectionModel, direction: str, ro
 # ---------------------------------------------------------------------------
 # Metrics
 #
-# Each metric takes every query's top candidates (rows of a TopK) plus the
+# Each metric takes every query's top candidates (rows of a ranking) plus the
 # per-query counts that need the whole candidate set, so no metric needs the
 # full ranking. Row sums run over contiguous rows of fixed length, which
 # NumPy adds in the same pairwise order as a 1-D sum of that row.
@@ -188,22 +226,8 @@ def map_at_k(hits, relevant, k: int):
     precision at hit ranks over min(R, K). Returns (value, number of
     excluded queries).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hits = np.atleast_2d(np.asarray(hits, dtype=bool))[:, :k]
-    relevant = np.asarray(relevant)
-    defined = relevant > 0
-    if not defined.any():
-        raise MetricError("every query has zero relevant candidates")
-    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
-    num_hits = hits.sum(axis=1)
-    ap = np.zeros(len(hits))
-    # rows with m hits sum an (rows, m) array, each row as its own 1-D sum would
-    for m in np.flatnonzero(np.bincount(num_hits[defined])[1:]) + 1:
-        rows = np.flatnonzero(defined & (num_hits == m))
-        ap[rows] = precision[rows][hits[rows]].reshape(len(rows), m).sum(axis=1)
-    ap = ap[defined] / np.minimum(relevant[defined], k)
-    return float(np.mean(ap)), int(len(defined) - defined.sum())
+    ((_, value),) = precision_scope(hits, relevant, [k])
+    return value, int(np.count_nonzero(~(np.asarray(relevant) > 0)))
 
 
 def _gains(grades, gain):
@@ -236,8 +260,37 @@ def ndcg_at_k(grades, ideal, k: int, gain: str):
 
 
 def precision_scope(hits, relevant, k_list=DEFAULT_SCOPE_KS):
-    """mAP@k for each k of the strictly increasing k_list."""
-    return [(k, map_at_k(hits, relevant, k)[0]) for k in k_list]
+    """mAP@k, as ``map_at_k`` defines it, for each k of ``k_list``.
+
+    Precision at a rank does not depend on the cut-off, so every k reads
+    one cumulative-hit array over the columns of ``hits``, and a cut-off
+    keeps a prefix of each row's precisions at its hit ranks.
+    """
+    if any(k < 1 for k in k_list):
+        raise ValueError("k must be >= 1")
+    hits = np.atleast_2d(np.asarray(hits, dtype=bool))
+    relevant = np.asarray(relevant)
+    defined = relevant > 0
+    if not defined.any():
+        raise MetricError("every query has zero relevant candidates")
+    cumulative = np.cumsum(hits, axis=1)
+    at_hits = (cumulative / np.arange(1, hits.shape[1] + 1))[hits]  # row after row
+    first = np.cumsum(cumulative[:, -1]) - cumulative[:, -1]  # each row's start in at_hits
+    values = {}
+    for k in k_list:
+        if k in values:
+            continue
+        num_hits = cumulative[:, min(k, hits.shape[1]) - 1]
+        by_hits = np.argsort(num_hits, kind="stable")
+        ends = np.cumsum(np.bincount(num_hits))
+        ap = np.zeros(len(hits))
+        # rows with m hits sum an (rows, m) array, each row as its own 1-D sum would
+        for m in range(1, len(ends)):
+            rows = by_hits[ends[m - 1]:ends[m]]
+            if len(rows):
+                ap[rows] = at_hits[first[rows, None] + np.arange(m)].sum(axis=1)
+        values[k] = float(np.mean(ap[defined] / np.minimum(relevant[defined], k)))
+    return [(k, values[k]) for k in k_list]
 
 
 def time_bins(timestamps, time_axis: TimeAxis, bins: int) -> np.ndarray:
@@ -281,15 +334,23 @@ def temporal_fit(result_counts, gt_counts) -> np.ndarray:
 EVAL_BLOCK = 128
 
 
-@dataclass
-class TopK:
-    """Each query's top candidates and the counts its metrics need beyond them."""
+@dataclass(frozen=True)
+class Grading:
+    """What evaluating a split needs from its label sets, ids and times alone.
 
-    order: np.ndarray  # (n, K) candidate rows, best first
-    grades: np.ndarray  # (n, K) shared-category counts in that order
-    ideal: np.ndarray  # (n, K) the K largest shared-category counts, descending
-    relevant: np.ndarray  # (n,) candidates sharing a category with the query
-    gt_counts: np.ndarray  # (n, bins) relevant candidates per time bin
+    ``grade_split`` builds it once per split: both directions of ``eval``
+    and every validation epoch rank against the same grading. Documents
+    with the same label set form a group, and a query's counts are its
+    group's: ``relevant[group]`` gives every query's relevant count.
+    """
+
+    group: np.ndarray  # (n,) each document's group: its row of ``sets``
+    sets: np.ndarray  # (G, C) label rows of the split's distinct label sets
+    id_ranks: np.ndarray  # (n,) each document's place in id order, the ranking's tie-break
+    doc_bins: np.ndarray  # (n,) each document's time bin, -1 outside the timespan
+    relevant: np.ndarray  # (G,) candidates sharing a category with a query of the group
+    ideal: np.ndarray  # (G, depth) the group's largest shared-category counts, descending
+    gt_counts: np.ndarray  # (G, bins) the group's relevant candidates per time bin
 
 
 def _bin_counts(rows, item_bins, num_rows: int, bins: int) -> np.ndarray:
@@ -299,77 +360,98 @@ def _bin_counts(rows, item_bins, num_rows: int, bins: int) -> np.ndarray:
     return np.bincount(cells, minlength=num_rows * bins).reshape(num_rows, bins)
 
 
-def rank_direction(index: RetrievalIndex, direction: str, depth: int,
-                   doc_bins, bins: int) -> TopK:
-    """Top ``depth`` of one direction with every index row as a query.
+def grade_split(index: RetrievalIndex, bins: int, depth: int) -> Grading:
+    """Grade every document of ``index`` as a query against all of them.
+
+    Reads only the index's ids, label sets and times. Grading needs only a
+    query's label set, so it runs once per group of documents with the same
+    set, against the G groups: their (G, G) shared-category counts, with
+    each group's size and documents per time bin among ``bins``, give each
+    group's relevant count, ideal grades to ``depth`` (at least the nDCG
+    cut-off) and per-bin relevant counts. Groups are graded EVAL_BLOCK at a
+    time, so memory stays a few EVAL_BLOCK x G arrays even where G nears n.
+    """
+    doc_bins = time_bins(index.timestamps, index.time_axis, bins)
+    groups = {}  # each distinct label set and its row in ``sets``
+    group = np.array([groups.setdefault(s, len(groups)) for s in index.label_sets], dtype=np.intp)
+    sets = label_matrix(list(groups))
+    num_groups = len(sets)
+    # counts go through float64 products, which run in BLAS and stay exact below 2**53
+    size = np.bincount(group, minlength=num_groups).astype(np.float64)
+    group_bins = _bin_counts(group, doc_bins, num_groups, bins).astype(np.float64)
+    depth = min(depth, len(index))
+    relevant = np.empty(num_groups, dtype=np.int64)
+    ideal = np.zeros((num_groups, depth))
+    gt_counts = np.empty((num_groups, bins), dtype=np.int64)
+    ranks = np.arange(depth)
+    for start in range(0, num_groups, EVAL_BLOCK):
+        rows = slice(start, start + EVAL_BLOCK)
+        shared = sets[rows] @ sets.T  # exact small integers
+        hit = (shared > 0).astype(np.float64)
+        relevant[rows] = hit @ size
+        gt_counts[rows] = hit @ group_bins
+        # counting sort of each row: position j holds the largest g with more than j grades >= g
+        block_ideal = ideal[rows]
+        for g in range(1, int(shared.max(initial=0)) + 1):
+            at_least = (shared >= g).astype(np.float64) @ size
+            block_ideal[ranks < at_least[:, None]] = g
+    return Grading(group=group, sets=sets, id_ranks=_id_ranks(index.doc_ids), doc_bins=doc_bins,
+                   relevant=relevant, ideal=ideal, gt_counts=gt_counts)
+
+
+def rank_direction(index: RetrievalIndex, grading: Grading, direction: str,
+                   depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top ``depth`` of one direction with every index row as a query:
+    (n, depth) candidate rows, best first, and their shared-category counts.
 
     Queries are scored EVAL_BLOCK rows at a time, so memory grows with
     EVAL_BLOCK x n rather than n x n. A block's scores are the rows of
     ``queries[block] @ candidates.T``; BLAS may round them in the last bit
     differently from the rows of the full (n, n) product, which changes a
-    ranking only where two candidates score that close.
-
-    A block is graded against the G distinct candidate label sets, so its
-    grade counts are (b, G). ``doc_bins`` gives each candidate's time bin
-    among ``bins`` (-1 outside the timespan).
+    ranking only where two candidates score that close. A block's grades
+    are gathered from its (b, G) counts against ``grading``'s groups.
     """
     queries, candidates = _sides(index, direction)
-    groups = {}  # each distinct label set and its row in ``sets``
-    group = np.array([groups.setdefault(s, len(groups)) for s in index.label_sets], dtype=np.intp)
-    sets = label_matrix(list(groups))
-    # counts go through float64 products, which run in BLAS and stay exact below 2**53
-    size = np.bincount(group, minlength=len(sets)).astype(np.float64)
-    group_bins = _bin_counts(group, doc_bins, len(sets), bins).astype(np.float64)
-    # every buffer allocated once: fresh arrays for each block can page-fault on every block
+    group, sets = grading.group, grading.sets
     n = len(index)
     depth = min(depth, n)
+    # every buffer allocated once: fresh arrays for each block can page-fault on every block
     scores = np.empty((min(EVAL_BLOCK, n), n))
-    top = TopK(
-        order=np.empty((n, depth), dtype=np.intp),
-        grades=np.empty((n, depth)),
-        ideal=np.zeros((n, depth)),
-        relevant=np.empty(n, dtype=np.int64),
-        gt_counts=np.empty((n, bins), dtype=np.int64),
-    )
-    id_ranks = _id_ranks(index.doc_ids)
-    ranks = np.arange(depth)
+    order = np.empty((n, depth), dtype=np.intp)
+    grades = np.empty((n, depth))
     for start in range(0, n, EVAL_BLOCK):
         stop = min(start + EVAL_BLOCK, n)
         rows = slice(start, stop)
-        order = top.order[rows]
-        order[:] = rank_candidates(np.matmul(queries[rows], candidates.T,
-                                             out=scores[:stop - start]), id_ranks, depth)
+        block = np.matmul(queries[rows], candidates.T, out=scores[:stop - start])
+        order[rows] = rank_candidates(block, grading.id_ranks, depth)
         shared = sets[group[rows]] @ sets.T  # exact small integers
-        relevant = (shared > 0).astype(np.float64)
-        num_relevant = relevant @ size
-        # counting sort of each row: position j holds the largest g with more than j grades >= g
-        ideal = top.ideal[rows]
-        for g in range(1, int(shared.max(initial=0)) + 1):
-            at_least = num_relevant if g == 1 else (shared >= g).astype(np.float64) @ size
-            ideal[ranks < at_least[:, None]] = g
-        top.grades[rows] = np.take_along_axis(shared, group[order], axis=1)
-        top.relevant[rows] = num_relevant
-        top.gt_counts[rows] = relevant @ group_bins
-    return top
+        grades[rows] = np.take_along_axis(shared, group[order[rows]], axis=1)
+    return order, grades
 
 
-def evaluate_direction(index: RetrievalIndex, direction: str, k: int,
-                       k_list=DEFAULT_SCOPE_KS, *, bins: int, ndcg_gain: str) -> EvalReport:
-    """Evaluate one retrieval direction with every index row as a query."""
-    doc_bins = time_bins(index.timestamps, index.time_axis, bins)
-    top = rank_direction(index, direction, max([k, *k_list]), doc_bins, bins)
-    hits = top.grades > 0
+def evaluate_direction(index: RetrievalIndex, grading: Grading, direction: str, k: int,
+                       k_list=DEFAULT_SCOPE_KS, *, ndcg_gain: str) -> EvalReport:
+    """Evaluate one retrieval direction with every index row as a query.
 
-    map_value, excluded = map_at_k(hits, top.relevant, k)
-    ndcg_value, _ = ndcg_at_k(top.grades, top.ideal, k, gain=ndcg_gain)
-    scope = precision_scope(hits, top.relevant, k_list)
+    ``grading`` is the index's ``grade_split``, to a depth of at least k.
+    """
+    n, bins = len(index), grading.gt_counts.shape[1]
+    group = grading.group
+    if grading.ideal.shape[1] < min(k, n):
+        raise ValueError(f"the grading's ideal grades stop above k = {k}")
+    order, grades = rank_direction(index, grading, direction, max([k, *k_list]))
+    hits = grades > 0
+    relevant = grading.relevant[group]
 
-    n = len(index)
+    (_, map_value), *scope = precision_scope(hits, relevant, [k, *k_list])
+    ndcg_value, _ = ndcg_at_k(grades, grading.ideal[group], k, gain=ndcg_gain)
+
     rows, ranks = np.nonzero(hits[:, :k])  # the relevant results in each top k
-    result_counts = _bin_counts(rows, doc_bins[top.order[rows, ranks]], n, bins)
-    queried = top.relevant > 0
-    fits = temporal_fit(result_counts[queried], top.gt_counts[queried])
-    gt_hist = top.gt_counts[queried].sum(axis=0)
+    result_counts = _bin_counts(rows, grading.doc_bins[order[rows, ranks]], n, bins)
+    queried = relevant > 0
+    gt_counts = grading.gt_counts[group[queried]]
+    fits = temporal_fit(result_counts[queried], gt_counts)
+    gt_hist = gt_counts.sum(axis=0)
     result_hist = result_counts[queried].sum(axis=0)
     gt_hist = gt_hist / max(1, gt_hist.sum())
     result_hist = result_hist / max(1, result_hist.sum())
@@ -383,7 +465,7 @@ def evaluate_direction(index: RetrievalIndex, direction: str, k: int,
         scope_curve=scope,
         temporal_fit=float(np.mean(fits)) if fits.size else 0.0,
         num_queries=n,
-        num_excluded=excluded,
+        num_excluded=int(n - np.count_nonzero(queried)),
         bin_edges=[float(e) for e in edges[:-1]],
         gt_hist=[float(v) for v in gt_hist],
         result_hist=[float(v) for v in result_hist],

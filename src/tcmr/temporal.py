@@ -221,14 +221,24 @@ class TopicDensity:
         slice of its timestamp."""
         column = {tok: i for i, tok in enumerate(self.vocabulary)}
         log_phi = np.log(np.maximum(self.phi, self.floor))
+        known = [sorted(column[t] for t in doc.text_counts if t in column) for doc in documents]
+        counts = np.array([len(rows) for rows in known], dtype=np.intp)
+        # the j-th known word of every document that has one, j = 0, 1, ...: rows are
+        # added in the order a sum over axis 0 of the document's own rows adds them
+        doc = np.repeat(np.arange(len(documents)), counts)
+        word = np.array([w for rows in known for w in rows], dtype=np.intp)
+        rank = np.arange(len(doc)) - np.repeat(np.cumsum(counts) - counts, counts)
+        by_rank = np.argsort(rank, kind="stable")
+        cuts = np.cumsum(np.bincount(rank, minlength=counts.max(initial=0)))
+        m = np.zeros((len(documents), self.num_effective_slices))
+        for take in np.split(by_rank, cuts[:-1]):
+            m[doc[take]] += log_phi[word[take]]
+        has = np.flatnonzero(counts)
+        m = m[has]
+        if self.aggregate == "geometric":
+            m /= counts[has, None]
         profiles = np.zeros((len(documents), self.num_effective_slices))
-        for i, doc in enumerate(documents):
-            rows = sorted(column[t] for t in doc.text_counts if t in column)
-            if not rows:
-                continue
-            logq = log_phi[rows]
-            m = logq.mean(axis=0) if self.aggregate == "geometric" else logq.sum(axis=0)
-            profiles[i] = np.exp(m - m.max())
+        profiles[has] = np.exp(m - m.max(axis=1, keepdims=True))
         slices = self.slice_map[self.time_axis.slice_of([d.timestamp for d in documents])]
         return profiles, slices
 

@@ -19,7 +19,8 @@ from .config import ConfigError, RunConfig
 from .corpus import Corpus, DocFrequency, document_frequencies, label_matrix, tfidf_matrix
 from .objective import build_batch_plan, total_loss
 from .projection import ProjectionModel, SgdMomentum
-from .retrieval import DIRECTIONS, build_index, evaluate_direction
+from .retrieval import (DIRECTIONS, grade_split, map_at_k, project_index, rank_direction,
+                        split_index)
 from .temporal import RecencyModel, fit_category_kde, fit_topic_densities
 
 TEMPORAL_KINDS = ("recency", "category", "topic")
@@ -63,10 +64,14 @@ def fit_temporal_model(kind: str, train: Corpus, cfg: RunConfig):
     raise ValueError(f"unknown temporal model kind {kind!r}")
 
 
-def mean_map_both_directions(index, cfg: RunConfig) -> float:
-    """Validation score: the ``eval`` mAP@k_eval, averaged over both retrieval directions."""
-    values = [evaluate_direction(index, d, cfg.k_eval, (), bins=cfg.eval_bins,
-                                 ndcg_gain=cfg.ndcg_gain).map_at_k for d in DIRECTIONS]
+def mean_map_both_directions(index, grading, k: int) -> float:
+    """Validation score: the ``eval`` mAP@k, averaged over both retrieval directions.
+
+    ``grading`` is the index's ``grade_split``; only the top k is ranked.
+    """
+    relevant = grading.relevant[grading.group]
+    values = [map_at_k(rank_direction(index, grading, d, k)[1] > 0, relevant, k)[0]
+              for d in DIRECTIONS]
     return float(np.mean(values))
 
 
@@ -89,6 +94,10 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
     opt = SgdMomentum(eta=cfg.eta, momentum=cfg.momentum, decay=cfg.decay)
     rng = np.random.default_rng(batch_ss)
     use_val = val is not None and len(val.documents) > 0
+    if use_val:  # the val split's grading and TF-IDF rows do not change between epochs
+        val_base = split_index(val)
+        val_text = tfidf_matrix([d.text_counts for d in val.documents], stats)
+        val_grading = grade_split(val_base, cfg.eval_bins, cfg.k_eval)
 
     result = TrainResult(model=model, stats=stats)  # kept as trained when there is no val split
     best_map = -np.inf
@@ -114,8 +123,8 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         if not use_val:
             result.best_epoch = epoch
         else:
-            val_index = build_index(val, model, stats)
-            val_map = mean_map_both_directions(val_index, cfg)
+            val_index = project_index(val_base, model, val.image_matrix(), val_text)
+            val_map = mean_map_both_directions(val_index, val_grading, cfg.k_eval)
             if val_map > best_map:
                 best_map = val_map
                 result.model = model.copy()

@@ -52,6 +52,25 @@ def topic_sim(model, doc_i, doc_j):
     return float(profile[int(model.slice_map[t])])
 
 
+def topic_profiles(model, documents):
+    """``TopicDensity.document_table``'s profiles, one NumPy mean (or sum) per document.
+
+    The production table adds every document's j-th known word at once;
+    this is the per-document loop it replaced, kept to pin its bytes.
+    """
+    column = {tok: i for i, tok in enumerate(model.vocabulary)}
+    log_phi = np.log(np.maximum(model.phi, model.floor))
+    profiles = np.zeros((len(documents), model.num_effective_slices))
+    for i, doc in enumerate(documents):
+        rows = sorted(column[t] for t in doc.text_counts if t in column)
+        if not rows:
+            continue
+        logq = log_phi[rows]
+        m = logq.mean(axis=0) if model.aggregate == "geometric" else logq.sum(axis=0)
+        profiles[i] = np.exp(m - m.max())
+    return profiles
+
+
 REFERENCES = {"recency": recency_sim, "category": category_sim, "topic": topic_sim}
 
 

@@ -51,8 +51,9 @@ def run_experiment(spec_kwargs, cfg_kwargs, seed, lam, temporal_kind=None):
     )
     result = train_model(train, val, cfg, temporal_model=temporal_model)
     index = rt.build_index(test, result.model, result.stats)
-    reports = [rt.evaluate_direction(index, d, cfg.k_eval, bins=cfg.eval_bins,
-                                      ndcg_gain=cfg.ndcg_gain) for d in rt.DIRECTIONS]
+    grading = rt.grade_split(index, cfg.eval_bins, cfg.k_eval)
+    reports = [rt.evaluate_direction(index, grading, d, cfg.k_eval, ndcg_gain=cfg.ndcg_gain)
+               for d in rt.DIRECTIONS]
     mean_map = float(np.mean([r.map_at_k for r in reports]))
     mean_fit = float(np.mean([r.temporal_fit for r in reports]))
     return mean_map, mean_fit

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tcmr import corpus as cp
+from tcmr import retrieval as rt
 from tcmr import temporal as tp
 from tcmr.cli import load_bundle, main, save_bundle
 from tcmr.projection import ProjectionHalf, ProjectionModel, load_checkpoint, save_checkpoint
@@ -454,6 +455,18 @@ class TestPipeline:
             assert [k for k, _ in report["scope_curve"]] == [2, 5, 10]
             assert (out / f"scope-{tag}.csv").exists()
             assert (out / f"temporal-{tag}.csv").exists()
+
+    def test_eval_grades_the_split_once_for_both_directions(self, workspace, monkeypatch):
+        tmp_path, data, _ = workspace
+        ckpt, _ = self.train(workspace)
+        graded, grade_split = [], rt.grade_split
+        monkeypatch.setattr(rt, "grade_split",
+                            lambda *args: graded.append(args) or grade_split(*args))
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(data),
+                     "--out", str(tmp_path / "eval"), "--k", "10"]) == 0
+        assert len(graded) == 1
+        for tag in ("i2t", "t2i"):
+            assert (tmp_path / "eval" / f"report-{tag}.json").exists()
 
     def test_eval_is_deterministic(self, workspace):
         tmp_path, data, _ = workspace

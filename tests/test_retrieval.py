@@ -386,8 +386,8 @@ class TestEvaluateDirection:
     def test_report_fields_in_range(self):
         index = self._index()
         for direction in rt.DIRECTIONS:
-            report = rt.evaluate_direction(index, direction, 5, [1, 3, 5], bins=4,
-                                           ndcg_gain="linear")
+            report = rt.evaluate_direction(index, rt.grade_split(index, 4, 5), direction, 5,
+                                           [1, 3, 5], ndcg_gain="linear")
             assert 0.0 <= report.map_at_k <= 1.0
             assert 0.0 <= report.ndcg_at_k <= 1.0
             assert 0.0 <= report.temporal_fit <= 1.0
@@ -395,9 +395,17 @@ class TestEvaluateDirection:
             for _, v in report.scope_curve:
                 assert 0.0 <= v <= 1.0
 
+    def test_grading_shallower_than_k_is_rejected(self):
+        """An ideal ranking cut above k would broadcast into a wrong nDCG, not fail."""
+        index = self._index()
+        with pytest.raises(ValueError, match="k = 5"):
+            rt.evaluate_direction(index, rt.grade_split(index, 4, 1), rt.I2T, 5, [5],
+                                  ndcg_gain="linear")
+
     def test_report_round_trip_files(self, tmp_path):
         index = self._index()
-        report = rt.evaluate_direction(index, rt.I2T, 5, [1, 5], bins=4, ndcg_gain="linear")
+        report = rt.evaluate_direction(index, rt.grade_split(index, 4, 5), rt.I2T, 5, [1, 5],
+                                       ndcg_gain="linear")
         rt.write_report_json(report, tmp_path / "report.json")
         rt.write_scope_csv(report, tmp_path / "scope.csv")
         rt.write_temporal_csv(report, tmp_path / "temporal.csv")
@@ -444,14 +452,14 @@ class TestSharedLabelMatrix:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_intersection_loop(self, seed, monkeypatch):
-        """Every TopK field of every block of query rows, dtypes included.
+        """Every grading and ranking field of every block of query rows, dtypes included.
 
         The candidates fall into anywhere from one label-set group to nearly
         one per document; some have no time bin (-1), and the depth may
         exceed n. Features are multiples of 1/4, so every score is exact.
         """
         monkeypatch.setattr(rt, "EVAL_BLOCK", 16)
-        n, bins = 70, 5
+        n, bins, num_slices = 70, 5, 4
         rng = np.random.default_rng(seed)
         for categories, largest, fewest, most in self.LABEL_CASES:
             label_sets = [
@@ -463,16 +471,24 @@ class TestSharedLabelMatrix:
             image = rng.integers(-2, 3, size=(n, 3)) / 4.0
             text = rng.integers(-2, 3, size=(n, 3)) / 4.0
             ids = [f"doc{j:03d}" for j in rng.permutation(n)]
-            index = make_index(image, text, doc_ids=ids, labels=label_sets)
             doc_bins = rng.integers(-1, bins, size=n)
             assert (doc_bins == -1).any()
+            # each bin's midpoint, or a time before the timespan for bin -1
+            timestamps = np.where(doc_bins >= 0, (doc_bins + 0.5) * num_slices / bins, -1.0)
+            index = make_index(image, text, doc_ids=ids, labels=label_sets,
+                               timestamps=timestamps, num_slices=num_slices)
             for depth in (30, n + 5):
-                got = rt.rank_direction(index, rt.I2T, depth, doc_bins, bins)
+                grading = rt.grade_split(index, bins, depth)
+                np.testing.assert_array_equal(grading.doc_bins, doc_bins)
+                order, grades = rt.rank_direction(index, grading, rt.I2T, depth)
+                group = grading.group
+                got = {"order": order, "grades": grades, "ideal": grading.ideal[group],
+                       "relevant": grading.relevant[group], "gt_counts": grading.gt_counts[group]}
                 want = self.reference_topk(label_sets, image @ text.T, ids, depth, doc_bins, bins)
-                for f in dataclasses.fields(rt.TopK):
-                    a, b = getattr(got, f.name), getattr(want, f.name)
-                    assert a.dtype == b.dtype, f.name
-                    np.testing.assert_array_equal(a, b, err_msg=f.name)
+                for name, a in got.items():
+                    b = getattr(want, name)
+                    assert a.dtype == b.dtype, name
+                    np.testing.assert_array_equal(a, b, err_msg=name)
 
     def test_label_matrix_columns(self):
         labels = cp.label_matrix([frozenset(["b", "a"]), frozenset(["c"])], ["a", "c"])
@@ -626,9 +642,10 @@ class TestAgainstFullSortReferences:
         monkeypatch.setattr(rt, "EVAL_BLOCK", block)
         k, k_list = self.CASES[case]
         index = tie_index(seed)
+        grading = rt.grade_split(index, 6, k)
         for direction in rt.DIRECTIONS:
             for gain in ("linear", "exponential"):
-                got = rt.evaluate_direction(index, direction, k, k_list, bins=6, ndcg_gain=gain)
+                got = rt.evaluate_direction(index, grading, direction, k, k_list, ndcg_gain=gain)
                 want = reference_evaluate_direction(index, direction, k, k_list, 6, gain)
                 assert json.dumps(asdict(got)) == json.dumps(asdict(want))
 
@@ -656,15 +673,26 @@ class TestAgainstFullSortReferences:
         for k in (1, 5, 50):
             want = float(np.mean([reference_map(reference_ranked(index, d)[1] > 0, k)[0]
                                   for d in rt.DIRECTIONS]))
-            assert mean_map_both_directions(index, RunConfig(k_eval=k)) == want
+            grading = rt.grade_split(index, RunConfig().eval_bins, k)
+            assert mean_map_both_directions(index, grading, k) == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_candidates_equal_full_lexsort(self, seed):
+        """Rows with equal scores straddling rank depth, equal scores only inside
+        the top depth (the one-key sort plus the id re-sort), +0.0 against -0.0,
+        and no equal scores at all."""
         rng = np.random.default_rng(seed)
-        scores = rng.integers(0, 4, size=(9, 30)).astype(np.float64)  # many ties
-        id_ranks = rng.permutation(30)
-        full = np.array([np.lexsort((id_ranks, -row)) for row in scores])
+        n = 30
+        id_ranks = rng.permutation(n)
         for depth in (1, 2, 5, 29, 30, 31):
+            straddling = rng.integers(0, 4, size=(3, n)).astype(np.float64)
+            inside = rng.integers(0, 4, size=(3, n)).astype(np.float64)
+            for row in inside:  # the top depth score 10-12, everything else below
+                row[rng.permutation(n)[:depth]] = rng.integers(10, 13, size=min(depth, n))
+            signed = np.where(rng.random((1, n)) < 0.5, 0.0, -0.0)
+            distinct = np.stack([rng.permutation(n) for _ in range(2)]).astype(np.float64)
+            scores = np.concatenate([straddling, inside, signed, distinct])
+            full = np.array([np.lexsort((id_ranks, -row)) for row in scores])
             np.testing.assert_array_equal(
                 rt.rank_candidates(scores, id_ranks, depth), full[:, :depth]
             )

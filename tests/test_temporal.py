@@ -8,7 +8,7 @@ from tcmr import corpus as cp
 from tcmr import temporal as tp
 from tcmr.config import RunConfig
 from tcmr.train import fit_temporal_model
-from temporal_reference import all_pairs, doc_at, pair_sim, reference_sim
+from temporal_reference import all_pairs, doc_at, pair_sim, reference_sim, topic_profiles
 
 DAY = 86400
 TOPIC_FIT = {"kappa": 0.5, "floor": 1e-6, "aggregate": "geometric"}  # RunConfig's defaults
@@ -454,6 +454,31 @@ class TestPairMatrix:
         values, missed = assert_pair_matrix_is_reference(model, docs, batch)
         assert missed[0].all() and not missed[1:].any()
         assert not values[0].any()
+
+    @pytest.mark.parametrize("aggregate", ["geometric", "product"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_topic_profiles_are_the_per_document_loop_bytes(self, aggregate, seed):
+        """The batched profiles equal one mean (or sum) per document, bit for bit: with
+        known words in any order, unknown tokens, and documents with no known word."""
+        rng = np.random.default_rng(seed)
+        vocab = [f"w{i:02d}" for i in range(40)]
+        model = tp.TopicDensity(
+            num_topics=3, vocabulary=vocab, phi=rng.dirichlet(np.full(7, 0.3), size=40),
+            slice_map=np.arange(7), time_axis=cp.TimeAxis(unit=1.0, origin=0, num_slices=7),
+            floor=1e-6, aggregate=aggregate,
+        )
+        docs = []
+        for i in range(60):
+            tokens = {vocab[w]: 1 for w in rng.permutation(40)[:rng.integers(0, 25)]}
+            tokens.update({f"zz{j}": 2 for j in range(rng.integers(0, 3))})  # unknown
+            docs.append(cp.Document(f"d{i}", np.zeros(1), tokens, float(i % 7),
+                                    frozenset(["l"]), i % 7))
+        assert any(not any(t in vocab for t in d.text_counts) for d in docs)
+        profiles, _ = model.document_table(docs)
+        assert profiles.tobytes() == topic_profiles(model, docs).tobytes()
+        for none in ([], docs[:0] + [doc_at(0.0, tokens={"mystery": 1})]):
+            got, _ = model.document_table(none)
+            assert got.tobytes() == topic_profiles(model, none).tobytes()
 
     def test_topic_profile_follows_tokens_not_id(self):
         # synth corpora reuse ids across seeds: a profile cached by id went stale

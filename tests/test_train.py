@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from tcmr import corpus as cp
+from tcmr import retrieval as rt
 from tcmr import synth
+from tcmr import train as tr
 from tcmr.config import ConfigError, RunConfig
 from tcmr.train import fit_temporal_model, train_model, write_training_log
 
@@ -86,6 +88,27 @@ class TestTrainModel:
         maps = [e.val_map for e in result.history]
         assert result.best_val_map == max(maps)
         assert result.best_epoch == maps.index(max(maps)) + 1
+
+    def test_val_split_graded_and_weighted_once_per_run(self, monkeypatch):
+        """Validation grades the val split and builds its TF-IDF rows once, not once per epoch."""
+        _, cfg, train, val, _ = toy_setup(epochs=4, patience=4)
+        graded, weighted = [], []
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (tr, rt):
+            monkeypatch.setattr(module, "grade_split", counted(graded, rt.grade_split))
+            monkeypatch.setattr(module, "tfidf_matrix", counted(weighted, cp.tfidf_matrix))
+        result = train_model(train, val, cfg)
+        assert len(result.history) == 4
+        assert all(e.val_map is not None for e in result.history)
+        assert len(graded) == 1 and len(graded[0][0]) == len(val.documents)
+        # the train split's rows, then the val split's
+        assert [len(args[0]) for args in weighted] == [len(train.documents), len(val.documents)]
 
     def test_no_validation_split_runs_all_epochs(self):
         _, cfg, train, _, _ = toy_setup(epochs=3)
