@@ -94,8 +94,9 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
     opt = SgdMomentum(eta=cfg.eta, momentum=cfg.momentum, decay=cfg.decay)
     rng = np.random.default_rng(batch_ss)
     use_val = val is not None and len(val.documents) > 0
-    if use_val:  # the val split's grading and TF-IDF rows do not change between epochs
+    if use_val:  # the val split's grading and input rows do not change between epochs
         val_base = split_index(val)
+        val_image = val.image_matrix()
         val_text = tfidf_matrix([d.text_counts for d in val.documents], stats)
         val_grading = grade_split(val_base, cfg.eval_bins, cfg.k_eval)
 
@@ -123,7 +124,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         if not use_val:
             result.best_epoch = epoch
         else:
-            val_index = project_index(val_base, model, val.image_matrix(), val_text)
+            val_index = project_index(val_base, model, val_image, val_text)
             val_map = mean_map_both_directions(val_index, val_grading, cfg.k_eval)
             if val_map > best_map:
                 best_map = val_map

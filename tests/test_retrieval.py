@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -78,20 +79,28 @@ class TestBuildIndex:
         np.testing.assert_allclose(np.linalg.norm(index.image_matrix, axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(np.linalg.norm(index.text_matrix, axis=1), 1.0, atol=1e-9)
 
-    def test_degenerate_projection_names_document(self):
-        corpus = tiny_corpus(3)
+    @pytest.mark.parametrize("block", [1, 2, 128])  # d3 in block 3, 1 and 0
+    def test_degenerate_projection_names_document(self, block, monkeypatch):
+        # with zero biases an all-zero image row projects to zero
+        monkeypatch.setattr(rt, "EVAL_BLOCK", block)
+        rng = np.random.default_rng(2)
+        records = [(f"d{i}", rng.normal(size=3), {f"w{i}": 1}, i * DAY, ["l"]) for i in range(5)]
+        records[3] = ("d3", np.zeros(3), {"w3": 1}, 3 * DAY, ["l"])
+        corpus = cp.from_records(records)
         model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=2)
-        model.image_net.W1[:] = 0.0
         model.image_net.b1[:] = 0.0
-        model.image_net.W2[:] = 0.0
         model.image_net.b2[:] = 0.0
         stats = cp.document_frequencies(corpus)
-        with pytest.raises(Exception, match="d0"):
+        with pytest.raises(DegenerateProjectionError,
+                           match="degenerate image projection for document 'd3'") as info:
             rt.build_index(corpus, model, stats)
+        assert info.value.row == 3
 
-    def test_degenerate_text_projection_names_document(self):
+    @pytest.mark.parametrize("block", [1, 2, 128])  # d3 in block 3, 1 and 0
+    def test_degenerate_text_projection_names_document(self, block, monkeypatch):
         # with zero biases an all-zero TF-IDF row projects to zero: d3 holds
         # only "shared", which every document has, so its idf is 0
+        monkeypatch.setattr(rt, "EVAL_BLOCK", block)
         records = [(f"d{i}", np.ones(3), {f"w{i}": 1, "shared": 1}, i * DAY, ["l"])
                    for i in range(5)]
         records[3] = ("d3", np.ones(3), {"shared": 2}, 3 * DAY, ["l"])
@@ -104,6 +113,56 @@ class TestBuildIndex:
                            match="degenerate text projection for document 'd3'") as info:
             rt.build_index(corpus, model, stats)
         assert info.value.row == 3
+
+    @pytest.mark.parametrize("block", [1, 7, 128])  # 300 rows: each leaves a short last block
+    def test_blocked_projection_rows(self, block, monkeypatch):
+        """Each projected row is the row of its EVAL_BLOCK-row block's forward pass,
+        and within rounding of one pass over the whole split.
+
+        A whole-split pass is no bit-exact reference: BLAS may round a product
+        of few rows differently in the last bit (a one-row product runs as a
+        matrix-vector product, and small products take another kernel).
+        """
+        monkeypatch.setattr(rt, "EVAL_BLOCK", block)
+        rng = np.random.default_rng(7)
+        n, d_image, vocab = 300, 16, 60
+        records = [(f"d{i}", rng.normal(size=d_image),
+                    {f"w{w}": int(c) for w, c in enumerate(rng.integers(0, 3, vocab)) if c}
+                    | {"shared": 1},
+                    i * DAY, [f"lab{i % 4}"]) for i in range(n)]
+        corpus = cp.from_records(records)
+        model = ProjectionModel.initialize(d_image, corpus.d_text, 256, 64, seed=7)
+        stats = cp.document_frequencies(corpus)
+
+        def check(got, net, x):
+            blocks = [net.forward(x[start:start + block])[0] for start in range(0, n, block)]
+            assert np.array_equal(got, np.concatenate(blocks))
+            # unit rows: a few float64 ulps of an entry no larger than 1
+            np.testing.assert_allclose(got, net.forward(x)[0], rtol=0, atol=1e-15)
+
+        index = rt.build_index(corpus, model, stats)
+        check(index.image_matrix, model.image_net, corpus.image_matrix())
+        check(index.text_matrix, model.text_net,
+              cp.tfidf_matrix([d.text_counts for d in corpus.documents], stats))
+        image_rows = rng.normal(size=(n, d_image))
+        text_rows = rng.random((n, corpus.d_text))
+        projected = rt.project_index(rt.split_index(corpus), model, image_rows, text_rows)
+        check(projected.image_matrix, model.image_net, image_rows)
+        check(projected.text_matrix, model.text_net, text_rows)
+
+    def test_projection_never_holds_a_split_sized_activation(self):
+        """The traced peak of ``build_index`` stays below one (n, hidden) float64 array."""
+        n, hidden = 1000, 256
+        corpus = tiny_corpus(n, d_image=8)
+        model = ProjectionModel.initialize(8, corpus.d_text, hidden, 16, seed=3)
+        stats = cp.document_frequencies(corpus)
+        tracemalloc.start()
+        try:
+            rt.build_index(corpus, model, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * hidden * 8
 
 
 class TestQueryTopK:
