@@ -170,7 +170,7 @@ def cmd_eval(args) -> int:
     cfg, model, _, test, stats = _restore(args)
     k = cfg.k_eval if args.k is None else args.k
     index = rt.build_index(test, model, stats)
-    del _, test  # the index holds all that scoring reads; free the documents first
+    del _, test  # the index holds all that scoring reads; free the corpus columns first
     grading = rt.grade_split(index, cfg.eval_bins, k)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,27 +192,22 @@ def cmd_eval(args) -> int:
 def cmd_query(args) -> int:
     _, model, corpus, _, stats = _restore(args)
     if args.text is not None:
-        direction, row = rt.T2I, cp.tfidf_matrix([Counter(args.text.split())], stats)
+        text = cp.token_rows([Counter(args.text.split())], stats.token_index)
+        direction, row = rt.T2I, cp.tfidf_matrix(text, stats)
         if not row.any():
             print("warning: the query text row is empty: no query token has a nonzero"
                   " TF-IDF weight in the training vocabulary", file=sys.stderr)
     else:
-        if not 0 <= args.image_row < len(corpus.documents):
+        if not 0 <= args.image_row < len(corpus):
             raise cp.CorpusError(f"--image-row {args.image_row} outside corpus")
-        direction, row = rt.I2T, corpus.documents[args.image_row].image_feat[None, :]
+        direction, row = rt.I2T, corpus.image[args.image_row : args.image_row + 1]
     index = rt.build_index(corpus, model, stats, candidates_of=direction)
     results, truncated = rt.query_topk(index, model, direction, row, k=args.k)
-    by_id = {doc.id: doc for doc in corpus.documents}
+    row_of = dict(zip(corpus.ids, range(len(corpus))))
     for doc_id, score in results:
-        doc = by_id[doc_id]
-        _emit(
-            {
-                "doc_id": doc_id,
-                "score": round(score, 6),
-                "timestamp": doc.epoch,
-                "labels": sorted(doc.labels),
-            }
-        )
+        i = row_of[doc_id]
+        _emit({"doc_id": doc_id, "score": round(score, 6), "timestamp": int(corpus.epochs[i]),
+               "labels": sorted(corpus.label_sets[i])})
     if truncated:
         print(f"note: index holds only {len(index)} documents", file=sys.stderr)
     return EXIT_OK

@@ -1,10 +1,14 @@
 """Timestamped bimodal corpora: loading, validation, TF-IDF, and splits.
 
 A corpus holds documents that each carry an image feature vector, sparse
-text token counts, a timestamp, and at least one category label. Timestamps
-are kept as real offsets from the corpus start, measured in time units
-(e.g. days), so density estimation can work on a continuous axis; discrete
-slice indices are derived views.
+text token counts, a timestamp, and at least one category label. It keeps
+them as columns, row i of each being document i: one (n, d) float64 image
+array, the token counts as compressed sparse rows over the vocabulary
+(``TokenRows``), the timestamps and exact epochs, and the label sets. A
+split is a row index, taken with ``Corpus.take``. Timestamps are kept as
+real offsets from the corpus start, measured in time units (e.g. days), so
+density estimation can work on a continuous axis; discrete slice indices are
+derived views.
 
 ``from_records`` is the one corpus builder: it sets the time axis, the
 vocabulary and the category list, and validates every document.
@@ -27,9 +31,10 @@ import math
 import struct
 from collections import Counter
 from itertools import chain
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import SimpleNamespace
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +43,7 @@ log = logging.getLogger(__name__)
 FEATURES_MAGIC = b"TXNF"
 DEFAULT_TIME_UNIT = 86400.0  # one day, in seconds
 EXACT_INT = 2**53  # float64 holds every integer of at most this magnitude exactly
+FEATURE_BLOCK = 1024  # feature rows rounded through float32 at a time
 
 
 class CorpusError(Exception):
@@ -74,52 +80,77 @@ class TimeAxis:
         return np.clip(np.floor(t), 0, self.num_slices - 1).astype(np.int64)
 
 
-@dataclass(eq=False, slots=True)
-class Document:
-    """One bimodal instance: image features, token counts, time, labels."""
+class TokenRows(NamedTuple):
+    """Token counts of documents as compressed sparse rows: row i's vocabulary columns are
+    ``indices[indptr[i]:indptr[i + 1]]``, in token-string order, with their ``counts``."""
 
-    id: str
-    image_feat: np.ndarray
-    text_counts: dict[str, int]
-    timestamp: float  # time units since TimeAxis.origin
-    labels: frozenset[str]
-    epoch: int  # the input's epoch seconds, which the float timestamp may not give back exactly
+    indptr: np.ndarray
+    indices: np.ndarray
+    counts: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "TokenRows":
+        starts, lengths = self.indptr[rows], np.diff(self.indptr)[rows]
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return TokenRows(indptr, self.indices[at], self.counts[at])
+
+
+def token_rows(mappings: Sequence[Mapping[str, int]], column: Mapping[str, int]) -> TokenRows:
+    """Token rows of token-count mappings over the vocabulary that ``column`` maps each token
+    to; each row in token-string order, less the tokens outside the vocabulary."""
+    ranked = sorted(set().union(*mappings))
+    rank = dict(zip(ranked, range(len(ranked))))
+    doc = np.repeat(np.arange(len(mappings)), list(map(len, mappings)))
+    place = np.array([rank[tok] for tok in chain.from_iterable(mappings)], dtype=np.intp)
+    order = np.argsort(doc * len(ranked) + place, kind="stable")
+    columns = np.array([column.get(tok, -1) for tok in ranked], dtype=np.intp)[place[order]]
+    counts = np.array([n for m in mappings for n in m.values()], dtype=np.int64)[order]
+    known = columns >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(doc[known], minlength=len(mappings)))])
+    return TokenRows(indptr, columns[known], counts[known])
 
 
 @dataclass(eq=False)
 class Corpus:
-    documents: list[Document]
+    """Documents as columns: row i of each column belongs to document i."""
+
+    ids: list[str]
+    image: np.ndarray  # (n, d_image) float64 features, each exactly a float32
+    text: TokenRows
+    timestamps: np.ndarray  # (n,) time units since TimeAxis.origin
+    epochs: np.ndarray  # (n,) int64 input epoch seconds, which a timestamp may not give back
+    label_sets: list[frozenset[str]]
     vocabulary: list[str]
     categories: list[str]
     time_axis: TimeAxis
-    d_image: int
     dropped_token_count: int = 0
+
+    @property
+    def d_image(self) -> int:
+        return self.image.shape[1]
 
     @property
     def d_text(self) -> int:
         return len(self.vocabulary)
 
     def __len__(self):
-        return len(self.documents)
+        return len(self.ids)
 
-    def image_matrix(self) -> np.ndarray:
-        return np.stack([d.image_feat for d in self.documents])
+    def take(self, rows) -> "Corpus":
+        """The documents at ``rows``, in order, with the same vocabulary, categories and axis."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return replace(self, ids=[self.ids[i] for i in rows.tolist()],
+                       label_sets=[self.label_sets[i] for i in rows.tolist()],
+                       image=self.image[rows], text=self.text.take(rows),
+                       timestamps=self.timestamps[rows], epochs=self.epochs[rows])
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([d.timestamp for d in self.documents], dtype=np.float64)
+    # for `bench/checks.py` only: it sorts ``documents`` by id and hands them to ``with_documents``
+    @property
+    def documents(self) -> list[SimpleNamespace]:
+        return [SimpleNamespace(id=doc_id, row=row) for row, doc_id in enumerate(self.ids)]
 
-    def label_sets(self) -> list[frozenset[str]]:
-        return [d.labels for d in self.documents]
-
-    def with_documents(self, documents: list[Document]) -> "Corpus":
-        """Same vocabulary, categories and time axis over a document subset."""
-        return Corpus(
-            documents=documents,
-            vocabulary=self.vocabulary,
-            categories=self.categories,
-            time_axis=self.time_axis,
-            d_image=self.d_image,
-        )
+    def with_documents(self, documents) -> "Corpus":
+        return self.take([doc.row for doc in documents])
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +158,29 @@ class Corpus:
 
 
 def read_features(path) -> np.ndarray:
-    """Read the binary feature file into a float64 (rows, d) array."""
+    """The binary feature file's float32 (rows, d) array, a read-only view of its bytes."""
     raw = Path(path).read_bytes()
     if len(raw) < 12:
         raise CorpusError(f"{path}: truncated feature file header")
     magic, rows, d = struct.unpack("<4sII", raw[:12])
     if magic != FEATURES_MAGIC:
         raise CorpusError(f"{path}: bad magic {magic!r}, expected {FEATURES_MAGIC!r}")
+    if d == 0:
+        raise CorpusError(f"{path}: feature dimension is 0")
     expected = 12 + rows * d * 4
     if len(raw) != expected:
         raise CorpusError(
             f"{path}: feature payload is {len(raw) - 12} bytes, expected {rows}x{d} float32"
         )
-    return np.frombuffer(raw[12:], dtype="<f4").reshape(rows, d).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f4", offset=12).reshape(rows, d)
 
 
 def write_features(path, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix, dtype="<f4")
     rows, d = matrix.shape
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", FEATURES_MAGIC, rows, d))
-        fh.write(matrix.astype("<f4").tobytes())
+        fh.write(matrix.tobytes())
 
 
 def _parse_timestamp(value) -> int:
@@ -210,8 +243,8 @@ def load_corpus(
     CRLF read as "\\n") and split at "\\n" only, as a JSON string may hold U+2028; the
     decoder's scanner takes each line, and ``json.loads`` words a line it cannot take whole.
     """
-    feat_rows = list(read_features(features_path))  # a view of each row
-    n_rows = len(feat_rows)
+    feats = read_features(features_path)
+    n_rows = len(feats)
     scan = json.JSONDecoder().scan_once
     lines = Path(manifest_path).read_text(encoding="utf-8").split("\n")
     records = []
@@ -238,7 +271,7 @@ def load_corpus(
         first = line_of_row.setdefault(feat_row, lineno)
         if first != lineno:
             raise CorpusError(f"manifest lines {first} and {lineno} share feat_row {feat_row}")
-        records.append((doc_id, feat_rows[feat_row], tokens, epoch, labels))
+        records.append((doc_id, feats[feat_row], tokens, epoch, labels))
     if len(records) != n_rows:
         raise CorpusError(
             f"manifest has {len(records)} documents but feature file has {n_rows} rows"
@@ -254,25 +287,30 @@ def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -
     so re-ingesting its own output is byte-identical.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
+    words = [corpus.vocabulary[col] for col in corpus.text.indices.tolist()]
+    counts = corpus.text.counts.tolist()
+    bounds = corpus.text.indptr.tolist()
     text = "".join(
         encode({
-            "id": doc.id,
-            "timestamp": doc.epoch,
-            "tokens": dict(sorted(doc.text_counts.items())),
-            "labels": sorted(doc.labels),
+            "id": doc_id,
+            "timestamp": epoch,
+            "tokens": dict(zip(words[start:stop], counts[start:stop])),  # in token order
+            "labels": sorted(labels),
             "feat_row": i,
         }) + "\n"
-        for i, doc in enumerate(corpus.documents)
+        for i, (doc_id, epoch, labels, start, stop) in enumerate(zip(
+            corpus.ids, corpus.epochs.tolist(), corpus.label_sets, bounds, bounds[1:]))
     )
     Path(manifest_path).write_text(text, encoding="utf-8")
-    write_features(features_path, corpus.image_matrix())
+    write_features(features_path, corpus.image)
     if vocab_path is not None:
         Path(vocab_path).write_text("".join(tok + "\n" for tok in corpus.vocabulary),
                                     encoding="utf-8")
 
 
 def _feature_matrix(records) -> np.ndarray:
-    """(n, d) image features rounded through float32, checked finite."""
+    """(n, d) image features rounded through float32, checked finite: the rows are gathered
+    into one float64 array, rounded in place a block of rows at a time."""
     try:
         matrix = np.array([rec[1] for rec in records], dtype=np.float64)
     except ValueError:  # ragged rows
@@ -281,7 +319,10 @@ def _feature_matrix(records) -> np.ndarray:
         shape = np.shape(records[0][1])
         bad = next((rec[0] for rec in records if np.shape(rec[1]) != shape), records[0][0])
         raise CorpusError(f"document {bad!r}: feature vectors must share one dimension")
-    matrix = matrix.astype(np.float32).astype(np.float64)
+    if matrix.shape[1] == 0:
+        raise CorpusError("image features need at least one dimension")
+    for block in np.split(matrix, range(FEATURE_BLOCK, len(matrix), FEATURE_BLOCK)):
+        block[...] = block.astype(np.float32)  # a view of the matrix, rounded in place
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         bad = records[int(np.argmin(finite))][0]
@@ -362,27 +403,17 @@ def from_records(
                     raise CorpusError(f"document {doc_id!r}: token count for {tok!r} must be"
                                       " a positive integer of at most 2**53")
 
-    # a copy of each token map in sorted order, less the tokens outside the vocabulary
-    text = [dict(mapping) if list(mapping) == sorted(mapping) else dict(sorted(mapping.items()))
-            for mapping in token_maps]
-    dropped = 0
-    unknown = tokens.difference(vocabulary)
-    if unknown:
-        for mapping in text:
-            for tok in mapping.keys() & unknown:
-                dropped += mapping.pop(tok)
+    if not vocabulary:
+        raise CorpusError("the corpus has an empty vocabulary")
+    text = token_rows(token_maps, dict(zip(vocabulary, range(len(vocabulary)))))
+    dropped = sum(counts) - sum(text.counts.tolist())
+    if dropped:
         log.warning("dropped %d token occurrences outside the vocabulary", dropped)
-    labelsets = list(map(frozenset, label_lists))
-    documents = list(map(Document, ids, feats, text,
-                         [(epoch - origin) / time_unit for epoch in epochs], labelsets, epochs))
-    return Corpus(
-        documents=documents,
-        vocabulary=vocabulary,
-        categories=sorted(set().union(*labelsets)),
-        time_axis=axis,
-        d_image=feats.shape[1],
-        dropped_token_count=dropped,
-    )
+    epochs, label_sets = np.array(epochs, dtype=np.int64), list(map(frozenset, label_lists))
+    return Corpus(ids=ids, image=feats, text=text, timestamps=(epochs - origin) / time_unit,
+                  epochs=epochs, label_sets=label_sets, vocabulary=vocabulary,
+                  categories=sorted(set().union(*label_sets)), time_axis=axis,
+                  dropped_token_count=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -399,31 +430,25 @@ class DocFrequency:
 
 
 def document_frequencies(train: Corpus) -> DocFrequency:
-    index = {tok: i for i, tok in enumerate(train.vocabulary)}
-    col = np.array([index[tok] for doc in train.documents for tok in doc.text_counts],
-                   dtype=np.intp)
-    df = np.bincount(col, minlength=len(index)).astype(np.float64)
-    return DocFrequency(num_docs=len(train.documents), doc_freq=df, token_index=index)
+    df = np.bincount(train.text.indices, minlength=train.d_text).astype(np.float64)
+    index = dict(zip(train.vocabulary, range(train.d_text)))
+    return DocFrequency(num_docs=len(train), doc_freq=df, token_index=index)
 
 
-def tfidf_matrix(rows: Sequence[Mapping[str, int]], stats: DocFrequency) -> np.ndarray:
-    """TF-IDF rows, tf * ln(N/df), of token-count mappings, unit-normalized unless all-zero.
+def tfidf_matrix(rows: TokenRows, stats: DocFrequency) -> np.ndarray:
+    """TF-IDF rows, tf * ln(N/df), of token rows over the training vocabulary, unit-normalized
+    unless all-zero.
 
-    Tokens missing from the vocabulary, unseen in the training split (df =
-    0) or in every training document (idf 0) contribute nothing. The rows
-    are built from flat (row, column, count) arrays in one assignment, and
-    each row's norm is sqrt(v . v), as ``np.linalg.norm`` computes it.
+    Tokens unseen in the training split (df = 0) or in every training
+    document (idf 0) contribute nothing. The rows are filled from the flat
+    (row, column, count) arrays in one assignment, and each row's norm is
+    sqrt(v . v), as ``np.linalg.norm`` computes it.
     """
     idf = np.array([math.log(stats.num_docs / df) if df > 0 else 0.0
                     for df in stats.doc_freq.tolist()])
-    doc = np.repeat(np.arange(len(rows)), [len(counts) for counts in rows])
-    col = np.array([stats.token_index.get(tok, -1) for counts in rows for tok in counts],
-                   dtype=np.intp)
-    count = np.array([c for counts in rows for c in counts.values()], dtype=np.float64)
-    known = col >= 0
-    doc, col, count = doc[known], col[known], count[known]
-    out = np.zeros((len(rows), len(stats.token_index)), dtype=np.float64)
-    out[doc, col] = count * idf[col]
+    doc = np.repeat(np.arange(len(rows.indptr) - 1), np.diff(rows.indptr))
+    out = np.zeros((len(rows.indptr) - 1, len(stats.token_index)), dtype=np.float64)
+    out[doc, rows.indices] = rows.counts * idf[rows.indices]
     norms = np.sqrt(out[:, None, :] @ out[:, :, None]).reshape(-1)
     nonzero = norms > 0
     out[nonzero] /= norms[nonzero, None]
@@ -482,7 +507,7 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     An empty train or test split is an error; an empty validation split is
     allowed only when val_fraction_of_dev is exactly 0.
     """
-    n = len(corpus.documents)
+    n = len(corpus)
     if n == 0:
         raise CorpusError("cannot split an empty corpus")
     perm = np.random.default_rng(spec.seed).permutation(n)
@@ -497,12 +522,4 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     if n_val == 0 and spec.val_fraction_of_dev > 0.0:
         raise CorpusError("validation split would be empty")
 
-    docs = corpus.documents
-    train = [docs[i] for i in perm[:n_train]]
-    val = [docs[i] for i in perm[n_train : n_train + n_val]]
-    test = [docs[i] for i in perm[n_dev:]]
-    return (
-        corpus.with_documents(train),
-        corpus.with_documents(val),
-        corpus.with_documents(test),
-    )
+    return tuple(corpus.take(rows) for rows in np.split(perm, [n_train, n_dev]))

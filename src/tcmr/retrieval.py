@@ -104,31 +104,21 @@ def build_index(
 ) -> RetrievalIndex:
     """Project both sides of ``test``, or with ``candidates_of`` a direction
     only that direction's candidates, which is all ``query_topk`` reads."""
-    if len(test.documents) == 0:
+    if len(test) == 0:
         raise ValueError("cannot build an index over an empty corpus")
-
-    def doc_id(row):
-        return test.documents[row].id
-
     image = text = None
     if candidates_of != I2T:
-        image = _project_split(model.image_net, test.image_matrix(), doc_id, "image")
+        image = _project_split(model.image_net, test.image, test.ids, "image")
     if candidates_of != T2I:
-        text_rows = tfidf_matrix([d.text_counts for d in test.documents], stats)
-        text = _project_split(model.text_net, text_rows, doc_id, "text")
+        text = _project_split(model.text_net, tfidf_matrix(test.text, stats), test.ids, "text")
     return replace(split_index(test), image_matrix=image, text_matrix=text)
 
 
 def split_index(test: Corpus) -> RetrievalIndex:
     """The index of ``test`` before projection: ids, label sets and times, no matrices."""
-    return RetrievalIndex(
-        image_matrix=None,
-        text_matrix=None,
-        doc_ids=[d.id for d in test.documents],
-        label_sets=test.label_sets(),
-        timestamps=test.timestamps(),
-        time_axis=test.time_axis,
-    )
+    return RetrievalIndex(image_matrix=None, text_matrix=None, doc_ids=test.ids,
+                          label_sets=test.label_sets, timestamps=test.timestamps,
+                          time_axis=test.time_axis)
 
 
 def project_index(base: RetrievalIndex, model: ProjectionModel, image_rows,
@@ -137,15 +127,14 @@ def project_index(base: RetrievalIndex, model: ProjectionModel, image_rows,
 
     Training-time validation projects the same val rows every epoch.
     """
-    doc_id = base.doc_ids.__getitem__
     return replace(
         base,
-        image_matrix=_project_split(model.image_net, image_rows, doc_id, "image"),
-        text_matrix=_project_split(model.text_net, text_rows, doc_id, "text"),
+        image_matrix=_project_split(model.image_net, image_rows, base.doc_ids, "image"),
+        text_matrix=_project_split(model.text_net, text_rows, base.doc_ids, "text"),
     )
 
 
-def _project_split(net, x, doc_id, modality: str) -> np.ndarray:
+def _project_split(net, x, doc_ids, modality: str) -> np.ndarray:
     """Project a split's (n, d) inputs EVAL_BLOCK rows at a time; a degenerate
     row is named by its document.
 
@@ -160,7 +149,7 @@ def _project_split(net, x, doc_id, modality: str) -> np.ndarray:
         except DegenerateProjectionError as exc:
             row = start + exc.row
             raise DegenerateProjectionError(
-                f"degenerate {modality} projection for document {doc_id(row)!r}", row,
+                f"degenerate {modality} projection for document {doc_ids[row]!r}", row,
             ) from None
     return out
 

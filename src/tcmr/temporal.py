@@ -16,7 +16,7 @@ each model is a frozen dataclass holding the arrays it scores with, and its
 constructor owns every rule a fitted model must meet, so fitters, the TXNT
 reader and direct construction share one rule. There are no scalar one-pair
 helpers: training asks each model once per run for
-``document_table(documents)``, the per-document values its scores are made
+``document_table(corpus)``, the per-document values its scores are made
 of, and then once per mini-batch for ``pair_matrix(table, batch)``: the
 (b, b) matrix of the correlations of batch rows i and j, with no other
 effect. Misses (pairs without a shared fitted curve, or document i without a
@@ -82,8 +82,8 @@ class RecencyModel:
 
     kind = "recency"
 
-    def document_table(self, documents) -> np.ndarray:
-        return np.array([d.timestamp for d in documents], dtype=np.float64)
+    def document_table(self, corpus: Corpus) -> np.ndarray:
+        return corpus.timestamps
 
     def pair_matrix(self, table, batch) -> np.ndarray:
         # math.exp per entry: np.exp differs from it in the last bit on some inputs
@@ -134,14 +134,13 @@ class CategoryKDE:
                  "KDE curves need one row per category and one column per grid point")
         _require(((self.curves >= 0) & (self.curves <= 1)).all(), "KDE curve values outside [0, 1]")
 
-    def document_table(self, documents) -> np.ndarray:
+    def document_table(self, corpus: Corpus) -> np.ndarray:
         """(n, categories): the curve of category c at document i's timestamp
         when document i carries c, else 0."""
-        labelled = label_matrix([d.labels for d in documents], self.categories)
-        t = np.array([d.timestamp for d in documents], dtype=np.float64)
+        labelled = label_matrix(corpus.label_sets, self.categories)
         densities = np.empty_like(labelled)
         for k, curve in enumerate(self.curves):
-            densities[:, k] = np.interp(t, self.grid, curve)
+            densities[:, k] = np.interp(corpus.timestamps, self.grid, curve)
         return densities * labelled
 
     def pair_matrix(self, table, batch) -> np.ndarray:
@@ -162,7 +161,7 @@ def fit_category_kde(train: Corpus, bandwidth: float, grid_size: int) -> Categor
     peak-normalized so the maximum is exactly 1.
     """
     _require_positive("bandwidth", bandwidth)
-    t, labels = train.timestamps(), train.label_sets()
+    t, labels = train.timestamps, train.label_sets
     grid = np.linspace(0.0, t.max(), grid_size)
     cats = sorted(set().union(*labels))
     raw = np.array([gaussian_kde_density(t[member > 0], grid, bandwidth)
@@ -214,32 +213,36 @@ class TopicDensity:
     def num_effective_slices(self) -> int:
         return self.phi.shape[1]
 
-    def document_table(self, documents):
+    def document_table(self, corpus: Corpus):
         """(profiles, slices): each document's profile (the mean or, for
         ``product``, the sum of log(max(phi, floor)) over its known words, shifted
         to peak at 1 after exp; a zero row when none is known) and the effective
         slice of its timestamp."""
+        n = len(corpus)
         column = {tok: i for i, tok in enumerate(self.vocabulary)}
         log_phi = np.log(np.maximum(self.phi, self.floor))
-        known = [sorted(column[t] for t in doc.text_counts if t in column) for doc in documents]
-        counts = np.array([len(rows) for rows in known], dtype=np.intp)
+        # each document's known words as rows of phi, in ascending order; unknown words last
+        to_phi = np.array([column.get(tok, -1) for tok in corpus.vocabulary], dtype=np.intp)
+        doc = np.repeat(np.arange(n), np.diff(corpus.text.indptr))
+        word = to_phi[corpus.text.indices]
+        by_word = np.lexsort((word, doc, word < 0))[:np.count_nonzero(word >= 0)]
+        doc, word = doc[by_word], word[by_word]
+        counts = np.bincount(doc, minlength=n)
         # the j-th known word of every document that has one, j = 0, 1, ...: rows are
         # added in the order a sum over axis 0 of the document's own rows adds them
-        doc = np.repeat(np.arange(len(documents)), counts)
-        word = np.array([w for rows in known for w in rows], dtype=np.intp)
         rank = np.arange(len(doc)) - np.repeat(np.cumsum(counts) - counts, counts)
         by_rank = np.argsort(rank, kind="stable")
         cuts = np.cumsum(np.bincount(rank, minlength=counts.max(initial=0)))
-        m = np.zeros((len(documents), self.num_effective_slices))
+        m = np.zeros((n, self.num_effective_slices))
         for take in np.split(by_rank, cuts[:-1]):
             m[doc[take]] += log_phi[word[take]]
         has = np.flatnonzero(counts)
         m = m[has]
         if self.aggregate == "geometric":
             m /= counts[has, None]
-        profiles = np.zeros((len(documents), self.num_effective_slices))
+        profiles = np.zeros((n, self.num_effective_slices))
         profiles[has] = np.exp(m - m.max(axis=1, keepdims=True))
-        slices = self.slice_map[self.time_axis.slice_of([d.timestamp for d in documents])]
+        slices = self.slice_map[self.time_axis.slice_of(corpus.timestamps)]
         return profiles, slices
 
     def pair_matrix(self, table, batch) -> np.ndarray:
@@ -339,17 +342,14 @@ def fit_topic_densities(
     alpha = TOPIC_ALPHA_MASS / num_topics
     axis = train.time_axis
     vocab = list(train.vocabulary)
-    token_index = {tok: i for i, tok in enumerate(vocab)}
     vocab_size = len(vocab)
-    if vocab_size == 0:
-        raise TemporalModelError("training corpus has an empty vocabulary")
 
+    # each document's word ids, one per occurrence, in its row's token order
+    word_ids = np.repeat(train.text.indices, train.text.counts).tolist()
+    bounds = np.concatenate([[0], np.cumsum(train.text.counts)])[train.text.indptr].tolist()
     slice_docs: dict[int, list[list[int]]] = {}
-    for doc, s in zip(train.documents, axis.slice_of(train.timestamps()).tolist()):
-        ids = []
-        for tok in sorted(doc.text_counts):
-            ids.extend([token_index[tok]] * doc.text_counts[tok])
-        slice_docs.setdefault(s, []).append(ids)
+    for start, stop, s in zip(bounds, bounds[1:], axis.slice_of(train.timestamps).tolist()):
+        slice_docs.setdefault(s, []).append(word_ids[start:stop])
 
     nonempty = sorted(slice_docs)
     # each slice goes to the first nonempty slice at or after it, else the last one

@@ -81,11 +81,10 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         raise ConfigError("lambda > 0 requires --temporal with a fitted model")
 
     stats = document_frequencies(train)
-    x_img = train.image_matrix()
-    x_txt = tfidf_matrix([d.text_counts for d in train.documents], stats)
-    labels = label_matrix(train.label_sets())
-    table = temporal_model.document_table(train.documents) if cfg.lam > 0 else None
-    n = len(train.documents)
+    x_txt = tfidf_matrix(train.text, stats)
+    labels = label_matrix(train.label_sets)
+    table = temporal_model.document_table(train) if cfg.lam > 0 else None
+    n = len(train)
 
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     model = ProjectionModel.initialize(
@@ -93,11 +92,10 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
     )
     opt = SgdMomentum(eta=cfg.eta, momentum=cfg.momentum, decay=cfg.decay)
     rng = np.random.default_rng(batch_ss)
-    use_val = val is not None and len(val.documents) > 0
+    use_val = val is not None and len(val) > 0
     if use_val:  # the val split's grading and input rows do not change between epochs
         val_base = split_index(val)
-        val_image = val.image_matrix()
-        val_text = tfidf_matrix([d.text_counts for d in val.documents], stats)
+        val_text = tfidf_matrix(val.text, stats)
         val_grading = grade_split(val_base, cfg.eval_bins, cfg.k_eval)
 
     result = TrainResult(model=model, stats=stats)  # kept as trained when there is no val split
@@ -113,7 +111,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
             plan = build_batch_plan(labels[idx], rng, cfg.negatives_per_anchor)
             if cfg.lam > 0:
                 plan.sim_temp = temporal_model.pair_matrix(table, idx)
-            out, grads = total_loss(x_img[idx], x_txt[idx], plan, model, cfg)
+            out, grads = total_loss(train.image[idx], x_txt[idx], plan, model, cfg)
             opt.step(model, grads, batch_size=len(idx))
             total += out.total
             ranking += out.ranking
@@ -124,7 +122,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         if not use_val:
             result.best_epoch = epoch
         else:
-            val_index = project_index(val_base, model, val_image, val_text)
+            val_index = project_index(val_base, model, val.image, val_text)
             val_map = mean_map_both_directions(val_index, val_grading, cfg.k_eval)
             if val_map > best_map:
                 best_map = val_map

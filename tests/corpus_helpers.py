@@ -1,4 +1,4 @@
-"""Corpus comparison for tests (the library compares documents by identity), and the
+"""Corpus comparison for tests (the library compares corpora by identity), and the
 reference reader and document checks that ``corpus`` must agree with."""
 
 import json
@@ -9,16 +9,23 @@ import numpy as np
 from tcmr import corpus as cp
 
 
+def row_counts(corpus, i):
+    """Row i's tokens and counts, in the row's order."""
+    text = corpus.text
+    cols = text.indices[text.indptr[i]:text.indptr[i + 1]].tolist()
+    return dict(zip([corpus.vocabulary[c] for c in cols],
+                    text.counts[text.indptr[i]:text.indptr[i + 1]].tolist()))
+
+
 def assert_same_corpus(got, want):
-    """Same documents in the same order, field by field, and the same corpus metadata."""
-    assert len(got.documents) == len(want.documents)
-    for a, b in zip(got.documents, want.documents):
-        assert a.id == b.id
-        assert np.array_equal(a.image_feat, b.image_feat), a.id
-        assert list(a.text_counts.items()) == list(b.text_counts.items()), a.id
-        assert a.timestamp == b.timestamp and type(a.timestamp) is type(b.timestamp), a.id
-        assert a.labels == b.labels, a.id
-        assert a.epoch == b.epoch and type(a.epoch) is type(b.epoch), a.id
+    """Same documents in the same order, column by column, and the same corpus metadata."""
+    assert got.ids == want.ids
+    for column in ("image", "timestamps", "epochs"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), column
+    for a, b in zip(got.text, want.text):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.label_sets == want.label_sets
     assert got.vocabulary == want.vocabulary
     assert got.categories == want.categories
     assert got.time_axis == want.time_axis

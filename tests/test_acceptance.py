@@ -23,7 +23,7 @@ from tcmr.cli import main
 from tcmr.config import RunConfig
 from tcmr.projection import ProjectionModel
 from tcmr.train import fit_temporal_model, train_model
-from temporal_reference import all_pairs, doc_at
+from temporal_reference import all_pairs, corpus_at, doc_at
 
 
 def report(name, ok, detail=""):
@@ -207,7 +207,7 @@ def test_temporal_model_correctness():
         [(f"d{i}", np.zeros(2), {"w": 1}, int(t * 86400), ["a"]) for i, t in enumerate(days)]
     )
     kde = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=512)
-    obs = np.array([d.timestamp for d in corpus.documents if "a" in d.labels])
+    obs = corpus.timestamps[["a" in labels for labels in corpus.label_sets]]
     peak = tp.gaussian_kde_density(obs, kde.grid, 1.0).max()
     queries = rng.uniform(0, 30, size=2000)
     direct = tp.gaussian_kde_density(obs, queries, 1.0) / peak
@@ -217,7 +217,8 @@ def test_temporal_model_correctness():
     assert kde_err < 1e-3
 
     rec = tp.RecencyModel(h_rec=0.3)
-    assert abs(all_pairs(rec, [doc_at(0.0, "a"), doc_at(0.3, "a")])[0, 1] - math.exp(-1)) < 1e-9
+    assert abs(all_pairs(rec, corpus_at([doc_at(0.0, "a"), doc_at(0.3, "a")]))[0, 1]
+               - math.exp(-1)) < 1e-9
 
     topic_corpus = cp.from_records(
         [
@@ -244,15 +245,14 @@ def test_temporal_model_correctness():
     ts = rng.uniform(0, 30, size=(n_evals, 2))
     # pair_matrix over 100 documents scores 10k pairs; the rest vectorized
     spot = math.isqrt(n_evals // 10)
-    cat_vals = all_pairs(kde, [doc_at(t, "a") for t in ts[:spot, 0]])
+    cat_vals = all_pairs(kde, corpus_at([doc_at(t, "a") for t in ts[:spot, 0]]))
     ok_cat = cat_vals.size == n_evals // 10 and bool(((cat_vals >= 0) & (cat_vals <= 1)).all())
     curve_vals = np.interp(ts[:, 0], kde.grid, curve_a) * np.interp(ts[:, 1], kde.grid, curve_a)
     ok_cat = ok_cat and bool(((curve_vals >= 0) & (curve_vals <= 1)).all())
 
     # a batch of 100 documents drawn with repeats: 10k (i, j) pairs
-    docs = topic_corpus.documents
-    batch = rng.integers(0, len(docs), size=spot)
-    table = topic.document_table(docs)
+    batch = rng.integers(0, len(topic_corpus), size=spot)
+    table = topic.document_table(topic_corpus)
     topic_vals = topic.pair_matrix(table, batch)
     prof, _ = table  # every document has a known word, so every row is a profile peaking at 1
     ok_topic = bool((prof.max(axis=1) == 1.0).all() and ((prof >= 0) & (prof <= 1.0 + 1e-12)).all())

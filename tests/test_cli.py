@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from corpus_helpers import row_counts
 from tcmr import corpus as cp
 from tcmr import retrieval as rt
 from tcmr import temporal as tp
@@ -161,6 +162,30 @@ def write_token_manifest(path, tokens):
                              for row in rows).encode("utf-8"))
     cp.write_features(path.parent / "features.bin", np.zeros((3, 2)))
     return path, path.parent / "features.bin"
+
+
+class TestEmptyDimensions:
+    """A bundle with no feature dimension or no vocabulary is a data error at ingest; training
+    on one would stop at its first batch with a degenerate projection."""
+
+    def write_bundle(self, directory, tokens, d_image):
+        rows = [{"id": f"d{i}", "timestamp": 86400 * i, "tokens": tokens, "labels": ["l"],
+                 "feat_row": i} for i in range(4)]
+        (directory / "m.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        (directory / "f.bin").write_bytes(struct.pack("<4sII", b"TXNF", 4, d_image)
+                                          + bytes(16 * d_image))
+        return directory / "m.jsonl", directory / "f.bin"
+
+    @pytest.mark.parametrize("tokens, d_image, fault", [
+        ({"w": 1}, 0, "{features}: feature dimension is 0"),
+        ({}, 2, "the corpus has an empty vocabulary"),
+    ], ids=["no-feature-dimension", "no-tokens"])
+    def test_ingest_rejects(self, tmp_path, capsys, tokens, d_image, fault):
+        manifest, features = self.write_bundle(tmp_path, tokens, d_image)
+        assert main(["ingest", str(manifest), str(features), "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {fault.format(features=features)}\n" == err
+        assert not (tmp_path / "b").exists()
 
 
 class TestTokenFiles:
@@ -548,10 +573,10 @@ class TestPipeline:
         monkeypatch.setattr(ProjectionHalf, "forward", counting_forward)
         base = ["query", "--checkpoint", str(ckpt), "--corpus", str(data), "--k", "2"]
         assert main(base + ["--text", "w0001"]) == 0
-        assert rows == {"image": [len(corpus.documents)], "text": [1]}
+        assert rows == {"image": [len(corpus)], "text": [1]}
         rows.clear()
         assert main(base + ["--image-row", "3"]) == 0
-        assert rows == {"text": [len(corpus.documents)], "image": [1]}
+        assert rows == {"text": [len(corpus)], "image": [1]}
 
     def test_query_unknown_tokens_prints_diagnostic(self, workspace, capsys):
         tmp_path, data, _ = workspace
@@ -568,9 +593,9 @@ class TestPipeline:
         """Such tokens have idf 0, so the text row is empty, as for unknown tokens."""
         tmp_path, data, cfg = workspace
         corpus = load_bundle(data, cp.DEFAULT_TIME_UNIT)
-        records = [(d.id, d.image_feat, dict(d.text_counts, common=1),
-                    d.epoch, sorted(d.labels))
-                   for d in corpus.documents]
+        records = [(doc_id, corpus.image[i], dict(row_counts(corpus, i), common=1),
+                    int(corpus.epochs[i]), sorted(corpus.label_sets[i]))
+                   for i, doc_id in enumerate(corpus.ids)]
         common = tmp_path / "common"
         save_bundle(cp.from_records(records), common)
         cfg.write_text(TINY_CFG.replace("lambda = 1.0", "lambda = 0.0"))
@@ -808,7 +833,7 @@ class TestTruncatedBinaries:
         kde = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=4)
         cats = kde.categories
         # version 1 also stored each category's observed timestamps after the curves
-        obs = [np.array([d.timestamp for d in corpus.documents if c in d.labels]) for c in cats]
+        obs = [corpus.timestamps[[c in labels for labels in corpus.label_sets]] for c in cats]
         v1_files = {
             "recency": (b"REC\x00", {"h_rec": 0.3}, []),
             "category": (b"KDE\x00", {"bandwidth": 1.0, "grid_size": 4, "categories": cats,

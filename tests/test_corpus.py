@@ -1,8 +1,12 @@
+import gc
+import io
 import json
 import math
 import re
 import struct
 import tempfile
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_helpers import assert_same_corpus, reference_document_fault, reference_load_corpus
+from corpus_helpers import (assert_same_corpus, reference_document_fault, reference_load_corpus,
+                            row_counts)
 from tcmr import corpus as cp
+from tcmr.cli import load_bundle, main
 
 
 def write_manifest(path, rows):
@@ -63,10 +69,11 @@ class TestLoad:
         feats = np.arange(12, dtype=np.float64).reshape(3, 4)
         manifest, features, _ = make_bundle(tmp_path, three_doc_rows(), feats)
         corpus = cp.load_corpus(manifest, features)
-        assert len(corpus.documents) == 3
+        assert len(corpus) == 3
         assert corpus.d_image == 4
         assert corpus.categories == ["park", "pets"]
-        np.testing.assert_array_equal(corpus.documents[1].image_feat, feats[1])
+        assert corpus.image.dtype == np.float64
+        np.testing.assert_array_equal(corpus.image, feats)
 
     def test_vocabulary_is_sorted_token_union(self, tmp_path):
         rows = [
@@ -90,7 +97,7 @@ class TestLoad:
         rows[0]["timestamp"] = str(rows[0]["timestamp"])
         manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 4)))
         corpus = cp.load_corpus(manifest, features)
-        assert corpus.documents[0].timestamp == 0.0
+        assert corpus.timestamps[0] == 0.0
 
     def test_empty_labels_rejected(self, tmp_path):
         rows = three_doc_rows()
@@ -130,7 +137,7 @@ class TestLoad:
         corpus = cp.load_corpus(manifest, features, vocab)
         assert corpus.vocabulary == ["dog", "cat"]  # file order authoritative
         assert corpus.dropped_token_count == 4  # "tree" x4
-        assert corpus.documents[2].text_counts == {}
+        assert row_counts(corpus, 2) == {}
 
     def test_duplicate_id_rejected(self, tmp_path):
         rows = three_doc_rows()
@@ -161,7 +168,7 @@ class TestLoad:
         axis = corpus.time_axis
         assert axis.origin == 0
         assert axis.num_slices == 4  # span of 3 days
-        assert [d.timestamp for d in corpus.documents] == [0.0, 1.0, 3.0]
+        assert corpus.timestamps.tolist() == [0.0, 1.0, 3.0]
         assert axis.slice_of(3.0) == 3
 
     def test_slice_of_floors_and_clamps_an_array(self):
@@ -211,6 +218,11 @@ def _manifest_fault(line2, n_rows=3):
     return load
 
 
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
 def _duplicate_vocabulary(tmp_path):
     cp.load_corpus(*make_bundle(tmp_path, three_doc_rows(), np.zeros((3, 2)),
                                 vocab=["dog", "cat", "tree", "dog"]))
@@ -223,9 +235,8 @@ def _ragged_features(tmp_path):
 
 def _split_of(n, dev, val):
     def split(tmp_path):
-        docs = [cp.Document(f"d{i}", np.zeros(2), {}, 0.0, frozenset(["l"]), 0) for i in range(n)]
-        corpus = cp.Corpus(docs, [], ["l"], cp.TimeAxis(1.0, 0, 1), 2)
-        cp.split(corpus, cp.SplitSpec(dev, val, 0))
+        records = [(f"d{i}", np.zeros(2), {"w": 1}, 0, ["l"]) for i in range(max(n, 1))]
+        cp.split(cp.from_records(records).take(range(n)), cp.SplitSpec(dev, val, 0))
     return split
 
 
@@ -280,6 +291,18 @@ REJECTIONS = {  # case -> (action on a tmp_path, the whole message)
     "ragged-features": (_ragged_features,
                         "document 'b': feature vectors must share one dimension"),
     "empty-corpus": (lambda tmp_path: cp.from_records([]), "cannot build an empty corpus"),
+    "features-without-dimension": (
+        lambda tmp_path: cp.from_records([("a", np.zeros(0), {"x": 1}, 0, ["l"])]),
+        "image features need at least one dimension"),
+    "feature-file-without-dimension": (
+        lambda tmp_path: cp.read_features(write_bytes(tmp_path / "f.bin",
+                                                      struct.pack("<4sII", b"TXNF", 3, 0))),
+        "{tmp_path}/f.bin: feature dimension is 0"),
+    "no-tokens": (lambda tmp_path: cp.from_records([("a", np.zeros(2), {}, 0, ["l"])]),
+                  "the corpus has an empty vocabulary"),
+    "empty-vocabulary": (
+        lambda tmp_path: cp.from_records([("a", np.zeros(2), {"x": 1}, 0, ["l"])], vocabulary=[]),
+        "the corpus has an empty vocabulary"),
     "split-empty": (_split_of(0, 0.9, 0.15), "cannot split an empty corpus"),
     "split-no-train": (_split_of(2, 0.5, 0.9), "train split would be empty"),
     "split-no-test": (_split_of(1, 0.9, 0.15), "test split would be empty"),
@@ -301,8 +324,7 @@ class TestRejections:
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text(text + "\n")
         cp.write_features(tmp_path / "features.bin", np.zeros((3, 2)))
-        assert [d.id for d in cp.load_corpus(manifest, tmp_path / "features.bin").documents] \
-            == ["a", "b", "c"]
+        assert cp.load_corpus(manifest, tmp_path / "features.bin").ids == ["a", "b", "c"]
         manifest.write_text(text.replace('"feat_row": 2', '"feat_row": 5') + "\n")
         with pytest.raises(cp.CorpusError, match="^manifest line 5: feat_row 5 outside"):
             cp.load_corpus(manifest, tmp_path / "features.bin")
@@ -334,7 +356,7 @@ class TestExactIntegers:
         manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 4)))
         corpus = cp.load_corpus(manifest, features)
         assert corpus.time_axis.origin == -(2**53)
-        assert corpus.documents[2].text_counts == {"tree": 2**53}
+        assert row_counts(corpus, 2) == {"tree": 2**53}
 
 
 class TestRoundTrip:
@@ -349,7 +371,7 @@ class TestRoundTrip:
         again = cp.load_corpus(out_m, out_f)
         assert_same_corpus(again, corpus)
         # features survive bit-identically through float32 on disk
-        np.testing.assert_array_equal(again.image_matrix(), corpus.image_matrix())
+        np.testing.assert_array_equal(again.image, corpus.image)
 
     def test_canonical_write_is_idempotent(self, tmp_path):
         manifest, features, _ = make_bundle(
@@ -560,10 +582,12 @@ class TestDocumentFaults:
         records = [(f"d{i}", np.zeros(2), tokens, 0, labels)
                    for i, (labels, tokens) in enumerate(docs)]
         fault = reference_document_fault(records)
+        if fault is None and not any(tokens for _, tokens in docs):  # a corpus rule, checked last
+            fault = "the corpus has an empty vocabulary"
         if fault is None:
             corpus = cp.from_records(records)
-            assert [sorted(d.text_counts) for d in corpus.documents] \
-                == [list(d.text_counts) for d in corpus.documents]
+            rows = [list(row_counts(corpus, i)) for i in range(len(corpus))]
+            assert rows == [sorted(row) for row in rows]
         else:
             with pytest.raises(cp.CorpusError) as caught:
                 cp.from_records(records)
@@ -582,6 +606,11 @@ def reference_tfidf_matrix(rows, stats):
         if norm > 0:
             v /= norm
     return out
+
+
+def tfidf_of(mappings, stats):
+    """``tfidf_matrix`` of token-count mappings, as ``query --text`` builds its row."""
+    return cp.tfidf_matrix(cp.token_rows(mappings, stats.token_index), stats)
 
 
 def token_counts(num_tokens, max_size):
@@ -607,7 +636,7 @@ class TestTfidf:
         records = [(f"d{i}", np.zeros(2), doc, i * DAY, ["l"]) for i, doc in enumerate(train)]
         stats = cp.document_frequencies(cp.from_records(records, vocabulary=vocab))
         rows = train + queries
-        got = cp.tfidf_matrix(rows, stats)
+        got = cp.tfidf_matrix(cp.token_rows(rows, stats.token_index), stats)
         assert got.tobytes() == reference_tfidf_matrix(rows, stats).tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -620,9 +649,10 @@ class TestTfidf:
         records = [(f"d{i}", np.zeros(2), doc, i * DAY, ["l"]) for i, doc in enumerate(train)]
         corpus = cp.from_records(records, vocabulary=vocab)
         want = np.zeros(vocab_size, dtype=np.float64)
-        for doc in corpus.documents:
-            for tok in doc.text_counts:
-                want[vocab.index(tok)] += 1.0
+        for doc in train:
+            for tok in doc:
+                if tok in vocab:
+                    want[vocab.index(tok)] += 1.0
         stats = cp.document_frequencies(corpus)
         assert stats.doc_freq.dtype == np.float64
         assert np.array_equal(stats.doc_freq, want)
@@ -637,14 +667,14 @@ class TestTfidf:
     def test_no_known_tokens_gives_zero_vector(self):
         train = self._corpus([{"a": 1}, {"b": 1}])
         stats = cp.document_frequencies(train)
-        rows = cp.tfidf_matrix([{"zzz": 5}], stats)
+        rows = tfidf_of([{"zzz": 5}], stats)
         assert rows.shape == (1, 2)
         assert not rows.any()
 
     def test_idf_vanishes_when_token_in_every_doc(self):
         train = self._corpus([{"a": 1}, {"a": 3}])
         stats = cp.document_frequencies(train)
-        (v,) = cp.tfidf_matrix([{"a": 2}], stats)
+        (v,) = tfidf_of([{"a": 2}], stats)
         assert v[stats.token_index["a"]] == 0.0
 
     def test_hand_value(self):
@@ -652,7 +682,7 @@ class TestTfidf:
         train = self._corpus([{"a": 2, "b": 1}, {"b": 1}, {"b": 2}, {"b": 1}])
         stats = cp.document_frequencies(train)
         raw_a = 2 * math.log(4 / 1)
-        (v,) = cp.tfidf_matrix([{"a": 2}], stats)
+        (v,) = tfidf_of([{"a": 2}], stats)
         assert v[stats.token_index["a"]] == pytest.approx(1.0)
         assert v[stats.token_index["b"]] == 0.0
         unnormalized = np.zeros(2)
@@ -667,7 +697,7 @@ class TestTfidf:
         ]
         train = self._corpus(docs)
         stats = cp.document_frequencies(train)
-        for v in cp.tfidf_matrix([doc.text_counts for doc in train.documents], stats):
+        for v in cp.tfidf_matrix(train.text, stats):
             norm = np.linalg.norm(v)
             assert norm == 0.0 or abs(norm - 1.0) < 1e-12
 
@@ -678,10 +708,11 @@ class TestTfidf:
             {f"w{rng.integers(12)}": int(rng.integers(1, 5)) for _ in range(rng.integers(1, 6))}
             for _ in range(25)
         ]
-        stats = cp.document_frequencies(self._corpus(docs[:20]))
-        split = cp.tfidf_matrix(docs, stats)
+        corpus = self._corpus(docs)
+        stats = cp.document_frequencies(corpus.take(range(20)))
+        split = cp.tfidf_matrix(corpus.text, stats)
         for counts, row in zip(docs, split):
-            np.testing.assert_array_equal(cp.tfidf_matrix([counts], stats)[0], row)
+            np.testing.assert_array_equal(tfidf_of([counts], stats)[0], row)
 
 
 class TestSplit:
@@ -706,14 +737,14 @@ class TestSplit:
         a = cp.split(corpus, cp.SplitSpec(0.8, 0.2, seed=11))
         b = cp.split(corpus, cp.SplitSpec(0.8, 0.2, seed=11))
         for part_a, part_b in zip(a, b):
-            assert [d.id for d in part_a.documents] == [d.id for d in part_b.documents]
+            assert part_a.ids == part_b.ids
 
     def test_partition_property(self):
         corpus = self._corpus(37)
         train, val, test = cp.split(corpus, cp.SplitSpec(0.9, 0.15, seed=5))
-        ids = [d.id for part in (train, val, test) for d in part.documents]
+        ids = [i for part in (train, val, test) for i in part.ids]
         assert len(ids) == 37
-        assert set(ids) == {d.id for d in corpus.documents}
+        assert set(ids) == set(corpus.ids)
 
     def test_splits_share_axes(self):
         corpus = self._corpus(20)
@@ -722,3 +753,33 @@ class TestSplit:
             assert part.time_axis == corpus.time_axis
             assert part.vocabulary == corpus.vocabulary
 
+
+
+class TestLoadMemory:
+    """Loading holds one float32 copy of the feature file, its rows gathered in manifest order
+    into one float32 array and that array cast once to float64, beside the parsed manifest.
+
+    Bundle: 8 x 250 documents, 512 feature dimensions, a 5,000-token vocabulary and 20 words
+    a document (4 MB of float32 features). A loader that built a float64 array per row list and
+    rounded it through float32 again peaked at 33.6 MB (``tracemalloc``), retaining 12.7 MB.
+    """
+
+    PEAK_MB = 27.0
+    RETAINED_MB = 12.7
+
+    def test_load_bundle_peak_and_retained(self, tmp_path):
+        with redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out", str(tmp_path), "--categories", "8",
+                         "--docs-per-category", "250", "--d-image", "512",
+                         "--vocab-size", "5000", "--words-per-doc", "20", "--seed", "0"]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            corpus = load_bundle(tmp_path, cp.DEFAULT_TIME_UNIT)
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 2000 and corpus.d_image == 512
+        assert peak / 1e6 <= self.PEAK_MB
+        assert retained / 1e6 <= self.RETAINED_MB

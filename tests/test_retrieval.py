@@ -65,7 +65,7 @@ def tiny_corpus(n=5, d_image=3, seed=0):
 class TestBuildIndex:
     def test_empty_corpus_rejected(self):
         corpus = tiny_corpus(2)
-        empty = corpus.with_documents([])
+        empty = corpus.take([])
         model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=0)
         stats = cp.document_frequencies(corpus)
         with pytest.raises(ValueError, match="empty"):
@@ -141,9 +141,8 @@ class TestBuildIndex:
             np.testing.assert_allclose(got, net.forward(x)[0], rtol=0, atol=1e-15)
 
         index = rt.build_index(corpus, model, stats)
-        check(index.image_matrix, model.image_net, corpus.image_matrix())
-        check(index.text_matrix, model.text_net,
-              cp.tfidf_matrix([d.text_counts for d in corpus.documents], stats))
+        check(index.image_matrix, model.image_net, corpus.image)
+        check(index.text_matrix, model.text_net, cp.tfidf_matrix(corpus.text, stats))
         image_rows = rng.normal(size=(n, d_image))
         text_rows = rng.random((n, corpus.d_text))
         projected = rt.project_index(rt.split_index(corpus), model, image_rows, text_rows)
@@ -252,9 +251,9 @@ class TestQueryTopK:
         model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=5)
         stats = cp.document_frequencies(corpus)
         index = rt.build_index(corpus, model, stats)
-        for i, doc in enumerate(corpus.documents):
-            text_row = cp.tfidf_matrix([doc.text_counts], stats)
-            for direction, row, query in ((rt.I2T, doc.image_feat[None], index.image_matrix[i]),
+        for i in range(len(corpus)):
+            text_row = cp.tfidf_matrix(corpus.take([i]).text, stats)
+            for direction, row, query in ((rt.I2T, corpus.image[i:i + 1], index.image_matrix[i]),
                                           (rt.T2I, text_row, index.text_matrix[i])):
                 candidates = index.text_matrix if direction == rt.I2T else index.image_matrix
                 results, _ = rt.query_topk(index, model, direction, row, k=6)

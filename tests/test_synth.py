@@ -43,8 +43,8 @@ class TestGenerate:
     def test_noiseless_driftless_shares_prototype(self):
         corpus, truth = synth.generate(basic_spec(image_noise=0.0, drift=0.0))
         by_cat = {}
-        for doc in corpus.documents:
-            by_cat.setdefault(next(iter(doc.labels)), []).append(doc.image_feat)
+        for labels, feat in zip(corpus.label_sets, corpus.image):
+            by_cat.setdefault(next(iter(labels)), []).append(feat)
         for feats in by_cat.values():
             for f in feats[1:]:
                 np.testing.assert_array_equal(f, feats[0])
@@ -75,8 +75,7 @@ class TestGenerate:
 
     def test_timestamps_within_span(self):
         corpus, _ = synth.generate(basic_spec())
-        for doc in corpus.documents:
-            assert 0.0 <= doc.timestamp <= 20.0
+        assert ((0.0 <= corpus.timestamps) & (corpus.timestamps <= 20.0)).all()
 
     def test_per_category_modes(self):
         spec = basic_spec(
@@ -87,10 +86,10 @@ class TestGenerate:
             ]
         )
         corpus, truth = synth.generate(spec)
-        for doc in corpus.documents:
-            cat, mode = truth.doc_source[doc.id]
+        for doc_id, t in zip(corpus.ids, corpus.timestamps):
+            cat, mode = truth.doc_source[doc_id]
             center = truth.category_modes[cat][mode][0]
-            assert abs(doc.timestamp - center) < 4.0
+            assert abs(t - center) < 4.0
 
     def test_infeasible_specs_rejected(self):
         with pytest.raises(synth.SynthError):
@@ -200,22 +199,22 @@ class TestPlantedStructure:
             modes=[(5.0, 1.0, 0.5), (15.0, 1.0, 0.5)],
         )
         corpus, truth = synth.generate(spec)
-        docs = corpus.documents
+        labels, ids = corpus.label_sets, corpus.ids
         rng = np.random.default_rng(1)
 
         def win_rate(model):
             wins = total = 0
             for _ in range(20000):
-                i, j, a, b = rng.integers(len(docs), size=4)
+                i, j, a, b = rng.integers(len(corpus), size=4)
                 if len({i, j, a, b}) < 4:
                     continue
-                if docs[i].labels != docs[j].labels or docs[a].labels != docs[b].labels:
+                if labels[i] != labels[j] or labels[a] != labels[b]:
                     continue
-                mi, mj = truth.doc_source[docs[i].id][1], truth.doc_source[docs[j].id][1]
-                ma, mb = truth.doc_source[docs[a].id][1], truth.doc_source[docs[b].id][1]
+                mi, mj = truth.doc_source[ids[i]][1], truth.doc_source[ids[j]][1]
+                ma, mb = truth.doc_source[ids[a]][1], truth.doc_source[ids[b]][1]
                 if mi == mj and ma != mb:
                     total += 1
-                    if pair_sim(model, docs[i], docs[j]) > pair_sim(model, docs[a], docs[b]):
+                    if pair_sim(model, corpus, i, j) > pair_sim(model, corpus, a, b):
                         wins += 1
             return wins / total
 

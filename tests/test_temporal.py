@@ -8,19 +8,10 @@ from tcmr import corpus as cp
 from tcmr import temporal as tp
 from tcmr.config import RunConfig
 from tcmr.train import fit_temporal_model
-from temporal_reference import all_pairs, doc_at, pair_sim, reference_sim, topic_profiles
+from temporal_reference import (all_pairs, corpus_at, day_corpus, doc_at, pair_sim,
+                                reference_sim, topic_profiles)
 
-DAY = 86400
 TOPIC_FIT = {"kappa": 0.5, "floor": 1e-6, "aggregate": "geometric"}  # RunConfig's defaults
-
-
-def day_corpus(doc_specs):
-    """doc_specs: list of (day, tokens, labels)."""
-    records = [
-        (f"d{i}", np.zeros(2), tokens, day * DAY, labels)
-        for i, (day, tokens, labels) in enumerate(doc_specs)
-    ]
-    return cp.from_records(records)
 
 
 def curve(model, category):
@@ -29,7 +20,7 @@ def curve(model, category):
 
 def batch_sim(model, doc_i, doc_j):
     """pair_matrix's value for (doc_i, doc_j) in a batch of the two."""
-    return float(all_pairs(model, [doc_i, doc_j])[0, 1])
+    return float(all_pairs(model, corpus_at([doc_i, doc_j]))[0, 1])
 
 
 class TestRecency:
@@ -82,7 +73,7 @@ class TestCategoryKDE:
             + [(float(d), {"w": 1}, ["a"]) for d in days]
         )
         model = tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=512)
-        obs = np.array([d.timestamp for d in corpus.documents if "a" in d.labels])
+        obs = corpus.timestamps[["a" in labels for labels in corpus.label_sets]]
         peak = tp.gaussian_kde_density(obs, model.grid, 1.0).max()
         for t in rng.uniform(0, 30, size=200):
             direct = tp.gaussian_kde_density(obs, float(t), 1.0) / peak
@@ -225,14 +216,13 @@ class TestTopicDensity:
         ]
         corpus = day_corpus(specs)
         model = tp.fit_topic_densities(corpus, num_topics=2, seed=3, gibbs_iters=10, **TOPIC_FIT)
-        values = all_pairs(model, corpus.documents)
+        values = all_pairs(model, corpus)
         assert ((values >= 0.0) & (values <= 1.0)).all()
 
     def test_asymmetric_by_construction(self):
         phi = np.array([[0.9, 0.1], [0.2, 0.8]])
         model = self._manual_model(phi)
-        doc_i = cp.Document("i", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]), 0)
-        doc_j = cp.Document("j", np.zeros(1), {"w1": 1}, 1.0, frozenset(["l"]), 1)
+        doc_i, doc_j = doc_at(0.0, tokens={"w0": 1}), doc_at(1.0, tokens={"w1": 1})
         assert batch_sim(model, doc_i, doc_j) != batch_sim(model, doc_j, doc_i)
 
     def test_empty_slices_merge_forward(self):
@@ -248,10 +238,10 @@ class TestTopicDensity:
         rng = np.random.default_rng(seed)
         days = rng.choice(12, size=5, replace=False).tolist() + [12]
         corpus = day_corpus([(day, {"a": 1}, ["l"]) for day in days])
-        train = corpus.with_documents(corpus.documents[:5])  # the axis still ends at day 12
+        train = corpus.take(range(5))  # the axis still ends at day 12
         model = tp.fit_topic_densities(train, num_topics=1, seed=0, gibbs_iters=1, **TOPIC_FIT)
         axis = train.time_axis
-        nonempty = sorted({axis.slice_of(d.timestamp) for d in train.documents})
+        nonempty = sorted(set(axis.slice_of(train.timestamps).tolist()))
         want, nxt = [], len(nonempty) - 1
         for s in range(axis.num_slices - 1, -1, -1):
             if s in nonempty:
@@ -351,8 +341,7 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.grid, model.grid)
         assert loaded.categories == model.categories == ["a", "b"]
         np.testing.assert_array_equal(loaded.curves, model.curves)
-        np.testing.assert_array_equal(all_pairs(loaded, corpus.documents),
-                                      all_pairs(model, corpus.documents))
+        np.testing.assert_array_equal(all_pairs(loaded, corpus), all_pairs(model, corpus))
 
     def test_topic_round_trip(self, tmp_path):
         specs = [(d % 3, {f"w{d % 4}": 1, "z": 1}, ["l"]) for d in range(12)]
@@ -364,8 +353,8 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.phi, model.phi)
         np.testing.assert_array_equal(loaded.slice_map, model.slice_map)
         assert loaded.time_axis == model.time_axis
-        np.testing.assert_array_equal(all_pairs(loaded, corpus.documents[:5]),
-                                      all_pairs(model, corpus.documents[:5]))
+        np.testing.assert_array_equal(all_pairs(loaded, corpus.take(range(5))),
+                                      all_pairs(model, corpus.take(range(5))))
 
     def test_single_timestamp_kde_round_trip(self, tmp_path):
         """A train split with one timestamp fits an all-zero grid, which loads."""
@@ -397,13 +386,13 @@ class TestSerialization:
                 setattr(model, field.name, getattr(model, field.name))
 
 
-def assert_pair_matrix_is_reference(model, docs, batch):
-    """pair_matrix equals the scalar reference entry by entry, and is exactly 0
-    at each miss. Returns (the values, the mask of missed pairs)."""
-    want = np.array([[pair_sim(model, docs[i], docs[j]) for j in batch] for i in batch])
-    missed = np.array([[reference_sim(model, docs[i], docs[j]) is None for j in batch]
+def assert_pair_matrix_is_reference(model, corpus, batch):
+    """pair_matrix over the corpus rows in ``batch`` equals the scalar reference entry
+    by entry, and is exactly 0 at each miss. Returns (the values, the mask of missed pairs)."""
+    want = np.array([[pair_sim(model, corpus, i, j) for j in batch] for i in batch])
+    missed = np.array([[reference_sim(model, corpus, i, j) is None for j in batch]
                        for i in batch])
-    got = model.pair_matrix(model.document_table(docs), batch)
+    got = model.pair_matrix(model.document_table(corpus), batch)
     assert got.shape == (len(batch), len(batch))
     np.testing.assert_array_equal(got, want)
     assert (got[missed] == 0.0).all()
@@ -414,12 +403,10 @@ class TestPairMatrix:
     def test_recency(self):
         rng = np.random.default_rng(20)
         days = np.concatenate([rng.uniform(0, 30, size=40), [3.0, 3.0, 0.0, 29.9]])
-        docs = [cp.Document(f"d{i}", np.zeros(2), {"w": 1}, float(t), frozenset([f"c{i % 3}"]),
-                            round(t))
-                for i, t in enumerate(days)]
+        corpus = corpus_at([doc_at(t, [f"c{i % 3}"], {"w": 1}) for i, t in enumerate(days)])
         model = tp.RecencyModel(h_rec=0.3)
-        values, missed = assert_pair_matrix_is_reference(model, docs,
-                                                         rng.permutation(len(docs))[:30])
+        values, missed = assert_pair_matrix_is_reference(model, corpus,
+                                                         rng.permutation(len(corpus))[:30])
         assert not missed.any()
         assert (values > 0.0).any() and (values < 1e-40).any()
 
@@ -433,9 +420,8 @@ class TestPairMatrix:
         keep = [c != "c3" for c in fitted.categories]  # pairs sharing only c3 now miss
         model = tp.CategoryKDE(bandwidth=1.5, grid=fitted.grid, curves=fitted.curves[keep],
                                categories=[c for c in fitted.categories if c != "c3"])
-        docs = corpus.documents
-        values, missed = assert_pair_matrix_is_reference(model, docs,
-                                                         rng.permutation(len(docs))[:36])
+        values, missed = assert_pair_matrix_is_reference(model, corpus,
+                                                         rng.permutation(len(corpus))[:36])
         assert missed.any() and not missed.all()
         assert ((values > 0.0) & (values < 1.0)).any()
 
@@ -444,14 +430,15 @@ class TestPairMatrix:
         specs = [(int(rng.integers(0, 8)),
                   {f"w{rng.integers(10)}": int(rng.integers(1, 3)) for _ in range(3)},
                   [f"c{rng.integers(3)}"]) for _ in range(40)]
-        corpus = day_corpus(specs)
-        model = tp.fit_topic_densities(corpus, num_topics=2, seed=5, gibbs_iters=5, **TOPIC_FIT)
-        docs = corpus.documents + [
-            cp.Document("unknown", np.zeros(2), {"mystery": 2}, 2.5, frozenset(["c0"]), 2),
-            cp.Document("late", np.zeros(2), {"w1": 1, "zzz": 1}, 99.0, frozenset(["c1"]), 99),
-        ]
-        batch = np.concatenate([[len(docs) - 2, len(docs) - 1], rng.permutation(40)[:28]])
-        values, missed = assert_pair_matrix_is_reference(model, docs, batch)
+        model = tp.fit_topic_densities(day_corpus(specs), num_topics=2, seed=5, gibbs_iters=5,
+                                       **TOPIC_FIT)
+        # a document of unknown words, and one past the model's time axis
+        corpus = day_corpus(specs + [(2.5, {"mystery": 2}, ["c0"]),
+                                     (99, {"w1": 1, "zzz": 1}, ["c1"])])
+        assert corpus.time_axis.origin == model.time_axis.origin
+        assert corpus.timestamps[-1] >= model.time_axis.num_slices
+        batch = np.concatenate([[len(corpus) - 2, len(corpus) - 1], rng.permutation(40)[:28]])
+        values, missed = assert_pair_matrix_is_reference(model, corpus, batch)
         assert missed[0].all() and not missed[1:].any()
         assert not values[0].any()
 
@@ -467,16 +454,17 @@ class TestPairMatrix:
             slice_map=np.arange(7), time_axis=cp.TimeAxis(unit=1.0, origin=0, num_slices=7),
             floor=1e-6, aggregate=aggregate,
         )
-        docs = []
+        specs = []
         for i in range(60):
             tokens = {vocab[w]: 1 for w in rng.permutation(40)[:rng.integers(0, 25)]}
             tokens.update({f"zz{j}": 2 for j in range(rng.integers(0, 3))})  # unknown
-            docs.append(cp.Document(f"d{i}", np.zeros(1), tokens, float(i % 7),
-                                    frozenset(["l"]), i % 7))
-        assert any(not any(t in vocab for t in d.text_counts) for d in docs)
-        profiles, _ = model.document_table(docs)
-        assert profiles.tobytes() == topic_profiles(model, docs).tobytes()
-        for none in ([], docs[:0] + [doc_at(0.0, tokens={"mystery": 1})]):
+            specs.append((i % 7, tokens, ["l"]))
+        corpus = day_corpus(specs)
+        assert corpus.vocabulary != vocab  # its columns are not the model's
+        assert any(not any(t in vocab for t in tokens) for _, tokens, _ in specs)
+        profiles, _ = model.document_table(corpus)
+        assert profiles.tobytes() == topic_profiles(model, corpus).tobytes()
+        for none in (corpus.take([]), corpus_at([doc_at(0.0, tokens={"mystery": 1})])):
             got, _ = model.document_table(none)
             assert got.tobytes() == topic_profiles(model, none).tobytes()
 
@@ -487,14 +475,14 @@ class TestPairMatrix:
             slice_map=np.arange(2), time_axis=cp.TimeAxis(unit=1.0, origin=0, num_slices=2),
             floor=1e-6, aggregate="geometric",
         )
-        doc_a = cp.Document("doc00000", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]), 0)
-        doc_b = cp.Document("doc00000", np.zeros(1), {"w1": 1}, 0.0, frozenset(["l"]), 0)
-        other = cp.Document("doc00001", np.zeros(1), {"w0": 1}, 0.0, frozenset(["l"]), 0)
-        values = all_pairs(model, [doc_a, doc_b, other])
-        assert values[0, 2] == pytest.approx(1.0)
-        assert values[1, 2] == pytest.approx(0.1 / 0.9)
-        profiles, _ = model.document_table([doc_a, doc_b])
-        assert not np.array_equal(profiles[0], profiles[1])
+        other = doc_at(0.0, tokens={"w0": 1})
+        corpus_a = corpus_at([doc_at(0.0, tokens={"w0": 1}), other])
+        corpus_b = corpus_at([doc_at(0.0, tokens={"w1": 1}), other])
+        assert corpus_a.ids == corpus_b.ids
+        assert all_pairs(model, corpus_a)[0, 1] == pytest.approx(1.0)
+        assert all_pairs(model, corpus_b)[0, 1] == pytest.approx(0.1 / 0.9)
+        profile_a, profile_b = (model.document_table(c)[0][0] for c in (corpus_a, corpus_b))
+        assert not np.array_equal(profile_a, profile_b)
 
 
 def reference_gibbs_slice(doc_word_ids, num_topics, vocab_size, alpha, prior_kw, iters, rng):

@@ -106,9 +106,9 @@ class TestTrainModel:
         result = train_model(train, val, cfg)
         assert len(result.history) == 4
         assert all(e.val_map is not None for e in result.history)
-        assert len(graded) == 1 and len(graded[0][0]) == len(val.documents)
+        assert len(graded) == 1 and len(graded[0][0]) == len(val)
         # the train split's rows, then the val split's
-        assert [len(args[0]) for args in weighted] == [len(train.documents), len(val.documents)]
+        assert [len(args[0].indptr) - 1 for args in weighted] == [len(train), len(val)]
 
     def test_no_validation_split_runs_all_epochs(self):
         _, cfg, train, _, _ = toy_setup(epochs=3)
