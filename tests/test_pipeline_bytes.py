@@ -2,7 +2,8 @@
 
 One synth bundle (the size of ``test_bench_contract``'s) goes through
 ``fit-temporal`` for each kind, ``train`` with lambda > 0 and lambda = 0,
-``eval`` and both kinds of ``query``; a second bundle is ingested with a
+``eval`` with the default cut-offs and with a repeated and an oversized
+one, and both kinds of ``query``; a second bundle is ingested with a
 vocabulary file out of token order, then fitted with the topic model and
 trained on it. The SHA-256 of every file written and of every stage's
 stdout is pinned, as ``test_synth.PINNED`` pins bundles: a change means the
@@ -40,6 +41,13 @@ lambda = {lam}
 PINNED = {  # SHA-256 of each output
     "category.txnt": "6ef1b496a47e968861542adc39e6ecf063dc489b999bb03a41c3b1c819e90333",
     "eval.stdout": "042c73d5aaf9515311a0c727ad5b0ded1e1caae86bd72a8b5da25cfde4e35f4b",
+    "eval-cutoffs.stdout": "042c73d5aaf9515311a0c727ad5b0ded1e1caae86bd72a8b5da25cfde4e35f4b",
+    "eval-cutoffs/report-i2t.json": "0b9b4750f3564a99967760d0a69b76471e7e3db50c8c6d618a3fa4a0ffefda2b",
+    "eval-cutoffs/report-t2i.json": "f586c2482b43906ade507f8836bed05ad3f074ce51b2b31bbca6a6cd9e14365e",
+    "eval-cutoffs/scope-i2t.csv": "bd1a0bf366dded9b7aef12fb2d146f6be3e6944a9b7a13247e6916fe2a3b487c",
+    "eval-cutoffs/scope-t2i.csv": "7b74eac41a2cbfae6c54aabe3d9416739b67ac29d8244bd8bdf88445f1d00f21",
+    "eval-cutoffs/temporal-i2t.csv": "f03c0f592cf656658ca9c07453dde5ac4fa2551d3c8b229b7c616ae579f1d74b",
+    "eval-cutoffs/temporal-t2i.csv": "c8d94973c9fbb393c6203699ecccffa82662e67de26b11786493acd1bfeccec1",
     "eval/report-i2t.json": "84a4ca66cc39ac806ab4e7347c707b5e9281aa768d8c82897468ea42bddee0f4",
     "eval/report-t2i.json": "7c9082eed0ce4b9ae4b3ac598b3430264b1d864722f31795b753668562e6a3f0",
     "eval/scope-i2t.csv": "39ad23d4cc0b517c15b99c60f370ec4a0b824e5901e1864577f91f35b23a0953",
@@ -106,10 +114,12 @@ def digests(tmp_path_factory):
     run("train0", "train", "--corpus", data, "--config", cfg0, "--out", root / "model0.txnm",
         "--log", root / "train0.jsonl")
     pin("model.txnm", "train.jsonl", "model0.txnm", "train0.jsonl")
-    run("eval", "eval", "--checkpoint", root / "model.txnm", "--corpus", data,
-        "--out", root / "eval")
-    pin(*(f"eval/{kind}-{tag}.{ext}" for tag in ("i2t", "t2i")
-          for kind, ext in (("report", "json"), ("scope", "csv"), ("temporal", "csv"))))
+    # eval-cutoffs repeats k among the scope cut-offs and cuts above the 9-document test split
+    for name, options in (("eval", ()), ("eval-cutoffs", ("--k", 5, "--k-list", "2,5,10"))):
+        run(name, "eval", "--checkpoint", root / "model.txnm", "--corpus", data, *options,
+            "--out", root / name)
+        pin(*(f"{name}/{kind}-{tag}.{ext}" for tag in ("i2t", "t2i")
+              for kind, ext in (("report", "json"), ("scope", "csv"), ("temporal", "csv"))))
     run("query-text", "query", "--checkpoint", root / "model.txnm", "--corpus", data,
         "--text", "w0003 w0011 w0011 unknown", "--k", "7")
     run("query-image", "query", "--checkpoint", root / "model.txnm", "--corpus", data,
