@@ -20,10 +20,12 @@ smaller than n, as with one label per document. Ranking
 over blocks of EVAL_BLOCK queries: a block's (b, n) scores are reduced to
 each query's top K candidates (K the largest cut-off), sorted on the score
 alone with the id tie-break only in rows that hold equal scores, then
-dropped. Memory is a few block × n arrays plus n × K, never n × n. Every
-mAP cut-off reads one cumulative-hit array. Reports are bit-identical to
-a full sort of every row with per-query metric loops; tests keep that as
-a reference.
+dropped. Memory is a few block × n arrays plus n × K, never n × n. The
+metrics, ``average_precision`` (every cut-off from one cumulative-hit
+array) and ``dcg``, give one value per query, and ``evaluate_direction``
+takes each mean once, over the queries with a relevant candidate. Reports
+are bit-identical to a full sort of every row with per-query metric loops;
+tests keep that as a reference.
 
 Projection is blocked too: ``build_index`` (``eval`` and ``query``) and
 ``project_index`` (validation) run a split through each network
@@ -37,7 +39,7 @@ the blocked scores, that changes a ranking only where two candidates
 score that close.
 
 Every score comes one way: text rows from ``tfidf_matrix``, a ``forward``
-pass, then ``rank_candidates``. ``rank_direction`` serves ``eval`` and
+pass, then ``rank_candidates``. ``evaluate_direction`` serves ``eval`` and
 training-time validation; ``query_topk`` serves one ad-hoc input row.
 """
 
@@ -220,84 +222,52 @@ def query_topk(index: RetrievalIndex, model: ProjectionModel, direction: str, ro
 # Metrics
 #
 # Each metric takes every query's top candidates (rows of a ranking) plus the
-# per-query counts that need the whole candidate set, so no metric needs the
-# full ranking. Row sums run over contiguous rows of fixed length, which
-# NumPy adds in the same pairwise order as a 1-D sum of that row.
+# per-query counts that need the whole candidate set, and returns one value
+# per query; ``evaluate_direction`` takes the means. Row sums run over
+# contiguous rows of fixed length, which NumPy adds in the same pairwise
+# order as a 1-D sum of that row.
 
 
-def map_at_k(hits, relevant, k: int):
-    """Mean AP@K over queries with at least one relevant candidate.
+def average_precision(hits, relevant, ks) -> np.ndarray:
+    """AP@k of each query at each cut-off of ``ks``: a (b, len(ks)) array.
 
-    ``hits[i]`` flags query i's ranked candidates (at least its top K) and
-    ``relevant[i]`` counts all its relevant candidates. AP is the sum of
-    precision at hit ranks over min(R, K). Returns (value, number of
-    excluded queries).
+    ``hits[i]`` flags query i's ranked candidates (at least its top max(ks))
+    and ``relevant[i]`` counts all its relevant candidates. AP@k is the sum
+    of precision at hit ranks within the top k over min(R, k); a query with
+    R = 0 holds NaN. Precision at a rank does not depend on the cut-off, so
+    every k reads one cumulative-hit array, and a cut-off keeps a prefix of
+    each row's precisions at its hit ranks.
     """
-    ((_, value),) = precision_scope(hits, relevant, [k])
-    return value, int(np.count_nonzero(~(np.asarray(relevant) > 0)))
-
-
-def _gains(grades, gain):
-    grades = np.asarray(grades, dtype=np.float64)
-    if gain == "exponential":
-        return np.exp2(grades) - 1.0
-    if gain != "linear":
-        raise ValueError(f"unknown gain {gain!r}")
-    return grades
-
-
-def ndcg_at_k(grades, ideal, k: int, gain: str):
-    """Mean nDCG@K over queries with a nonzero ideal ranking.
-
-    ``grades[i]`` holds query i's shared-category counts in ranked order and
-    ``ideal[i]`` its largest counts in descending order, at least min(K, n)
-    of each. Linear gain uses the grade directly; "exponential" uses
-    2^grade - 1. Returns (value, number of excluded queries).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    gains = _gains(np.atleast_2d(grades)[:, :k], gain)
-    discounts = 1.0 / np.log2(np.arange(2, gains.shape[1] + 2))
-    dcg = (gains * discounts).sum(axis=1)
-    idcg = (_gains(np.atleast_2d(ideal)[:, : gains.shape[1]], gain) * discounts).sum(axis=1)
-    defined = idcg != 0.0
-    if not defined.any():
-        raise MetricError("every query has an all-zero ideal ranking")
-    return float(np.mean(dcg[defined] / idcg[defined])), int(len(idcg) - defined.sum())
-
-
-def precision_scope(hits, relevant, k_list=DEFAULT_SCOPE_KS):
-    """mAP@k, as ``map_at_k`` defines it, for each k of ``k_list``.
-
-    Precision at a rank does not depend on the cut-off, so every k reads
-    one cumulative-hit array over the columns of ``hits``, and a cut-off
-    keeps a prefix of each row's precisions at its hit ranks.
-    """
-    if any(k < 1 for k in k_list):
-        raise ValueError("k must be >= 1")
     hits = np.atleast_2d(np.asarray(hits, dtype=bool))
     relevant = np.asarray(relevant)
-    defined = relevant > 0
-    if not defined.any():
-        raise MetricError("every query has zero relevant candidates")
     cumulative = np.cumsum(hits, axis=1)
-    at_hits = (cumulative / np.arange(1, hits.shape[1] + 1))[hits]  # row after row
+    at_hits = cumulative[hits] / (np.nonzero(hits)[1] + 1)  # row after row
     first = np.cumsum(cumulative[:, -1]) - cumulative[:, -1]  # each row's start in at_hits
-    values = {}
-    for k in k_list:
-        if k in values:
-            continue
+    ap = np.zeros((len(hits), len(ks)))
+    for j, k in enumerate(ks):
         num_hits = cumulative[:, min(k, hits.shape[1]) - 1]
         by_hits = np.argsort(num_hits, kind="stable")
         ends = np.cumsum(np.bincount(num_hits))
-        ap = np.zeros(len(hits))
         # rows with m hits sum an (rows, m) array, each row as its own 1-D sum would
         for m in range(1, len(ends)):
             rows = by_hits[ends[m - 1]:ends[m]]
             if len(rows):
-                ap[rows] = at_hits[first[rows, None] + np.arange(m)].sum(axis=1)
-        values[k] = float(np.mean(ap[defined] / np.minimum(relevant[defined], k)))
-    return [(k, values[k]) for k in k_list]
+                ap[rows, j] = at_hits[first[rows, None] + np.arange(m)].sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        return ap / np.minimum(relevant[:, None], ks)
+
+
+def dcg(grades, k: int, gain: str) -> np.ndarray:
+    """DCG@k of each row of ``grades``, shared-category counts in ranked order: (b,).
+
+    Linear gain uses the grade directly; "exponential" uses 2^grade - 1.
+    """
+    grades = np.atleast_2d(np.asarray(grades, dtype=np.float64))[:, :k]
+    if gain == "exponential":
+        grades = np.exp2(grades) - 1.0
+    elif gain != "linear":
+        raise ValueError(f"unknown gain {gain!r}")
+    return (grades * (1.0 / np.log2(np.arange(2, grades.shape[1] + 2)))).sum(axis=1)
 
 
 def time_bins(timestamps, time_axis: TimeAxis, bins: int) -> np.ndarray:
@@ -442,21 +412,29 @@ def evaluate_direction(index: RetrievalIndex, grading: Grading, direction: str, 
     """Evaluate one retrieval direction with every index row as a query.
 
     ``grading`` is the index's ``grade_split``, to a depth of at least k.
+    Every mean runs over the queries with at least one relevant candidate;
+    with none, it raises MetricError.
     """
     n, bins = len(index), grading.gt_counts.shape[1]
     group = grading.group
+    ks = list(dict.fromkeys([k, *k_list]))  # each distinct cut-off once
+    if min(ks) < 1:
+        raise ValueError("k must be >= 1")
     if grading.ideal.shape[1] < min(k, n):
         raise ValueError(f"the grading's ideal grades stop above k = {k}")
-    order, grades = rank_direction(index, grading, direction, max([k, *k_list]))
-    hits = grades > 0
     relevant = grading.relevant[group]
+    queried = relevant > 0  # also the queries with a nonzero ideal ranking
+    if not queried.any():
+        raise MetricError("every query has zero relevant candidates")
+    order, grades = rank_direction(index, grading, direction, max(ks))
+    hits = grades > 0
 
-    (_, map_value), *scope = precision_scope(hits, relevant, [k, *k_list])
-    ndcg_value, _ = ndcg_at_k(grades, grading.ideal[group], k, gain=ndcg_gain)
+    ap = average_precision(hits, relevant, ks)
+    map_values = {c: float(np.mean(ap[queried, j])) for j, c in enumerate(ks)}
+    ndcg = dcg(grades, k, ndcg_gain)[queried] / dcg(grading.ideal, k, ndcg_gain)[group[queried]]
 
     rows, ranks = np.nonzero(hits[:, :k])  # the relevant results in each top k
     result_counts = _bin_counts(rows, grading.doc_bins[order[rows, ranks]], n, bins)
-    queried = relevant > 0
     gt_counts = grading.gt_counts[group[queried]]
     fits = temporal_fit(result_counts[queried], gt_counts)
     gt_hist = gt_counts.sum(axis=0)
@@ -468,10 +446,10 @@ def evaluate_direction(index: RetrievalIndex, grading: Grading, direction: str, 
     return EvalReport(
         direction=direction,
         k=k,
-        map_at_k=map_value,
-        ndcg_at_k=ndcg_value,
-        scope_curve=scope,
-        temporal_fit=float(np.mean(fits)) if fits.size else 0.0,
+        map_at_k=map_values[k],
+        ndcg_at_k=float(np.mean(ndcg)),
+        scope_curve=[(c, map_values[c]) for c in k_list],
+        temporal_fit=float(np.mean(fits)),
         num_queries=n,
         num_excluded=int(n - np.count_nonzero(queried)),
         bin_edges=[float(e) for e in edges[:-1]],

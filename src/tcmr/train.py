@@ -2,10 +2,11 @@
 
 Per epoch the training split is reshuffled, cut into mini-batches, and each
 batch contributes one SGD-with-momentum step on the total objective. When a
-validation split is present, mean mAP@K over both retrieval directions is
-computed after every epoch; the best-scoring model is kept and training
-stops once the score fails to improve for more than ``patience`` epochs.
-The whole run is deterministic given the config seed.
+validation split is present, mean mAP@K over both retrieval directions, as
+``eval``'s ``evaluate_direction`` reports it, is computed after every epoch;
+the best-scoring model is kept and training stops once the score fails to
+improve for more than ``patience`` epochs. The whole run is deterministic
+given the config seed.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .corpus import Corpus, DocFrequency, document_frequencies, label_matrix, tfidf_matrix
+from .corpus import Corpus, document_frequencies, label_matrix, tfidf_matrix
 from .objective import build_batch_plan, total_loss
 from .projection import ProjectionModel, SgdMomentum
-from .retrieval import (DIRECTIONS, grade_split, map_at_k, project_index, rank_direction,
-                        split_index)
+from .retrieval import DIRECTIONS, evaluate_direction, grade_split, project_index, split_index
 from .temporal import RecencyModel, fit_category_kde, fit_topic_densities
 
 TEMPORAL_KINDS = ("recency", "category", "topic")
@@ -39,7 +39,6 @@ class EpochLog:
 @dataclass
 class TrainResult:
     model: ProjectionModel
-    stats: DocFrequency
     history: list[EpochLog] = field(default_factory=list)
     best_epoch: int = -1
     best_val_map: float | None = None
@@ -64,15 +63,13 @@ def fit_temporal_model(kind: str, train: Corpus, cfg: RunConfig):
     raise ValueError(f"unknown temporal model kind {kind!r}")
 
 
-def mean_map_both_directions(index, grading, k: int) -> float:
+def mean_map_both_directions(index, grading, k: int, ndcg_gain: str) -> float:
     """Validation score: the ``eval`` mAP@k, averaged over both retrieval directions.
 
     ``grading`` is the index's ``grade_split``; only the top k is ranked.
     """
-    relevant = grading.relevant[grading.group]
-    values = [map_at_k(rank_direction(index, grading, d, k)[1] > 0, relevant, k)[0]
-              for d in DIRECTIONS]
-    return float(np.mean(values))
+    return float(np.mean([evaluate_direction(index, grading, d, k, (), ndcg_gain=ndcg_gain).map_at_k
+                          for d in DIRECTIONS]))
 
 
 def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
@@ -98,7 +95,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         val_text = tfidf_matrix(val.text, stats)
         val_grading = grade_split(val_base, cfg.eval_bins, cfg.k_eval)
 
-    result = TrainResult(model=model, stats=stats)  # kept as trained when there is no val split
+    result = TrainResult(model=model)  # kept as trained when there is no val split
     best_map = -np.inf
     bad_epochs = 0
 
@@ -123,7 +120,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
             result.best_epoch = epoch
         else:
             val_index = project_index(val_base, model, val.image, val_text)
-            val_map = mean_map_both_directions(val_index, val_grading, cfg.k_eval)
+            val_map = mean_map_both_directions(val_index, val_grading, cfg.k_eval, cfg.ndcg_gain)
             if val_map > best_map:
                 best_map = val_map
                 result.model = model.copy()

@@ -274,39 +274,56 @@ def in_ranked_order(grade_rows):
     return topk_of_grades(grades, order, (grades > 0).sum(axis=1, keepdims=True))
 
 
-def map_of(flag_rows, k):
+def ap_of(flag_rows, k):
+    """Each query's AP@k; rows of relevance flags listed best first."""
     top = in_ranked_order(flag_rows)
-    return rt.map_at_k(top.grades > 0, top.relevant, k)
+    return rt.average_precision(top.grades > 0, top.relevant, [k])[:, 0]
 
 
 def ndcg_of(grade_rows, k, gain="linear"):
+    """Each query's nDCG@k; rows of grades listed best first."""
     top = in_ranked_order(grade_rows)
-    return rt.ndcg_at_k(top.grades, top.ideal, k, gain=gain)
+    return rt.dcg(top.grades, k, gain) / rt.dcg(top.ideal, k, gain)
+
+
+def lonely_index():
+    """Two documents, each ranking itself first: d1 is relevant to itself,
+    and d0 has no label, so as a query it has no relevant candidate."""
+    return make_index(np.eye(2), np.eye(2), labels=[frozenset(), frozenset(["l"])])
+
+
+def unlabelled_index():
+    """Three documents without a label: no query has a relevant candidate."""
+    index = make_index(np.eye(3), np.eye(3), labels=[frozenset()] * 3)
+    return index, rt.grade_split(index, 4, 2)
 
 
 class TestMapAtK:
     def test_hand_value(self):
         flags = [True, False, True] + [False] * 47
-        value, excluded = map_of([flags], k=50)
+        (value,) = ap_of([flags], k=50)
         assert value == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-6)
-        assert excluded == 0
 
     def test_perfect_ranking(self):
-        value, _ = map_of([[True] * 5], k=3)
-        assert value == 1.0
+        assert ap_of([[True] * 5], k=3).tolist() == [1.0]
 
     def test_no_hits_in_top_k(self):
-        value, _ = map_of([[False] * 5 + [True]], k=3)
-        assert value == 0.0
-
-    def test_zero_relevant_excluded_and_counted(self):
-        value, excluded = map_of([[False, False], [True, False]], k=2)
-        assert excluded == 1
-        assert value == 1.0
+        assert ap_of([[False] * 5 + [True]], k=3).tolist() == [0.0]
 
     def test_all_excluded_is_error(self):
+        assert np.isnan(ap_of([[False], [False]], k=1)).all()
+        index, grading = unlabelled_index()
         with pytest.raises(rt.MetricError):
-            map_of([[False], [False]], k=1)
+            rt.evaluate_direction(index, grading, rt.I2T, 1, [1], ndcg_gain="linear")
+
+    def test_zero_relevant_excluded_and_counted(self):
+        ap = ap_of([[False, False], [True, False]], k=2)
+        assert np.isnan(ap[0]) and ap[1] == 1.0
+        index = lonely_index()
+        report = rt.evaluate_direction(index, rt.grade_split(index, 4, 2), rt.I2T, 2, [2],
+                                       ndcg_gain="linear")
+        assert report.num_excluded == 1
+        assert report.map_at_k == 1.0
 
     def test_matches_oracle_on_permutations(self):
         for n in range(1, 6):
@@ -316,74 +333,84 @@ class TestMapAtK:
                 for k in (1, 2, n):
                     scores = [n - i for i in range(n)]  # ranking = given order
                     expected = synth.oracle_ap(scores, rel, k)
-                    got, _ = map_of([list(map(bool, rel))], k)
+                    (got,) = ap_of([list(map(bool, rel))], k)
                     assert got == pytest.approx(expected), (rel, k)
 
 
 class TestNdcgAtK:
     def test_hand_value(self):
-        value, _ = ndcg_of([[2, 0, 1]], k=3)
+        assert rt.dcg([[2, 0, 1]], 3, "linear").tolist() == [2.5]
+        (value,) = ndcg_of([[2, 0, 1]], k=3)
         idcg = 2.0 + 1.0 / np.log2(3)
         assert value == pytest.approx(2.5 / idcg, abs=1e-9)
         assert value == pytest.approx(0.9502, abs=1e-4)
 
     def test_ideal_ordering_scores_one(self):
-        value, _ = ndcg_of([[3, 2, 2, 1, 0]], k=5)
-        assert value == 1.0
+        assert ndcg_of([[3, 2, 2, 1, 0]], k=5).tolist() == [1.0]
 
     def test_all_zero_grades_excluded(self):
-        value, excluded = ndcg_of([[0, 0], [1, 0]], k=2)
-        assert excluded == 1
-        assert value == 1.0
+        index = lonely_index()
+        report = rt.evaluate_direction(index, rt.grade_split(index, 4, 2), rt.I2T, 2, [2],
+                                       ndcg_gain="linear")
+        assert report.num_excluded == 1
+        assert report.ndcg_at_k == 1.0
 
     def test_all_excluded_is_error(self):
+        """An all-zero row has DCG 0 ranked and ideal; a split of only such rows is an error."""
+        assert rt.dcg([[0, 0]], 2, "exponential").tolist() == [0.0]
+        index, grading = unlabelled_index()
         with pytest.raises(rt.MetricError):
-            ndcg_of([[0, 0]], k=2)
+            rt.evaluate_direction(index, grading, rt.T2I, 2, [2], ndcg_gain="exponential")
 
     def test_matches_oracle_on_permutations(self):
         base = [2, 0, 1, 3]
         for perm in itertools.permutations(base):
             scores = [len(perm) - i for i in range(len(perm))]
             expected = synth.oracle_ndcg(scores, perm, k=3)
-            got, _ = ndcg_of([list(perm)], k=3)
+            (got,) = ndcg_of([list(perm)], k=3)
             assert got == pytest.approx(expected), perm
 
     def test_exponential_gain_switch(self):
-        value, _ = ndcg_of([[2, 0, 1]], k=3, gain="exponential")
+        (value,) = ndcg_of([[2, 0, 1]], k=3, gain="exponential")
         expected = synth.oracle_ndcg([3, 2, 1], [2, 0, 1], k=3, gain="exponential")
         assert value == pytest.approx(expected)
+
+    def test_unknown_gain_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown gain"):
+            rt.dcg([[1, 0]], 2, "quadratic")
 
 
 class TestPrecisionScope:
     @staticmethod
     def scope(flag_rows, k_list):
         top = in_ranked_order(flag_rows)
-        return rt.precision_scope(top.grades > 0, top.relevant, k_list)
+        return rt.average_precision(top.grades > 0, top.relevant, k_list)
 
     def test_k1_reduces_to_precision_at_one(self):
         flags = [[True, False], [False, True], [False, False, True]]
-        curve = self.scope(flags, k_list=[1])
-        assert curve == [(1, pytest.approx(1.0 / 3.0))]
+        ap = self.scope(flags, k_list=[1])
+        assert ap[:, 0].tolist() == [1.0, 0.0, 0.0]
+        assert np.mean(ap[:, 0]) == pytest.approx(1.0 / 3.0)
 
     def test_curve_shape(self):
         flags = [[True] * 10]
-        curve = self.scope(flags, k_list=[2, 4, 6])
-        assert [k for k, _ in curve] == [2, 4, 6]
+        assert self.scope(flags, k_list=[2, 4, 6]).shape == (1, 3)
 
     def test_matches_per_k_oracle(self):
         rng = np.random.default_rng(5)
         queries = [list(rng.random(6) < 0.5) for _ in range(3)]
         if not any(any(q) for q in queries):
             queries[0][0] = True
-        curve = self.scope(queries, k_list=[1, 3, 5])
-        for k, value in curve:
+        ks = [1, 3, 5]
+        ap = self.scope(queries, k_list=ks)
+        for j, k in enumerate(ks):
             oracle_vals = []
             for q in queries:
                 scores = [len(q) - i for i in range(len(q))]
-                ap = synth.oracle_ap(scores, q, k)
-                if ap is not None:
-                    oracle_vals.append(ap)
-            assert value == pytest.approx(np.mean(oracle_vals))
+                ap_q = synth.oracle_ap(scores, q, k)
+                if ap_q is not None:
+                    oracle_vals.append(ap_q)
+            assert np.nanmean(ap[:, j]) == pytest.approx(np.mean(oracle_vals))
 
 
 class TestTemporalFit:
@@ -446,6 +473,7 @@ class TestEvaluateDirection:
         for direction in rt.DIRECTIONS:
             report = rt.evaluate_direction(index, rt.grade_split(index, 4, 5), direction, 5,
                                            [1, 3, 5], ndcg_gain="linear")
+            assert report.num_excluded == 0
             assert 0.0 <= report.map_at_k <= 1.0
             assert 0.0 <= report.ndcg_at_k <= 1.0
             assert 0.0 <= report.temporal_fit <= 1.0
@@ -459,6 +487,15 @@ class TestEvaluateDirection:
         with pytest.raises(ValueError, match="k = 5"):
             rt.evaluate_direction(index, rt.grade_split(index, 4, 1), rt.I2T, 5, [5],
                                   ndcg_gain="linear")
+
+    def test_no_relevant_candidate_is_an_error(self):
+        """A split whose label sets are all empty has no defined metric: both the
+        report and the validation score raise instead of returning NaN."""
+        index, grading = unlabelled_index()
+        with pytest.raises(rt.MetricError, match="zero relevant"):
+            rt.evaluate_direction(index, grading, rt.I2T, 2, [1, 2], ndcg_gain="linear")
+        with pytest.raises(rt.MetricError, match="zero relevant"):
+            mean_map_both_directions(index, grading, 2, "linear")
 
     def test_report_round_trip_files(self, tmp_path):
         index = self._index()
@@ -592,17 +629,20 @@ def reference_map(per_query_flags, k):
     return float(np.mean(values)), excluded
 
 
+def reference_dcg(grades, k, gain):
+    grades = np.asarray(grades, dtype=np.float64)
+    if gain == "exponential":
+        grades = np.exp2(grades) - 1.0
+    discounts = 1.0 / np.log2(np.arange(2, min(k, len(grades)) + 2))
+    return float((grades[:k] * discounts).sum())
+
+
 def reference_ndcg(per_query_grades, k, gain):
     values = []
     for grades in per_query_grades:
-        grades = np.asarray(grades, dtype=np.float64)
-        if gain == "exponential":
-            grades = np.exp2(grades) - 1.0
-        discounts = 1.0 / np.log2(np.arange(2, min(k, len(grades)) + 2))
-        dcg = float((grades[:k] * discounts).sum())
-        idcg = float((np.sort(grades)[::-1][:k] * discounts).sum())
+        idcg = reference_dcg(np.sort(grades)[::-1], k, gain)
         if idcg != 0.0:
-            values.append(dcg / idcg)
+            values.append(reference_dcg(grades, k, gain) / idcg)
     return float(np.mean(values))
 
 
@@ -732,7 +772,29 @@ class TestAgainstFullSortReferences:
             want = float(np.mean([reference_map(reference_ranked(index, d)[1] > 0, k)[0]
                                   for d in rt.DIRECTIONS]))
             grading = rt.grade_split(index, RunConfig().eval_bins, k)
-            assert mean_map_both_directions(index, grading, k) == want
+            assert mean_map_both_directions(index, grading, k, "linear") == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_per_query_metrics_equal_references(self, seed):
+        """Each query's AP at every cut-off and its DCG, ranked and ideal, equal the
+        per-row references, bit for bit; a query with R = 0 has NaN for its AP."""
+        index = tie_index(seed)
+        n = len(index)
+        ks = [1, 5, 7, n, n + 10]
+        grading = rt.grade_split(index, 6, n)
+        for direction in rt.DIRECTIONS:
+            ranked = reference_ranked(index, direction)[1]
+            relevant = (ranked > 0).sum(axis=1)
+            ap = rt.average_precision(ranked > 0, relevant, ks)
+            for i, j in itertools.product(range(n), range(len(ks))):
+                want = reference_ap(ranked[i] > 0, relevant[i], ks[j])
+                assert np.isnan(ap[i, j]) if want is None else ap[i, j] == want, (i, ks[j])
+            for k, gain in itertools.product(ks, ("linear", "exponential")):
+                dcg = rt.dcg(ranked, k, gain)
+                ideal = rt.dcg(grading.ideal, k, gain)[grading.group]
+                for i in range(n):
+                    assert dcg[i] == reference_dcg(ranked[i], k, gain), (i, k, gain)
+                    assert ideal[i] == reference_dcg(np.sort(ranked[i])[::-1], k, gain), (i, k)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_candidates_equal_full_lexsort(self, seed):
