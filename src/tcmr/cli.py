@@ -139,6 +139,10 @@ def _restore(args):
     model, config_snapshot, _ = load_checkpoint(args.checkpoint)
     cfg = config_from_dict(config_snapshot)
     corpus, (train, _, test) = _split_bundle(args.corpus, cfg)
+    trained, given = (model.dims["d_image"], model.dims["d_text"]), (corpus.d_image, corpus.d_text)
+    if trained != given:
+        raise cp.CorpusError(f"{args.checkpoint} was trained on (d_image, d_text) = {trained},"
+                             f" but the bundle {args.corpus} has {given}")
     return cfg, model, corpus, test, cp.document_frequencies(train)
 
 

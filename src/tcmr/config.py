@@ -70,7 +70,7 @@ class RunConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("lam", "decay", "patience"):
+        for name in ("lam", "decay", "patience", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.epsilon > 1e-6:

@@ -16,12 +16,11 @@ constants, one (b, b) matrix per batch; gradients flow only through the
 projections. With lambda = 0 the temporal part is skipped, which is the
 ranking-only ablation; ``plan.sim_temp`` may then stay None.
 
-Each batch samples its negatives with one ``rng.integers`` call. It draws
-what one ``rng.choice(pool, k, replace=False)`` per anchor and direction
-would draw, in the same order (anchor by anchor, text then image; for each,
-Floyd's k draws and then the shuffle's k - 1), so the negatives and the
-stream position equal that loop's for every pool of at most 10,000. The plan
-holds them as (anchor, negative) index arrays, one pair per direction.
+Each batch samples its negatives with one ``rng.random`` call: every anchor
+gives each batch member a uniform key per direction and keeps the members of
+its pool with the k smallest keys, a uniform random k-subset in uniform random
+order (Efraimidis & Spirakis, IPL 2006, with equal weights). The plan holds
+them as (anchor, negative) index arrays, one pair per direction.
 
 Positives come from the batch label matrix as masks over ``L @ L.T``; the
 hinge terms are gathered through those index arrays and the constraint terms
@@ -46,11 +45,10 @@ class BatchPlan:
     All indices are batch-local. The sampled (anchor, negative) pairs are
     (h,) index arrays, one pair of arrays per direction: ``text_negatives[h]``
     is a text negative of anchor ``text_anchors[h]``, and likewise for image.
-    Pairs run anchor-major; an anchor's negatives keep the order that
-    ``rng.choice`` returns them in. ``positive_mask[i, j]`` is True when
-    documents i != j share a category. ``sim_temp`` is the (b, b) temporal
-    correlation matrix, read at the positive pairs; it stays None when no
-    temporal model is in play.
+    Pairs run anchor-major; an anchor's negatives keep their draw order.
+    ``positive_mask[i, j]`` is True when documents i != j share a category.
+    ``sim_temp`` is the (b, b) temporal correlation matrix, read at the
+    positive pairs; it stays None when no temporal model is in play.
     """
 
     text_anchors: np.ndarray
@@ -66,57 +64,27 @@ def build_batch_plan(labels, rng, negatives_per_anchor: int) -> BatchPlan:
     """Sample per-anchor negatives and mask the in-batch positives.
 
     ``labels`` is the batch's (b, C) 0/1 label matrix. Each anchor draws k =
-    min(negatives_per_anchor, n) text and then k image negatives, uniformly
+    min(negatives_per_anchor, n) text and k image negatives, uniformly
     without replacement from its n batch members sharing no category with
     it; anchors with an empty pool are skipped for the ranking term and
-    counted.
-
-    The negatives, and the stream position afterwards, equal those of one
-    ``rng.choice(pool, k, replace=False)`` per anchor and direction, text
-    first. For a pool of at most 10,000, ``choice`` runs Floyd's algorithm,
-    drawing against the bounds n-k+1 ... n, then shuffles the k values,
-    drawing against k ... 2. Those bounds depend only on n and k, so one
-    ``rng.integers(0, highs)`` call draws them all, in the order the calls
-    would, and the collisions, swaps and pool lookups are replayed here. A
-    bound of 1 draws nothing, as in ``choice``. Above 10,000, ``choice``
-    switches to a tail shuffle when k > n // 50; batches never get there.
+    counted. One (2, b, b) draw of uniform keys in [0, 1), text first, serves
+    the whole batch: a member sharing a category gets 1 added to its key, so
+    each row's argsort lists the anchor's pool first, in key order.
     """
     labels = np.asarray(labels, dtype=np.float64)
     shared = labels @ labels.T > 0.0
     pool_size = (~shared).sum(axis=1)
-    # one row per choice call: each anchor with a pool, text then image
-    anchor = np.repeat(np.flatnonzero(pool_size), 2)
-    n = pool_size[anchor]
-    k = np.minimum(negatives_per_anchor, n)
-    width = int(k.max(initial=1))
-    pos = np.arange(2 * width - 1)
-    floyd = pos < k[:, None]
-    drawn = pos < 2 * k[:, None] - 1
-    highs = np.where(floyd, (n - k + 1)[:, None] + pos, 2 * k[:, None] - pos)
-    draws = np.zeros(highs.shape, dtype=np.int64)
-    draws[drawn] = rng.integers(0, highs[drawn])
-
-    # Floyd: a value already chosen is replaced by its bound's top, n-k+j
-    chosen = draws[:, :width].copy()
-    for j in range(1, width):
-        seen = (chosen[:, :j] == chosen[:, j : j + 1]).any(axis=1) & floyd[:, j]
-        chosen[seen, j] = (n - k)[seen] + j
-    # the shuffle swaps position i with the draw at 2k-1-i, i from k-1 down to 1
-    for i in range(width - 1, 0, -1):
-        r = np.flatnonzero(k > i)
-        j = draws[r, 2 * k[r] - 1 - i]
-        chosen[r, i], chosen[r, j] = chosen[r, j], chosen[r, i]
-
-    # a stable argsort lists each row's pool, in column order, before the rest
-    pool = np.argsort(shared, axis=1, kind="stable")
-    negatives = pool[anchor[:, None], chosen]
-    kept = floyd[:, :width]
+    k = np.minimum(negatives_per_anchor, pool_size)
+    order = np.argsort(rng.random((2, *shared.shape)) + shared, axis=2)
+    width = int(k.max(initial=0))
+    kept = np.arange(width) < k[:, None]
+    anchors = np.repeat(np.arange(len(k)), k)
     np.fill_diagonal(shared, False)
     return BatchPlan(
-        text_anchors=np.repeat(anchor[0::2], k[0::2]),
-        text_negatives=negatives[0::2][kept[0::2]],
-        image_anchors=np.repeat(anchor[1::2], k[1::2]),
-        image_negatives=negatives[1::2][kept[1::2]],
+        text_anchors=anchors,
+        text_negatives=order[0, :, :width][kept],
+        image_anchors=anchors,
+        image_negatives=order[1, :, :width][kept],
         positive_mask=shared,
         skipped_anchors=int((pool_size == 0).sum()),
     )

@@ -57,6 +57,8 @@ class SynthSpec:
             raise SynthError("word_concentration must be positive and finite")
         if not 0 <= self.drift < math.inf:
             raise SynthError(f"drift must be finite and >= 0, got {self.drift!r}")
+        if self.seed < 0:
+            raise SynthError(f"seed must be >= 0, got {self.seed}")
 
     def modes_for(self, category: int) -> list[tuple[float, float, float]]:
         per_cat = self.modes and isinstance(self.modes[0], list)

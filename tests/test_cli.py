@@ -129,6 +129,7 @@ class TestSynthAndIngest:
         pytest.param(["--modes", "8:1.5:nan"], "mode weights sum to nan", id="weight-nan"),
         pytest.param(["--concentration", "inf"], "word_concentration must be positive and finite",
                      id="concentration-inf"),
+        pytest.param(["--seed", "-3"], "seed must be >= 0, got -3", id="seed-negative"),
     ])
     def test_non_finite_synth_value_is_data_error(self, tmp_path, capsys, flags, fault):
         assert main(["synth", "--out", str(tmp_path / "d"), *flags]) == 2
@@ -151,6 +152,52 @@ class TestSynthAndIngest:
         assert code == 2
         assert "time unit must be positive and finite" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+
+class TestNamedFaults:
+    """A negative seed, and a checkpoint whose dimensions are not the bundle's, exit 2 with a
+    message naming the key or both files."""
+
+    @pytest.mark.parametrize("command", [["fit-temporal", "--kind", "recency"], ["train"]],
+                             ids=["fit-temporal", "train"])
+    def test_negative_seed_flag(self, workspace, capsys, command):
+        tmp_path, data, cfg = workspace
+        out = tmp_path / "out"
+        assert main([*command, "--corpus", str(data), "--config", str(cfg), "--out", str(out),
+                     "--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_file(self, workspace, capsys):
+        tmp_path, data, cfg = workspace
+        cfg.write_text(TINY_CFG + "seed = -2\n")
+        assert main(["fit-temporal", "--kind", "recency", "--corpus", str(data),
+                     "--config", str(cfg), "--out", str(tmp_path / "t.txnt")]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err and "Traceback" not in err
+
+    def test_negative_seed_in_checkpoint(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        save_checkpoint(path, ProjectionModel.initialize(8, 30, 4, 2, seed=0),
+                        config={"seed": -2}, seed=-2)
+        assert main(["eval", "--checkpoint", str(path), "--corpus", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_checkpoint_dimensions_differ_from_bundle(self, workspace, capsys, command):
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        save_checkpoint(path, ProjectionModel.initialize(6, 20, 4, 2, seed=0), config={}, seed=0)
+        extra = ["--out", str(tmp_path / "out")] if command == "eval" else ["--text", "w0001"]
+        assert main([command, "--checkpoint", str(path), "--corpus", str(data), *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} was trained on (d_image, d_text) = (6, 20), but the bundle {data}"
+            " has (8, 30)\n")
+        assert not (tmp_path / "out").exists()
 
 
 def write_token_manifest(path, tokens):

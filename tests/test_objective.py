@@ -1,8 +1,12 @@
 import math
+from collections import Counter
+from dataclasses import fields
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from tcmr import objective as ob
 from tcmr.config import ConfigError, RunConfig
@@ -31,30 +35,40 @@ def per_anchor(anchors, negatives, n):
 # vectorized ones against
 
 
-def reference_batch_plan(label_sets, rng, negatives_per_anchor=1):
-    """(negatives_text, negatives_image, positives, skipped) by per-pair loops."""
+def reference_batch_plan(label_sets):
+    """(pools, positives, skipped) by per-pair loops: each anchor's negative pool (the members
+    sharing no category with it), its positives, and the count of anchors with an empty pool."""
     n = len(label_sets)
-    neg_text, neg_image, positives = [], [], []
-    skipped = 0
-    for i in range(n):
-        pool = np.array(
-            [j for j in range(n) if not (label_sets[i] & label_sets[j])], dtype=np.intp
-        )
-        if pool.size == 0:
-            skipped += 1
-            chosen_t = np.empty(0, dtype=np.intp)
-            chosen_i = np.empty(0, dtype=np.intp)
-        else:
-            k = min(negatives_per_anchor, pool.size)
-            chosen_t = rng.choice(pool, size=k, replace=False)
-            chosen_i = rng.choice(pool, size=k, replace=False)
-        neg_text.append(chosen_t)
-        neg_image.append(chosen_i)
-        positives.append(np.array(
-            [j for j in range(n) if j != i and (label_sets[i] & label_sets[j])],
-            dtype=np.intp,
-        ))
-    return neg_text, neg_image, positives, skipped
+    pools = [np.array([j for j in range(n) if not (label_sets[i] & label_sets[j])], dtype=np.intp)
+             for i in range(n)]
+    positives = [np.array([j for j in range(n) if j != i and (label_sets[i] & label_sets[j])],
+                          dtype=np.intp) for i in range(n)]
+    return pools, positives, sum(pool.size == 0 for pool in pools)
+
+
+def check_plan(plan, label_sets, negatives_per_anchor):
+    """The plan keeps the sampler's contract against the loop reference.
+
+    In each direction pairs run anchor-major, and each anchor gets min(k, pool size) distinct
+    negatives from its pool; the positive mask and the skipped count equal the reference's.
+    """
+    n = len(label_sets)
+    pools, positives, skipped = reference_batch_plan(label_sets)
+    for anchors, negatives in ((plan.text_anchors, plan.text_negatives),
+                               (plan.image_anchors, plan.image_negatives)):
+        assert anchors.shape == negatives.shape
+        for got, pool in zip(per_anchor(anchors, negatives, n), pools, strict=True):
+            assert got.size == min(negatives_per_anchor, pool.size)
+            assert np.unique(got).size == got.size
+            assert np.isin(got, pool).all()
+    for i, pos in enumerate(positives):
+        np.testing.assert_array_equal(np.flatnonzero(plan.positive_mask[i]), pos)
+    assert plan.skipped_anchors == skipped
+
+
+def assert_same_plan(a, b):
+    for f in fields(ob.BatchPlan):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
 
 
 def reference_loss_terms(proj_img, proj_txt, plan, cfg):
@@ -373,24 +387,14 @@ class TestAgainstLoopReferences:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("negatives", [1, 3])
     def test_plan_draws_the_same_negatives(self, seed, negatives):
+        """One seed draws the same plan twice, and the plan keeps the sampler's contract."""
         rng = np.random.default_rng(seed)
         label_sets = random_label_sets(rng, 24, num_categories=4 + seed % 3)
-        ref_t, ref_i, ref_pos, ref_skipped = reference_batch_plan(
-            label_sets, np.random.default_rng(100 + seed), negatives
-        )
-        rng_new = np.random.default_rng(100 + seed)
-        plan = ob.build_batch_plan(label_matrix(label_sets), rng_new, negatives)
-        got_t = per_anchor(plan.text_anchors, plan.text_negatives, len(label_sets))
-        got_i = per_anchor(plan.image_anchors, plan.image_negatives, len(label_sets))
-        for got, want in zip(got_t + got_i, ref_t + ref_i):
-            np.testing.assert_array_equal(got, want)
-        for i, pos in enumerate(ref_pos):
-            np.testing.assert_array_equal(np.flatnonzero(plan.positive_mask[i]), pos)
-        assert plan.skipped_anchors == ref_skipped
-        # the random stream is left where the loop left it
-        ref_rng = np.random.default_rng(100 + seed)
-        reference_batch_plan(label_sets, ref_rng, negatives)
-        assert rng_new.random() == ref_rng.random()
+        labels = label_matrix(label_sets)
+        plan = ob.build_batch_plan(labels, np.random.default_rng(100 + seed), negatives)
+        check_plan(plan, label_sets, negatives)
+        assert_same_plan(plan, ob.build_batch_plan(labels, np.random.default_rng(100 + seed),
+                                                   negatives))
 
     # pools of 3 == k and 2 < k; pools of 1, 2 and 3, all < k; an empty pool and
     # pools of 1 == k; every pool empty
@@ -407,21 +411,45 @@ class TestAgainstLoopReferences:
         negatives=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_plan_replays_rng_choice(self, label_sets, negatives, seed):
-        """Negatives and the stream position equal the rng.choice loop's, for any batch."""
+    def test_plan_samples_each_pool(self, label_sets, negatives, seed):
+        """For any batch, the plan keeps the sampler's contract, and a seed repeats it."""
         label_sets = [frozenset(s) for s in label_sets]
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ref_t, ref_i, ref_pos, ref_skipped = reference_batch_plan(label_sets, ref_rng, negatives)
-        plan = ob.build_batch_plan(label_matrix(label_sets), rng, negatives)
-        n = len(label_sets)
-        for got, want in zip(per_anchor(plan.text_anchors, plan.text_negatives, n)
-                             + per_anchor(plan.image_anchors, plan.image_negatives, n),
-                             ref_t + ref_i):
-            np.testing.assert_array_equal(got, want)
-        for i, pos in enumerate(ref_pos):
-            np.testing.assert_array_equal(np.flatnonzero(plan.positive_mask[i]), pos)
-        assert plan.skipped_anchors == ref_skipped
-        assert rng.random() == ref_rng.random()
+        labels = label_matrix(label_sets)
+        plan = ob.build_batch_plan(labels, np.random.default_rng(seed), negatives)
+        check_plan(plan, label_sets, negatives)
+        assert_same_plan(plan, ob.build_batch_plan(labels, np.random.default_rng(seed),
+                                                   negatives))
+
+    @pytest.mark.parametrize("negatives", [1, 2])
+    def test_negatives_are_uniform(self, negatives):
+        """Anchor 0's pool is members 1-5; member 6 shares its category. Over 10,000 seeded
+        plans, the counts of each member and of each ordered draw in each direction, and of
+        each (text draw, image draw) pair, pass a chi-square test at the 0.999 quantile."""
+        labels = label_matrix([frozenset(["a"]), *(frozenset([f"b{j}"]) for j in range(5)),
+                               frozenset(["a"])])
+        rng = np.random.default_rng(23)
+        members = {"text": Counter(), "image": Counter()}
+        ordered = {"text": Counter(), "image": Counter()}
+        joint = Counter()
+        for _ in range(10_000):
+            plan = ob.build_batch_plan(labels, rng, negatives)
+            drawn = {d: tuple(getattr(plan, f"{d}_negatives")[getattr(plan, f"{d}_anchors") == 0]
+                              .tolist()) for d in members}
+            for d in members:
+                members[d].update(drawn[d])
+                ordered[d][drawn[d]] += 1
+            joint[drawn["text"], drawn["image"]] += 1
+        tuples = list(permutations(range(1, 6), negatives))
+        tests = [(joint, [(t, i) for t in tuples for i in tuples])]
+        for d in members:
+            assert sorted(members[d]) == [1, 2, 3, 4, 5]
+            assert sorted(ordered[d]) == sorted(tuples)
+            tests += [(members[d], range(1, 6)), (ordered[d], tuples)]
+        for counts, cells in tests:
+            observed = [counts[c] for c in cells]
+            expected = sum(observed) / len(observed)
+            chi2 = sum((o - expected) ** 2 for o in observed) / expected
+            assert chi2 < stats.chi2.ppf(0.999, len(observed) - 1), observed
 
     @pytest.mark.parametrize("seed", range(8))
     def test_loss_terms_match_per_anchor_loops(self, seed):

@@ -40,43 +40,43 @@ lambda = {lam}
 
 PINNED = {  # SHA-256 of each output
     "category.txnt": "6ef1b496a47e968861542adc39e6ecf063dc489b999bb03a41c3b1c819e90333",
-    "eval.stdout": "042c73d5aaf9515311a0c727ad5b0ded1e1caae86bd72a8b5da25cfde4e35f4b",
-    "eval-cutoffs.stdout": "042c73d5aaf9515311a0c727ad5b0ded1e1caae86bd72a8b5da25cfde4e35f4b",
-    "eval-cutoffs/report-i2t.json": "0b9b4750f3564a99967760d0a69b76471e7e3db50c8c6d618a3fa4a0ffefda2b",
-    "eval-cutoffs/report-t2i.json": "f586c2482b43906ade507f8836bed05ad3f074ce51b2b31bbca6a6cd9e14365e",
-    "eval-cutoffs/scope-i2t.csv": "bd1a0bf366dded9b7aef12fb2d146f6be3e6944a9b7a13247e6916fe2a3b487c",
-    "eval-cutoffs/scope-t2i.csv": "7b74eac41a2cbfae6c54aabe3d9416739b67ac29d8244bd8bdf88445f1d00f21",
+    "eval.stdout": "f932c88e5a35dd7ff04830bc0c6396962df80b36c574492f7032b21e527d5281",
+    "eval-cutoffs.stdout": "f932c88e5a35dd7ff04830bc0c6396962df80b36c574492f7032b21e527d5281",
+    "eval-cutoffs/report-i2t.json": "95ab0303c8b3b9e0a4d8dbe194eea19fe4fa6b887b63e1bac897bd05c8af0d1d",
+    "eval-cutoffs/report-t2i.json": "c9ce69400c5dff7ed5e4b3401ad3771057ca4fe8ccf39543007590f22612b738",
+    "eval-cutoffs/scope-i2t.csv": "48f2c631853392ad37d60178443491880e081244b7024d16f5d9374bc03a60d6",
+    "eval-cutoffs/scope-t2i.csv": "a50a60a7f4cdc662a124e439b8b62fdbaf3906f7147baaeee7d83c65e8a7a721",
     "eval-cutoffs/temporal-i2t.csv": "f03c0f592cf656658ca9c07453dde5ac4fa2551d3c8b229b7c616ae579f1d74b",
-    "eval-cutoffs/temporal-t2i.csv": "c8d94973c9fbb393c6203699ecccffa82662e67de26b11786493acd1bfeccec1",
-    "eval/report-i2t.json": "84a4ca66cc39ac806ab4e7347c707b5e9281aa768d8c82897468ea42bddee0f4",
-    "eval/report-t2i.json": "7c9082eed0ce4b9ae4b3ac598b3430264b1d864722f31795b753668562e6a3f0",
-    "eval/scope-i2t.csv": "39ad23d4cc0b517c15b99c60f370ec4a0b824e5901e1864577f91f35b23a0953",
-    "eval/scope-t2i.csv": "64a73b3ac7c223f5fea20bb421ce3741bea1f6d31dbbabed228902bd3fa6df14",
+    "eval-cutoffs/temporal-t2i.csv": "49b4763db5b2cbbc511a16348a77122bcb4987de8bfeffd362d77a856a50b58e",
+    "eval/report-i2t.json": "ffa15edda0fd7a8155ebd173ceea7a1182f2d69e487075806451de9783b22bba",
+    "eval/report-t2i.json": "cbaebee1aab595ae1a458e89a271a45e9aa19bb7f6a35a957c32d1f723825605",
+    "eval/scope-i2t.csv": "e7a166d00eaaa8d73c9a6f39b1c25b67e6adba0e9aafece9eb40f2bb9b60bee5",
+    "eval/scope-t2i.csv": "4767f8d74fd3b41e4e7e53aa60b84a59bd3ae7700b2aec3233b9d30c017b88a6",
     "eval/temporal-i2t.csv": "f03c0f592cf656658ca9c07453dde5ac4fa2551d3c8b229b7c616ae579f1d74b",
-    "eval/temporal-t2i.csv": "c8d94973c9fbb393c6203699ecccffa82662e67de26b11786493acd1bfeccec1",
+    "eval/temporal-t2i.csv": "49b4763db5b2cbbc511a16348a77122bcb4987de8bfeffd362d77a856a50b58e",
     "fit-category.stdout": "83f47fdbf72048630769468eab9a676d659590e28a2e655ac5fb478d2d0d7948",
     "fit-mixed.stdout": "b90edb85b18f5013cf1e4d587db22ea528447cf7d296cab060247a13663e5cda",
     "fit-recency.stdout": "40589658ac4e6c5882bcd3ed987762ec2cdbdf3309212147c6be719036c907ae",
     "fit-topic.stdout": "b90edb85b18f5013cf1e4d587db22ea528447cf7d296cab060247a13663e5cda",
     "ingest.stdout": "bfa1603a68b5a8b4edd945c834a18abd9f7421298b8b510c5f1de0bef74fdc5e",
-    "mixed.jsonl": "7b5bd32ec93d1aee68be8bf212dc3e5393077c8a97ac011aeeaa0569bc585de5",
-    "mixed.txnm": "5dc0e4c84f599a4c4691531b3adf169b07c1b09f12e45367c6e5cb75644237cb",
+    "mixed.jsonl": "f7c9bbf515b25d3c8a1f328ed779c4b14d774fb3a7b5e1d52fa5b88fdc3348c3",
+    "mixed.txnm": "e02e981968e43b8df4efa3c5eebbc8e56d4a6731daba9ee280311cb49e310d25",
     "mixed.txnt": "8e9c74b84a5c0d11587afa8698d45b466b3d9120f740aa5fbd8a2e20df3185a8",
     "mixed/features.bin": "d387c9007e97a97bf5af0af309718f63e192b5ed3623038104d69f59c88158fc",
     "mixed/manifest.jsonl": "f08c2862121b4a652b8af90c5d030ccc47fc5ffde737af58e728100a70ecaef1",
     "mixed/vocab.txt": "f7bf77ea74628c18ba5cebe47fb113db782fb8606ce477debb60ef33ab1bf4b7",
-    "model.txnm": "db687415eabf638be54612efa5044b850d27568d25be9070bc1dc2cfb2cd4309",
-    "model0.txnm": "be332554f6fed033d9a4614f10e0f84ee4a1ae87d0cf4f7969d7452012a199c2",
-    "query-image.stdout": "01f676876dd45ce7b316146235241e1408b6a7f4f5aace28a2a61433db0f6322",
-    "query-text.stdout": "ba589024a7eb5301fa58ac364b709fb2206e7be4e31f9c567842689ba79b410a",
+    "model.txnm": "607ad25e924d28b01ad3b755c012c3749070000e453185dd465270be426c7054",
+    "model0.txnm": "a49d0dc95df43f6fdbdad30bffe2c3fd462342a9a0e6b29af158c87d25beb013",
+    "query-image.stdout": "31713ad10056de77add62347aec75feb64bf0b2e68a4252e8734ebcbb4de5aec",
+    "query-text.stdout": "1e39b0b32b4b852f1cc46896e4d0b1f0efc8a6ec0030f66c68b387111bbe89dc",
     "recency.txnt": "b5f525362757b277fa969c97c6319c2806b381dfa7b1428290d1ff894b6420f8",
     "synth.stdout": "8e86cca68d5434f169764c2ec67b3d6c1d5227f38c1f92dac7aabd0b13f36ff5",
     "topic.txnt": "a88f980321b7859a81055e8cc48aa1288755be99f224bc8beca84915708e350b",
-    "train-mixed.stdout": "ec4e40eaead60be55bd9215182746b29d6cc4c347c814251b6e7997ef79ea31f",
-    "train.jsonl": "3f13907e18a8b2c84a7924db50090e9837307cf4105c260b95c7b1bd17ff6dcb",
-    "train.stdout": "e392c52bc66de7b28f134022e3aa1ca1a75152aa492830f288cfb75a9be1b4e2",
-    "train0.jsonl": "24f81626f9f15b8755c665e8392e062db0e0c19726b584005aee4cb518ab73c1",
-    "train0.stdout": "c5e9ab7f2d5975d98d4f484b47eb027f69397f824c8ca92bd8785ce65e5a4fe5",
+    "train-mixed.stdout": "2a3dc981c83b89a984dfdaa87ec85d719fad8516ee2df07b746c33615e76f19f",
+    "train.jsonl": "722192ea49bee8910234e17b1a3b7b042e8d5be064f156a877fefdf0d2e3bffc",
+    "train.stdout": "4c77ae4d1e357a4cb7090709236a6f38f3e9aa339a038fe3e889a0111489c069",
+    "train0.jsonl": "b2afa5f0201c8c4f5f59940aa48671b48fdd831f28583522f360b466d057f979",
+    "train0.stdout": "9d55d3466d721570061ef68ffec7c994d86a8f3d20c983c306449d74b3bb8a88",
 }
 
 
