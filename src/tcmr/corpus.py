@@ -12,8 +12,11 @@ derived views.
 
 ``from_records`` is the one corpus builder: it sets the time axis, the
 vocabulary and the category list, and validates every document.
-``load_corpus`` only reads and checks the files, then calls it, so a corpus
-read from disk and one built in memory pass the same checks.
+``load_corpus`` only reads and checks the files, then hands its columns to
+the builder behind it, so a corpus read from disk and one built in memory
+pass the same checks. Both check each rule once over a whole column (all
+manifest lines, all documents) and, on a fault, name the first faulty line
+or document, as a reader that went one line at a time would.
 
 On-disk layout:
   * manifest: JSON Lines, one document per line with keys
@@ -30,7 +33,8 @@ import logging
 import math
 import struct
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
+from operator import is_
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,7 +47,7 @@ log = logging.getLogger(__name__)
 FEATURES_MAGIC = b"TXNF"
 DEFAULT_TIME_UNIT = 86400.0  # one day, in seconds
 EXACT_INT = 2**53  # float64 holds every integer of at most this magnitude exactly
-FEATURE_BLOCK = 1024  # feature rows rounded through float32 at a time
+ROW_BLOCK = 1024  # feature rows cast or rounded, and manifest lines held decoded, at a time
 
 
 class CorpusError(Exception):
@@ -95,19 +99,25 @@ class TokenRows(NamedTuple):
         return TokenRows(indptr, self.indices[at], self.counts[at])
 
 
-def token_rows(mappings: Sequence[Mapping[str, int]], column: Mapping[str, int]) -> TokenRows:
-    """Token rows of token-count mappings over the vocabulary that ``column`` maps each token
-    to; each row in token-string order, less the tokens outside the vocabulary."""
-    ranked = sorted(set().union(*mappings))
+def token_rows(mappings: Sequence[dict[str, int]], column: Mapping[str, int]) -> TokenRows:
+    """Token rows of token-count dicts over the vocabulary that ``column`` maps each token to;
+    each row in token-string order, less the tokens outside the vocabulary."""
+    counts = np.fromiter(chain.from_iterable(map(dict.values, mappings)), np.int64)
+    return _token_rows(mappings, counts, sorted(set().union(*mappings)), column)
+
+
+def _token_rows(mappings, counts: np.ndarray, ranked: list, column) -> TokenRows:
+    """``token_rows`` of ``mappings`` given their int64 values in order and their sorted token
+    union ``ranked``."""
     rank = dict(zip(ranked, range(len(ranked))))
-    doc = np.repeat(np.arange(len(mappings)), list(map(len, mappings)))
-    place = np.array([rank[tok] for tok in chain.from_iterable(mappings)], dtype=np.intp)
+    sizes = np.fromiter(map(len, mappings), np.intp, len(mappings))
+    doc = np.repeat(np.arange(len(mappings)), sizes)
+    place = np.fromiter(map(rank.__getitem__, chain.from_iterable(mappings)), np.intp, len(counts))
     order = np.argsort(doc * len(ranked) + place, kind="stable")
-    columns = np.array([column.get(tok, -1) for tok in ranked], dtype=np.intp)[place[order]]
-    counts = np.array([n for m in mappings for n in m.values()], dtype=np.int64)[order]
+    columns = np.fromiter(map(column.get, ranked, repeat(-1)), np.intp, len(ranked))[place[order]]
     known = columns >= 0
     indptr = np.concatenate([[0], np.cumsum(np.bincount(doc[known], minlength=len(mappings)))])
-    return TokenRows(indptr, columns[known], counts[known])
+    return TokenRows(indptr, columns[known], counts[order][known])
 
 
 @dataclass(eq=False)
@@ -199,6 +209,7 @@ def _parse_timestamp(value) -> int:
 
 # in the order a missing key is named; a keys view compares as a set
 _MANIFEST_KEYS = dict.fromkeys(("id", "timestamp", "tokens", "labels", "feat_row")).keys()
+_MISSING = object()  # in a manifest column: the line lacks the key; no line rule takes it
 
 
 def _parse_manifest_line(row) -> tuple:
@@ -230,6 +241,121 @@ def read_vocabulary(path) -> list[str]:
     return [tok for tok in Path(path).read_text(encoding="utf-8").split("\n") if tok]
 
 
+def _leading(flags) -> int:
+    """Length of the leading run of true values among the bools ``flags``."""
+    flags = list(flags)
+    return flags.index(False) if False in flags else len(flags)
+
+
+def _typed(column: list, kind: type) -> int:
+    """Length of the leading run of values of exactly type ``kind`` in ``column``."""
+    types = list(map(type, column))
+    if types.count(kind) == len(types):
+        return len(types)
+    return _leading(map(is_, types, repeat(kind)))
+
+
+def _line_fault(row, lineno: int) -> CorpusError | None:
+    """The first structure fault of a decoded manifest line, with its line number, if any."""
+    try:
+        _parse_manifest_line(row)
+    except CorpusError as exc:
+        return CorpusError(f"manifest line {lineno}: {exc}")
+    return None
+
+
+def _fold(rows: list, columns: tuple) -> bool:
+    """Move the leading JSON objects of ``rows`` into ``columns``, each field to its key's
+    column (``_MISSING`` for a key an object lacks); True when every row was an object."""
+    objects = _typed(rows, dict)
+    for column, key in zip(columns, _MANIFEST_KEYS):
+        column.extend(map(dict.get, rows[:objects], repeat(key), repeat(_MISSING)))
+    del rows[:objects]
+    return not rows
+
+
+def _read_manifest(path) -> tuple[tuple[list, ...], list[int], CorpusError | None]:
+    """The id, timestamp, tokens, labels and feat_row columns of the manifest's non-blank lines
+    up to the first that is not a JSON object, the line numbers of the lines read, and the
+    fault of the line that ended the reading (None when the file did).
+
+    The manifest is read once as UTF-8 text (CR and CRLF read as "\\n") and split at "\\n"
+    only, as a JSON string may hold U+2028; the decoder's scanner takes each line, and
+    ``json.loads`` words a line it cannot take whole. Decoded lines are moved into the columns
+    ROW_BLOCK at a time, so only one block's objects are held at once.
+    """
+    scan = json.JSONDecoder().scan_once
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    columns = tuple([] for _ in _MANIFEST_KEYS)
+    rows, linenos, fault = [], [], None
+    for lineno, line in enumerate(lines, 1):
+        try:
+            row, end = scan(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):  # blank, whitespace around the value, or a fault
+            if not line.strip():
+                continue
+            try:  # the line as the file holds it: all but the last end in "\n"
+                row = json.loads(line + "\n" if lineno < len(lines) else line)
+            except json.JSONDecodeError as exc:
+                fault = CorpusError(f"manifest line {lineno}: invalid JSON ({exc.msg})")
+                break
+        rows.append(row)
+        linenos.append(lineno)
+        if len(rows) == ROW_BLOCK and not _fold(rows, columns):
+            break
+    if not _fold(rows, columns):  # a JSON value that is no object, before any invalid line
+        fault = _line_fault(rows[0], linenos[len(columns[0])])
+    return columns, linenos, fault
+
+
+def _good_lines(columns: tuple, n_rows: int) -> int:
+    """The number of leading manifest lines that keep every line rule, given their columns;
+    the timestamps of those lines that are not ints are parsed in place.
+
+    Each rule runs once, over the lines that kept the rules before it, so the number is the
+    index of the first faulty line whatever rule it breaks. feat_rows are range-checked as
+    Python ints before NumPy sees them.
+    """
+    ids, epochs, tokens, labels, feat_rows = columns
+    good = _typed(ids, str)
+    good = _leading(map(bool, ids[:good]))
+    if _typed(epochs[:good], int) < good:  # some timestamp is no int: parse those in place
+        for i, epoch in enumerate(epochs[:good]):
+            if type(epoch) is not int:
+                try:
+                    epochs[i] = _parse_timestamp(epoch)
+                except CorpusError:
+                    good = i
+                    break
+    good = _typed(tokens[:good], dict)
+    good = _typed(labels[:good], list)
+    good = _typed(feat_rows[:good], int)
+    if good and not 0 <= min(feat_rows[:good]) <= max(feat_rows[:good]) < n_rows:
+        good = _leading(0 <= row < n_rows for row in feat_rows[:good])
+    first_use = np.unique(np.array(feat_rows[:good], dtype=np.intp), return_index=True)[1]
+    if len(first_use) < good:  # the first line whose feat_row an earlier line has
+        good = int(np.argmin(np.isin(np.arange(good), first_use)))
+    return good
+
+
+def _column_fault(columns: tuple, i: int, linenos: list[int], n_rows: int) -> CorpusError:
+    """The fault of manifest line ``i``, the first to break a line rule, worded from its
+    fields as a line-by-line reader words it."""
+    row = {key: column[i] for key, column in zip(_MANIFEST_KEYS, columns)
+           if column[i] is not _MISSING}
+    fault = _line_fault(row, linenos[i])
+    if fault is not None:
+        return fault
+    feat_row = row["feat_row"]
+    if not 0 <= feat_row < n_rows:
+        return CorpusError(f"manifest line {linenos[i]}: feat_row {feat_row} outside"
+                           f" feature file with {n_rows} rows")
+    first = linenos[columns[-1].index(feat_row)]
+    return CorpusError(f"manifest lines {first} and {linenos[i]} share feat_row {feat_row}")
+
+
 def load_corpus(
     manifest_path,
     features_path,
@@ -238,46 +364,33 @@ def load_corpus(
 ) -> Corpus:
     """Read a manifest + features pair (and vocabulary file) and build the Corpus.
 
-    Only the file formats are checked here; ``from_records`` validates the documents,
-    exactly as for an in-memory corpus. The manifest is read once as UTF-8 text (CR and
-    CRLF read as "\\n") and split at "\\n" only, as a JSON string may hold U+2028; the
-    decoder's scanner takes each line, and ``json.loads`` words a line it cannot take whole.
+    Only the file formats are checked here; the builder behind ``from_records`` validates the
+    documents, exactly as for an in-memory corpus. Each manifest rule (a JSON object, its keys,
+    their value types, each feat_row inside the feature file and used once) is checked once
+    over all lines; a fault names the first faulty line, in the words a line-by-line reader
+    would use. Image rows are gathered by feat_row and cast to float64 a block at a time.
     """
     feats = read_features(features_path)
     n_rows = len(feats)
-    scan = json.JSONDecoder().scan_once
-    lines = Path(manifest_path).read_text(encoding="utf-8").split("\n")
-    records = []
-    line_of_row: dict[int, int] = {}
-    for lineno, line in enumerate(lines, 1):
-        try:
-            row, end = scan(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        try:
-            if end != len(line):  # blank, whitespace around the value, or a fault
-                if not line.strip():
-                    continue
-                try:  # the line as the file holds it: all but the last end in "\n"
-                    row = json.loads(line + "\n" if lineno < len(lines) else line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"invalid JSON ({exc.msg})") from None
-            doc_id, feat_row, tokens, epoch, labels = _parse_manifest_line(row)
-        except CorpusError as exc:
-            raise CorpusError(f"manifest line {lineno}: {exc}") from None
-        if not 0 <= feat_row < n_rows:
-            raise CorpusError(f"manifest line {lineno}: feat_row {feat_row} outside"
-                              f" feature file with {n_rows} rows")
-        first = line_of_row.setdefault(feat_row, lineno)
-        if first != lineno:
-            raise CorpusError(f"manifest lines {first} and {lineno} share feat_row {feat_row}")
-        records.append((doc_id, feats[feat_row], tokens, epoch, labels))
-    if len(records) != n_rows:
+    columns, linenos, fault = _read_manifest(manifest_path)
+    ids, epochs, tokens, labels, feat_rows = columns
+    good = _good_lines(columns, n_rows)
+    if good < len(ids):
+        raise _column_fault(columns, good, linenos, n_rows)
+    if fault is not None:
+        raise fault
+    if len(ids) != n_rows:
         raise CorpusError(
-            f"manifest has {len(records)} documents but feature file has {n_rows} rows"
+            f"manifest has {len(ids)} documents but feature file has {n_rows} rows"
         )
+    _check_ids(ids)
+    order = np.array(feat_rows, dtype=np.intp)
+    image = np.empty((n_rows, feats.shape[1]), dtype=np.float64)
+    for start in range(0, n_rows, ROW_BLOCK):
+        image[start:start + ROW_BLOCK] = feats[order[start:start + ROW_BLOCK]]
+    del feats
     vocabulary = read_vocabulary(vocab_path) if vocab_path is not None else None
-    return from_records(records, time_unit=time_unit, vocabulary=vocabulary)
+    return _build_corpus(ids, image, tokens, epochs, labels, time_unit, vocabulary)
 
 
 def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -> None:
@@ -308,25 +421,31 @@ def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -
                                     encoding="utf-8")
 
 
-def _feature_matrix(records) -> np.ndarray:
-    """(n, d) image features rounded through float32, checked finite: the rows are gathered
-    into one float64 array, rounded in place a block of rows at a time."""
+def _check_ids(ids: list) -> None:
+    """An empty corpus, or an id held twice, is a fault; the first id in order that repeats
+    is named."""
+    if not ids:
+        raise CorpusError("cannot build an empty corpus")
+    if len(set(ids)) != len(ids):
+        seen = Counter(ids)
+        raise CorpusError(f"duplicate document id {next(i for i in ids if seen[i] > 1)!r}")
+
+
+def _feature_matrix(ids: list, rows: list) -> np.ndarray:
+    """(n, d) image features rounded through float32: the rows are gathered into one float64
+    array, rounded in place a block of rows at a time."""
     try:
-        matrix = np.array([rec[1] for rec in records], dtype=np.float64)
+        matrix = np.array(rows, dtype=np.float64)
     except ValueError:  # ragged rows
         matrix = None
     if matrix is None or matrix.ndim != 2:
-        shape = np.shape(records[0][1])
-        bad = next((rec[0] for rec in records if np.shape(rec[1]) != shape), records[0][0])
+        shape = np.shape(rows[0])
+        bad = next((doc_id for doc_id, row in zip(ids, rows) if np.shape(row) != shape), ids[0])
         raise CorpusError(f"document {bad!r}: feature vectors must share one dimension")
     if matrix.shape[1] == 0:
         raise CorpusError("image features need at least one dimension")
-    for block in np.split(matrix, range(FEATURE_BLOCK, len(matrix), FEATURE_BLOCK)):
+    for block in np.split(matrix, range(ROW_BLOCK, len(matrix), ROW_BLOCK)):
         block[...] = block.astype(np.float32)  # a view of the matrix, rounded in place
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        bad = records[int(np.argmin(finite))][0]
-        raise CorpusError(f"document {bad!r}: non-finite feature value")
     return matrix
 
 
@@ -336,7 +455,7 @@ def _bad_token(tok) -> bool:
 
 
 def from_records(
-    records: Sequence[tuple[str, np.ndarray, Mapping[str, int], int, Sequence[str]]],
+    records: Sequence[tuple[str, np.ndarray, dict[str, int], int, Sequence[str]]],
     time_unit: float = DEFAULT_TIME_UNIT,
     vocabulary: list[str] | None = None,
 ) -> Corpus:
@@ -351,30 +470,33 @@ def from_records(
     tokens are dropped (count recorded on the corpus). Each document keeps its integer
     epoch, which ``save_corpus`` writes back.
     """
-    if not records:
-        raise CorpusError("cannot build an empty corpus")
     ids = [rec[0] for rec in records]
-    if len(set(ids)) != len(ids):
-        seen = Counter(ids)
-        raise CorpusError(f"duplicate document id {next(i for i in ids if seen[i] > 1)!r}")
-    feats = _feature_matrix(records)
+    _check_ids(ids)
+    image = _feature_matrix(ids, [rec[1] for rec in records])
+    return _build_corpus(ids, image, [rec[2] for rec in records], [int(rec[3]) for rec in records],
+                         [rec[4] for rec in records], time_unit, vocabulary)
+
+
+def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,
+                  label_lists: list, time_unit, vocabulary) -> Corpus:
+    """The corpus of ``from_records``'s columns once the ids are checked and the image is
+    (n, d) float64 holding float32 values; checks every other rule of ``from_records``.
+    Each rule runs once over all documents; on a fault, a loop names the first in order."""
+    # a row of float32 values sums to a finite float64 exactly when every value is finite
+    finite = np.isfinite(image.sum(axis=1))
+    if not finite.all():
+        raise CorpusError(f"document {ids[int(np.argmin(finite))]!r}: non-finite feature value")
 
     if not positive_finite(time_unit):
         raise CorpusError(f"time unit must be positive and finite, got {time_unit!r}")
-    epochs = [int(rec[3]) for rec in records]
     origin, last = min(epochs), max(epochs)
     if origin < -EXACT_INT or last > EXACT_INT:
-        bad = next(rec[0] for rec, epoch in zip(records, epochs) if abs(epoch) > EXACT_INT)
+        bad = next(doc_id for doc_id, epoch in zip(ids, epochs) if abs(epoch) > EXACT_INT)
         raise CorpusError(f"document {bad!r}: timestamp outside [-2**53, 2**53]")
     axis = TimeAxis(unit=time_unit, origin=origin,
                     num_slices=int(math.floor((last - origin) / time_unit)) + 1)
 
-    token_maps = [rec[2] for rec in records]
-    label_lists = [rec[4] for rec in records]
-    tokens = set().union(*token_maps)
-    if vocabulary is None:
-        vocabulary = sorted(tokens)
-    else:  # a vocabulary file must hold it: distinct tokens, one a line
+    if vocabulary is not None:  # a vocabulary file must hold it: distinct tokens, one a line
         seen = set()
         for tok in vocabulary:
             if _bad_token(tok):
@@ -383,14 +505,16 @@ def from_records(
             if tok in seen:
                 raise CorpusError(f"duplicate vocabulary token {tok!r}")
             seen.add(tok)
-    # each rule over all documents at once; on a fault, the loop names the first in order
+    tokens = set().union(*token_maps)
     labels = list(chain.from_iterable(label_lists))
-    counts = list(chain.from_iterable(mapping.values() for mapping in token_maps))
+    values = list(chain.from_iterable(map(dict.values, token_maps)))
+    # of Python ints, NumPy makes an int64 array exactly when every one fits (float64 if none)
+    counts = np.array(values) if set(map(type, values)) <= {int} else None
     if not (all(label_lists) and all(issubclass(t, str) for t in set(map(type, labels)))
-            and all(labels) and not any(map(_bad_token, tokens))
-            and set(map(type, counts)) <= {int}
-            and 0 < min(counts, default=1) and max(counts, default=1) <= EXACT_INT):
-        for doc_id, _, mapping, _, labs in records:
+            and all(labels) and not any(map(_bad_token, tokens)) and counts is not None
+            and (not values or counts.dtype == np.int64
+                 and 0 < counts.min() and counts.max() <= EXACT_INT)):
+        for doc_id, mapping, labs in zip(ids, token_maps, label_lists):
             if not labs:
                 raise CorpusError(f"document {doc_id!r}: empty label set")
             if not all(isinstance(lab, str) and lab for lab in labs):
@@ -403,16 +527,20 @@ def from_records(
                     raise CorpusError(f"document {doc_id!r}: token count for {tok!r} must be"
                                       " a positive integer of at most 2**53")
 
+    ranked = sorted(tokens)
+    if vocabulary is None:
+        vocabulary = ranked
     if not vocabulary:
         raise CorpusError("the corpus has an empty vocabulary")
-    text = token_rows(token_maps, dict(zip(vocabulary, range(len(vocabulary)))))
-    dropped = sum(counts) - sum(text.counts.tolist())
+    text = _token_rows(token_maps, counts.astype(np.int64, copy=False), ranked,
+                       dict(zip(vocabulary, range(len(vocabulary)))))
+    dropped = sum(values) - sum(text.counts.tolist()) if tokens.difference(vocabulary) else 0
     if dropped:
         log.warning("dropped %d token occurrences outside the vocabulary", dropped)
-    epochs, label_sets = np.array(epochs, dtype=np.int64), list(map(frozenset, label_lists))
-    return Corpus(ids=ids, image=feats, text=text, timestamps=(epochs - origin) / time_unit,
-                  epochs=epochs, label_sets=label_sets, vocabulary=vocabulary,
-                  categories=sorted(set().union(*label_sets)), time_axis=axis,
+    epochs = np.array(epochs, dtype=np.int64)
+    return Corpus(ids=ids, image=image, text=text, timestamps=(epochs - origin) / time_unit,
+                  epochs=epochs, label_sets=list(map(frozenset, label_lists)),
+                  vocabulary=vocabulary, categories=sorted(set(labels)), time_axis=axis,
                   dropped_token_count=dropped)
 
 

@@ -114,6 +114,20 @@ class TestSynthAndIngest:
         assert code == 2
         assert "manifest lines 2 and 5 share feat_row 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("feat_row", [10**30, 2**63, -(2**63) - 1],
+                             ids=["10**30", "2**63", "-2**63-1"])
+    def test_feat_row_beyond_int64_is_data_error(self, workspace, capsys, feat_row):
+        tmp_path, data, _ = workspace
+        lines = (data / "manifest.jsonl").read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace('"feat_row":3}', f'"feat_row":{feat_row}}}')
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(lines))
+        code = main(["ingest", str(manifest), str(data / "features.bin"),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: manifest line 4: feat_row {feat_row} outside"
+                                           " feature file with 100 rows\n")
+
     def test_bad_mode_spec_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "d"), "--modes", "5:1"]) == 1
 

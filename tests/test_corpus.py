@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -449,10 +450,10 @@ def _read(reader, manifest, features):
         return type(exc), str(exc)
 
 
-def assert_same_reading(tmp_path, text):
+def assert_same_reading(tmp_path, text, n_rows=3):
     manifest, features = tmp_path / "manifest.jsonl", tmp_path / "features.bin"
     manifest.write_bytes(text.encode("utf-8"))
-    cp.write_features(features, np.arange(6.0).reshape(3, 2))
+    cp.write_features(features, np.arange(2.0 * n_rows).reshape(n_rows, 2))
     got = _read(cp.load_corpus, manifest, features)
     want = _read(reference_load_corpus, manifest, features)
     if isinstance(want, cp.Corpus):
@@ -461,6 +462,35 @@ def assert_same_reading(tmp_path, text):
     else:
         assert got == want
     return got
+
+
+_PAST_END, _REPEAT = object(), object()
+LINE_FAULTS = [  # (key, value) put on a valid line, _DROP removing the key; (None, text) for a line
+    *[(key, _DROP) for key in ("id", "timestamp", "tokens", "labels", "feat_row")],
+    ("id", 7), ("id", ""), ("timestamp", True), ("timestamp", "soon"), ("timestamp", None),
+    ("tokens", ["w"]), ("labels", "l"), ("feat_row", "0"), ("feat_row", True),
+    ("feat_row", 0.0), ("feat_row", -1), ("feat_row", _PAST_END), ("feat_row", _REPEAT),
+    (None, '{"id": '), (None, "[1, 2]"), (None, "null"),
+]
+
+
+def _manifest_line(i, order, fault):
+    """Line i of a manifest whose line j names feat_row ``order[j]``, with one per-line fault
+    (None for none). A repeated feat_row is that of line i + 2 (mod the line count)."""
+    row = {"id": f"d{i}", "timestamp": DAY * i, "tokens": {f"w{order[i]}": 1 + i},
+           "labels": [f"l{i % 2}"], "feat_row": order[i]}
+    key, value = fault or (None, None)
+    if key is None and value is not None:
+        return value
+    if value is _DROP:
+        del row[key]
+    elif value is _PAST_END:
+        row[key] = len(order)
+    elif value is _REPEAT:
+        row[key] = order[(i + 2) % len(order)]
+    elif key is not None:
+        row[key] = value
+    return json.dumps(row)
 
 
 class TestReaderEquivalence:
@@ -498,6 +528,19 @@ class TestReaderEquivalence:
                        for line, (before, after, end, blank) in zip(_lines(), parts))
         with tempfile.TemporaryDirectory() as tmp:
             assert_same_reading(Path(tmp), text if cut is None else text[:cut])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(3, 6), block=st.sampled_from([1, 2, cp.ROW_BLOCK]))
+    def test_faults_on_several_lines(self, data, n, block):
+        """Lines in feat_row order other than line order, each valid or with one per-line
+        fault: the first faulty line in file order is named, whatever its fault, however many
+        decoded lines the reader holds at a time."""
+        order = data.draw(st.permutations(range(n)).filter(lambda p: p != sorted(p)))
+        faults = data.draw(st.lists(st.one_of(st.none(), st.sampled_from(LINE_FAULTS)),
+                                    min_size=n, max_size=n))
+        text = "".join(_manifest_line(i, order, fault) + "\n" for i, fault in enumerate(faults))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cp, "ROW_BLOCK", block):
+            assert_same_reading(Path(tmp), text, n_rows=n)
 
 
 class TestTokenNames:
