@@ -44,22 +44,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def bundle_paths(directory):
+    """The manifest, features, vocabulary and column index paths of a bundle directory."""
     directory = Path(directory)
-    return directory / "manifest.jsonl", directory / "features.bin", directory / "vocab.txt"
+    return (directory / "manifest.jsonl", directory / "features.bin", directory / "vocab.txt",
+            directory / "columns.bin")
 
 
 def load_bundle(directory, time_unit):
-    manifest, features, vocab = bundle_paths(directory)
+    manifest, features, vocab, index = bundle_paths(directory)
     return cp.load_corpus(
-        manifest, features, vocab if vocab.exists() else None, time_unit=time_unit
+        manifest, features, vocab if vocab.exists() else None, time_unit=time_unit,
+        index_path=index,
     )
 
 
 def save_bundle(corpus, directory):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest, features, vocab = bundle_paths(directory)
-    cp.save_corpus(corpus, manifest, features, vocab)
+    cp.save_corpus(corpus, *bundle_paths(directory))
 
 
 def _emit(payload: dict):

@@ -1,9 +1,11 @@
-"""The binary container shared by checkpoints (TXNM) and temporal models (TXNT).
+"""The binary container shared by checkpoints (TXNM), temporal models (TXNT) and bundle
+column indexes (TXNI).
 
-Layout: a 4-byte magic, a 4-byte field (the TXNM version or the TXNT kind
-tag), a little-endian u32 header length, the JSON header with sorted keys,
-then little-endian float64 arrays, row-major, in the order the format
-fixes. No bytes follow the last array, and no array holds NaN or infinity.
+Layout: a 4-byte magic, a 4-byte field (the TXNM or TXNI version, or the
+TXNT kind tag), a little-endian u32 header length, the JSON header with
+sorted keys, then little-endian arrays of one dtype (float64, or int64 in a
+column index), row-major, in the order the format fixes. No bytes follow the
+last array, and no float array holds NaN or infinity.
 
 This module checks the layout and the array values; each format makes its
 own decisions (what the field means, which header keys it needs, the shapes
@@ -21,13 +23,14 @@ import numpy as np
 _PREFIX = struct.Struct("<4s4sI")  # magic, field, header length
 
 
-def write_container(path, magic: bytes, field: bytes, header: dict, arrays) -> None:
+def write_container(path, magic: bytes, field: bytes, header: dict, arrays,
+                    dtype: str = "<f8") -> None:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(magic, field, len(blob)))
         fh.write(blob)
         for arr in arrays:
-            fh.write(np.asarray(arr, dtype="<f8").tobytes())
+            fh.write(np.asarray(arr, dtype=dtype).tobytes())
 
 
 class Container:
@@ -55,21 +58,22 @@ class Container:
         if not isinstance(self.header, dict):
             raise error(f"{path}: header is not a JSON object")
 
-    def arrays(self, shapes) -> list[np.ndarray]:
-        """The arrays of the given shapes, which must be finite and end the file."""
-        out = []
+    def arrays(self, shapes, dtype: str = "<f8") -> list[np.ndarray]:
+        """The arrays of the given shapes, which must end the file; float arrays must be
+        finite."""
+        out, size = [], np.dtype(dtype).itemsize
         for shape in shapes:
             if not all(type(n) is int and n >= 0 for n in shape):
                 raise self._error(f"{self.path}: array shape {list(shape)!r} in the header"
                                   " is not made of non-negative integers")
             count = math.prod(shape)
-            if len(self._data) < self._offset + 8 * count:
+            if len(self._data) < self._offset + size * count:
                 raise self._error(f"{self.path}: truncated array")
-            arr = np.frombuffer(self._data, dtype="<f8", count=count, offset=self._offset)
-            if not np.isfinite(arr).all():
+            arr = np.frombuffer(self._data, dtype=dtype, count=count, offset=self._offset)
+            if arr.dtype.kind == "f" and not np.isfinite(arr).all():
                 raise self._error(f"{self.path}: array holds NaN or infinity")
             out.append(arr.reshape(shape).copy())
-            self._offset += 8 * count
+            self._offset += size * count
         if len(self._data) > self._offset:
             raise self._error(f"{self.path}: trailing bytes after the last array")
         return out

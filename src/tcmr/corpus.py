@@ -24,10 +24,16 @@ On-disk layout:
   * features: little-endian binary, magic ``TXNF``, u32 row count, u32
     feature dimension, then float32 rows in ``feat_row`` order
   * optional vocabulary file: one token per line, order authoritative
+  * optional column index (TXNI container, written by ``save_corpus``): the
+    ids, label lists, epochs and token rows of the manifest beside it, with
+    the SHA-256 of the manifest and vocabulary bytes it was written from.
+    ``load_corpus`` reads the columns from it only while both files still
+    have those digests; the manifest stays the authority.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -42,12 +48,16 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .container import Container, write_container
+
 log = logging.getLogger(__name__)
 
 FEATURES_MAGIC = b"TXNF"
 DEFAULT_TIME_UNIT = 86400.0  # one day, in seconds
 EXACT_INT = 2**53  # float64 holds every integer of at most this magnitude exactly
 ROW_BLOCK = 1024  # feature rows cast or rounded, and manifest lines held decoded, at a time
+INDEX_MAGIC = b"TXNI"
+INDEX_VERSION = 1
 
 
 class CorpusError(Exception):
@@ -361,6 +371,7 @@ def load_corpus(
     features_path,
     vocab_path=None,
     time_unit: float = DEFAULT_TIME_UNIT,
+    index_path=None,
 ) -> Corpus:
     """Read a manifest + features pair (and vocabulary file) and build the Corpus.
 
@@ -369,9 +380,24 @@ def load_corpus(
     their value types, each feat_row inside the feature file and used once) is checked once
     over all lines; a fault names the first faulty line, in the words a line-by-line reader
     would use. Image rows are gathered by feat_row and cast to float64 a block at a time.
+
+    With a vocabulary file, a column index at ``index_path`` that reads cleanly and was written
+    beside the manifest and vocabulary bytes now on disk gives the ids, labels, epochs and
+    token rows in place of the manifest; the feature file is read and checked as without it.
+    Any other index (missing, malformed, of another version or stale), or a feature file of
+    another row count, leaves the manifest to be read as above.
     """
     feats = read_features(features_path)
     n_rows = len(feats)
+    index = None
+    if index_path is not None and vocab_path is not None:
+        index = _read_index(index_path, manifest_path, vocab_path)
+    if index is not None and len(index.ids) == n_rows:
+        image = feats.astype(np.float64)  # save_corpus writes feat_row i on line i
+        del feats
+        axis = _time_axis(index.ids, image, index.epochs.tolist(), time_unit)
+        return _corpus(index.ids, image, index.text, index.epochs, index.label_lists,
+                       index.vocabulary, axis)
     columns, linenos, fault = _read_manifest(manifest_path)
     ids, epochs, tokens, labels, feat_rows = columns
     good = _good_lines(columns, n_rows)
@@ -393,17 +419,22 @@ def load_corpus(
     return _build_corpus(ids, image, tokens, epochs, labels, time_unit, vocabulary)
 
 
-def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -> None:
-    """Write a corpus back in canonical manifest + features form.
+def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None,
+                index_path=None) -> None:
+    """Write a corpus back in canonical manifest + features form, and its column index
+    beside the manifest and vocabulary file when ``index_path`` is given (which needs
+    ``vocab_path``).
 
     The writer is deterministic (sorted tokens and labels, fixed key order),
     so re-ingesting its own output is byte-identical.
     """
+    if index_path is not None and vocab_path is None:
+        raise ValueError("a column index is written beside a vocabulary file")
     encode = json.JSONEncoder(separators=(",", ":")).encode
     words = [corpus.vocabulary[col] for col in corpus.text.indices.tolist()]
     counts = corpus.text.counts.tolist()
     bounds = corpus.text.indptr.tolist()
-    text = "".join(
+    manifest = "".join(
         encode({
             "id": doc_id,
             "timestamp": epoch,
@@ -413,12 +444,87 @@ def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None) -
         }) + "\n"
         for i, (doc_id, epoch, labels, start, stop) in enumerate(zip(
             corpus.ids, corpus.epochs.tolist(), corpus.label_sets, bounds, bounds[1:]))
-    )
-    Path(manifest_path).write_text(text, encoding="utf-8")
+    ).encode("utf-8")
+    Path(manifest_path).write_bytes(manifest)
     write_features(features_path, corpus.image)
     if vocab_path is not None:
-        Path(vocab_path).write_text("".join(tok + "\n" for tok in corpus.vocabulary),
-                                    encoding="utf-8")
+        vocab = "".join(tok + "\n" for tok in corpus.vocabulary).encode("utf-8")
+        Path(vocab_path).write_bytes(vocab)
+        if index_path is not None:
+            _write_index(index_path, corpus, manifest, vocab)
+
+
+# ---------------------------------------------------------------------------
+# Column index
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_index(path, corpus: Corpus, manifest: bytes, vocab: bytes) -> None:
+    """The column index of a corpus just written as the ``manifest`` and ``vocab`` bytes: a
+    TXNI container (see ``container``), field = u32 version, header keys ``ids``, ``labels``
+    (each document's sorted labels), ``tokens`` (the number of token entries),
+    ``manifest_sha256`` and ``vocab_sha256``; then int64 arrays: the epochs (n,), and the
+    token rows' indptr (n + 1,), indices and counts (tokens,)."""
+    header = {"ids": corpus.ids, "labels": [sorted(labels) for labels in corpus.label_sets],
+              "tokens": len(corpus.text.indices), "manifest_sha256": _sha256(manifest),
+              "vocab_sha256": _sha256(vocab)}
+    write_container(path, INDEX_MAGIC, INDEX_VERSION.to_bytes(4, "little"), header,
+                    [corpus.epochs, *corpus.text], dtype="<i8")
+
+
+class _UnusableIndex(Exception):
+    """A column index that cannot be read."""
+
+
+class _IndexColumns(NamedTuple):
+    ids: list
+    label_lists: list
+    epochs: np.ndarray
+    text: TokenRows
+    vocabulary: list
+
+
+def _read_index(index_path, manifest_path, vocab_path) -> _IndexColumns | None:
+    """The columns of the index at ``index_path``, or None when it is missing, malformed, of
+    another version, or was not written beside the manifest and vocabulary bytes now on disk.
+
+    The digests vouch for every rule the manifest and vocabulary files are held to; what is
+    checked here is that the index holds columns of one corpus over that vocabulary: ids,
+    labels and epochs of one length, unique non-empty ids, non-empty lists of non-empty
+    labels, epochs within [-2**53, 2**53], indptr rising from 0 to the number of entries,
+    columns inside the vocabulary and counts in [1, 2**53].
+    """
+    try:
+        box = Container(index_path, INDEX_MAGIC, _UnusableIndex)
+        head = box.header
+        if (box.field != INDEX_VERSION.to_bytes(4, "little")
+                or head.get("manifest_sha256") != _sha256(Path(manifest_path).read_bytes())
+                or head.get("vocab_sha256") != _sha256(Path(vocab_path).read_bytes())):
+            return None
+        ids, label_lists, entries = head.get("ids"), head.get("labels"), head.get("tokens")
+        if type(ids) is not list or type(label_lists) is not list:
+            return None
+        n = len(ids)
+        epochs, indptr, indices, counts = box.arrays(
+            [(n,), (n + 1,), (entries,), (entries,)], dtype="<i8")
+        vocabulary = read_vocabulary(vocab_path)
+    except (OSError, ValueError, _UnusableIndex):  # ValueError: a vocabulary not UTF-8
+        return None
+    if not (n and _typed(ids, str) == n and all(ids) and len(set(ids)) == n
+            and len(label_lists) == n and _typed(label_lists, list) == n and all(label_lists)):
+        return None
+    labels = list(chain.from_iterable(label_lists))
+    if not (_typed(labels, str) == len(labels) and all(labels)
+            and -EXACT_INT <= epochs.min() and epochs.max() <= EXACT_INT
+            and indptr[0] == 0 and indptr[-1] == len(indices) and (np.diff(indptr) >= 0).all()
+            and (not len(indices) or 0 <= indices.min() and indices.max() < len(vocabulary)
+                 and 1 <= counts.min() and counts.max() <= EXACT_INT)):
+        return None
+    return _IndexColumns(ids, label_lists, epochs, TokenRows(indptr, indices, counts),
+                         vocabulary)
 
 
 def _check_ids(ids: list) -> None:
@@ -477,11 +583,9 @@ def from_records(
                          [rec[4] for rec in records], time_unit, vocabulary)
 
 
-def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,
-                  label_lists: list, time_unit, vocabulary) -> Corpus:
-    """The corpus of ``from_records``'s columns once the ids are checked and the image is
-    (n, d) float64 holding float32 values; checks every other rule of ``from_records``.
-    Each rule runs once over all documents; on a fault, a loop names the first in order."""
+def _time_axis(ids: list, image: np.ndarray, epochs: list, time_unit) -> TimeAxis:
+    """The time axis of documents with these epoch seconds, once the image is checked to be
+    finite, the time unit positive and finite, and each epoch within [-2**53, 2**53]."""
     # a row of float32 values sums to a finite float64 exactly when every value is finite
     finite = np.isfinite(image.sum(axis=1))
     if not finite.all():
@@ -493,8 +597,25 @@ def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,
     if origin < -EXACT_INT or last > EXACT_INT:
         bad = next(doc_id for doc_id, epoch in zip(ids, epochs) if abs(epoch) > EXACT_INT)
         raise CorpusError(f"document {bad!r}: timestamp outside [-2**53, 2**53]")
-    axis = TimeAxis(unit=time_unit, origin=origin,
+    return TimeAxis(unit=time_unit, origin=origin,
                     num_slices=int(math.floor((last - origin) / time_unit)) + 1)
+
+
+def _corpus(ids: list, image: np.ndarray, text: TokenRows, epochs: np.ndarray,
+            label_lists: list, vocabulary: list, axis: TimeAxis, dropped: int = 0) -> Corpus:
+    """The corpus of checked columns; ``epochs`` as int64."""
+    return Corpus(ids=ids, image=image, text=text, timestamps=(epochs - axis.origin) / axis.unit,
+                  epochs=epochs, label_sets=list(map(frozenset, label_lists)),
+                  vocabulary=vocabulary, categories=sorted(set(chain.from_iterable(label_lists))),
+                  time_axis=axis, dropped_token_count=dropped)
+
+
+def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,
+                  label_lists: list, time_unit, vocabulary) -> Corpus:
+    """The corpus of ``from_records``'s columns once the ids are checked and the image is
+    (n, d) float64 holding float32 values; checks every other rule of ``from_records``.
+    Each rule runs once over all documents; on a fault, a loop names the first in order."""
+    axis = _time_axis(ids, image, epochs, time_unit)
 
     if vocabulary is not None:  # a vocabulary file must hold it: distinct tokens, one a line
         seen = set()
@@ -537,11 +658,8 @@ def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,
     dropped = sum(values) - sum(text.counts.tolist()) if tokens.difference(vocabulary) else 0
     if dropped:
         log.warning("dropped %d token occurrences outside the vocabulary", dropped)
-    epochs = np.array(epochs, dtype=np.int64)
-    return Corpus(ids=ids, image=image, text=text, timestamps=(epochs - origin) / time_unit,
-                  epochs=epochs, label_sets=list(map(frozenset, label_lists)),
-                  vocabulary=vocabulary, categories=sorted(set(labels)), time_axis=axis,
-                  dropped_token_count=dropped)
+    return _corpus(ids, image, text, np.array(epochs, dtype=np.int64), label_lists, vocabulary,
+                   axis, dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -208,10 +208,15 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     try:
         dims = box.header["dims"]
-        h, d = dims["hidden"], dims["d_subspace"]
-        shapes = [shape for d_in in (dims["d_image"], dims["d_text"])
-                  for shape in ((h, d_in), (h,), (d, h), (d,))]
+        sizes = {key: dims[key] for key in ("d_image", "d_text", "hidden", "d_subspace")}
         config, seed = box.header["config"], box.header["seed"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
+    for key, size in sizes.items():
+        if type(size) is not int or size < 1:  # a bool is no int here
+            raise ValueError(f"{path}: dims[{key!r}], an array shape size, must be an int >= 1,"
+                             f" got {size!r}")
+    h, d = sizes["hidden"], sizes["d_subspace"]
+    shapes = [shape for d_in in (sizes["d_image"], sizes["d_text"])
+              for shape in ((h, d_in), (h,), (d, h), (d,))]
     return ProjectionModel.from_params(box.arrays(shapes)), config, seed

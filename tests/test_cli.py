@@ -9,13 +9,14 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from corpus_helpers import row_counts
+from corpus_helpers import assert_same_corpus, row_counts
 from tcmr import corpus as cp
 from tcmr import retrieval as rt
 from tcmr import temporal as tp
@@ -68,7 +69,7 @@ def read_summary(capsys):
 class TestSynthAndIngest:
     def test_synth_writes_bundle(self, workspace, capsys):
         tmp_path, data, _ = workspace
-        for name in ("manifest.jsonl", "features.bin", "vocab.txt", "truth.json"):
+        for name in ("manifest.jsonl", "features.bin", "vocab.txt", "columns.bin", "truth.json"):
             assert (data / name).exists()
 
     def test_ingest_valid_bundle(self, workspace, capsys):
@@ -90,7 +91,7 @@ class TestSynthAndIngest:
             "ingest", str(data / "manifest.jsonl"), str(data / "features.bin"),
             "--vocab", str(data / "vocab.txt"), "--out", str(out),
         ])
-        for name in ("manifest.jsonl", "features.bin", "vocab.txt"):
+        for name in ("manifest.jsonl", "features.bin", "vocab.txt", "columns.bin"):
             assert (out / name).read_bytes() == (data / name).read_bytes()
 
     def test_missing_features_file_is_data_error(self, workspace):
@@ -169,8 +170,8 @@ class TestSynthAndIngest:
 
 
 class TestNamedFaults:
-    """A negative seed, and a checkpoint whose dimensions are not the bundle's, exit 2 with a
-    message naming the key or both files."""
+    """A negative seed, a checkpoint whose dimensions are not the bundle's, and one with a
+    width of 0, exit 2 with a message naming the key or both files."""
 
     @pytest.mark.parametrize("command", [["fit-temporal", "--kind", "recency"], ["train"]],
                              ids=["fit-temporal", "train"])
@@ -212,6 +213,135 @@ class TestNamedFaults:
             f"error: {path} was trained on (d_image, d_text) = (6, 20), but the bundle {data}"
             " has (8, 30)\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    @pytest.mark.parametrize("key", ["hidden", "d_subspace"])
+    def test_checkpoint_of_zero_width(self, workspace, capsys, key, command):
+        """A checkpoint with no hidden or subspace units is malformed data, not a numeric
+        failure of the model."""
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        widths = dict({"hidden": 4, "d_subspace": 2}, **{key: 0})
+        save_checkpoint(path, ProjectionModel.initialize(8, 30, widths["hidden"],
+                                                         widths["d_subspace"], seed=0),
+                        config={}, seed=0)
+        extra = ["--out", str(tmp_path / "out")] if command == "eval" else ["--text", "w0001"]
+        assert main([command, "--checkpoint", str(path), "--corpus", str(data), *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: dims[{key!r}], an array shape size, must be an int >= 1, got 0\n")
+
+
+def _edit_manifest_line(data, i, edit):
+    path = data / "manifest.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[i])
+    edit(row)
+    lines[i] = json.dumps(row, separators=(",", ":")) + "\n"
+    path.write_text("".join(lines))
+
+
+def _append_manifest_line(data):
+    path = data / "manifest.jsonl"
+    row = json.loads(path.read_text().splitlines()[-1])
+    path.write_text(path.read_text() + json.dumps(dict(row, id="extra", feat_row=100)) + "\n")
+
+
+def _edit_bytes(path, edit):
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def _without_index(bundle, copy):
+    """A copy of the bundle's manifest, features and vocabulary at ``copy``."""
+    copy.mkdir()
+    for name in ("manifest.jsonl", "features.bin", "vocab.txt"):
+        (copy / name).write_bytes((bundle / name).read_bytes())
+    return copy
+
+
+STALE_INDEX_EDITS = {  # case -> (edit of the bundle directory, exit code, stderr)
+    "manifest-line-fault": (
+        lambda d: _edit_manifest_line(d, 2, lambda row: row.update(feat_row="2")), 2,
+        "error: manifest line 3: feat_row must be an integer\n"),
+    "manifest-line-appended": (
+        _append_manifest_line, 2,
+        "error: manifest line 101: feat_row 100 outside feature file with 100 rows\n"),
+    "manifest-relabelled": (
+        lambda d: _edit_manifest_line(d, 0, lambda row: row.update(labels=["cat09"])), 0, ""),
+    "vocab-reordered": (
+        lambda d: _edit_bytes(d / "vocab.txt", lambda b: b"".join(b.splitlines(True)[::-1])),
+        0, ""),
+    "vocab-token-repeated": (
+        lambda d: _edit_bytes(d / "vocab.txt", lambda b: b + b"w0000\n"), 2,
+        "error: duplicate vocabulary token 'w0000'\n"),
+    "index-truncated": (lambda d: _edit_bytes(d / "columns.bin", lambda b: b[:-5]), 0, ""),
+    "index-garbled": (
+        lambda d: _edit_bytes(d / "columns.bin", lambda b: b[:12] + b"\xff" * 8 + b[20:]), 0, ""),
+    "index-other-version": (
+        lambda d: _edit_bytes(d / "columns.bin", lambda b: b[:4] + (2).to_bytes(4, "little")
+                              + b[8:]), 0, ""),
+    "index-deleted": (lambda d: (d / "columns.bin").unlink(), 0, ""),
+}
+
+
+class TestStaleIndex:
+    """A bundle's column index stands in for the manifest only while it reads cleanly and
+    both the manifest and the vocabulary file hold the bytes it was written beside. Otherwise
+    the manifest is read, with the outcome, message and exit code of a bundle that has no
+    index."""
+
+    @pytest.mark.parametrize("case", STALE_INDEX_EDITS)
+    def test_manifest_is_read(self, workspace, capsys, case):
+        tmp_path, data, cfg = workspace
+        edit, code, err = STALE_INDEX_EDITS[case]
+        before = load_bundle(data, cp.DEFAULT_TIME_UNIT)
+        edit(data)
+        bare = _without_index(data, tmp_path / "bare")
+        capsys.readouterr()
+        runs = []
+        for bundle in (data, bare):
+            with mock.patch.object(cp, "_read_manifest", wraps=cp._read_manifest) as reads:
+                exit_code = main(["fit-temporal", "--kind", "recency", "--corpus", str(bundle),
+                                  "--config", str(cfg), "--out", str(tmp_path / "r.txnt")])
+            assert reads.call_count == 1
+            runs.append((exit_code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code and runs[0][2] == err
+        if code == 0:
+            after = load_bundle(data, cp.DEFAULT_TIME_UNIT)
+            assert_same_corpus(after, load_bundle(bare, cp.DEFAULT_TIME_UNIT))
+            if not case.startswith("index"):  # the stale index holds another corpus
+                with pytest.raises(AssertionError):
+                    assert_same_corpus(after, before)
+
+    @pytest.mark.parametrize("case, reads_manifest, err", [
+        ("bad-magic", 0, "error: {}/features.bin: bad magic b'XXXX', expected b'TXNF'\n"),
+        ("non-finite", 0, "error: document 'doc00003': non-finite feature value\n"),
+        ("row-added", 1, "error: manifest has 100 documents but feature file has 101 rows\n"),
+        ("row-dropped", 1,
+         "error: manifest line 100: feat_row 99 outside feature file with 99 rows\n"),
+    ])
+    def test_feature_file_faults(self, workspace, capsys, case, reads_manifest, err):
+        """The feature file is read and checked as without an index; a row count other than
+        the index's leaves the manifest to name the fault."""
+        tmp_path, data, cfg = workspace
+        features = cp.read_features(data / "features.bin").copy()
+        if case == "non-finite":
+            features[3, 1] = np.nan
+        elif case == "row-added":
+            features = np.vstack([features, features[:1]])
+        elif case == "row-dropped":
+            features = features[:-1]
+        cp.write_features(data / "features.bin", features)
+        if case == "bad-magic":
+            _edit_bytes(data / "features.bin", lambda b: b"XXXX" + b[4:])
+        bare = _without_index(data, tmp_path / "bare")
+        capsys.readouterr()
+        for bundle, reads_expected in ((data, reads_manifest), (bare, 1 - (case == "bad-magic"))):
+            with mock.patch.object(cp, "_read_manifest", wraps=cp._read_manifest) as reads:
+                assert main(["fit-temporal", "--kind", "recency", "--corpus", str(bundle),
+                             "--config", str(cfg), "--out", str(tmp_path / "r.txnt")]) == 2
+            assert reads.call_count == reads_expected
+            assert capsys.readouterr().err == err.format(bundle)
 
 
 def write_token_manifest(path, tokens):

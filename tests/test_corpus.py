@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from corpus_helpers import (assert_same_corpus, reference_document_fault, reference_load_corpus,
                             row_counts)
 from tcmr import corpus as cp
-from tcmr.cli import load_bundle, main
+from tcmr.cli import bundle_paths, load_bundle, main, save_bundle
+from tcmr.container import Container, write_container
 
 
 def write_manifest(path, rows):
@@ -798,31 +799,186 @@ class TestSplit:
 
 
 
+def synth_bundle(directory, *flags):
+    """A small synth bundle (3 x 20 documents, 25 tokens) written to ``directory``."""
+    with redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(directory), "--categories", "3",
+                     "--docs-per-category", "20", "--d-image", "4", "--vocab-size", "25",
+                     "--words-per-doc", "5", "--seed", "2", *flags]) == 0
+    return directory
+
+
+def manifest_load(directory, time_unit=cp.DEFAULT_TIME_UNIT):
+    """The bundle read from its manifest alone, as without a column index."""
+    manifest, features, vocab, _ = bundle_paths(directory)
+    return cp.load_corpus(manifest, features, vocab, time_unit=time_unit)
+
+
+def counting_manifest_reads():
+    """A patch of the manifest reader that counts its calls."""
+    return mock.patch.object(cp, "_read_manifest", wraps=cp._read_manifest)
+
+
+def rewrite_index(path, edit=None):
+    """Rewrite a column index after ``edit(header, arrays)``, where ``arrays`` maps each int64
+    array's name to it; the digests are kept unless the edit changes them."""
+    box = Container(path, cp.INDEX_MAGIC, ValueError)
+    n, entries = len(box.header["ids"]), box.header["tokens"]
+    arrays = dict(zip(("epochs", "indptr", "indices", "counts"),
+                      box.arrays([(n,), (n + 1,), (entries,), (entries,)], dtype="<i8")))
+    if edit:
+        edit(box.header, arrays)
+    write_container(path, cp.INDEX_MAGIC, box.field, box.header, arrays.values(), dtype="<i8")
+
+
+INDEX_TOKENS = ["b", "a", "x\u2028y", "p\x0cq", "\u00e9t\u00e9", "zz", "c"]  # vocabulary order
+
+INDEX_FAULTS = {  # case -> edit of the header and arrays; each breaks one rule the index keeps
+    "ids-missing": lambda h, a: h.pop("ids"),
+    "ids-not-a-list": lambda h, a: h.update(ids="abc"),
+    "id-not-a-string": lambda h, a: h["ids"].__setitem__(0, 7),
+    "id-empty": lambda h, a: h["ids"].__setitem__(0, ""),
+    "id-repeated": lambda h, a: h["ids"].__setitem__(1, h["ids"][0]),
+    "labels-short": lambda h, a: h["labels"].pop(),
+    "labels-not-a-list": lambda h, a: h["labels"].__setitem__(0, h["labels"][0][0]),
+    "labels-empty": lambda h, a: h["labels"].__setitem__(0, []),
+    "label-empty": lambda h, a: h["labels"].__setitem__(0, [""]),
+    "label-not-a-string": lambda h, a: h["labels"].__setitem__(0, [1]),
+    "entries-miscounted": lambda h, a: h.update(tokens=h["tokens"] - 1),
+    "digest-missing": lambda h, a: h.pop("vocab_sha256"),
+    "epoch-beyond-2**53": lambda h, a: np.put(a["epochs"], 0, 2**53 + 1),
+    "indptr-not-from-0": lambda h, a: np.put(a["indptr"], 0, 1),
+    "indptr-short-of-the-end": lambda h, a: np.put(a["indptr"], -1, a["indptr"][-1] - 1),
+    "indptr-falls": lambda h, a: np.put(a["indptr"], 1, a["indptr"][2] + 1),
+    "column-negative": lambda h, a: np.put(a["indices"], 0, -1),
+    "column-outside-vocabulary": lambda h, a: np.put(a["indices"], 0, 25),
+    "count-zero": lambda h, a: np.put(a["counts"], 0, 0),
+    "count-beyond-2**53": lambda h, a: np.put(a["counts"], 0, 2**53 + 1),
+}
+
+
+class TestColumnIndex:
+    """``load_bundle`` reads ids, labels, epochs and token rows from ``columns.bin`` while it
+    was written beside the manifest and vocabulary bytes on disk, and gives exactly the corpus
+    the manifest gives; any other index leaves the manifest to be read."""
+
+    @pytest.mark.parametrize("time_unit", [cp.DEFAULT_TIME_UNIT, 3600.0])
+    @pytest.mark.parametrize("bundle", ["synth", "ingested-vocabulary-out-of-order"])
+    def test_index_gives_the_manifest_corpus(self, tmp_path, bundle, time_unit):
+        data = synth_bundle(tmp_path / "data")
+        if bundle == "ingested-vocabulary-out-of-order":
+            vocab = cp.read_vocabulary(data / "vocab.txt")
+            shuffled = tmp_path / "shuffled.txt"
+            shuffled.write_text("".join(f"{tok}\n" for tok in vocab[9:] + vocab[:9][::-1]))
+            with redirect_stdout(io.StringIO()):
+                assert main(["ingest", str(data / "manifest.jsonl"), str(data / "features.bin"),
+                             "--vocab", str(shuffled), "--out", str(tmp_path / "mixed")]) == 0
+            data = tmp_path / "mixed"
+            assert cp.read_vocabulary(data / "vocab.txt") != sorted(vocab)
+        with counting_manifest_reads() as reads:
+            got = load_bundle(data, time_unit)
+        assert reads.call_count == 0
+        assert_same_corpus(got, manifest_load(data, time_unit))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(docs=st.lists(st.tuples(
+               st.text(min_size=1, max_size=3),
+               st.dictionaries(st.sampled_from(INDEX_TOKENS), st.integers(1, 2**53), max_size=4),
+               st.integers(-(2**53), 2**53),
+               st.lists(st.sampled_from(["p", "q", "\u00fc", "r s"]), min_size=1, max_size=3)),
+               min_size=1, max_size=6, unique_by=lambda doc: doc[0]),
+           unit=st.sampled_from([1.0, 86400.0, 0.3]))
+    def test_any_saved_corpus(self, docs, unit):
+        """Unicode ids, tokens and labels, repeated labels, documents with no token, and epochs
+        across the whole exact range read back alike through the index and the manifest."""
+        records = [(doc_id, np.full(2, i, dtype=np.float64), tokens, epoch, labels)
+                   for i, (doc_id, tokens, epoch, labels) in enumerate(docs)]
+        corpus = cp.from_records(records, time_unit=unit, vocabulary=INDEX_TOKENS)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_bundle(corpus, tmp)
+            with counting_manifest_reads() as reads:
+                got = load_bundle(tmp, unit)
+            assert reads.call_count == 0
+            assert_same_corpus(got, manifest_load(tmp, unit))
+            assert_same_corpus(got, corpus)
+
+    @pytest.mark.parametrize("case", INDEX_FAULTS)
+    def test_malformed_index_is_ignored(self, tmp_path, case):
+        data = synth_bundle(tmp_path)
+        rewrite_index(data / "columns.bin", INDEX_FAULTS[case])
+        with counting_manifest_reads() as reads:
+            got = load_bundle(data, cp.DEFAULT_TIME_UNIT)
+        assert reads.call_count == 1
+        assert_same_corpus(got, manifest_load(data))
+
+    def test_unedited_rewrite_is_used(self, tmp_path):
+        """``rewrite_index`` alone keeps an index usable, so each fault above is what the
+        reader turns down."""
+        data = synth_bundle(tmp_path)
+        before = (data / "columns.bin").read_bytes()
+        rewrite_index(data / "columns.bin")
+        assert (data / "columns.bin").read_bytes() == before
+        with counting_manifest_reads() as reads:
+            load_bundle(data, cp.DEFAULT_TIME_UNIT)
+        assert reads.call_count == 0
+
+    def test_index_needs_a_vocabulary_file(self, tmp_path):
+        corpus = manifest_load(synth_bundle(tmp_path / "data"))
+        with pytest.raises(ValueError, match="beside a vocabulary file"):
+            cp.save_corpus(corpus, tmp_path / "m.jsonl", tmp_path / "f.bin",
+                           index_path=tmp_path / "columns.bin")
+        assert not (tmp_path / "columns.bin").exists()
+
+
 class TestLoadMemory:
-    """Loading holds one float32 copy of the feature file, its rows gathered in manifest order
-    into one float32 array and that array cast once to float64, beside the parsed manifest.
+    """Loading holds one float32 copy of the feature file and one float64 image beside the
+    parsed manifest or the column index. Through the manifest, rows are gathered in manifest
+    order into float64 a block at a time.
 
     Bundle: 8 x 250 documents, 512 feature dimensions, a 5,000-token vocabulary and 20 words
     a document (4 MB of float32 features). A loader that built a float64 array per row list and
     rounded it through float32 again peaked at 33.6 MB (``tracemalloc``), retaining 12.7 MB.
+    The manifest path peaks at 18.1 MB and the index path at 13.7 MB; each bound keeps the
+    manifest bound's headroom of 49% over its measured peak.
     """
 
-    PEAK_MB = 27.0
+    PEAK_MB = 27.0  # the manifest path
+    INDEX_PEAK_MB = 20.4
     RETAINED_MB = 12.7
 
-    def test_load_bundle_peak_and_retained(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("memory")
         with redirect_stdout(io.StringIO()):
-            assert main(["synth", "--out", str(tmp_path), "--categories", "8",
+            assert main(["synth", "--out", str(directory), "--categories", "8",
                          "--docs-per-category", "250", "--d-image", "512",
                          "--vocab-size", "5000", "--words-per-doc", "20", "--seed", "0"]) == 0
+        return directory
+
+    @staticmethod
+    def traced_load(directory):
         gc.collect()
         tracemalloc.start()
         try:
-            corpus = load_bundle(tmp_path, cp.DEFAULT_TIME_UNIT)
+            corpus = load_bundle(directory, cp.DEFAULT_TIME_UNIT)
             gc.collect()
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(corpus) == 2000 and corpus.d_image == 512
-        assert peak / 1e6 <= self.PEAK_MB
-        assert retained / 1e6 <= self.RETAINED_MB
+        return peak / 1e6, retained / 1e6
+
+    def test_load_bundle_peak_and_retained(self, bundle, tmp_path):
+        """The manifest path: the same bundle without its column index."""
+        for name in ("manifest.jsonl", "features.bin", "vocab.txt"):
+            (tmp_path / name).write_bytes((bundle / name).read_bytes())
+        peak, retained = self.traced_load(tmp_path)
+        assert peak <= self.PEAK_MB
+        assert retained <= self.RETAINED_MB
+
+    def test_indexed_load_peak_and_retained(self, bundle):
+        with counting_manifest_reads() as reads:
+            peak, retained = self.traced_load(bundle)
+        assert reads.call_count == 0
+        assert peak <= self.INDEX_PEAK_MB
+        assert retained <= self.RETAINED_MB

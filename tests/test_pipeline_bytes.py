@@ -62,6 +62,7 @@ PINNED = {  # SHA-256 of each output
     "mixed.jsonl": "f7c9bbf515b25d3c8a1f328ed779c4b14d774fb3a7b5e1d52fa5b88fdc3348c3",
     "mixed.txnm": "e02e981968e43b8df4efa3c5eebbc8e56d4a6731daba9ee280311cb49e310d25",
     "mixed.txnt": "8e9c74b84a5c0d11587afa8698d45b466b3d9120f740aa5fbd8a2e20df3185a8",
+    "mixed/columns.bin": "fc7119f6c22659ad9756a669e4f4618a37df4beac1ba16c97c0d77d691fd3bd1",
     "mixed/features.bin": "d387c9007e97a97bf5af0af309718f63e192b5ed3623038104d69f59c88158fc",
     "mixed/manifest.jsonl": "f08c2862121b4a652b8af90c5d030ccc47fc5ffde737af58e728100a70ecaef1",
     "mixed/vocab.txt": "f7bf77ea74628c18ba5cebe47fb113db782fb8606ce477debb60ef33ab1bf4b7",
@@ -131,7 +132,7 @@ def digests(tmp_path_factory):
     mixed = root / "mixed"
     run("ingest", "ingest", data / "manifest.jsonl", data / "features.bin",
         "--vocab", root / "shuffled.txt", "--out", mixed)
-    pin("mixed/manifest.jsonl", "mixed/features.bin", "mixed/vocab.txt")
+    pin("mixed/manifest.jsonl", "mixed/features.bin", "mixed/vocab.txt", "mixed/columns.bin")
     run("fit-mixed", "fit-temporal", "--kind", "topic", "--corpus", mixed, "--config", cfg,
         "--out", root / "mixed.txnt")
     run("train-mixed", "train", "--corpus", mixed, "--config", cfg,

@@ -158,12 +158,14 @@ PINNED = {  # SHA-256 of each file; a change means the draws or the writers chan
         "manifest.jsonl": "de4cb6a6d49ea53be2a1ee9ac1aac966b7eefcc4e5cce5df417d4ce099827913",
         "features.bin": "3731d16ea0ca902963557bc8afc5e8dbd4bdfb8b30fec576357bf839b5704f40",
         "vocab.txt": "f985c720789a3e62fa0b310b1dae1e157d383082dec9051676d25aca99ee8c45",
+        "columns.bin": "62ea26802da05b7bab0f564f59abb2f73e80c2b0f0c9d29c864cf0569787bf7f",
         "truth.json": "bc6d9b69182eebed4bdd8bbbfe5176a6c2c23f26883b941d5b5e975cc5bfbbb9",
     },
     "spec": {
         "manifest.jsonl": "99766205a7e79d0a58d235af5a94d1508fccaa5e6266f7ff853e989cffd70d7f",
         "features.bin": "12c1dc730031b9114d0800c66668b82463dd8f869e87a4d56ddab1941775d58c",
         "vocab.txt": "6a4e443165523da34709daa52f70fb97f7e8a563f76fc28a23d8f2bd9a589aea",
+        "columns.bin": "78e9a0d4a59e54783fe04cbfb66560f57b9c01f04dc587eb27765fe52cca287a",
         "truth.json": "b789389b096991e2b0da6a618fad72e8bf95e6f97783a407bf96e086f3f682de",
     },
 }
