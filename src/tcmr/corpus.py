@@ -14,9 +14,10 @@ derived views.
 vocabulary and the category list, and validates every document.
 ``load_corpus`` only reads and checks the files, then hands its columns to
 the builder behind it, so a corpus read from disk and one built in memory
-pass the same checks. Both check each rule once over a whole column (all
-manifest lines, all documents) and, on a fault, name the first faulty line
-or document, as a reader that went one line at a time would.
+pass the same checks. The manifest reader checks each line in turn and
+names the first faulty one; the builder checks each document rule once over
+a whole column and, on a fault, names the first faulty document, as a loop
+over the documents in order would.
 
 On-disk layout:
   * manifest: JSON Lines, one document per line with keys
@@ -40,7 +41,6 @@ import math
 import struct
 from collections import Counter
 from itertools import chain, repeat
-from operator import is_
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -55,7 +55,7 @@ log = logging.getLogger(__name__)
 FEATURES_MAGIC = b"TXNF"
 DEFAULT_TIME_UNIT = 86400.0  # one day, in seconds
 EXACT_INT = 2**53  # float64 holds every integer of at most this magnitude exactly
-ROW_BLOCK = 1024  # feature rows cast or rounded, and manifest lines held decoded, at a time
+ROW_BLOCK = 1024  # feature rows gathered, cast or rounded at a time
 INDEX_MAGIC = b"TXNI"
 INDEX_VERSION = 1
 
@@ -219,7 +219,6 @@ def _parse_timestamp(value) -> int:
 
 # in the order a missing key is named; a keys view compares as a set
 _MANIFEST_KEYS = dict.fromkeys(("id", "timestamp", "tokens", "labels", "feat_row")).keys()
-_MISSING = object()  # in a manifest column: the line lacks the key; no line rule takes it
 
 
 def _parse_manifest_line(row) -> tuple:
@@ -251,53 +250,20 @@ def read_vocabulary(path) -> list[str]:
     return [tok for tok in Path(path).read_text(encoding="utf-8").split("\n") if tok]
 
 
-def _leading(flags) -> int:
-    """Length of the leading run of true values among the bools ``flags``."""
-    flags = list(flags)
-    return flags.index(False) if False in flags else len(flags)
-
-
-def _typed(column: list, kind: type) -> int:
-    """Length of the leading run of values of exactly type ``kind`` in ``column``."""
-    types = list(map(type, column))
-    if types.count(kind) == len(types):
-        return len(types)
-    return _leading(map(is_, types, repeat(kind)))
-
-
-def _line_fault(row, lineno: int) -> CorpusError | None:
-    """The first structure fault of a decoded manifest line, with its line number, if any."""
-    try:
-        _parse_manifest_line(row)
-    except CorpusError as exc:
-        return CorpusError(f"manifest line {lineno}: {exc}")
-    return None
-
-
-def _fold(rows: list, columns: tuple) -> bool:
-    """Move the leading JSON objects of ``rows`` into ``columns``, each field to its key's
-    column (``_MISSING`` for a key an object lacks); True when every row was an object."""
-    objects = _typed(rows, dict)
-    for column, key in zip(columns, _MANIFEST_KEYS):
-        column.extend(map(dict.get, rows[:objects], repeat(key), repeat(_MISSING)))
-    del rows[:objects]
-    return not rows
-
-
-def _read_manifest(path) -> tuple[tuple[list, ...], list[int], CorpusError | None]:
-    """The id, timestamp, tokens, labels and feat_row columns of the manifest's non-blank lines
-    up to the first that is not a JSON object, the line numbers of the lines read, and the
-    fault of the line that ended the reading (None when the file did).
+def _read_manifest(path, n_rows: int) -> tuple[list, ...]:
+    """The id, feat_row, tokens, epoch and labels columns of the manifest's non-blank lines,
+    for a feature file of ``n_rows`` rows; the first faulty line raises, named by its number.
 
     The manifest is read once as UTF-8 text (CR and CRLF read as "\\n") and split at "\\n"
     only, as a JSON string may hold U+2028; the decoder's scanner takes each line, and
-    ``json.loads`` words a line it cannot take whole. Decoded lines are moved into the columns
-    ROW_BLOCK at a time, so only one block's objects are held at once.
+    ``json.loads`` words a line it cannot take whole. Each line is then checked in turn: its
+    structure (``_parse_manifest_line``), its feat_row inside the feature file, and that no
+    earlier line holds that feat_row.
     """
     scan = json.JSONDecoder().scan_once
     lines = Path(path).read_text(encoding="utf-8").split("\n")
-    columns = tuple([] for _ in _MANIFEST_KEYS)
-    rows, linenos, fault = [], [], None
+    columns = ids, feat_rows, token_maps, epochs, label_lists = [], [], [], [], []
+    first_line = {}  # feat_row -> the line that holds it
     for lineno, line in enumerate(lines, 1):
         try:
             row, end = scan(line, 0)
@@ -309,61 +275,23 @@ def _read_manifest(path) -> tuple[tuple[list, ...], list[int], CorpusError | Non
             try:  # the line as the file holds it: all but the last end in "\n"
                 row = json.loads(line + "\n" if lineno < len(lines) else line)
             except json.JSONDecodeError as exc:
-                fault = CorpusError(f"manifest line {lineno}: invalid JSON ({exc.msg})")
-                break
-        rows.append(row)
-        linenos.append(lineno)
-        if len(rows) == ROW_BLOCK and not _fold(rows, columns):
-            break
-    if not _fold(rows, columns):  # a JSON value that is no object, before any invalid line
-        fault = _line_fault(rows[0], linenos[len(columns[0])])
-    return columns, linenos, fault
-
-
-def _good_lines(columns: tuple, n_rows: int) -> int:
-    """The number of leading manifest lines that keep every line rule, given their columns;
-    the timestamps of those lines that are not ints are parsed in place.
-
-    Each rule runs once, over the lines that kept the rules before it, so the number is the
-    index of the first faulty line whatever rule it breaks. feat_rows are range-checked as
-    Python ints before NumPy sees them.
-    """
-    ids, epochs, tokens, labels, feat_rows = columns
-    good = _typed(ids, str)
-    good = _leading(map(bool, ids[:good]))
-    if _typed(epochs[:good], int) < good:  # some timestamp is no int: parse those in place
-        for i, epoch in enumerate(epochs[:good]):
-            if type(epoch) is not int:
-                try:
-                    epochs[i] = _parse_timestamp(epoch)
-                except CorpusError:
-                    good = i
-                    break
-    good = _typed(tokens[:good], dict)
-    good = _typed(labels[:good], list)
-    good = _typed(feat_rows[:good], int)
-    if good and not 0 <= min(feat_rows[:good]) <= max(feat_rows[:good]) < n_rows:
-        good = _leading(0 <= row < n_rows for row in feat_rows[:good])
-    first_use = np.unique(np.array(feat_rows[:good], dtype=np.intp), return_index=True)[1]
-    if len(first_use) < good:  # the first line whose feat_row an earlier line has
-        good = int(np.argmin(np.isin(np.arange(good), first_use)))
-    return good
-
-
-def _column_fault(columns: tuple, i: int, linenos: list[int], n_rows: int) -> CorpusError:
-    """The fault of manifest line ``i``, the first to break a line rule, worded from its
-    fields as a line-by-line reader words it."""
-    row = {key: column[i] for key, column in zip(_MANIFEST_KEYS, columns)
-           if column[i] is not _MISSING}
-    fault = _line_fault(row, linenos[i])
-    if fault is not None:
-        return fault
-    feat_row = row["feat_row"]
-    if not 0 <= feat_row < n_rows:
-        return CorpusError(f"manifest line {linenos[i]}: feat_row {feat_row} outside"
-                           f" feature file with {n_rows} rows")
-    first = linenos[columns[-1].index(feat_row)]
-    return CorpusError(f"manifest lines {first} and {linenos[i]} share feat_row {feat_row}")
+                raise CorpusError(f"manifest line {lineno}: invalid JSON ({exc.msg})") from None
+        try:
+            doc_id, feat_row, tokens, epoch, labels = _parse_manifest_line(row)
+        except CorpusError as exc:
+            raise CorpusError(f"manifest line {lineno}: {exc}") from None
+        if not 0 <= feat_row < n_rows:
+            raise CorpusError(f"manifest line {lineno}: feat_row {feat_row} outside"
+                              f" feature file with {n_rows} rows")
+        first = first_line.setdefault(feat_row, lineno)
+        if first != lineno:
+            raise CorpusError(f"manifest lines {first} and {lineno} share feat_row {feat_row}")
+        ids.append(doc_id)
+        feat_rows.append(feat_row)
+        token_maps.append(tokens)
+        epochs.append(epoch)
+        label_lists.append(labels)
+    return columns
 
 
 def load_corpus(
@@ -376,10 +304,10 @@ def load_corpus(
     """Read a manifest + features pair (and vocabulary file) and build the Corpus.
 
     Only the file formats are checked here; the builder behind ``from_records`` validates the
-    documents, exactly as for an in-memory corpus. Each manifest rule (a JSON object, its keys,
-    their value types, each feat_row inside the feature file and used once) is checked once
-    over all lines; a fault names the first faulty line, in the words a line-by-line reader
-    would use. Image rows are gathered by feat_row and cast to float64 a block at a time.
+    documents, exactly as for an in-memory corpus. Each manifest line is checked in turn (a
+    JSON object, its keys, their value types, its feat_row inside the feature file and held by
+    no earlier line), and the first faulty line is named. Image rows are gathered by feat_row
+    and cast to float64 a block at a time.
 
     With a vocabulary file, a column index at ``index_path`` that reads cleanly and was written
     beside the manifest and vocabulary bytes now on disk gives the ids, labels, epochs and
@@ -398,13 +326,7 @@ def load_corpus(
         axis = _time_axis(index.ids, image, index.epochs.tolist(), time_unit)
         return _corpus(index.ids, image, index.text, index.epochs, index.label_lists,
                        index.vocabulary, axis)
-    columns, linenos, fault = _read_manifest(manifest_path)
-    ids, epochs, tokens, labels, feat_rows = columns
-    good = _good_lines(columns, n_rows)
-    if good < len(ids):
-        raise _column_fault(columns, good, linenos, n_rows)
-    if fault is not None:
-        raise fault
+    ids, feat_rows, tokens, epochs, labels = _read_manifest(manifest_path, n_rows)
     if len(ids) != n_rows:
         raise CorpusError(
             f"manifest has {len(ids)} documents but feature file has {n_rows} rows"
@@ -475,10 +397,6 @@ def _write_index(path, corpus: Corpus, manifest: bytes, vocab: bytes) -> None:
                     [corpus.epochs, *corpus.text], dtype="<i8")
 
 
-class _UnusableIndex(Exception):
-    """A column index that cannot be read."""
-
-
 class _IndexColumns(NamedTuple):
     ids: list
     label_lists: list
@@ -498,7 +416,7 @@ def _read_index(index_path, manifest_path, vocab_path) -> _IndexColumns | None:
     columns inside the vocabulary and counts in [1, 2**53].
     """
     try:
-        box = Container(index_path, INDEX_MAGIC, _UnusableIndex)
+        box = Container(index_path, INDEX_MAGIC, ValueError)
         head = box.header
         if (box.field != INDEX_VERSION.to_bytes(4, "little")
                 or head.get("manifest_sha256") != _sha256(Path(manifest_path).read_bytes())
@@ -511,13 +429,14 @@ def _read_index(index_path, manifest_path, vocab_path) -> _IndexColumns | None:
         epochs, indptr, indices, counts = box.arrays(
             [(n,), (n + 1,), (entries,), (entries,)], dtype="<i8")
         vocabulary = read_vocabulary(vocab_path)
-    except (OSError, ValueError, _UnusableIndex):  # ValueError: a vocabulary not UTF-8
+    except (OSError, ValueError):  # ValueError: the index unreadable, or a vocabulary not UTF-8
         return None
-    if not (n and _typed(ids, str) == n and all(ids) and len(set(ids)) == n
-            and len(label_lists) == n and _typed(label_lists, list) == n and all(label_lists)):
+    if not (n and list(map(type, ids)).count(str) == n and all(ids) and len(set(ids)) == n
+            and len(label_lists) == n and list(map(type, label_lists)).count(list) == n
+            and all(label_lists)):
         return None
     labels = list(chain.from_iterable(label_lists))
-    if not (_typed(labels, str) == len(labels) and all(labels)
+    if not (list(map(type, labels)).count(str) == len(labels) and all(labels)
             and -EXACT_INT <= epochs.min() and epochs.max() <= EXACT_INT
             and indptr[0] == 0 and indptr[-1] == len(indices) and (np.diff(indptr) >= 0).all()
             and (not len(indices) or 0 <= indices.min() and indices.max() < len(vocabulary)

@@ -344,6 +344,34 @@ class TestStaleIndex:
             assert capsys.readouterr().err == err.format(bundle)
 
 
+class TestManifestTraffic:
+    """Every stage loads its bundle through the column index that ``synth`` writes: none reads
+    the manifest, and ``ingest`` reads the one it is given, once."""
+
+    def test_only_ingest_reads_the_manifest(self, tmp_path):
+        data, cfg = tmp_path / "data", tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG)
+        temporal, ckpt = tmp_path / "kde.txnt", tmp_path / "m.txnm"
+        corpus, model = ["--corpus", str(data), "--config", str(cfg)], ["--checkpoint", str(ckpt)]
+        stages = {
+            "synth": SYNTH_ARGS + ["--out", str(data)],
+            "fit-temporal": ["fit-temporal", "--kind", "category", *corpus, "--out", str(temporal)],
+            "train": ["train", *corpus, "--temporal", str(temporal), "--out", str(ckpt)],
+            "eval": ["eval", *model, "--corpus", str(data), "--out", str(tmp_path / "out")],
+            "query --text": ["query", *model, "--corpus", str(data), "--text", "w0001 w0002"],
+            "query --image-row": ["query", *model, "--corpus", str(data), "--image-row", "0"],
+            "ingest": ["ingest", str(data / "manifest.jsonl"), str(data / "features.bin"),
+                       "--vocab", str(data / "vocab.txt"), "--out", str(tmp_path / "again")],
+        }
+        reads = {}
+        for stage, argv in stages.items():
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    mock.patch.object(cp, "_read_manifest", wraps=cp._read_manifest) as read:
+                assert main(argv) == 0, stage
+            reads[stage] = [call.args[0] for call in read.call_args_list]
+        assert reads == {**dict.fromkeys(stages, []), "ingest": [str(data / "manifest.jsonl")]}
+
+
 def write_token_manifest(path, tokens):
     """Three documents, the second holding ``tokens``, with raw (unescaped) non-ASCII text."""
     rows = [{"id": "a", "timestamp": 0, "tokens": {"z": 1}, "labels": ["l"], "feat_row": 0},

@@ -534,8 +534,8 @@ class TestReaderEquivalence:
     @given(data=st.data(), n=st.integers(3, 6), block=st.sampled_from([1, 2, cp.ROW_BLOCK]))
     def test_faults_on_several_lines(self, data, n, block):
         """Lines in feat_row order other than line order, each valid or with one per-line
-        fault: the first faulty line in file order is named, whatever its fault, however many
-        decoded lines the reader holds at a time."""
+        fault: the first faulty line in file order is named, whatever its fault and however
+        many feature rows are gathered at a time."""
         order = data.draw(st.permutations(range(n)).filter(lambda p: p != sorted(p)))
         faults = data.draw(st.lists(st.one_of(st.none(), st.sampled_from(LINE_FAULTS)),
                                     min_size=n, max_size=n))
