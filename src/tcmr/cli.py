@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import corpus as cp
@@ -78,21 +78,19 @@ def _split_bundle(directory, cfg: RunConfig):
 # Commands
 
 
+def _bundle_summary(corpus, **extra) -> dict:
+    """The sizes that ``ingest`` and ``synth`` report of the bundle they write."""
+    return {"documents": len(corpus), "d_image": corpus.d_image, "d_text": corpus.d_text,
+            "categories": len(corpus.categories), "num_slices": corpus.time_axis.num_slices,
+            **extra}
+
+
 def cmd_ingest(args) -> int:
     corpus = cp.load_corpus(
         args.manifest, args.features, args.vocab, time_unit=args.time_unit
     )
     save_bundle(corpus, args.out)
-    _emit(
-        {
-            "documents": len(corpus),
-            "d_image": corpus.d_image,
-            "d_text": corpus.d_text,
-            "categories": len(corpus.categories),
-            "num_slices": corpus.time_axis.num_slices,
-            "dropped_tokens": corpus.dropped_token_count,
-        }
-    )
+    _emit(_bundle_summary(corpus, dropped_tokens=corpus.dropped_token_count))
     return EXIT_OK
 
 
@@ -235,33 +233,12 @@ def _modes(raw) -> list[tuple[float, float, float]]:
 
 
 def cmd_synth(args) -> int:
-    spec = sy.SynthSpec(
-        num_categories=args.categories,
-        docs_per_category=args.docs_per_category,
-        timespan=args.timespan,
-        modes=args.modes,
-        d_image=args.d_image,
-        image_noise=args.image_noise,
-        vocab_size=args.vocab_size,
-        words_per_doc=args.words_per_doc,
-        word_concentration=args.concentration,
-        drift=args.drift,
-        seed=args.seed,
-    )
+    spec = sy.SynthSpec(**{f.name: getattr(args, f.name) for f in fields(sy.SynthSpec)})
     corpus, truth = sy.generate(spec)
     save_bundle(corpus, args.out)
     truth_path = Path(args.out) / "truth.json"
     truth_path.write_text(json.dumps(truth.to_dict(), sort_keys=True), encoding="utf-8")
-    _emit(
-        {
-            "documents": len(corpus),
-            "categories": len(corpus.categories),
-            "d_image": corpus.d_image,
-            "d_text": corpus.d_text,
-            "num_slices": corpus.time_axis.num_slices,
-            "out": str(args.out),
-        }
-    )
+    _emit(_bundle_summary(corpus, out=str(args.out)))
     return EXIT_OK
 
 
@@ -317,7 +294,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--categories", type=int, default=10)
+    # each flag's dest is a SynthSpec field, and its default the generator's
+    p.add_argument("--categories", dest="num_categories", metavar="CATEGORIES", type=int,
+                   default=10)
     p.add_argument("--docs-per-category", type=int, default=200)
     p.add_argument("--timespan", type=float, default=30.0)
     p.add_argument("--modes", type=_modes, default="8:1.5:0.5,22:1.5:0.5")
@@ -325,7 +304,8 @@ def build_parser() -> _Parser:
     p.add_argument("--image-noise", type=float, default=0.1)
     p.add_argument("--vocab-size", type=int, default=60)
     p.add_argument("--words-per-doc", type=int, default=8)
-    p.add_argument("--concentration", type=float, default=0.2)
+    p.add_argument("--concentration", dest="word_concentration", metavar="CONCENTRATION",
+                   type=float, default=0.2)
     p.add_argument("--drift", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)

@@ -17,7 +17,9 @@ the builder behind it, so a corpus read from disk and one built in memory
 pass the same checks. The manifest reader checks each line in turn and
 names the first faulty one; the builder checks each document rule once over
 a whole column and, on a fault, names the first faulty document, as a loop
-over the documents in order would.
+over the documents in order would. The id and vocabulary rules are stated
+once (``_check_ids``, ``_check_vocabulary``) and hold for the column index
+too.
 
 On-disk layout:
   * manifest: JSON Lines, one document per line with keys
@@ -29,7 +31,8 @@ On-disk layout:
     ids, label lists, epochs and token rows of the manifest beside it, with
     the SHA-256 of the manifest and vocabulary bytes it was written from.
     ``load_corpus`` reads the columns from it only while both files still
-    have those digests; the manifest stays the authority.
+    have those digests and the columns pass the builder's id and vocabulary
+    rules; the manifest stays the authority and names any fault.
 """
 
 from __future__ import annotations
@@ -309,23 +312,19 @@ def load_corpus(
     no earlier line), and the first faulty line is named. Image rows are gathered by feat_row
     and cast to float64 a block at a time.
 
-    With a vocabulary file, a column index at ``index_path`` that reads cleanly and was written
-    beside the manifest and vocabulary bytes now on disk gives the ids, labels, epochs and
-    token rows in place of the manifest; the feature file is read and checked as without it.
-    Any other index (missing, malformed, of another version or stale), or a feature file of
-    another row count, leaves the manifest to be read as above.
+    With a vocabulary file, a column index at ``index_path`` that reads cleanly, holds to the
+    builder's id and vocabulary rules and was written beside the manifest and vocabulary bytes
+    now on disk gives the ids, labels, epochs and token rows in place of the manifest; the
+    feature file is read and checked as without it. Any other index (missing, malformed, of
+    another version, stale or breaking a rule), or a feature file of another row count, leaves
+    the manifest to be read as above.
     """
     feats = read_features(features_path)
     n_rows = len(feats)
-    index = None
     if index_path is not None and vocab_path is not None:
-        index = _read_index(index_path, manifest_path, vocab_path)
-    if index is not None and len(index.ids) == n_rows:
-        image = feats.astype(np.float64)  # save_corpus writes feat_row i on line i
-        del feats
-        axis = _time_axis(index.ids, image, index.epochs.tolist(), time_unit)
-        return _corpus(index.ids, image, index.text, index.epochs, index.label_lists,
-                       index.vocabulary, axis)
+        corpus = _read_index(index_path, manifest_path, vocab_path, feats, time_unit)
+        if corpus is not None:
+            return corpus
     ids, feat_rows, tokens, epochs, labels = _read_manifest(manifest_path, n_rows)
     if len(ids) != n_rows:
         raise CorpusError(
@@ -397,23 +396,18 @@ def _write_index(path, corpus: Corpus, manifest: bytes, vocab: bytes) -> None:
                     [corpus.epochs, *corpus.text], dtype="<i8")
 
 
-class _IndexColumns(NamedTuple):
-    ids: list
-    label_lists: list
-    epochs: np.ndarray
-    text: TokenRows
-    vocabulary: list
-
-
-def _read_index(index_path, manifest_path, vocab_path) -> _IndexColumns | None:
-    """The columns of the index at ``index_path``, or None when it is missing, malformed, of
-    another version, or was not written beside the manifest and vocabulary bytes now on disk.
+def _read_index(index_path, manifest_path, vocab_path, feats: np.ndarray,
+                time_unit) -> Corpus | None:
+    """The corpus of the index at ``index_path`` over the feature rows ``feats``, or None when
+    the index is missing, malformed, of another version, not of ``len(feats)`` documents, or
+    was not written beside the manifest and vocabulary bytes now on disk.
 
     The digests vouch for every rule the manifest and vocabulary files are held to; what is
-    checked here is that the index holds columns of one corpus over that vocabulary: ids,
-    labels and epochs of one length, unique non-empty ids, non-empty lists of non-empty
-    labels, epochs within [-2**53, 2**53], indptr rising from 0 to the number of entries,
-    columns inside the vocabulary and counts in [1, 2**53].
+    checked here is that the index holds columns of one corpus over that vocabulary: the
+    builder's id and vocabulary rules, labels and epochs as many as the ids, non-empty lists
+    of non-empty labels, epochs within [-2**53, 2**53], indptr rising from 0 to the number of
+    entries, columns inside the vocabulary and counts in [1, 2**53]. A fault in any of these
+    leaves the manifest to name it; the feature rows are checked as without an index.
     """
     try:
         box = Container(index_path, INDEX_MAGIC, ValueError)
@@ -429,28 +423,33 @@ def _read_index(index_path, manifest_path, vocab_path) -> _IndexColumns | None:
         epochs, indptr, indices, counts = box.arrays(
             [(n,), (n + 1,), (entries,), (entries,)], dtype="<i8")
         vocabulary = read_vocabulary(vocab_path)
-    except (OSError, ValueError):  # ValueError: the index unreadable, or a vocabulary not UTF-8
-        return None
-    if not (n and list(map(type, ids)).count(str) == n and all(ids) and len(set(ids)) == n
-            and len(label_lists) == n and list(map(type, label_lists)).count(list) == n
-            and all(label_lists)):
+        _check_ids(ids)
+        _check_vocabulary(vocabulary)
+    except (OSError, ValueError, CorpusError):  # ValueError: unreadable, or not UTF-8
         return None
     labels = list(chain.from_iterable(label_lists))
-    if not (list(map(type, labels)).count(str) == len(labels) and all(labels)
+    if not (n == len(feats) and len(label_lists) == n
+            and list(map(type, label_lists)).count(list) == n and all(label_lists)
+            and list(map(type, labels)).count(str) == len(labels) and all(labels)
             and -EXACT_INT <= epochs.min() and epochs.max() <= EXACT_INT
             and indptr[0] == 0 and indptr[-1] == len(indices) and (np.diff(indptr) >= 0).all()
             and (not len(indices) or 0 <= indices.min() and indices.max() < len(vocabulary)
                  and 1 <= counts.min() and counts.max() <= EXACT_INT)):
         return None
-    return _IndexColumns(ids, label_lists, epochs, TokenRows(indptr, indices, counts),
-                         vocabulary)
+    image = feats.astype(np.float64)  # save_corpus writes feat_row i on line i
+    axis = _time_axis(ids, image, epochs.tolist(), time_unit)
+    return _corpus(ids, image, TokenRows(indptr, indices, counts), epochs, label_lists,
+                   vocabulary, axis)
 
 
 def _check_ids(ids: list) -> None:
-    """An empty corpus, or an id held twice, is a fault; the first id in order that repeats
-    is named."""
+    """An empty corpus, an id that is no non-empty string, or an id held twice is a fault; the
+    first faulty id in order is named."""
     if not ids:
         raise CorpusError("cannot build an empty corpus")
+    if not (all(map(isinstance, ids, repeat(str))) and all(ids)):
+        bad = next(doc_id for doc_id in ids if not isinstance(doc_id, str) or not doc_id)
+        raise CorpusError(f"document id {bad!r} must be a non-empty string")
     if len(set(ids)) != len(ids):
         seen = Counter(ids)
         raise CorpusError(f"duplicate document id {next(i for i in ids if seen[i] > 1)!r}")
@@ -477,6 +476,18 @@ def _feature_matrix(ids: list, rows: list) -> np.ndarray:
 def _bad_token(tok) -> bool:
     """A vocabulary file holds one token a line: a token is a non-empty str with no line end."""
     return not isinstance(tok, str) or not tok or "\n" in tok or "\r" in tok
+
+
+def _check_vocabulary(vocabulary: list) -> None:
+    """A vocabulary file must hold it: distinct tokens, one a line; the first fault is named."""
+    seen = set()
+    for tok in vocabulary:
+        if _bad_token(tok):
+            raise CorpusError(f"vocabulary token {tok!r} must be a non-empty string"
+                              " without a line break")
+        if tok in seen:
+            raise CorpusError(f"duplicate vocabulary token {tok!r}")
+        seen.add(tok)
 
 
 def from_records(
@@ -536,25 +547,22 @@ def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,
     Each rule runs once over all documents; on a fault, a loop names the first in order."""
     axis = _time_axis(ids, image, epochs, time_unit)
 
-    if vocabulary is not None:  # a vocabulary file must hold it: distinct tokens, one a line
-        seen = set()
-        for tok in vocabulary:
-            if _bad_token(tok):
-                raise CorpusError(f"vocabulary token {tok!r} must be a non-empty string"
-                                  " without a line break")
-            if tok in seen:
-                raise CorpusError(f"duplicate vocabulary token {tok!r}")
-            seen.add(tok)
+    if vocabulary is not None:
+        _check_vocabulary(vocabulary)
     tokens = set().union(*token_maps)
     labels = list(chain.from_iterable(label_lists))
     values = list(chain.from_iterable(map(dict.values, token_maps)))
     # of Python ints, NumPy makes an int64 array exactly when every one fits (float64 if none)
     counts = np.array(values) if set(map(type, values)) <= {int} else None
-    if not (all(label_lists) and all(issubclass(t, str) for t in set(map(type, labels)))
+    if not (all(label_lists) and not any(issubclass(t, str) for t in set(map(type, label_lists)))
+            and all(issubclass(t, str) for t in set(map(type, labels)))
             and all(labels) and not any(map(_bad_token, tokens)) and counts is not None
             and (not values or counts.dtype == np.int64
                  and 0 < counts.min() and counts.max() <= EXACT_INT)):
         for doc_id, mapping, labs in zip(ids, token_maps, label_lists):
+            if isinstance(labs, str):
+                raise CorpusError(f"document {doc_id!r}: labels must be a collection of"
+                                  f" strings, not the string {labs!r}")
             if not labs:
                 raise CorpusError(f"document {doc_id!r}: empty label set")
             if not all(isinstance(lab, str) and lab for lab in labs):

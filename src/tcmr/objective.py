@@ -43,17 +43,17 @@ class BatchPlan:
     """Sampled negatives and the positive-pair mask of one mini-batch.
 
     All indices are batch-local. The sampled (anchor, negative) pairs are
-    (h,) index arrays, one pair of arrays per direction: ``text_negatives[h]``
-    is a text negative of anchor ``text_anchors[h]``, and likewise for image.
-    Pairs run anchor-major; an anchor's negatives keep their draw order.
+    (h,) index arrays: ``text_negatives[h]`` is a text negative and
+    ``image_negatives[h]`` an image negative of anchor ``anchors[h]``, since
+    each anchor draws as many text as image negatives. Pairs run
+    anchor-major; an anchor's negatives keep their draw order.
     ``positive_mask[i, j]`` is True when documents i != j share a category.
     ``sim_temp`` is the (b, b) temporal correlation matrix, read at the
     positive pairs; it stays None when no temporal model is in play.
     """
 
-    text_anchors: np.ndarray
+    anchors: np.ndarray
     text_negatives: np.ndarray
-    image_anchors: np.ndarray
     image_negatives: np.ndarray
     positive_mask: np.ndarray
     sim_temp: np.ndarray | None = None
@@ -78,12 +78,10 @@ def build_batch_plan(labels, rng, negatives_per_anchor: int) -> BatchPlan:
     order = np.argsort(rng.random((2, *shared.shape)) + shared, axis=2)
     width = int(k.max(initial=0))
     kept = np.arange(width) < k[:, None]
-    anchors = np.repeat(np.arange(len(k)), k)
     np.fill_diagonal(shared, False)
     return BatchPlan(
-        text_anchors=anchors,
+        anchors=np.repeat(np.arange(len(k)), k),
         text_negatives=order[0, :, :width][kept],
-        image_anchors=anchors,
         image_negatives=order[1, :, :width][kept],
         positive_mask=shared,
         skipped_anchors=int((pool_size == 0).sum()),
@@ -126,11 +124,10 @@ def loss_terms_from_projections(proj_img, proj_txt, plan: BatchPlan, cfg: RunCon
     out = LossBreakdown()
 
     # anchor i's text negative j scores S[i, j], its image negative j S[j, i]
-    anc_t, neg_t = plan.text_anchors, plan.text_negatives
-    anc_i, neg_i = plan.image_anchors, plan.image_negatives
-    anchors = np.concatenate([anc_t, anc_i])
-    rows = np.concatenate([anc_t, neg_i])
-    cols = np.concatenate([neg_t, anc_i])
+    anc, neg_t, neg_i = plan.anchors, plan.text_negatives, plan.image_negatives
+    anchors = np.concatenate([anc, anc])
+    rows = np.concatenate([anc, neg_i])
+    cols = np.concatenate([neg_t, anc])
     hinge = (cfg.margin - S[anchors, anchors]) + S[rows, cols]
     active = hinge > 0.0
     out.ranking = float(hinge[active].sum())

@@ -28,17 +28,19 @@ class SynthError(ValueError):
 
 @dataclass
 class SynthSpec:
+    """Generator parameters; the ``synth`` command's flags hold their defaults."""
+
     num_categories: int
     docs_per_category: int
     timespan: float  # in time units
     modes: list  # [(center, width, weight), ...] shared, or one list per category
-    d_image: int = 16
-    image_noise: float = 0.1
-    vocab_size: int = 50
-    words_per_doc: int = 8
-    word_concentration: float = 0.2
-    drift: float = 0.0
-    seed: int = 0
+    d_image: int
+    image_noise: float
+    vocab_size: int
+    words_per_doc: int
+    word_concentration: float
+    drift: float
+    seed: int
 
     def __post_init__(self):
         if self.num_categories < 1 or self.docs_per_category < 1:

@@ -1,5 +1,5 @@
-"""Corpus comparison for tests (the library compares corpora by identity), and the
-reference reader and document checks that ``corpus`` must agree with."""
+"""Corpus comparison for tests (the library compares corpora by identity), a column index
+rewriter, and the reference reader and document checks that ``corpus`` must agree with."""
 
 import json
 import math
@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from tcmr import corpus as cp
+from tcmr.container import Container, write_container
 
 
 def row_counts(corpus, i):
@@ -31,6 +32,18 @@ def assert_same_corpus(got, want):
     assert got.time_axis == want.time_axis
     assert got.d_image == want.d_image
     assert got.dropped_token_count == want.dropped_token_count
+
+
+def rewrite_index(path, edit=None):
+    """Rewrite a column index after ``edit(header, arrays)``, where ``arrays`` maps each int64
+    array's name to it; the digests are kept unless the edit changes them."""
+    box = Container(path, cp.INDEX_MAGIC, ValueError)
+    n, entries = len(box.header["ids"]), box.header["tokens"]
+    arrays = dict(zip(("epochs", "indptr", "indices", "counts"),
+                      box.arrays([(n,), (n + 1,), (entries,), (entries,)], dtype="<i8")))
+    if edit:
+        edit(box.header, arrays)
+    write_container(path, cp.INDEX_MAGIC, box.field, box.header, arrays.values(), dtype="<i8")
 
 
 def reference_parse_manifest_line(line):
@@ -109,6 +122,9 @@ def reference_document_fault(records):
     """Message of the first document fault that ``corpus.from_records`` names, found by one
     loop over the documents in order (labels, then tokens in sorted order), or None."""
     for doc_id, _, tokens, _, labels in records:
+        if isinstance(labels, str):
+            return (f"document {doc_id!r}: labels must be a collection of strings, not the"
+                    f" string {labels!r}")
         if not labels:
             return f"document {doc_id!r}: empty label set"
         for lab in labels:

@@ -161,7 +161,7 @@ def pair_constraints(t, cross):
     proj = np.array([[1.0, 0.0], [cross, math.sqrt(1.0 - cross * cross)]])
     none = np.empty(0, dtype=np.intp)
     plan = ob.BatchPlan(
-        text_anchors=none, text_negatives=none, image_anchors=none, image_negatives=none,
+        anchors=none, text_negatives=none, image_negatives=none,
         positive_mask=np.array([[False, True], [False, False]]),
         sim_temp=np.array([[0.0, t], [0.0, 0.0]]),
     )

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from corpus_helpers import assert_same_corpus, row_counts
+from corpus_helpers import assert_same_corpus, rewrite_index, row_counts
 from tcmr import corpus as cp
 from tcmr import retrieval as rt
 from tcmr import temporal as tp
@@ -250,6 +251,13 @@ def _edit_bytes(path, edit):
     path.write_bytes(edit(path.read_bytes()))
 
 
+def _vouch_for_a_repeated_token(data):
+    """Repeat a vocabulary token and give the index the new vocabulary's digest."""
+    _edit_bytes(data / "vocab.txt", lambda b: b + b"w0000\n")
+    digest = hashlib.sha256((data / "vocab.txt").read_bytes()).hexdigest()
+    rewrite_index(data / "columns.bin", lambda header, arrays: header.update(vocab_sha256=digest))
+
+
 def _without_index(bundle, copy):
     """A copy of the bundle's manifest, features and vocabulary at ``copy``."""
     copy.mkdir()
@@ -273,6 +281,8 @@ STALE_INDEX_EDITS = {  # case -> (edit of the bundle directory, exit code, stder
     "vocab-token-repeated": (
         lambda d: _edit_bytes(d / "vocab.txt", lambda b: b + b"w0000\n"), 2,
         "error: duplicate vocabulary token 'w0000'\n"),
+    "index-vouches-for-a-repeated-token": (
+        _vouch_for_a_repeated_token, 2, "error: duplicate vocabulary token 'w0000'\n"),
     "index-truncated": (lambda d: _edit_bytes(d / "columns.bin", lambda b: b[:-5]), 0, ""),
     "index-garbled": (
         lambda d: _edit_bytes(d / "columns.bin", lambda b: b[:12] + b"\xff" * 8 + b[20:]), 0, ""),
@@ -284,10 +294,10 @@ STALE_INDEX_EDITS = {  # case -> (edit of the bundle directory, exit code, stder
 
 
 class TestStaleIndex:
-    """A bundle's column index stands in for the manifest only while it reads cleanly and
-    both the manifest and the vocabulary file hold the bytes it was written beside. Otherwise
-    the manifest is read, with the outcome, message and exit code of a bundle that has no
-    index."""
+    """A bundle's column index stands in for the manifest only while it reads cleanly, holds
+    to the builder's id and vocabulary rules, and both the manifest and the vocabulary file
+    hold the bytes it was written beside. Otherwise the manifest is read, with the outcome,
+    message and exit code of a bundle that has no index."""
 
     @pytest.mark.parametrize("case", STALE_INDEX_EDITS)
     def test_manifest_is_read(self, workspace, capsys, case):

@@ -16,10 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_helpers import (assert_same_corpus, reference_document_fault, reference_load_corpus,
-                            row_counts)
+                            rewrite_index, row_counts)
 from tcmr import corpus as cp
 from tcmr.cli import bundle_paths, load_bundle, main, save_bundle
-from tcmr.container import Container, write_container
 
 
 def write_manifest(path, rows):
@@ -242,6 +241,12 @@ def _split_of(n, dev, val):
     return split
 
 
+def _records_with_id(doc_id):
+    """Build a corpus whose second document has ``doc_id``, which a loader would reject."""
+    return lambda tmp_path: cp.from_records(
+        [(i, np.zeros(2), {"x": 1}, 0, ["l"]) for i in ("a", doc_id)])
+
+
 REJECTIONS = {  # case -> (action on a tmp_path, the whole message)
     "timestamp-bool": (_manifest_fault(_row_b(timestamp=True)),
                        "manifest line 2: timestamp must be numeric"),
@@ -293,6 +298,8 @@ REJECTIONS = {  # case -> (action on a tmp_path, the whole message)
     "ragged-features": (_ragged_features,
                         "document 'b': feature vectors must share one dimension"),
     "empty-corpus": (lambda tmp_path: cp.from_records([]), "cannot build an empty corpus"),
+    "records-id-empty": (_records_with_id(""), "document id '' must be a non-empty string"),
+    "records-id-not-a-string": (_records_with_id(7), "document id 7 must be a non-empty string"),
     "features-without-dimension": (
         lambda tmp_path: cp.from_records([("a", np.zeros(0), {"x": 1}, 0, ["l"])]),
         "image features need at least one dimension"),
@@ -606,6 +613,8 @@ class TestDocumentFaults:
         (["l", 3], {"": 1}, "labels must be non-empty strings"),
         (["l"], {"b": 0, "a\n": 1}, "token 'a\\n' must be a non-empty string without a line break"),
         (["l"], {"b": 1, "a": True}, "token count for 'a' must be a positive integer of at most 2**53"),
+        ("cat", {"x": 0}, "labels must be a collection of strings, not the string 'cat'"),
+        ("", {"x": 0}, "labels must be a collection of strings, not the string ''"),
     ])
     def test_fault_order_within_a_document(self, labels, tokens, fault):
         records = [("a", np.zeros(2), {"x": 1}, 0, ["l"]),
@@ -617,7 +626,8 @@ class TestDocumentFaults:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(docs=st.lists(st.tuples(
-        st.lists(st.sampled_from(["l", "m", "", 0, None, True, ("l",)]), max_size=3),
+        st.one_of(st.lists(st.sampled_from(["l", "m", "", 0, None, True, ("l",)]), max_size=3),
+                  st.sampled_from(["lm", ""])),
         st.dictionaries(st.sampled_from(["a", "b", "", "c\n", "d\r", "e\u2028"]),
                         st.sampled_from([1, 2, 0, -1, True, 1.0, 2**53, 2**53 + 1, None]),
                         max_size=3),
@@ -817,18 +827,6 @@ def manifest_load(directory, time_unit=cp.DEFAULT_TIME_UNIT):
 def counting_manifest_reads():
     """A patch of the manifest reader that counts its calls."""
     return mock.patch.object(cp, "_read_manifest", wraps=cp._read_manifest)
-
-
-def rewrite_index(path, edit=None):
-    """Rewrite a column index after ``edit(header, arrays)``, where ``arrays`` maps each int64
-    array's name to it; the digests are kept unless the edit changes them."""
-    box = Container(path, cp.INDEX_MAGIC, ValueError)
-    n, entries = len(box.header["ids"]), box.header["tokens"]
-    arrays = dict(zip(("epochs", "indptr", "indices", "counts"),
-                      box.arrays([(n,), (n + 1,), (entries,), (entries,)], dtype="<i8")))
-    if edit:
-        edit(box.header, arrays)
-    write_container(path, cp.INDEX_MAGIC, box.field, box.header, arrays.values(), dtype="<i8")
 
 
 INDEX_TOKENS = ["b", "a", "x\u2028y", "p\x0cq", "\u00e9t\u00e9", "zz", "c"]  # vocabulary order

@@ -19,7 +19,7 @@ EPS = RunConfig().epsilon
 def empty_plan(n):
     e = np.empty(0, dtype=np.intp)
     return ob.BatchPlan(
-        text_anchors=e, text_negatives=e, image_anchors=e, image_negatives=e,
+        anchors=e, text_negatives=e, image_negatives=e,
         positive_mask=np.zeros((n, n), dtype=bool),
     )
 
@@ -54,10 +54,9 @@ def check_plan(plan, label_sets, negatives_per_anchor):
     """
     n = len(label_sets)
     pools, positives, skipped = reference_batch_plan(label_sets)
-    for anchors, negatives in ((plan.text_anchors, plan.text_negatives),
-                               (plan.image_anchors, plan.image_negatives)):
-        assert anchors.shape == negatives.shape
-        for got, pool in zip(per_anchor(anchors, negatives, n), pools, strict=True):
+    for negatives in (plan.text_negatives, plan.image_negatives):
+        assert plan.anchors.shape == negatives.shape
+        for got, pool in zip(per_anchor(plan.anchors, negatives, n), pools, strict=True):
             assert got.size == min(negatives_per_anchor, pool.size)
             assert np.unique(got).size == got.size
             assert np.isin(got, pool).all()
@@ -82,14 +81,14 @@ def reference_loss_terms(proj_img, proj_txt, plan, cfg):
     m = cfg.margin
     for i in range(n):
         s_pos = S[i, i]
-        for j in plan.text_negatives[plan.text_anchors == i]:
+        for j in plan.text_negatives[plan.anchors == i]:
             hinge = m - s_pos + S[i, j]
             if hinge > 0.0:
                 out.ranking += hinge
                 out.active_hinges += 1
                 G[i, i] -= 1.0
                 G[i, j] += 1.0
-        for j in plan.image_negatives[plan.image_anchors == i]:
+        for j in plan.image_negatives[plan.anchors == i]:
             hinge = m - s_pos + S[j, i]
             if hinge > 0.0:
                 out.ranking += hinge
@@ -185,7 +184,7 @@ class TestRankingLoss:
         proj_img = np.array([[1.0, 0.0], [-1.0, 0.0]])
         proj_txt = np.array([[1.0, 0.0], [-1.0, 0.0]])
         plan = empty_plan(2)
-        plan.text_anchors = plan.image_anchors = np.array([0])
+        plan.anchors = np.array([0])
         plan.text_negatives = plan.image_negatives = np.array([1])
         out, dA, dB = ob.loss_terms_from_projections(
             proj_img, proj_txt, plan, RunConfig(lam=0.0)
@@ -199,7 +198,7 @@ class TestRankingLoss:
         proj_img = np.array([[1.0, 0.0], [1.0, 0.0]])
         proj_txt = np.array([[0.0, 1.0], [0.0, -1.0]])
         plan = empty_plan(2)
-        plan.text_anchors = plan.image_anchors = np.array([0])
+        plan.anchors = np.array([0])
         plan.text_negatives = plan.image_negatives = np.array([1])
         out, _, _ = ob.loss_terms_from_projections(
             proj_img, proj_txt, plan, RunConfig(lam=0.0)
@@ -352,9 +351,8 @@ class TestBatchPlan:
         labels = [frozenset(["a"]), frozenset(["a", "b"]), frozenset(["c"]),
                   frozenset(["b"]), frozenset(["c", "d"])]
         plan = ob.build_batch_plan(label_matrix(labels), rng, negatives_per_anchor=2)
-        for anchors, negatives in ((plan.text_anchors, plan.text_negatives),
-                                   (plan.image_anchors, plan.image_negatives)):
-            for i, j in zip(anchors, negatives):
+        for negatives in (plan.text_negatives, plan.image_negatives):
+            for i, j in zip(plan.anchors, negatives):
                 assert not (labels[i] & labels[j])
 
     def test_positives_share_a_category_and_exclude_self(self):
@@ -370,7 +368,7 @@ class TestBatchPlan:
         labels = label_matrix([frozenset(["a"]), frozenset(["a"])])
         plan = ob.build_batch_plan(labels, rng, 1)
         assert plan.skipped_anchors == 2
-        assert plan.text_anchors.size == plan.text_negatives.size == 0
+        assert plan.anchors.size == plan.text_negatives.size == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -433,8 +431,8 @@ class TestAgainstLoopReferences:
         joint = Counter()
         for _ in range(10_000):
             plan = ob.build_batch_plan(labels, rng, negatives)
-            drawn = {d: tuple(getattr(plan, f"{d}_negatives")[getattr(plan, f"{d}_anchors") == 0]
-                              .tolist()) for d in members}
+            drawn = {d: tuple(getattr(plan, f"{d}_negatives")[plan.anchors == 0].tolist())
+                     for d in members}
             for d in members:
                 members[d].update(drawn[d])
                 ordered[d][drawn[d]] += 1

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stdout
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import stats as sps
 
 from corpus_helpers import assert_same_corpus
 from tcmr import synth
-from tcmr.cli import main, save_bundle
+from tcmr.cli import build_parser, main, save_bundle
 from temporal_reference import pair_sim
 
 
@@ -171,6 +172,15 @@ PINNED = {  # SHA-256 of each file; a change means the draws or the writers chan
 }
 
 
+PINNED_DEFAULTS = {  # SHA-256 of each file of `synth --out <dir>` with no other flag
+    "manifest.jsonl": "d492cf0bb8e8465749be9ca546fb3e9452c2f088443a6833cb8b0314084b71e9",
+    "features.bin": "1968fa494e533d91be8af6f8944a7b3819c63b912ac2169d5f3f5d47c6aa4074",
+    "vocab.txt": "ebdc902aad284962e8e43c344a000e73e404c5111078f9adc1708b42f761032f",
+    "columns.bin": "b756f4f38b0e5cce390b1ac49f4623e9adcd33da17a4f24bd1bc9b464eb19f24",
+    "truth.json": "74cf71e0a3b926c3e3d741a857a27567efec7c104ab91130bf4fb6c00f435831",
+}
+
+
 class TestPinnedBundles:
     def digests(self, directory):
         return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
@@ -180,6 +190,24 @@ class TestPinnedBundles:
         with redirect_stdout(io.StringIO()):
             assert main(PIN_SYNTH_ARGS + ["--out", str(tmp_path)]) == 0
         assert self.digests(tmp_path) == PINNED["cli"]
+
+    def test_default_flags_bundle_bytes_and_stdout(self, tmp_path):
+        """The flags hold the generator's defaults (e.g. a 60-token vocabulary)."""
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["synth", "--out", str(tmp_path)]) == 0
+        assert out.getvalue() == (
+            '{"categories": 10, "d_image": 16, "d_text": 60, "documents": 2000,'
+            f' "num_slices": 25, "out": {json.dumps(str(tmp_path))}}}\n')
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in PINNED_DEFAULTS} == PINNED_DEFAULTS
+
+    def test_spec_declares_no_default(self):
+        """Every generator default is a `synth` flag's, stated once."""
+        args = build_parser().parse_args(["synth", "--out", "d"])
+        for f in fields(synth.SynthSpec):
+            assert f.default is MISSING and f.default_factory is MISSING, f.name
+            assert hasattr(args, f.name), f.name
 
     def test_per_category_modes_bundle_bytes(self, tmp_path):
         corpus, truth = synth.generate(synth.SynthSpec(**PIN_SPEC))
