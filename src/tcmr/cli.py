@@ -19,6 +19,7 @@ from . import retrieval as rt
 from . import synth as sy
 from . import temporal as tp
 from .config import RunConfig, config_from_dict, load_config
+from .corpus import load_bundle  # bench/checks.py imports it from here
 from .projection import (
     DegenerateProjectionError,
     NonFiniteGradientError,
@@ -37,31 +38,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-# ---------------------------------------------------------------------------
-# Bundle helpers
-
-
-def bundle_paths(directory):
-    """The manifest, features, vocabulary and column index paths of a bundle directory."""
-    directory = Path(directory)
-    return (directory / "manifest.jsonl", directory / "features.bin", directory / "vocab.txt",
-            directory / "columns.bin")
-
-
-def load_bundle(directory, time_unit):
-    manifest, features, vocab, index = bundle_paths(directory)
-    return cp.load_corpus(
-        manifest, features, vocab if vocab.exists() else None, time_unit=time_unit,
-        index_path=index,
-    )
-
-
-def save_bundle(corpus, directory):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    cp.save_corpus(corpus, *bundle_paths(directory))
 
 
 def _emit(payload: dict):
@@ -86,10 +62,8 @@ def _bundle_summary(corpus, **extra) -> dict:
 
 
 def cmd_ingest(args) -> int:
-    corpus = cp.load_corpus(
-        args.manifest, args.features, args.vocab, time_unit=args.time_unit
-    )
-    save_bundle(corpus, args.out)
+    corpus = cp.load_corpus(args.manifest, args.features, args.vocab, time_unit=args.time_unit)
+    cp.save_corpus(corpus, args.out)
     _emit(_bundle_summary(corpus, dropped_tokens=corpus.dropped_token_count))
     return EXIT_OK
 
@@ -235,7 +209,7 @@ def _modes(raw) -> list[tuple[float, float, float]]:
 def cmd_synth(args) -> int:
     spec = sy.SynthSpec(**{f.name: getattr(args, f.name) for f in fields(sy.SynthSpec)})
     corpus, truth = sy.generate(spec)
-    save_bundle(corpus, args.out)
+    cp.save_corpus(corpus, args.out)
     truth_path = Path(args.out) / "truth.json"
     truth_path.write_text(json.dumps(truth.to_dict(), sort_keys=True), encoding="utf-8")
     _emit(_bundle_summary(corpus, out=str(args.out)))

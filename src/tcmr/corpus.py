@@ -1,4 +1,4 @@
-"""Timestamped bimodal corpora: loading, validation, TF-IDF, and splits.
+"""Timestamped bimodal corpora: bundles, validation, TF-IDF, and splits.
 
 A corpus holds documents that each carry an image feature vector, sparse
 text token counts, a timestamp, and at least one category label. It keeps
@@ -21,18 +21,19 @@ over the documents in order would. The id and vocabulary rules are stated
 once (``_check_ids``, ``_check_vocabulary``) and hold for the column index
 too.
 
-On-disk layout:
-  * manifest: JSON Lines, one document per line with keys
+A bundle is a directory of four files that ``save_corpus`` writes whole and
+``load_bundle`` reads; ``load_corpus`` also reads ``ingest``'s loose files.
+  * ``manifest.jsonl``: JSON Lines, one document per line with keys
     ``id, timestamp, tokens, labels, feat_row`` (timestamp in epoch seconds)
-  * features: little-endian binary, magic ``TXNF``, u32 row count, u32
-    feature dimension, then float32 rows in ``feat_row`` order
-  * optional vocabulary file: one token per line, order authoritative
-  * optional column index (TXNI container, written by ``save_corpus``): the
-    ids, label lists, epochs and token rows of the manifest beside it, with
-    the SHA-256 of the manifest and vocabulary bytes it was written from.
-    ``load_corpus`` reads the columns from it only while both files still
-    have those digests and the columns pass the builder's id and vocabulary
-    rules; the manifest stays the authority and names any fault.
+  * ``features.bin``: little-endian binary, magic ``TXNF``, u32 row count,
+    u32 feature dimension, then float32 rows in ``feat_row`` order
+  * ``vocab.txt``: one token per line, order authoritative
+  * ``columns.bin``, the column index (a TXNI container): the ids, label
+    lists, epochs and token rows of the manifest beside it, with the SHA-256
+    of the manifest and vocabulary bytes it was written from. It is read in
+    place of the manifest only while both files still have those digests and
+    the columns pass the builder's id and vocabulary rules; the manifest
+    stays the authority and names any fault.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import logging
 import math
 import struct
 from collections import Counter
+from collections.abc import Collection
 from itertools import chain, repeat
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -206,18 +208,21 @@ def write_features(path, matrix: np.ndarray) -> None:
         fh.write(matrix.tobytes())
 
 
-def _parse_timestamp(value) -> int:
-    """Epoch seconds of a manifest timestamp that is not an int (an int is exact as it is)."""
-    if type(value) is str:
+def _epoch_seconds(value) -> int:
+    """Epoch seconds of a timestamp: an int (a NumPy integer too, a bool not) is exact, a
+    float or a numeric string is rounded to the nearest second."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str):
         try:
             value = float(value)
         except ValueError:
             raise CorpusError(f"non-numeric timestamp {value!r}") from None
-    if type(value) is not float:
+    if not isinstance(value, (float, np.floating)):
         raise CorpusError("timestamp must be numeric")
     if not math.isfinite(value):
         raise CorpusError("non-finite timestamp")
-    return round(value)
+    return round(float(value))
 
 
 # in the order a missing key is named; a keys view compares as a set
@@ -238,7 +243,7 @@ def _parse_manifest_line(row) -> tuple:
     if type(doc_id) is not str or not doc_id:
         raise CorpusError("id must be a non-empty string")
     if type(epoch) is not int:
-        epoch = _parse_timestamp(epoch)
+        epoch = _epoch_seconds(epoch)
     if type(tokens) is not dict:
         raise CorpusError("tokens must be an object")
     if type(labels) is not list:
@@ -258,27 +263,20 @@ def _read_manifest(path, n_rows: int) -> tuple[list, ...]:
     for a feature file of ``n_rows`` rows; the first faulty line raises, named by its number.
 
     The manifest is read once as UTF-8 text (CR and CRLF read as "\\n") and split at "\\n"
-    only, as a JSON string may hold U+2028; the decoder's scanner takes each line, and
-    ``json.loads`` words a line it cannot take whole. Each line is then checked in turn: its
-    structure (``_parse_manifest_line``), its feat_row inside the feature file, and that no
-    earlier line holds that feat_row.
+    only, as a JSON string may hold U+2028; ``json.loads`` decodes each non-blank line. Each
+    line is then checked in turn: its structure (``_parse_manifest_line``), its feat_row inside
+    the feature file, and that no earlier line holds that feat_row.
     """
-    scan = json.JSONDecoder().scan_once
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     columns = ids, feat_rows, token_maps, epochs, label_lists = [], [], [], [], []
     first_line = {}  # feat_row -> the line that holds it
     for lineno, line in enumerate(lines, 1):
-        try:
-            row, end = scan(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(line):  # blank, whitespace around the value, or a fault
-            if not line.strip():
-                continue
-            try:  # the line as the file holds it: all but the last end in "\n"
-                row = json.loads(line + "\n" if lineno < len(lines) else line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"manifest line {lineno}: invalid JSON ({exc.msg})") from None
+        if not line.strip():
+            continue
+        try:  # the line as the file holds it: all but the last end in "\n"
+            row = json.loads(line + "\n" if lineno < len(lines) else line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"manifest line {lineno}: invalid JSON ({exc.msg})") from None
         try:
             doc_id, feat_row, tokens, epoch, labels = _parse_manifest_line(row)
         except CorpusError as exc:
@@ -340,17 +338,30 @@ def load_corpus(
     return _build_corpus(ids, image, tokens, epochs, labels, time_unit, vocabulary)
 
 
-def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None,
-                index_path=None) -> None:
-    """Write a corpus back in canonical manifest + features form, and its column index
-    beside the manifest and vocabulary file when ``index_path`` is given (which needs
-    ``vocab_path``).
+def bundle_paths(directory) -> tuple[Path, Path, Path, Path]:
+    """The manifest, features, vocabulary and column index paths of a bundle directory."""
+    directory = Path(directory)
+    return (directory / "manifest.jsonl", directory / "features.bin", directory / "vocab.txt",
+            directory / "columns.bin")
+
+
+def load_bundle(directory, time_unit: float) -> Corpus:
+    """The corpus of a bundle directory, read through its column index while that is current;
+    a directory without a vocabulary file is read from its manifest."""
+    manifest, features, vocab, index = bundle_paths(directory)
+    return load_corpus(manifest, features, vocab if vocab.exists() else None,
+                       time_unit=time_unit, index_path=index)
+
+
+def save_corpus(corpus: Corpus, directory) -> None:
+    """Write a corpus as a whole bundle, making the directory if need be: the canonical
+    manifest, the features, the vocabulary file and the column index of those bytes.
 
     The writer is deterministic (sorted tokens and labels, fixed key order),
     so re-ingesting its own output is byte-identical.
     """
-    if index_path is not None and vocab_path is None:
-        raise ValueError("a column index is written beside a vocabulary file")
+    manifest_path, features_path, vocab_path, index_path = bundle_paths(directory)
+    Path(directory).mkdir(parents=True, exist_ok=True)
     encode = json.JSONEncoder(separators=(",", ":")).encode
     words = [corpus.vocabulary[col] for col in corpus.text.indices.tolist()]
     counts = corpus.text.counts.tolist()
@@ -366,13 +377,11 @@ def save_corpus(corpus: Corpus, manifest_path, features_path, vocab_path=None,
         for i, (doc_id, epoch, labels, start, stop) in enumerate(zip(
             corpus.ids, corpus.epochs.tolist(), corpus.label_sets, bounds, bounds[1:]))
     ).encode("utf-8")
-    Path(manifest_path).write_bytes(manifest)
+    manifest_path.write_bytes(manifest)
     write_features(features_path, corpus.image)
-    if vocab_path is not None:
-        vocab = "".join(tok + "\n" for tok in corpus.vocabulary).encode("utf-8")
-        Path(vocab_path).write_bytes(vocab)
-        if index_path is not None:
-            _write_index(index_path, corpus, manifest, vocab)
+    vocab = "".join(tok + "\n" for tok in corpus.vocabulary).encode("utf-8")
+    vocab_path.write_bytes(vocab)
+    _write_index(index_path, corpus, manifest, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +512,27 @@ def from_records(
     are rounded through float32 so a corpus is exactly representable in the on-disk feature
     format. The vocabulary is the sorted token union unless given, in which case its tokens
     must be distinct and follow the token rule, its order is authoritative, and unknown
-    tokens are dropped (count recorded on the corpus). Each document keeps its integer
-    epoch, which ``save_corpus`` writes back.
+    tokens are dropped (count recorded on the corpus). Tokens are a dict, labels a collection,
+    and an epoch a manifest timestamp: an int is exact, a float or numeric string is rounded.
+    Each document keeps its integer epoch, which ``save_corpus`` writes back.
     """
     ids = [rec[0] for rec in records]
     _check_ids(ids)
     image = _feature_matrix(ids, [rec[1] for rec in records])
-    return _build_corpus(ids, image, [rec[2] for rec in records], [int(rec[3]) for rec in records],
-                         [rec[4] for rec in records], time_unit, vocabulary)
+    token_maps, epochs, label_lists = ([rec[k] for rec in records] for k in (2, 3, 4))
+    for i, (doc_id, tokens, epoch, labels) in enumerate(zip(ids, token_maps, epochs, label_lists)):
+        if type(epoch) is int and type(tokens) is dict and type(labels) is list:
+            continue
+        try:
+            epochs[i] = _epoch_seconds(epoch)
+            if not isinstance(tokens, dict):
+                raise CorpusError(f"tokens must be a dict, not {type(tokens).__name__}")
+            if not isinstance(labels, Collection):
+                raise CorpusError("labels must be a collection of strings, not"
+                                  f" {type(labels).__name__}")
+        except CorpusError as exc:
+            raise CorpusError(f"document {doc_id!r}: {exc}") from None
+    return _build_corpus(ids, image, token_maps, epochs, label_lists, time_unit, vocabulary)
 
 
 def _time_axis(ids: list, image: np.ndarray, epochs: list, time_unit) -> TimeAxis:

@@ -1,9 +1,11 @@
-"""The benchmark's correctness checks run against the library as it is.
+"""The benchmark's correctness checks and tracer run against the library as it is.
 
 ``bench/checks.py`` re-scores an eval stage through ``tcmr`` itself
 (``build_index``, ``split``, ``load_checkpoint`` and more), so a change to
 that API breaks the benchmark without failing any other test. This runs a
-tiny synth -> train -> eval pipeline and both of its checks.
+tiny synth -> train -> eval pipeline and both of its checks. ``bench/tracing.py``
+patches functions by name and skips a name it cannot find, so its set of
+unresolved targets is pinned too.
 """
 
 import importlib.util
@@ -14,7 +16,14 @@ import pytest
 
 from tcmr.cli import main
 
-BENCH_CHECKS = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# traced names that the library no longer defines; their per-layer metrics read 0
+STALE_TARGETS = {
+    "tcmr.temporal:CategoryKDE.pair_sim", "tcmr.temporal:TopicDensity.pair_sim",
+    "tcmr.temporal:RecencyModel.pair_sim", "tcmr.retrieval:shared_label_matrix",
+    "tcmr.retrieval:map_at_k", "tcmr.retrieval:ndcg_at_k",
+}
 
 SYNTH_ARGS = [
     "synth", "--categories", "3", "--docs-per-category", "30", "--timespan", "10",
@@ -34,12 +43,26 @@ lambda = 0.0
 """
 
 
-@pytest.fixture(scope="module")
-def checks():
-    spec = importlib.util.spec_from_file_location("bench_checks", BENCH_CHECKS)
+def load_bench(name):
+    """The module ``bench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return load_bench("checks")
+
+
+def test_tracer_targets_resolve():
+    """Every traced target resolves but the known stale ones, so a refactor that renames or
+    drops a traced function fails here rather than leaving its span silently empty."""
+    tracing = load_bench("tracing")
+    targets = {target for _, group, _, _ in tracing.TARGETS for target in group}
+    assert {target for target in targets if tracing._resolve(target) is None} == STALE_TARGETS
+    assert tracing._resolve("tcmr.cli:load_bundle") is not None  # bench/checks.py imports it
 
 
 def test_checks_pass_on_a_tiny_pipeline(checks, tmp_path, capsys):

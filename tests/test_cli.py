@@ -21,7 +21,8 @@ from corpus_helpers import assert_same_corpus, rewrite_index, row_counts
 from tcmr import corpus as cp
 from tcmr import retrieval as rt
 from tcmr import temporal as tp
-from tcmr.cli import load_bundle, main, save_bundle
+from tcmr.cli import main
+from tcmr.corpus import load_bundle
 from tcmr.projection import ProjectionHalf, ProjectionModel, load_checkpoint, save_checkpoint
 
 TINY_CFG = """
@@ -464,7 +465,7 @@ class TestTokenFiles:
         written = tcmr("ingest", manifest, features, "--out", tmp_path / "b")
         assert written.returncode == 0, written.stderr
         assert (tmp_path / "b" / "vocab.txt").read_bytes() == "caf\u00e9\nz\n".encode("utf-8")
-        save_bundle(load_bundle(tmp_path / "b", cp.DEFAULT_TIME_UNIT), tmp_path / "utf8")
+        cp.save_corpus(load_bundle(tmp_path / "b", cp.DEFAULT_TIME_UNIT), tmp_path / "utf8")
         bundle = tmp_path / "utf8"
         read = tcmr("ingest", bundle / "manifest.jsonl", bundle / "features.bin",
                     "--vocab", bundle / "vocab.txt", "--out", tmp_path / "again")
@@ -826,7 +827,7 @@ class TestPipeline:
                     int(corpus.epochs[i]), sorted(corpus.label_sets[i]))
                    for i, doc_id in enumerate(corpus.ids)]
         common = tmp_path / "common"
-        save_bundle(cp.from_records(records), common)
+        cp.save_corpus(cp.from_records(records), common)
         cfg.write_text(TINY_CFG.replace("lambda = 1.0", "lambda = 0.0"))
         ckpt = tmp_path / "m.txnm"
         assert main(["train", "--corpus", str(common), "--config", str(cfg),

@@ -6,6 +6,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from corpus_helpers import (assert_same_corpus, reference_document_fault, reference_load_corpus,
                             rewrite_index, row_counts)
 from tcmr import corpus as cp
-from tcmr.cli import bundle_paths, load_bundle, main, save_bundle
+from tcmr.cli import main
+from tcmr.corpus import bundle_paths, load_bundle
 
 
 def write_manifest(path, rows):
@@ -46,12 +48,14 @@ def assert_builders_reject(tmp_path, rows, feats, match):
     manifest, features, _ = make_bundle(tmp_path, rows, feats)
     with pytest.raises(cp.CorpusError, match=match):
         cp.load_corpus(manifest, features)
-    records = [
-        (row["id"], feats[row["feat_row"]], row["tokens"], row["timestamp"], row["labels"])
-        for row in rows
-    ]
     with pytest.raises(cp.CorpusError, match=match):
-        cp.from_records(records)
+        cp.from_records(records_of(rows, feats))
+
+
+def records_of(rows, feats):
+    """``from_records`` tuples of manifest rows over the feature rows ``feats``."""
+    return [(row["id"], feats[row["feat_row"]], row["tokens"], row["timestamp"], row["labels"])
+            for row in rows]
 
 
 DAY = 86400
@@ -375,9 +379,8 @@ class TestRoundTrip:
         manifest, features, _ = make_bundle(tmp_path, three_doc_rows(), feats)
         corpus = cp.load_corpus(manifest, features)
 
-        out_m, out_f = tmp_path / "out.jsonl", tmp_path / "out.bin"
-        cp.save_corpus(corpus, out_m, out_f)
-        again = cp.load_corpus(out_m, out_f)
+        cp.save_corpus(corpus, tmp_path / "out")
+        again = manifest_load(tmp_path / "out")
         assert_same_corpus(again, corpus)
         # features survive bit-identically through float32 on disk
         np.testing.assert_array_equal(again.image, corpus.image)
@@ -387,12 +390,10 @@ class TestRoundTrip:
             tmp_path, three_doc_rows(), np.random.default_rng(1).normal(size=(3, 4))
         )
         corpus = cp.load_corpus(manifest, features)
-        m1, f1 = tmp_path / "m1.jsonl", tmp_path / "f1.bin"
-        cp.save_corpus(corpus, m1, f1)
-        m2, f2 = tmp_path / "m2.jsonl", tmp_path / "f2.bin"
-        cp.save_corpus(cp.load_corpus(m1, f1), m2, f2)
-        assert m1.read_bytes() == m2.read_bytes()
-        assert f1.read_bytes() == f2.read_bytes()
+        cp.save_corpus(corpus, tmp_path / "b1")
+        cp.save_corpus(manifest_load(tmp_path / "b1"), tmp_path / "b2")
+        for first, second in zip(bundle_paths(tmp_path / "b1"), bundle_paths(tmp_path / "b2")):
+            assert first.read_bytes() == second.read_bytes()
 
 
     @pytest.mark.parametrize("epochs", [
@@ -406,13 +407,12 @@ class TestRoundTrip:
         for row, epoch in zip(rows, epochs):
             row["timestamp"] = epoch
         manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 2)))
-        m1, f1 = tmp_path / "m1.jsonl", tmp_path / "f1.bin"
-        cp.save_corpus(cp.load_corpus(manifest, features), m1, f1)
+        cp.save_corpus(cp.load_corpus(manifest, features), tmp_path / "b1")
+        m1 = tmp_path / "b1" / "manifest.jsonl"
         written = [json.loads(line)["timestamp"] for line in m1.read_text().splitlines()]
         assert written == list(epochs)
-        m2, f2 = tmp_path / "m2.jsonl", tmp_path / "f2.bin"
-        cp.save_corpus(cp.load_corpus(m1, f1), m2, f2)
-        assert m1.read_bytes() == m2.read_bytes()
+        cp.save_corpus(manifest_load(tmp_path / "b1"), tmp_path / "b2")
+        assert m1.read_bytes() == (tmp_path / "b2" / "manifest.jsonl").read_bytes()
 
 
 def _lines():
@@ -561,10 +561,8 @@ class TestTokenNames:
         rows[1]["tokens"] = {token: 2, "z": 1}
         manifest, features, _ = make_bundle(tmp_path, rows, np.zeros((3, 2)))
         corpus = cp.load_corpus(manifest, features)
-        out = tmp_path / "out"
-        out.mkdir()
-        cp.save_corpus(corpus, out / "m.jsonl", out / "f.bin", out / "vocab.txt")
-        again = cp.load_corpus(out / "m.jsonl", out / "f.bin", out / "vocab.txt")
+        cp.save_corpus(corpus, tmp_path / "out")
+        again = manifest_load(tmp_path / "out")
         assert again.vocabulary == corpus.vocabulary == sorted(["cat", "dog", "tree", "z", token])
         assert again.dropped_token_count == 0
         assert_same_corpus(again, corpus)
@@ -646,6 +644,88 @@ class TestDocumentFaults:
             with pytest.raises(cp.CorpusError) as caught:
                 cp.from_records(records)
             assert str(caught.value) == fault
+
+
+class TestRecordStructure:
+    """``from_records`` reads an epoch by the manifest's timestamp rule, and a record whose
+    timestamp, tokens or labels are of no usable type is a ``CorpusError`` naming it."""
+
+    @pytest.mark.parametrize("timestamp, epoch", [
+        (0.7, 1), (-0.7, -1), (3.5, 4), ("7.6", 8), ("-3.5", -4), ("1e3", 1000),
+    ])
+    def test_epoch_as_a_manifest_gives_it(self, tmp_path, timestamp, epoch):
+        rows = three_doc_rows()
+        rows[1]["timestamp"] = timestamp
+        feats = np.zeros((3, 2))
+        loaded = cp.load_corpus(*make_bundle(tmp_path, rows, feats)[:2])
+        built = cp.from_records(records_of(rows, feats))
+        assert int(built.epochs[1]) == int(loaded.epochs[1]) == epoch
+        assert_same_corpus(built, loaded)
+
+    @pytest.mark.parametrize("timestamp, epoch", [
+        (np.int64(2**53 - 1), 2**53 - 1), (np.float64(0.7), 1), (np.float16(3.5), 4),
+    ])
+    def test_numpy_epoch(self, timestamp, epoch):
+        records = [("a", np.zeros(2), {"x": 1}, 0, ["l"]),
+                   ("b", np.zeros(2), {"x": 1}, timestamp, ["l"])]
+        corpus = cp.from_records(records)
+        assert corpus.epochs.tolist() == [0, epoch]
+
+    @pytest.mark.parametrize("timestamp, fault", [
+        ("abc", "non-numeric timestamp 'abc'"),
+        ("", "non-numeric timestamp ''"),
+        (True, "timestamp must be numeric"),
+        (None, "timestamp must be numeric"),
+        ([1], "timestamp must be numeric"),
+        (math.nan, "non-finite timestamp"),
+        ("-inf", "non-finite timestamp"),
+    ])
+    def test_timestamp_fault_named_by_both_builders(self, tmp_path, timestamp, fault):
+        rows = three_doc_rows()
+        rows[1]["timestamp"] = timestamp
+        feats = np.zeros((3, 2))
+        with pytest.raises(cp.CorpusError) as caught:
+            cp.load_corpus(*make_bundle(tmp_path, rows, feats)[:2])
+        assert str(caught.value) == f"manifest line 2: {fault}"
+        with pytest.raises(cp.CorpusError) as caught:
+            cp.from_records(records_of(rows, feats))
+        assert str(caught.value) == f"document 'b': {fault}"
+
+    @pytest.mark.parametrize("timestamp", [np.bool_(True), np.datetime64(0, "s"), 1 + 0j])
+    def test_other_timestamp_types_rejected(self, timestamp):
+        records = [("a", np.zeros(2), {"x": 1}, timestamp, ["l"])]
+        with pytest.raises(cp.CorpusError, match="^document 'a': timestamp must be numeric$"):
+            cp.from_records(records)
+
+    @pytest.mark.parametrize("tokens, labels, fault", [
+        ([("dog", 1)], ["pets"], "tokens must be a dict, not list"),
+        (None, ["pets"], "tokens must be a dict, not NoneType"),
+        ({"dog": 1}, 5, "labels must be a collection of strings, not int"),
+        ({"dog": 1}, None, "labels must be a collection of strings, not NoneType"),
+        ({"dog": 1}, iter(["pets"]), "labels must be a collection of strings, not list_iterator"),
+        ([("dog", 1)], 5, "tokens must be a dict, not list"),
+    ])
+    def test_malformed_record_named(self, tokens, labels, fault):
+        records = records_of(three_doc_rows(), np.zeros((3, 2)))
+        records[1] = ("b", np.zeros(2), tokens, DAY, labels)
+        with pytest.raises(cp.CorpusError) as caught:
+            cp.from_records(records)
+        assert str(caught.value) == f"document 'b': {fault}"
+
+    def test_first_malformed_record_in_order_named(self):
+        records = [("a", np.zeros(2), {"x": 1}, 0, ["l"]),
+                   ("b", np.zeros(2), {"x": 1}, "soon", 5),
+                   ("c", np.zeros(2), [("x", 1)], 0, ["l"])]
+        with pytest.raises(cp.CorpusError,
+                           match="^document 'b': non-numeric timestamp 'soon'$"):
+            cp.from_records(records)
+
+    def test_other_collections_and_mappings_accepted(self):
+        records = [("a", np.zeros(2), Counter(x=2), 0, ("l",)),
+                   ("b", np.zeros(2), {"y": 1}, 0, frozenset({"l", "m"}))]
+        corpus = cp.from_records(records)
+        assert corpus.label_sets == [frozenset({"l"}), frozenset({"l", "m"})]
+        assert row_counts(corpus, 0) == {"x": 2}
 
 
 def reference_tfidf_matrix(rows, stats):
@@ -893,7 +973,7 @@ class TestColumnIndex:
                    for i, (doc_id, tokens, epoch, labels) in enumerate(docs)]
         corpus = cp.from_records(records, time_unit=unit, vocabulary=INDEX_TOKENS)
         with tempfile.TemporaryDirectory() as tmp:
-            save_bundle(corpus, tmp)
+            cp.save_corpus(corpus, tmp)
             with counting_manifest_reads() as reads:
                 got = load_bundle(tmp, unit)
             assert reads.call_count == 0
@@ -919,13 +999,6 @@ class TestColumnIndex:
         with counting_manifest_reads() as reads:
             load_bundle(data, cp.DEFAULT_TIME_UNIT)
         assert reads.call_count == 0
-
-    def test_index_needs_a_vocabulary_file(self, tmp_path):
-        corpus = manifest_load(synth_bundle(tmp_path / "data"))
-        with pytest.raises(ValueError, match="beside a vocabulary file"):
-            cp.save_corpus(corpus, tmp_path / "m.jsonl", tmp_path / "f.bin",
-                           index_path=tmp_path / "columns.bin")
-        assert not (tmp_path / "columns.bin").exists()
 
 
 class TestLoadMemory:

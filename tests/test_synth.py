@@ -12,7 +12,8 @@ from scipy import stats as sps
 
 from corpus_helpers import assert_same_corpus
 from tcmr import synth
-from tcmr.cli import build_parser, main, save_bundle
+from tcmr.cli import build_parser, main
+from tcmr.corpus import save_corpus
 from temporal_reference import pair_sim
 
 
@@ -211,7 +212,7 @@ class TestPinnedBundles:
 
     def test_per_category_modes_bundle_bytes(self, tmp_path):
         corpus, truth = synth.generate(synth.SynthSpec(**PIN_SPEC))
-        save_bundle(corpus, tmp_path)
+        save_corpus(corpus, tmp_path)
         (tmp_path / "truth.json").write_text(json.dumps(truth.to_dict(), sort_keys=True))
         assert self.digests(tmp_path) == PINNED["spec"]
 
