@@ -27,8 +27,8 @@ takes each mean once, over the queries with a relevant candidate. Reports
 are bit-identical to a full sort of every row with per-query metric loops;
 tests keep that as a reference.
 
-Projection is blocked too: ``build_index`` (``eval`` and ``query``) and
-``project_index`` (validation) run a split through each network
+Projection is blocked too: ``build_index``, which ``eval``, ``query`` and
+every validation epoch call, runs a split through each network
 EVAL_BLOCK rows at a time into one (n, d_subspace) output, so no
 (n, hidden) activation is ever live: with hidden 256, a 20,000-document
 ``eval`` peaks at 149 MB RSS against 204 MB for one pass over the split
@@ -121,19 +121,6 @@ def split_index(test: Corpus) -> RetrievalIndex:
     return RetrievalIndex(image_matrix=None, text_matrix=None, doc_ids=test.ids,
                           label_sets=test.label_sets, timestamps=test.timestamps,
                           time_axis=test.time_axis)
-
-
-def project_index(base: RetrievalIndex, model: ProjectionModel, image_rows,
-                  text_rows) -> RetrievalIndex:
-    """``base`` with its (n, d) image and (n, V) TF-IDF input rows projected.
-
-    Training-time validation projects the same val rows every epoch.
-    """
-    return replace(
-        base,
-        image_matrix=_project_split(model.image_net, image_rows, base.doc_ids, "image"),
-        text_matrix=_project_split(model.text_net, text_rows, base.doc_ids, "text"),
-    )
 
 
 def _project_split(net, x, doc_ids, modality: str) -> np.ndarray:

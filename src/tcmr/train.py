@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig
 from .corpus import Corpus, document_frequencies, label_matrix, tfidf_matrix
 from .objective import build_batch_plan, total_loss
 from .projection import ProjectionModel, SgdMomentum
-from .retrieval import DIRECTIONS, evaluate_direction, grade_split, project_index, split_index
+from .retrieval import DIRECTIONS, build_index, evaluate_direction, grade_split, split_index
 from .temporal import RecencyModel, fit_category_kde, fit_topic_densities
 
 TEMPORAL_KINDS = ("recency", "category", "topic")
@@ -90,10 +90,8 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
     opt = SgdMomentum(eta=cfg.eta, momentum=cfg.momentum, decay=cfg.decay)
     rng = np.random.default_rng(batch_ss)
     use_val = val is not None and len(val) > 0
-    if use_val:  # the val split's grading and input rows do not change between epochs
-        val_base = split_index(val)
-        val_text = tfidf_matrix(val.text, stats)
-        val_grading = grade_split(val_base, cfg.eval_bins, cfg.k_eval)
+    if use_val:  # the val split's grading does not change between epochs
+        val_grading = grade_split(split_index(val), cfg.eval_bins, cfg.k_eval)
 
     result = TrainResult(model=model)  # kept as trained when there is no val split
     best_map = -np.inf
@@ -119,7 +117,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         if not use_val:
             result.best_epoch = epoch
         else:
-            val_index = project_index(val_base, model, val.image, val_text)
+            val_index = build_index(val, model, stats)
             val_map = mean_map_both_directions(val_index, val_grading, cfg.k_eval, cfg.ndcg_gain)
             if val_map > best_map:
                 best_map = val_map

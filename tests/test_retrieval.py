@@ -143,11 +143,6 @@ class TestBuildIndex:
         index = rt.build_index(corpus, model, stats)
         check(index.image_matrix, model.image_net, corpus.image)
         check(index.text_matrix, model.text_net, cp.tfidf_matrix(corpus.text, stats))
-        image_rows = rng.normal(size=(n, d_image))
-        text_rows = rng.random((n, corpus.d_text))
-        projected = rt.project_index(rt.split_index(corpus), model, image_rows, text_rows)
-        check(projected.image_matrix, model.image_net, image_rows)
-        check(projected.text_matrix, model.text_net, text_rows)
 
     def test_projection_never_holds_a_split_sized_activation(self):
         """The traced peak of ``build_index`` stays below one (n, hidden) float64 array."""

@@ -89,10 +89,11 @@ class TestTrainModel:
         assert result.best_val_map == max(maps)
         assert result.best_epoch == maps.index(max(maps)) + 1
 
-    def test_val_split_graded_and_weighted_once_per_run(self, monkeypatch):
-        """Validation grades the val split and builds its TF-IDF rows once, not once per epoch."""
+    def test_val_split_graded_once_and_indexed_every_epoch(self, monkeypatch):
+        """Validation grades the val split once per run and, as ``eval`` does,
+        builds its index (TF-IDF rows included) with ``build_index`` every epoch."""
         _, cfg, train, val, _ = toy_setup(epochs=4, patience=4)
-        graded, weighted = [], []
+        graded, indexed, weighted = [], [], []
 
         def counted(calls, fn):
             def wrapper(*args, **kwargs):
@@ -102,13 +103,17 @@ class TestTrainModel:
 
         for module in (tr, rt):
             monkeypatch.setattr(module, "grade_split", counted(graded, rt.grade_split))
+            monkeypatch.setattr(module, "build_index", counted(indexed, rt.build_index))
             monkeypatch.setattr(module, "tfidf_matrix", counted(weighted, cp.tfidf_matrix))
         result = train_model(train, val, cfg)
         assert len(result.history) == 4
         assert all(e.val_map is not None for e in result.history)
-        assert len(graded) == 1 and len(graded[0][0]) == len(val)
-        # the train split's rows, then the val split's
-        assert [len(args[0].indptr) - 1 for args in weighted] == [len(train), len(val)]
+        assert len(graded) == 1 and graded[0][0].doc_ids == val.ids
+        assert len(indexed) == 4 and all(args[0] is val for args in indexed)
+        # the train split's rows once, then the val split's once per epoch
+        texts = [args[0] for args in weighted]
+        assert len(texts) == 5 and texts[0] is train.text
+        assert all(text is val.text for text in texts[1:])
 
     def test_no_validation_split_runs_all_epochs(self):
         _, cfg, train, _, _ = toy_setup(epochs=3)
