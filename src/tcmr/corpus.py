@@ -2,7 +2,7 @@
 
 A corpus holds documents that each carry an image feature vector, sparse
 text token counts, a timestamp, and at least one category label. It keeps
-them as columns, row i of each being document i: one (n, d) float64 image
+them as columns, row i of each being document i: one (n, d) float32 image
 array, the token counts as compressed sparse rows over the vocabulary
 (``TokenRows``), the timestamps and exact epochs, and the label sets. A
 split is a row index, taken with ``Corpus.take``. Timestamps are kept as
@@ -60,7 +60,6 @@ log = logging.getLogger(__name__)
 FEATURES_MAGIC = b"TXNF"
 DEFAULT_TIME_UNIT = 86400.0  # one day, in seconds
 EXACT_INT = 2**53  # float64 holds every integer of at most this magnitude exactly
-ROW_BLOCK = 1024  # feature rows gathered, cast or rounded at a time
 INDEX_MAGIC = b"TXNI"
 INDEX_VERSION = 1
 
@@ -140,7 +139,7 @@ class Corpus:
     """Documents as columns: row i of each column belongs to document i."""
 
     ids: list[str]
-    image: np.ndarray  # (n, d_image) float64 features, each exactly a float32
+    image: np.ndarray  # (n, d_image) float32 features; read-only when read through the index
     text: TokenRows
     timestamps: np.ndarray  # (n,) time units since TimeAxis.origin
     epochs: np.ndarray  # (n,) int64 input epoch seconds, which a timestamp may not give back
@@ -263,7 +262,8 @@ def _read_manifest(path, n_rows: int) -> tuple[list, ...]:
     for a feature file of ``n_rows`` rows; the first faulty line raises, named by its number.
 
     The manifest is read once as UTF-8 text (CR and CRLF read as "\\n") and split at "\\n"
-    only, as a JSON string may hold U+2028; ``json.loads`` decodes each non-blank line. Each
+    only, as a JSON string may hold U+2028; ``json.loads`` decodes each non-blank line (a line
+    that is not JSON is decoded again with its "\\n" to word the fault as the file reads). Each
     line is then checked in turn: its structure (``_parse_manifest_line``), its feat_row inside
     the feature file, and that no earlier line holds that feat_row.
     """
@@ -273,10 +273,13 @@ def _read_manifest(path, n_rows: int) -> tuple[list, ...]:
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        try:  # the line as the file holds it: all but the last end in "\n"
-            row = json.loads(line + "\n" if lineno < len(lines) else line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"manifest line {lineno}: invalid JSON ({exc.msg})") from None
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            try:  # worded for the line as the file holds it: all but the last end in "\n"
+                json.loads(line + "\n" if lineno < len(lines) else line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"manifest line {lineno}: invalid JSON ({exc.msg})") from None
         try:
             doc_id, feat_row, tokens, epoch, labels = _parse_manifest_line(row)
         except CorpusError as exc:
@@ -308,7 +311,7 @@ def load_corpus(
     documents, exactly as for an in-memory corpus. Each manifest line is checked in turn (a
     JSON object, its keys, their value types, its feat_row inside the feature file and held by
     no earlier line), and the first faulty line is named. Image rows are gathered by feat_row
-    and cast to float64 a block at a time.
+    in one step, as float32.
 
     With a vocabulary file, a column index at ``index_path`` that reads cleanly, holds to the
     builder's id and vocabulary rules and was written beside the manifest and vocabulary bytes
@@ -329,10 +332,7 @@ def load_corpus(
             f"manifest has {len(ids)} documents but feature file has {n_rows} rows"
         )
     _check_ids(ids)
-    order = np.array(feat_rows, dtype=np.intp)
-    image = np.empty((n_rows, feats.shape[1]), dtype=np.float64)
-    for start in range(0, n_rows, ROW_BLOCK):
-        image[start:start + ROW_BLOCK] = feats[order[start:start + ROW_BLOCK]]
+    image = feats[np.array(feat_rows, dtype=np.intp)]
     del feats
     vocabulary = read_vocabulary(vocab_path) if vocab_path is not None else None
     return _build_corpus(ids, image, tokens, epochs, labels, time_unit, vocabulary)
@@ -445,9 +445,9 @@ def _read_index(index_path, manifest_path, vocab_path, feats: np.ndarray,
             and (not len(indices) or 0 <= indices.min() and indices.max() < len(vocabulary)
                  and 1 <= counts.min() and counts.max() <= EXACT_INT)):
         return None
-    image = feats.astype(np.float64)  # save_corpus writes feat_row i on line i
-    axis = _time_axis(ids, image, epochs.tolist(), time_unit)
-    return _corpus(ids, image, TokenRows(indptr, indices, counts), epochs, label_lists,
+    axis = _time_axis(ids, feats, epochs.tolist(), time_unit)
+    # save_corpus writes feat_row i on line i: the image is the feature file's read-only view
+    return _corpus(ids, feats, TokenRows(indptr, indices, counts), epochs, label_lists,
                    vocabulary, axis)
 
 
@@ -465,8 +465,8 @@ def _check_ids(ids: list) -> None:
 
 
 def _feature_matrix(ids: list, rows: list) -> np.ndarray:
-    """(n, d) image features rounded through float32: the rows are gathered into one float64
-    array, rounded in place a block of rows at a time."""
+    """(n, d) float32 image features, each row rounded to the nearest float32 as the feature
+    file would store it."""
     try:
         matrix = np.array(rows, dtype=np.float64)
     except ValueError:  # ragged rows
@@ -477,9 +477,7 @@ def _feature_matrix(ids: list, rows: list) -> np.ndarray:
         raise CorpusError(f"document {bad!r}: feature vectors must share one dimension")
     if matrix.shape[1] == 0:
         raise CorpusError("image features need at least one dimension")
-    for block in np.split(matrix, range(ROW_BLOCK, len(matrix), ROW_BLOCK)):
-        block[...] = block.astype(np.float32)  # a view of the matrix, rounded in place
-    return matrix
+    return matrix.astype(np.float32)
 
 
 def _bad_token(tok) -> bool:
@@ -508,13 +506,13 @@ def from_records(
 
     Every document needs a non-empty set of non-empty string labels and positive integer
     token counts; tokens are non-empty strings without "\\n" or "\\r", counts and epochs
-    at most 2**53 in magnitude, ids unique and features finite, of one dimension. Features
-    are rounded through float32 so a corpus is exactly representable in the on-disk feature
-    format. The vocabulary is the sorted token union unless given, in which case its tokens
-    must be distinct and follow the token rule, its order is authoritative, and unknown
-    tokens are dropped (count recorded on the corpus). Tokens are a dict, labels a collection,
-    and an epoch a manifest timestamp: an int is exact, a float or numeric string is rounded.
-    Each document keeps its integer epoch, which ``save_corpus`` writes back.
+    at most 2**53 in magnitude, ids unique and features of one dimension, kept as float32
+    (the on-disk feature format) and finite there. The vocabulary is the sorted token union
+    unless given, in which case its tokens must be distinct and follow the token rule, its
+    order is authoritative, and unknown tokens are dropped (count recorded on the corpus).
+    Tokens are a dict, labels a collection, and an epoch a manifest timestamp: an int is
+    exact, a float or numeric string is rounded. Each document keeps its integer epoch, which
+    ``save_corpus`` writes back.
     """
     ids = [rec[0] for rec in records]
     _check_ids(ids)
@@ -539,7 +537,7 @@ def _time_axis(ids: list, image: np.ndarray, epochs: list, time_unit) -> TimeAxi
     """The time axis of documents with these epoch seconds, once the image is checked to be
     finite, the time unit positive and finite, and each epoch within [-2**53, 2**53]."""
     # a row of float32 values sums to a finite float64 exactly when every value is finite
-    finite = np.isfinite(image.sum(axis=1))
+    finite = np.isfinite(image.sum(axis=1, dtype=np.float64))
     if not finite.all():
         raise CorpusError(f"document {ids[int(np.argmin(finite))]!r}: non-finite feature value")
 
@@ -565,7 +563,7 @@ def _corpus(ids: list, image: np.ndarray, text: TokenRows, epochs: np.ndarray,
 def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,
                   label_lists: list, time_unit, vocabulary) -> Corpus:
     """The corpus of ``from_records``'s columns once the ids are checked and the image is
-    (n, d) float64 holding float32 values; checks every other rule of ``from_records``.
+    (n, d) float32; checks every other rule of ``from_records``.
     Each rule runs once over all documents; on a fault, a loop names the first in order."""
     axis = _time_axis(ids, image, epochs, time_unit)
 

@@ -77,7 +77,7 @@ class TestLoad:
         assert len(corpus) == 3
         assert corpus.d_image == 4
         assert corpus.categories == ["park", "pets"]
-        assert corpus.image.dtype == np.float64
+        assert corpus.image.dtype == np.float32
         np.testing.assert_array_equal(corpus.image, feats)
 
     def test_vocabulary_is_sorted_token_union(self, tmp_path):
@@ -128,6 +128,22 @@ class TestLoad:
         feats = np.zeros((3, 4))
         feats[1, 2] = np.nan
         assert_builders_reject(tmp_path, three_doc_rows(), feats, "'b': non-finite")
+
+    def test_finite_row_whose_float32_sum_overflows(self, tmp_path):
+        """A row of finite float32 values is finite even where its float32 sum is not; a value
+        that rounds to infinity as a float32 is not, and its document is named."""
+        feats = np.zeros((3, 2))
+        feats[1] = [3e38, 3e38]
+        assert feats[1].sum() > np.finfo(np.float32).max
+        manifest, features, _ = make_bundle(tmp_path, three_doc_rows(), feats)
+        for corpus in (cp.load_corpus(manifest, features),
+                       cp.from_records(records_of(three_doc_rows(), feats))):
+            assert corpus.image.dtype == np.float32
+            np.testing.assert_array_equal(corpus.image, feats.astype(np.float32))
+        feats[1] = [1e39, 0.0]
+        with (pytest.warns(RuntimeWarning, match="overflow encountered in cast"),
+              pytest.raises(cp.CorpusError, match="^document 'b': non-finite feature value$")):
+            cp.from_records(records_of(three_doc_rows(), feats))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "features.bin"
@@ -538,16 +554,15 @@ class TestReaderEquivalence:
             assert_same_reading(Path(tmp), text if cut is None else text[:cut])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(data=st.data(), n=st.integers(3, 6), block=st.sampled_from([1, 2, cp.ROW_BLOCK]))
-    def test_faults_on_several_lines(self, data, n, block):
+    @given(data=st.data(), n=st.integers(3, 6))
+    def test_faults_on_several_lines(self, data, n):
         """Lines in feat_row order other than line order, each valid or with one per-line
-        fault: the first faulty line in file order is named, whatever its fault and however
-        many feature rows are gathered at a time."""
+        fault: the first faulty line in file order is named, whatever its fault."""
         order = data.draw(st.permutations(range(n)).filter(lambda p: p != sorted(p)))
         faults = data.draw(st.lists(st.one_of(st.none(), st.sampled_from(LINE_FAULTS)),
                                     min_size=n, max_size=n))
         text = "".join(_manifest_line(i, order, fault) + "\n" for i, fault in enumerate(faults))
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cp, "ROW_BLOCK", block):
+        with tempfile.TemporaryDirectory() as tmp:
             assert_same_reading(Path(tmp), text, n_rows=n)
 
 
@@ -989,6 +1004,24 @@ class TestColumnIndex:
         assert reads.call_count == 1
         assert_same_corpus(got, manifest_load(data))
 
+    def test_indexed_image_is_the_feature_file_view(self, tmp_path):
+        """Through the index the image is the feature file's float32 rows, read-only and no
+        copy of the file's bytes; each split holds writable float32 copies of its rows."""
+        data = synth_bundle(tmp_path)
+        corpus = load_bundle(data, cp.DEFAULT_TIME_UNIT)
+        assert corpus.image.dtype == np.float32 and not corpus.image.flags.writeable
+        base = corpus.image
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes)
+        np.testing.assert_array_equal(corpus.image, cp.read_features(data / "features.bin"))
+        parts = cp.split(corpus, cp.SplitSpec(0.8, 0.1, seed=0))
+        for part in parts:
+            assert part.image.dtype == np.float32 and part.image.flags.writeable
+            assert not np.shares_memory(part.image, corpus.image)
+        rows = np.concatenate([part.image for part in parts])
+        assert sorted(map(bytes, rows)) == sorted(map(bytes, corpus.image))
+
     def test_unedited_rewrite_is_used(self, tmp_path):
         """``rewrite_index`` alone keeps an index usable, so each fault above is what the
         reader turns down."""
@@ -1002,20 +1035,19 @@ class TestColumnIndex:
 
 
 class TestLoadMemory:
-    """Loading holds one float32 copy of the feature file and one float64 image beside the
-    parsed manifest or the column index. Through the manifest, rows are gathered in manifest
-    order into float64 a block at a time.
+    """Loading holds the feature file's bytes and one float32 image beside the parsed manifest
+    or the column index: through the index the image is a view of those bytes, through the
+    manifest one gather of its rows in manifest order.
 
     Bundle: 8 x 250 documents, 512 feature dimensions, a 5,000-token vocabulary and 20 words
-    a document (4 MB of float32 features). A loader that built a float64 array per row list and
-    rounded it through float32 again peaked at 33.6 MB (``tracemalloc``), retaining 12.7 MB.
-    The manifest path peaks at 18.1 MB and the index path at 13.7 MB; each bound keeps the
-    manifest bound's headroom of 49% over its measured peak.
+    a document (4 MB of float32 features). The manifest path peaks at 11.9 MB
+    (``tracemalloc``) and the index path at 6.9 MB, each retaining 5.8 MB; each bound keeps a
+    headroom of 49% over its measured value.
     """
 
-    PEAK_MB = 27.0  # the manifest path
-    INDEX_PEAK_MB = 20.4
-    RETAINED_MB = 12.7
+    PEAK_MB = 17.7  # the manifest path
+    INDEX_PEAK_MB = 10.2
+    RETAINED_MB = 8.6
 
     @pytest.fixture(scope="class")
     def bundle(self, tmp_path_factory):

@@ -9,6 +9,7 @@ import pytest
 
 from retrieval_reference import topk_of_grades
 from tcmr import corpus as cp
+from tcmr import objective as ob
 from tcmr import retrieval as rt
 from tcmr import synth
 from tcmr.config import RunConfig
@@ -143,6 +144,42 @@ class TestBuildIndex:
         index = rt.build_index(corpus, model, stats)
         check(index.image_matrix, model.image_net, corpus.image)
         check(index.text_matrix, model.text_net, cp.tfidf_matrix(corpus.text, stats))
+
+    def test_float32_image_and_its_float64_cast_give_the_same_bits(self):
+        """A corpus holds its image as float32 and every network pass casts it to float64 on
+        entry, so the float64 cast of the same rows projects, indexes and trains alike, bit for
+        bit."""
+        rng = np.random.default_rng(11)
+        n, d_image, vocab = 300, 32, 60
+        records = [(f"d{i}", rng.normal(size=d_image),
+                    {f"w{w}": int(c) for w, c in enumerate(rng.integers(0, 3, vocab)) if c}
+                    | {"shared": 1},
+                    i * DAY, [f"lab{i % 4}"]) for i in range(n)]
+        corpus = cp.from_records(records)
+        wide = dataclasses.replace(corpus, image=corpus.image.astype(np.float64))
+        assert corpus.image.dtype == np.float32
+        model = ProjectionModel.initialize(d_image, corpus.d_text, 64, 16, seed=11)
+        stats = cp.document_frequencies(corpus)
+
+        narrow_proj, narrow_cache = model.image_net.forward(corpus.image)
+        wide_proj, wide_cache = model.image_net.forward(wide.image)
+        assert np.array_equal(narrow_proj, wide_proj)
+        assert all(map(np.array_equal, narrow_cache, wide_cache))
+
+        narrow_index, wide_index = (rt.build_index(c, model, stats) for c in (corpus, wide))
+        assert np.array_equal(narrow_index.image_matrix, wide_index.image_matrix)
+        assert np.array_equal(narrow_index.text_matrix, wide_index.text_matrix)
+
+        idx = rng.permutation(n)[:64]
+        plan = ob.build_batch_plan(cp.label_matrix([corpus.label_sets[i] for i in idx]), rng,
+                                   negatives_per_anchor=3)
+        plan.sim_temp = rng.uniform(size=(len(idx), len(idx)))
+        x_txt = cp.tfidf_matrix(corpus.text, stats)[idx]
+        cfg = RunConfig(lam=1.0)
+        narrow_out, narrow_grads = ob.total_loss(corpus.image[idx], x_txt, plan, model, cfg)
+        wide_out, wide_grads = ob.total_loss(wide.image[idx], x_txt, plan, model, cfg)
+        assert narrow_out == wide_out
+        assert all(map(np.array_equal, narrow_grads, wide_grads))
 
     def test_projection_never_holds_a_split_sized_activation(self):
         """The traced peak of ``build_index`` stays below one (n, hidden) float64 array."""
