@@ -109,7 +109,7 @@ def cmd_train(args) -> int:
 
 
 def _restore(args):
-    """Checkpoint + bundle -> (config, model, corpus, test split, training tf-idf stats)."""
+    """Checkpoint + bundle -> (config, model, corpus, test split, training split's IDF weights)."""
     model, config_snapshot, _ = load_checkpoint(args.checkpoint)
     cfg = config_from_dict(config_snapshot)
     corpus, (train, _, test) = _split_bundle(args.corpus, cfg)
@@ -145,9 +145,9 @@ def _k_list(raw) -> list[int]:
 
 
 def cmd_eval(args) -> int:
-    cfg, model, _, test, stats = _restore(args)
+    cfg, model, _, test, idf = _restore(args)
     k = cfg.k_eval if args.k is None else args.k
-    index = rt.build_index(test, model, stats)
+    index = rt.build_index(test, model, idf)
     del _, test  # the index holds all that scoring reads; free the corpus columns first
     grading = rt.grade_split(index, cfg.eval_bins, k)
     out_dir = Path(args.out)
@@ -168,10 +168,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_query(args) -> int:
-    _, model, corpus, _, stats = _restore(args)
+    _, model, corpus, _, idf = _restore(args)
     if args.text is not None:
-        text = cp.token_rows([Counter(args.text.split())], stats.token_index)
-        direction, row = rt.T2I, cp.tfidf_matrix(text, stats)
+        text = cp.token_rows([Counter(args.text.split())], corpus.vocabulary)
+        direction, row = rt.T2I, cp.tfidf_matrix(text, idf)
         if not row.any():
             print("warning: the query text row is empty: no query token has a nonzero"
                   " TF-IDF weight in the training vocabulary", file=sys.stderr)
@@ -179,7 +179,7 @@ def cmd_query(args) -> int:
         if not 0 <= args.image_row < len(corpus):
             raise cp.CorpusError(f"--image-row {args.image_row} outside corpus")
         direction, row = rt.I2T, corpus.image[args.image_row : args.image_row + 1]
-    index = rt.build_index(corpus, model, stats, candidates_of=direction)
+    index = rt.build_index(corpus, model, idf, candidates_of=direction)
     results, truncated = rt.query_topk(index, model, direction, row, k=args.k)
     row_of = dict(zip(corpus.ids, range(len(corpus))))
     for doc_id, score in results:

@@ -41,18 +41,21 @@ class Container:
 
     def __init__(self, path, magic: bytes, error):
         self.path, self._error = path, error
-        with open(path, "rb") as fh:
-            self._data = fh.read()
-        if len(self._data) < _PREFIX.size:
-            raise error(f"{path}: truncated header")
-        found, self.field, hlen = _PREFIX.unpack_from(self._data)
-        if found != magic:
-            raise error(f"{path}: bad magic {found!r}")
-        self._offset = _PREFIX.size + hlen
-        if len(self._data) < self._offset:
+        with open(path, "rb", buffering=0) as fh:  # unbuffered: the last read is one allocation
+            prefix = fh.read(_PREFIX.size)
+            if len(prefix) < _PREFIX.size:
+                raise error(f"{path}: truncated header")
+            found, self.field, hlen = _PREFIX.unpack(prefix)
+            if found != magic:
+                raise error(f"{path}: bad magic {found!r}")
+            blob = fh.read(hlen)
+            # the arrays' bytes alone, so the first starts on the object's aligned boundary: a
+            # matrix product copies an unaligned operand on every call
+            self._data, self._offset = fh.read(), 0
+        if len(blob) < hlen:
             raise error(f"{path}: truncated header")
         try:
-            self.header = json.loads(self._data[_PREFIX.size : self._offset].decode("utf-8"))
+            self.header = json.loads(blob.decode("utf-8"))
         except ValueError as exc:  # also UnicodeDecodeError
             raise error(f"{path}: header is not valid JSON ({exc})") from None
         if not isinstance(self.header, dict):
@@ -60,7 +63,7 @@ class Container:
 
     def arrays(self, shapes, dtype: str = "<f8") -> list[np.ndarray]:
         """The arrays of the given shapes, which must end the file; float arrays must be
-        finite."""
+        finite. Each is a read-only view of the file's bytes, which it keeps alive."""
         out, size = [], np.dtype(dtype).itemsize
         for shape in shapes:
             if not all(type(n) is int and n >= 0 for n in shape):
@@ -72,7 +75,7 @@ class Container:
             arr = np.frombuffer(self._data, dtype=dtype, count=count, offset=self._offset)
             if arr.dtype.kind == "f" and not np.isfinite(arr).all():
                 raise self._error(f"{self.path}: array holds NaN or infinity")
-            out.append(arr.reshape(shape).copy())
+            out.append(arr.reshape(shape))
             self._offset += size * count
         if len(self._data) > self._offset:
             raise self._error(f"{self.path}: trailing bytes after the last array")

@@ -49,7 +49,7 @@ from itertools import chain, repeat
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,16 +113,17 @@ class TokenRows(NamedTuple):
         return TokenRows(indptr, self.indices[at], self.counts[at])
 
 
-def token_rows(mappings: Sequence[dict[str, int]], column: Mapping[str, int]) -> TokenRows:
-    """Token rows of token-count dicts over the vocabulary that ``column`` maps each token to;
-    each row in token-string order, less the tokens outside the vocabulary."""
+def token_rows(mappings: Sequence[dict[str, int]], vocabulary: Sequence[str]) -> TokenRows:
+    """Token rows of token-count dicts over ``vocabulary``, token ``vocabulary[j]`` in column
+    j; each row in token-string order, less the tokens outside the vocabulary."""
     counts = np.fromiter(chain.from_iterable(map(dict.values, mappings)), np.int64)
-    return _token_rows(mappings, counts, sorted(set().union(*mappings)), column)
+    return _token_rows(mappings, counts, sorted(set().union(*mappings)), vocabulary)
 
 
-def _token_rows(mappings, counts: np.ndarray, ranked: list, column) -> TokenRows:
+def _token_rows(mappings, counts: np.ndarray, ranked: list, vocabulary) -> TokenRows:
     """``token_rows`` of ``mappings`` given their int64 values in order and their sorted token
     union ``ranked``."""
+    column = dict(zip(vocabulary, range(len(vocabulary))))
     rank = dict(zip(ranked, range(len(ranked))))
     sizes = np.fromiter(map(len, mappings), np.intp, len(mappings))
     doc = np.repeat(np.arange(len(mappings)), sizes)
@@ -477,7 +478,8 @@ def _feature_matrix(ids: list, rows: list) -> np.ndarray:
         raise CorpusError(f"document {bad!r}: feature vectors must share one dimension")
     if matrix.shape[1] == 0:
         raise CorpusError("image features need at least one dimension")
-    return matrix.astype(np.float32)
+    with np.errstate(over="ignore"):  # a value past float32's range becomes inf, named later
+        return matrix.astype(np.float32)
 
 
 def _bad_token(tok) -> bool:
@@ -537,7 +539,8 @@ def _time_axis(ids: list, image: np.ndarray, epochs: list, time_unit) -> TimeAxi
     """The time axis of documents with these epoch seconds, once the image is checked to be
     finite, the time unit positive and finite, and each epoch within [-2**53, 2**53]."""
     # a row of float32 values sums to a finite float64 exactly when every value is finite
-    finite = np.isfinite(image.sum(axis=1, dtype=np.float64))
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which is what is looked for
+        finite = np.isfinite(image.sum(axis=1, dtype=np.float64))
     if not finite.all():
         raise CorpusError(f"document {ids[int(np.argmin(finite))]!r}: non-finite feature value")
 
@@ -600,8 +603,7 @@ def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,
         vocabulary = ranked
     if not vocabulary:
         raise CorpusError("the corpus has an empty vocabulary")
-    text = _token_rows(token_maps, counts.astype(np.int64, copy=False), ranked,
-                       dict(zip(vocabulary, range(len(vocabulary)))))
+    text = _token_rows(token_maps, counts.astype(np.int64, copy=False), ranked, vocabulary)
     dropped = sum(values) - sum(text.counts.tolist()) if tokens.difference(vocabulary) else 0
     if dropped:
         log.warning("dropped %d token occurrences outside the vocabulary", dropped)
@@ -613,34 +615,24 @@ def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,
 # TF-IDF
 
 
-@dataclass
-class DocFrequency:
-    """Document-frequency table; compute it on the training split only."""
-
-    num_docs: int
-    doc_freq: np.ndarray
-    token_index: dict[str, int]
+def document_frequencies(train: Corpus) -> np.ndarray:
+    """The (V,) float64 IDF weights of the training split's vocabulary: ln(N/df) for a word in
+    df of its N documents, 0.0 for a word in none. Compute them on the training split only."""
+    df = np.bincount(train.text.indices, minlength=train.d_text).tolist()
+    return np.array([math.log(len(train) / d) if d else 0.0 for d in df])
 
 
-def document_frequencies(train: Corpus) -> DocFrequency:
-    df = np.bincount(train.text.indices, minlength=train.d_text).astype(np.float64)
-    index = dict(zip(train.vocabulary, range(train.d_text)))
-    return DocFrequency(num_docs=len(train), doc_freq=df, token_index=index)
-
-
-def tfidf_matrix(rows: TokenRows, stats: DocFrequency) -> np.ndarray:
-    """TF-IDF rows, tf * ln(N/df), of token rows over the training vocabulary, unit-normalized
-    unless all-zero.
+def tfidf_matrix(rows: TokenRows, idf: np.ndarray) -> np.ndarray:
+    """TF-IDF rows, tf * idf, of token rows over the vocabulary of the ``idf`` weights that
+    ``document_frequencies`` gives, unit-normalized unless all-zero.
 
     Tokens unseen in the training split (df = 0) or in every training
     document (idf 0) contribute nothing. The rows are filled from the flat
     (row, column, count) arrays in one assignment, and each row's norm is
     sqrt(v . v), as ``np.linalg.norm`` computes it.
     """
-    idf = np.array([math.log(stats.num_docs / df) if df > 0 else 0.0
-                    for df in stats.doc_freq.tolist()])
     doc = np.repeat(np.arange(len(rows.indptr) - 1), np.diff(rows.indptr))
-    out = np.zeros((len(rows.indptr) - 1, len(stats.token_index)), dtype=np.float64)
+    out = np.zeros((len(rows.indptr) - 1, len(idf)), dtype=np.float64)
     out[doc, rows.indices] = rows.counts * idf[rows.indices]
     norms = np.sqrt(out[:, None, :] @ out[:, :, None]).reshape(-1)
     nonzero = norms > 0

@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Corpus, DocFrequency, TimeAxis, label_matrix, tfidf_matrix
+from .corpus import Corpus, TimeAxis, label_matrix, tfidf_matrix
 from .projection import DegenerateProjectionError, ProjectionModel
 
 I2T = "I2T"
@@ -102,7 +102,7 @@ class EvalReport:
 
 
 def build_index(
-    test: Corpus, model: ProjectionModel, stats: DocFrequency, candidates_of: str | None = None
+    test: Corpus, model: ProjectionModel, idf: np.ndarray, candidates_of: str | None = None
 ) -> RetrievalIndex:
     """Project both sides of ``test``, or with ``candidates_of`` a direction
     only that direction's candidates, which is all ``query_topk`` reads."""
@@ -112,7 +112,7 @@ def build_index(
     if candidates_of != I2T:
         image = _project_split(model.image_net, test.image, test.ids, "image")
     if candidates_of != T2I:
-        text = _project_split(model.text_net, tfidf_matrix(test.text, stats), test.ids, "text")
+        text = _project_split(model.text_net, tfidf_matrix(test.text, idf), test.ids, "text")
     return replace(split_index(test), image_matrix=image, text_matrix=text)
 
 

@@ -77,8 +77,8 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
     if cfg.lam > 0 and temporal_model is None:
         raise ConfigError("lambda > 0 requires --temporal with a fitted model")
 
-    stats = document_frequencies(train)
-    x_txt = tfidf_matrix(train.text, stats)
+    idf = document_frequencies(train)
+    x_txt = tfidf_matrix(train.text, idf)
     labels = label_matrix(train.label_sets)
     table = temporal_model.document_table(train) if cfg.lam > 0 else None
     n = len(train)
@@ -117,7 +117,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
         if not use_val:
             result.best_epoch = epoch
         else:
-            val_index = build_index(val, model, stats)
+            val_index = build_index(val, model, idf)
             val_map = mean_map_both_directions(val_index, val_grading, cfg.k_eval, cfg.ndcg_gain)
             if val_map > best_map:
                 best_map = val_map

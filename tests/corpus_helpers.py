@@ -39,8 +39,9 @@ def rewrite_index(path, edit=None):
     array's name to it; the digests are kept unless the edit changes them."""
     box = Container(path, cp.INDEX_MAGIC, ValueError)
     n, entries = len(box.header["ids"]), box.header["tokens"]
-    arrays = dict(zip(("epochs", "indptr", "indices", "counts"),
-                      box.arrays([(n,), (n + 1,), (entries,), (entries,)], dtype="<i8")))
+    arrays = dict(zip(("epochs", "indptr", "indices", "counts"),  # writable copies of the views
+                      map(np.copy, box.arrays([(n,), (n + 1,), (entries,), (entries,)],
+                                              dtype="<i8"))))
     if edit:
         edit(box.header, arrays)
     write_container(path, cp.INDEX_MAGIC, box.field, box.header, arrays.values(), dtype="<i8")

@@ -96,6 +96,22 @@ class TestSynthAndIngest:
         for name in ("manifest.jsonl", "features.bin", "vocab.txt", "columns.bin"):
             assert (out / name).read_bytes() == (data / name).read_bytes()
 
+    def test_ingest_of_both_infinities_prints_only_the_error(self, tmp_path):
+        """A feature row of +inf and -inf is a data error whose one stderr line names the
+        document, with no NumPy warning before it."""
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(
+            {"id": "a", "timestamp": 0, "tokens": {"z": 1}, "labels": ["l"], "feat_row": 0}) + "\n")
+        cp.write_features(tmp_path / "features.bin", np.array([[np.inf, -np.inf]]))
+        env = dict(os.environ, PYTHONPATH=str(Path(cp.__file__).resolve().parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "tcmr.cli", "ingest", str(manifest),
+             str(tmp_path / "features.bin"), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == "error: document 'a': non-finite feature value\n"
+
     def test_missing_features_file_is_data_error(self, workspace):
         tmp_path, data, _ = workspace
         code = main([
@@ -544,6 +560,7 @@ class TestPipeline:
         if what == "weight":
             path, _ = self.train(workspace)
             model, config, seed = load_checkpoint(path)
+            model = model.copy()  # the loaded tensors are read-only views of the file
             model.image_net.W1[0, 0] = math.nan
             save_checkpoint(path, model, config=config, seed=seed)
             command = ["eval", "--checkpoint", str(path), "--out", str(tmp_path / "out")]
@@ -554,6 +571,8 @@ class TestPipeline:
                          "--config", str(cfg), "--out", str(path)]) == 0
             if what == "curve":
                 kde = tp.read_temporal_model(path)
+                # the loaded curves are a read-only view of the file; the model is frozen
+                object.__setattr__(kde, "curves", kde.curves.copy())
                 kde.curves[0, 1] = math.nan
                 tp.write_temporal_model(path, kde)
             else:
@@ -899,6 +918,7 @@ class TestPipeline:
         tmp_path, data, cfg = workspace
         ckpt, _ = self.train(workspace)
         model, config, seed = load_checkpoint(ckpt)
+        model = model.copy()  # the loaded tensors are read-only views of the file
         model.image_net.W2[:] = 0.0
         model.image_net.b2[:] = 0.0
         save_checkpoint(ckpt, model, config=config, seed=seed)

@@ -1,18 +1,23 @@
-"""The TXNM and TXNT byte layouts, pinned against bytes assembled here.
+"""The TXNM and TXNT byte layouts, pinned against bytes assembled here, and the arrays that
+every container read gives back.
 
 Every value is set by hand and no array comes from a matrix product, so the
 expected bytes do not depend on the platform's BLAS.
 """
 
+import gc
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tcmr import corpus as cp
 from tcmr import temporal as tp
+from tcmr.container import Container
 from tcmr.corpus import TimeAxis
-from tcmr.projection import ProjectionHalf, ProjectionModel, save_checkpoint
+from tcmr.projection import ProjectionHalf, ProjectionModel, load_checkpoint, save_checkpoint
 
 
 def container_bytes(magic, field, header, arrays):
@@ -71,3 +76,68 @@ def test_temporal_layout(tmp_path, kind):
     tp.write_temporal_model(path, model)
     want = container_bytes(b"TXNT", tag, dict(header, version=2), arrays)
     assert path.read_bytes() == want
+
+
+@pytest.fixture()
+def read_arrays(monkeypatch):
+    """Every array that ``Container.arrays`` returns from here on, in order."""
+    seen = []
+    arrays = Container.arrays
+
+    def recording(self, *args, **kwargs):
+        out = arrays(self, *args, **kwargs)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(Container, "arrays", recording)
+    return seen
+
+
+def assert_read_only_views(arrays):
+    for arr in arrays:
+        assert not arr.flags.writeable and arr.base is not None and arr.flags.aligned
+        with pytest.raises(ValueError, match="read-only"):
+            arr.reshape(-1)[:1] = 0
+
+
+def test_arrays_read_are_read_only_views(tmp_path, read_arrays):
+    """TXNM, TXNT and TXNI arrays are read-only, aligned views of the file's bytes, as the
+    model or corpus built from them holds them, whatever the header's length."""
+    path = tmp_path / "m.txnm"
+    for size in range(8):  # every header length modulo 8
+        model = ProjectionModel(image_net=hand_half(3, 0), text_net=hand_half(4, 50))
+        save_checkpoint(path, model, config={"pad": "x" * size}, seed=0)
+        loaded, _, _ = load_checkpoint(path)
+        assert_read_only_views(loaded.params())
+    assert len(read_arrays) == 8 * 8
+
+    for kind, (written, *_) in sorted(TEMPORAL_LAYOUTS.items()):
+        path = tmp_path / f"{kind}.txnt"
+        tp.write_temporal_model(path, written)
+        tp.read_temporal_model(path)
+    assert len(read_arrays) == 64 + 4  # a KDE grid and curves, a topic phi and slice map
+
+    records = [("a", np.zeros(2), {"x": 1, "y": 2}, 0, ["l"]),
+               ("b", np.ones(2), {"y": 3}, 86400, ["l", "m"])]
+    cp.save_corpus(cp.from_records(records), tmp_path / "bundle")
+    corpus = cp.load_bundle(tmp_path / "bundle", cp.DEFAULT_TIME_UNIT)
+    assert len(read_arrays) == 68 + 4  # epochs, indptr, indices and counts
+    assert_read_only_views([corpus.image, *corpus.text])
+    assert_read_only_views(read_arrays)
+
+
+def test_checkpoint_load_peaks_under_one_and_a_half_file_sizes(tmp_path):
+    """The loaded tensors share the file's bytes, so a load holds about one file size."""
+    path = tmp_path / "m.txnm"
+    save_checkpoint(path, ProjectionModel.initialize(256, 2000, 512, 64, seed=0), config={},
+                    seed=0)
+    size = path.stat().st_size
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model, _, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.text_net.W1.shape == (512, 2000)
+    assert peak < 1.5 * size

@@ -68,15 +68,15 @@ class TestBuildIndex:
         corpus = tiny_corpus(2)
         empty = corpus.take([])
         model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=0)
-        stats = cp.document_frequencies(corpus)
+        idf = cp.document_frequencies(corpus)
         with pytest.raises(ValueError, match="empty"):
-            rt.build_index(empty, model, stats)
+            rt.build_index(empty, model, idf)
 
     def test_rows_unit_norm(self):
         corpus = tiny_corpus(6)
         model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=1)
-        stats = cp.document_frequencies(corpus)
-        index = rt.build_index(corpus, model, stats)
+        idf = cp.document_frequencies(corpus)
+        index = rt.build_index(corpus, model, idf)
         np.testing.assert_allclose(np.linalg.norm(index.image_matrix, axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(np.linalg.norm(index.text_matrix, axis=1), 1.0, atol=1e-9)
 
@@ -91,10 +91,10 @@ class TestBuildIndex:
         model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=2)
         model.image_net.b1[:] = 0.0
         model.image_net.b2[:] = 0.0
-        stats = cp.document_frequencies(corpus)
+        idf = cp.document_frequencies(corpus)
         with pytest.raises(DegenerateProjectionError,
                            match="degenerate image projection for document 'd3'") as info:
-            rt.build_index(corpus, model, stats)
+            rt.build_index(corpus, model, idf)
         assert info.value.row == 3
 
     @pytest.mark.parametrize("block", [1, 2, 128])  # d3 in block 3, 1 and 0
@@ -109,10 +109,10 @@ class TestBuildIndex:
         model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=2)
         model.text_net.b1[:] = 0.0
         model.text_net.b2[:] = 0.0
-        stats = cp.document_frequencies(corpus)
+        idf = cp.document_frequencies(corpus)
         with pytest.raises(DegenerateProjectionError,
                            match="degenerate text projection for document 'd3'") as info:
-            rt.build_index(corpus, model, stats)
+            rt.build_index(corpus, model, idf)
         assert info.value.row == 3
 
     @pytest.mark.parametrize("block", [1, 7, 128])  # 300 rows: each leaves a short last block
@@ -133,7 +133,7 @@ class TestBuildIndex:
                     i * DAY, [f"lab{i % 4}"]) for i in range(n)]
         corpus = cp.from_records(records)
         model = ProjectionModel.initialize(d_image, corpus.d_text, 256, 64, seed=7)
-        stats = cp.document_frequencies(corpus)
+        idf = cp.document_frequencies(corpus)
 
         def check(got, net, x):
             blocks = [net.forward(x[start:start + block])[0] for start in range(0, n, block)]
@@ -141,9 +141,9 @@ class TestBuildIndex:
             # unit rows: a few float64 ulps of an entry no larger than 1
             np.testing.assert_allclose(got, net.forward(x)[0], rtol=0, atol=1e-15)
 
-        index = rt.build_index(corpus, model, stats)
+        index = rt.build_index(corpus, model, idf)
         check(index.image_matrix, model.image_net, corpus.image)
-        check(index.text_matrix, model.text_net, cp.tfidf_matrix(corpus.text, stats))
+        check(index.text_matrix, model.text_net, cp.tfidf_matrix(corpus.text, idf))
 
     def test_float32_image_and_its_float64_cast_give_the_same_bits(self):
         """A corpus holds its image as float32 and every network pass casts it to float64 on
@@ -159,14 +159,14 @@ class TestBuildIndex:
         wide = dataclasses.replace(corpus, image=corpus.image.astype(np.float64))
         assert corpus.image.dtype == np.float32
         model = ProjectionModel.initialize(d_image, corpus.d_text, 64, 16, seed=11)
-        stats = cp.document_frequencies(corpus)
+        idf = cp.document_frequencies(corpus)
 
         narrow_proj, narrow_cache = model.image_net.forward(corpus.image)
         wide_proj, wide_cache = model.image_net.forward(wide.image)
         assert np.array_equal(narrow_proj, wide_proj)
         assert all(map(np.array_equal, narrow_cache, wide_cache))
 
-        narrow_index, wide_index = (rt.build_index(c, model, stats) for c in (corpus, wide))
+        narrow_index, wide_index = (rt.build_index(c, model, idf) for c in (corpus, wide))
         assert np.array_equal(narrow_index.image_matrix, wide_index.image_matrix)
         assert np.array_equal(narrow_index.text_matrix, wide_index.text_matrix)
 
@@ -174,7 +174,7 @@ class TestBuildIndex:
         plan = ob.build_batch_plan(cp.label_matrix([corpus.label_sets[i] for i in idx]), rng,
                                    negatives_per_anchor=3)
         plan.sim_temp = rng.uniform(size=(len(idx), len(idx)))
-        x_txt = cp.tfidf_matrix(corpus.text, stats)[idx]
+        x_txt = cp.tfidf_matrix(corpus.text, idf)[idx]
         cfg = RunConfig(lam=1.0)
         narrow_out, narrow_grads = ob.total_loss(corpus.image[idx], x_txt, plan, model, cfg)
         wide_out, wide_grads = ob.total_loss(wide.image[idx], x_txt, plan, model, cfg)
@@ -186,10 +186,10 @@ class TestBuildIndex:
         n, hidden = 1000, 256
         corpus = tiny_corpus(n, d_image=8)
         model = ProjectionModel.initialize(8, corpus.d_text, hidden, 16, seed=3)
-        stats = cp.document_frequencies(corpus)
+        idf = cp.document_frequencies(corpus)
         tracemalloc.start()
         try:
-            rt.build_index(corpus, model, stats)
+            rt.build_index(corpus, model, idf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,10 +281,10 @@ class TestQueryTopK:
         """
         corpus = tiny_corpus(6)
         model = ProjectionModel.initialize(3, corpus.d_text, 4, 2, seed=5)
-        stats = cp.document_frequencies(corpus)
-        index = rt.build_index(corpus, model, stats)
+        idf = cp.document_frequencies(corpus)
+        index = rt.build_index(corpus, model, idf)
         for i in range(len(corpus)):
-            text_row = cp.tfidf_matrix(corpus.take([i]).text, stats)
+            text_row = cp.tfidf_matrix(corpus.take([i]).text, idf)
             for direction, row, query in ((rt.I2T, corpus.image[i:i + 1], index.image_matrix[i]),
                                           (rt.T2I, text_row, index.text_matrix[i])):
                 candidates = index.text_matrix if direction == rt.I2T else index.image_matrix
