@@ -26,7 +26,7 @@ from .projection import (
     load_checkpoint,
     save_checkpoint,
 )
-from .train import TEMPORAL_KINDS, fit_temporal_model, train_model, write_training_log
+from .train import fit_temporal_model, train_model, write_training_log
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -57,8 +57,8 @@ def _split_bundle(directory, cfg: RunConfig):
 def _bundle_summary(corpus, **extra) -> dict:
     """The sizes that ``ingest`` and ``synth`` report of the bundle they write."""
     return {"documents": len(corpus), "d_image": corpus.d_image, "d_text": corpus.d_text,
-            "categories": len(corpus.categories), "num_slices": corpus.time_axis.num_slices,
-            **extra}
+            "categories": len(set().union(*corpus.label_sets)),
+            "num_slices": corpus.time_axis.num_slices, **extra}
 
 
 def cmd_ingest(args) -> int:
@@ -233,7 +233,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("fit-temporal", help="fit a temporal correlation model")
-    p.add_argument("--kind", required=True, choices=TEMPORAL_KINDS)
+    p.add_argument("--kind", required=True, choices=tuple(tp.KIND_TAGS))
     p.add_argument("--corpus", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -10,16 +10,15 @@ real offsets from the corpus start, measured in time units (e.g. days), so
 density estimation can work on a continuous axis; discrete slice indices are
 derived views.
 
-``from_records`` is the one corpus builder: it sets the time axis, the
-vocabulary and the category list, and validates every document.
-``load_corpus`` only reads and checks the files, then hands its columns to
-the builder behind it, so a corpus read from disk and one built in memory
-pass the same checks. The manifest reader checks each line in turn and
-names the first faulty one; the builder checks each document rule once over
-a whole column and, on a fault, names the first faulty document, as a loop
-over the documents in order would. The id and vocabulary rules are stated
-once (``_check_ids``, ``_check_vocabulary``) and hold for the column index
-too.
+``from_records`` is the one corpus builder: it sets the time axis and the
+vocabulary, and validates every document. ``load_corpus`` only reads and
+checks the files, then hands its columns to the builder behind it, so a
+corpus read from disk and one built in memory pass the same checks. The
+manifest reader checks each line in turn and names the first faulty one;
+the builder checks each document rule once over a whole column and, on a
+fault, names the first faulty document, as a loop over the documents in
+order would. The id and vocabulary rules are stated once (``_check_ids``,
+``_check_vocabulary``) and hold for the column index too.
 
 A bundle is a directory of four files that ``save_corpus`` writes whole and
 ``load_bundle`` reads; ``load_corpus`` also reads ``ingest``'s loose files.
@@ -146,7 +145,6 @@ class Corpus:
     epochs: np.ndarray  # (n,) int64 input epoch seconds, which a timestamp may not give back
     label_sets: list[frozenset[str]]
     vocabulary: list[str]
-    categories: list[str]
     time_axis: TimeAxis
     dropped_token_count: int = 0
 
@@ -162,7 +160,7 @@ class Corpus:
         return len(self.ids)
 
     def take(self, rows) -> "Corpus":
-        """The documents at ``rows``, in order, with the same vocabulary, categories and axis."""
+        """The documents at ``rows``, in order, with the same vocabulary and time axis."""
         rows = np.asarray(rows, dtype=np.intp)
         return replace(self, ids=[self.ids[i] for i in rows.tolist()],
                        label_sets=[self.label_sets[i] for i in rows.tolist()],
@@ -208,9 +206,9 @@ def write_features(path, matrix: np.ndarray) -> None:
         fh.write(matrix.tobytes())
 
 
-def _epoch_seconds(value) -> int:
-    """Epoch seconds of a timestamp: an int (a NumPy integer too, a bool not) is exact, a
-    float or a numeric string is rounded to the nearest second."""
+def epoch_seconds(value) -> int:
+    """Epoch seconds of a timestamp in a manifest, a record or ``synth``: an int (a NumPy integer
+    too, a bool not) is exact, a finite float or numeric string rounds to the nearest second."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, str):
@@ -243,7 +241,7 @@ def _parse_manifest_line(row) -> tuple:
     if type(doc_id) is not str or not doc_id:
         raise CorpusError("id must be a non-empty string")
     if type(epoch) is not int:
-        epoch = _epoch_seconds(epoch)
+        epoch = epoch_seconds(epoch)
     if type(tokens) is not dict:
         raise CorpusError("tokens must be an object")
     if type(labels) is not list:
@@ -524,7 +522,7 @@ def from_records(
         if type(epoch) is int and type(tokens) is dict and type(labels) is list:
             continue
         try:
-            epochs[i] = _epoch_seconds(epoch)
+            epochs[i] = epoch_seconds(epoch)
             if not isinstance(tokens, dict):
                 raise CorpusError(f"tokens must be a dict, not {type(tokens).__name__}")
             if not isinstance(labels, Collection):
@@ -537,7 +535,8 @@ def from_records(
 
 def _time_axis(ids: list, image: np.ndarray, epochs: list, time_unit) -> TimeAxis:
     """The time axis of documents with these epoch seconds, once the image is checked to be
-    finite, the time unit positive and finite, and each epoch within [-2**53, 2**53]."""
+    finite, the time unit positive and finite, each epoch within [-2**53, 2**53] and the span
+    finite in time units."""
     # a row of float32 values sums to a finite float64 exactly when every value is finite
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which is what is looked for
         finite = np.isfinite(image.sum(axis=1, dtype=np.float64))
@@ -550,8 +549,10 @@ def _time_axis(ids: list, image: np.ndarray, epochs: list, time_unit) -> TimeAxi
     if origin < -EXACT_INT or last > EXACT_INT:
         bad = next(doc_id for doc_id, epoch in zip(ids, epochs) if abs(epoch) > EXACT_INT)
         raise CorpusError(f"document {bad!r}: timestamp outside [-2**53, 2**53]")
-    return TimeAxis(unit=time_unit, origin=origin,
-                    num_slices=int(math.floor((last - origin) / time_unit)) + 1)
+    span = (last - origin) / time_unit
+    if not math.isfinite(span):
+        raise CorpusError(f"time unit {time_unit!r} is too small for a {last - origin} s span")
+    return TimeAxis(unit=time_unit, origin=origin, num_slices=int(math.floor(span)) + 1)
 
 
 def _corpus(ids: list, image: np.ndarray, text: TokenRows, epochs: np.ndarray,
@@ -559,8 +560,7 @@ def _corpus(ids: list, image: np.ndarray, text: TokenRows, epochs: np.ndarray,
     """The corpus of checked columns; ``epochs`` as int64."""
     return Corpus(ids=ids, image=image, text=text, timestamps=(epochs - axis.origin) / axis.unit,
                   epochs=epochs, label_sets=list(map(frozenset, label_lists)),
-                  vocabulary=vocabulary, categories=sorted(set(chain.from_iterable(label_lists))),
-                  time_axis=axis, dropped_token_count=dropped)
+                  vocabulary=vocabulary, time_axis=axis, dropped_token_count=dropped)
 
 
 def _build_corpus(ids: list, image: np.ndarray, token_maps: list, epochs: list,

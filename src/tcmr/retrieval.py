@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,18 +68,19 @@ class MetricError(ValueError):
 class RetrievalIndex:
     """Projected, unit-normalized test corpus; immutable after construction.
 
-    An index built for one direction's candidates holds None for the other side.
+    It keeps the split's ids, label sets and times under ``Corpus``'s names, so ``grade_split``
+    reads either. An index for one direction's candidates holds None for the other side.
     """
 
     image_matrix: np.ndarray | None
     text_matrix: np.ndarray | None
-    doc_ids: list[str]
+    ids: list[str]
     label_sets: list[frozenset[str]]
     timestamps: np.ndarray
     time_axis: TimeAxis
 
     def __len__(self):
-        return len(self.doc_ids)
+        return len(self.ids)
 
 
 @dataclass
@@ -104,8 +105,8 @@ class EvalReport:
 def build_index(
     test: Corpus, model: ProjectionModel, idf: np.ndarray, candidates_of: str | None = None
 ) -> RetrievalIndex:
-    """Project both sides of ``test``, or with ``candidates_of`` a direction
-    only that direction's candidates, which is all ``query_topk`` reads."""
+    """Project both sides of ``test``, or with ``candidates_of`` a direction only that
+    direction's candidates (all ``query_topk`` reads), beside its ids, labels and times."""
     if len(test) == 0:
         raise ValueError("cannot build an index over an empty corpus")
     image = text = None
@@ -113,17 +114,12 @@ def build_index(
         image = _project_split(model.image_net, test.image, test.ids, "image")
     if candidates_of != T2I:
         text = _project_split(model.text_net, tfidf_matrix(test.text, idf), test.ids, "text")
-    return replace(split_index(test), image_matrix=image, text_matrix=text)
-
-
-def split_index(test: Corpus) -> RetrievalIndex:
-    """The index of ``test`` before projection: ids, label sets and times, no matrices."""
-    return RetrievalIndex(image_matrix=None, text_matrix=None, doc_ids=test.ids,
+    return RetrievalIndex(image_matrix=image, text_matrix=text, ids=test.ids,
                           label_sets=test.label_sets, timestamps=test.timestamps,
                           time_axis=test.time_axis)
 
 
-def _project_split(net, x, doc_ids, modality: str) -> np.ndarray:
+def _project_split(net, x, ids, modality: str) -> np.ndarray:
     """Project a split's (n, d) inputs EVAL_BLOCK rows at a time; a degenerate
     row is named by its document.
 
@@ -138,15 +134,15 @@ def _project_split(net, x, doc_ids, modality: str) -> np.ndarray:
         except DegenerateProjectionError as exc:
             row = start + exc.row
             raise DegenerateProjectionError(
-                f"degenerate {modality} projection for document {doc_ids[row]!r}", row,
+                f"degenerate {modality} projection for document {ids[row]!r}", row,
             ) from None
     return out
 
 
-def _id_ranks(doc_ids) -> np.ndarray:
-    order = np.argsort(np.array(doc_ids))
-    ranks = np.empty(len(doc_ids), dtype=np.intp)
-    ranks[order] = np.arange(len(doc_ids))
+def _id_ranks(ids) -> np.ndarray:
+    order = np.argsort(np.array(ids))
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[order] = np.arange(len(ids))
     return ranks
 
 
@@ -201,8 +197,8 @@ def query_topk(index: RetrievalIndex, model: ProjectionModel, direction: str, ro
     net = model.image_net if direction == I2T else model.text_net
     (vec,) = net.forward(row)[0]  # exactly one row
     scores = candidates @ vec
-    top = rank_candidates(scores[None], _id_ranks(index.doc_ids), k)[0]
-    return [(index.doc_ids[i], float(scores[i])) for i in top], k > len(index)
+    top = rank_candidates(scores[None], _id_ranks(index.ids), k)[0]
+    return [(index.ids[i], float(scores[i])) for i in top], k > len(index)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +299,10 @@ EVAL_BLOCK = 128
 class Grading:
     """What evaluating a split needs from its label sets, ids and times alone.
 
-    ``grade_split`` builds it once per split: both directions of ``eval``
-    and every validation epoch rank against the same grading. Documents
-    with the same label set form a group, and a query's counts are its
-    group's: ``relevant[group]`` gives every query's relevant count.
+    ``grade_split`` builds it once per split, from the ``Corpus`` or its index: both
+    directions of ``eval`` and every validation epoch rank against the same grading.
+    Documents with the same label set form a group, and a query's counts are its group's:
+    ``relevant[group]`` gives every query's relevant count.
     """
 
     group: np.ndarray  # (n,) each document's group: its row of ``sets``
@@ -325,26 +321,26 @@ def _bin_counts(rows, item_bins, num_rows: int, bins: int) -> np.ndarray:
     return np.bincount(cells, minlength=num_rows * bins).reshape(num_rows, bins)
 
 
-def grade_split(index: RetrievalIndex, bins: int, depth: int) -> Grading:
-    """Grade every document of ``index`` as a query against all of them.
+def grade_split(split: Corpus | RetrievalIndex, bins: int, depth: int) -> Grading:
+    """Grade every document of ``split`` as a query against all of them.
 
-    Reads only the index's ids, label sets and times. Grading needs only a
-    query's label set, so it runs once per group of documents with the same
-    set, against the G groups: their (G, G) shared-category counts, with
-    each group's size and documents per time bin among ``bins``, give each
-    group's relevant count, ideal grades to ``depth`` (at least the nDCG
-    cut-off) and per-bin relevant counts. Groups are graded EVAL_BLOCK at a
-    time, so memory stays a few EVAL_BLOCK x G arrays even where G nears n.
+    ``split`` is a ``Corpus`` or its index; only ids, label sets and times
+    are read. A query needs only its label set, so grading runs once per group of
+    documents with the same set, against the G groups: their (G, G) shared-category
+    counts, with each group's size and documents per time bin among ``bins``, give each
+    group's relevant count, ideal grades to ``depth`` (at least the nDCG cut-off) and
+    per-bin relevant counts. Groups are graded EVAL_BLOCK at a time, so memory stays a
+    few EVAL_BLOCK x G arrays even where G nears n.
     """
-    doc_bins = time_bins(index.timestamps, index.time_axis, bins)
+    doc_bins = time_bins(split.timestamps, split.time_axis, bins)
     groups = {}  # each distinct label set and its row in ``sets``
-    group = np.array([groups.setdefault(s, len(groups)) for s in index.label_sets], dtype=np.intp)
+    group = np.array([groups.setdefault(s, len(groups)) for s in split.label_sets], dtype=np.intp)
     sets = label_matrix(list(groups))
     num_groups = len(sets)
     # counts go through float64 products, which run in BLAS and stay exact below 2**53
     size = np.bincount(group, minlength=num_groups).astype(np.float64)
     group_bins = _bin_counts(group, doc_bins, num_groups, bins).astype(np.float64)
-    depth = min(depth, len(index))
+    depth = min(depth, len(split))
     relevant = np.empty(num_groups, dtype=np.int64)
     ideal = np.zeros((num_groups, depth))
     gt_counts = np.empty((num_groups, bins), dtype=np.int64)
@@ -360,7 +356,7 @@ def grade_split(index: RetrievalIndex, bins: int, depth: int) -> Grading:
         for g in range(1, int(shared.max(initial=0)) + 1):
             at_least = (shared >= g).astype(np.float64) @ size
             block_ideal[ranks < at_least[:, None]] = g
-    return Grading(group=group, sets=sets, id_ranks=_id_ranks(index.doc_ids), doc_bins=doc_bins,
+    return Grading(group=group, sets=sets, id_ranks=_id_ranks(split.ids), doc_bins=doc_bins,
                    relevant=relevant, ideal=ideal, gt_counts=gt_counts)
 
 
@@ -395,12 +391,12 @@ def rank_direction(index: RetrievalIndex, grading: Grading, direction: str,
 
 
 def evaluate_direction(index: RetrievalIndex, grading: Grading, direction: str, k: int,
-                       k_list=DEFAULT_SCOPE_KS, *, ndcg_gain: str) -> EvalReport:
+                       k_list, *, ndcg_gain: str) -> EvalReport:
     """Evaluate one retrieval direction with every index row as a query.
 
-    ``grading`` is the index's ``grade_split``, to a depth of at least k.
-    Every mean runs over the queries with at least one relevant candidate;
-    with none, it raises MetricError.
+    ``grading`` is the split's ``grade_split`` to a depth of at least k, and
+    ``k_list`` the caller's scope cut-offs. Every mean runs over the queries
+    with at least one relevant candidate; with none, it raises MetricError.
     """
     n, bins = len(index), grading.gt_counts.shape[1]
     group = grading.group

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DEFAULT_TIME_UNIT, Corpus, from_records
+from .corpus import DEFAULT_TIME_UNIT, Corpus, epoch_seconds, from_records
 
 
 class SynthError(ValueError):
@@ -116,7 +116,8 @@ def generate(spec: SynthSpec) -> tuple[Corpus, SynthTruth]:
     """Sample a corpus from the spec; deterministic given the seed, and byte-identical
     to earlier versions. After its category's draws, each document draws, in order: one
     ``random()`` for its mode (as ``rng.choice`` with the weights would), a normal time
-    redrawn up to 20 times while outside the timespan, image noise if any, and its words."""
+    redrawn up to 20 times while outside the timespan, image noise if any, and its words.
+    A time t becomes the epoch ``epoch_seconds(t * DEFAULT_TIME_UNIT)``, the manifest's rule."""
     rng = np.random.default_rng(spec.seed)
     vocab = [f"w{i:04d}" for i in range(spec.vocab_size)]
 
@@ -162,7 +163,7 @@ def generate(spec: SynthSpec) -> tuple[Corpus, SynthTruth]:
 
             doc_id = f"doc{counter:05d}"
             counter += 1
-            epoch = int(round(t * DEFAULT_TIME_UNIT))
+            epoch = epoch_seconds(t * DEFAULT_TIME_UNIT)
             records.append((doc_id, feat, tokens, epoch, [f"cat{c:02d}"]))
             truth.doc_source[doc_id] = (c, m)
 

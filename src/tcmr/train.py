@@ -20,10 +20,8 @@ from .config import ConfigError, RunConfig
 from .corpus import Corpus, document_frequencies, label_matrix, tfidf_matrix
 from .objective import build_batch_plan, total_loss
 from .projection import ProjectionModel, SgdMomentum
-from .retrieval import DIRECTIONS, build_index, evaluate_direction, grade_split, split_index
+from .retrieval import DIRECTIONS, build_index, evaluate_direction, grade_split
 from .temporal import RecencyModel, fit_category_kde, fit_topic_densities
-
-TEMPORAL_KINDS = ("recency", "category", "topic")
 
 
 @dataclass
@@ -66,7 +64,7 @@ def fit_temporal_model(kind: str, train: Corpus, cfg: RunConfig):
 def mean_map_both_directions(index, grading, k: int, ndcg_gain: str) -> float:
     """Validation score: the ``eval`` mAP@k, averaged over both retrieval directions.
 
-    ``grading`` is the index's ``grade_split``; only the top k is ranked.
+    ``grading`` is the split's ``grade_split``; only the top k is ranked.
     """
     return float(np.mean([evaluate_direction(index, grading, d, k, (), ndcg_gain=ndcg_gain).map_at_k
                           for d in DIRECTIONS]))
@@ -91,7 +89,7 @@ def train_model(train: Corpus, val: Corpus | None, cfg: RunConfig,
     rng = np.random.default_rng(batch_ss)
     use_val = val is not None and len(val) > 0
     if use_val:  # the val split's grading does not change between epochs
-        val_grading = grade_split(split_index(val), cfg.eval_bins, cfg.k_eval)
+        val_grading = grade_split(val, cfg.eval_bins, cfg.k_eval)
 
     result = TrainResult(model=model)  # kept as trained when there is no val split
     best_map = -np.inf

@@ -28,7 +28,6 @@ def assert_same_corpus(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert got.label_sets == want.label_sets
     assert got.vocabulary == want.vocabulary
-    assert got.categories == want.categories
     assert got.time_axis == want.time_axis
     assert got.d_image == want.d_image
     assert got.dropped_token_count == want.dropped_token_count

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -151,23 +152,32 @@ class TestSynthAndIngest:
         assert main(["synth", "--out", str(tmp_path / "d"), "--modes", "5:1"]) == 1
 
     @pytest.mark.parametrize("flags, fault", [
-        pytest.param(["--image-noise", "nan"], "image_noise must be finite", id="noise-nan"),
-        pytest.param(["--drift", "nan"], "drift must be finite", id="drift-nan"),
-        pytest.param(["--timespan", "inf"], "timespan must be positive and finite",
+        pytest.param(["--image-noise", "nan"], "image_noise must be finite and >= 0, got nan",
+                     id="noise-nan"),
+        pytest.param(["--drift", "nan"], "drift must be finite and >= 0, got nan", id="drift-nan"),
+        pytest.param(["--timespan", "inf"], "timespan must be positive and finite, got inf",
                      id="timespan-inf"),
-        pytest.param(["--timespan", "nan"], "timespan must be positive and finite",
+        pytest.param(["--timespan", "nan"], "timespan must be positive and finite, got nan",
                      id="timespan-nan"),
-        pytest.param(["--modes", "8:nan:1"], "mode width must be positive and finite",
+        pytest.param(["--modes", "8:nan:1"], "category 0: mode width must be positive and finite",
                      id="width-nan"),
-        pytest.param(["--modes", "8:1.5:nan"], "mode weights sum to nan", id="weight-nan"),
+        pytest.param(["--modes", "8:1.5:nan"], "category 0: mode weights sum to nan, not 1",
+                     id="weight-nan"),
         pytest.param(["--concentration", "inf"], "word_concentration must be positive and finite",
                      id="concentration-inf"),
         pytest.param(["--seed", "-3"], "seed must be >= 0, got -3", id="seed-negative"),
+        pytest.param(["--categories", "0"],
+                     "need at least one category and one document per category", id="categories-0"),
+        pytest.param(["--docs-per-category", "0"],
+                     "need at least one category and one document per category", id="docs-0"),
+        pytest.param(["--d-image", "0"], "d_image must be >= 1", id="d-image-0"),
+        # a time so late that its epoch second overflows to infinity
+        pytest.param(["--timespan", "1e305", "--modes", "5e304:1:1", "--categories", "1",
+                      "--docs-per-category", "3"], "non-finite timestamp", id="epoch-overflow"),
     ])
     def test_non_finite_synth_value_is_data_error(self, tmp_path, capsys, flags, fault):
         assert main(["synth", "--out", str(tmp_path / "d"), *flags]) == 2
-        err = capsys.readouterr().err
-        assert fault in err and "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {fault}\n"
         assert not (tmp_path / "d").exists()
 
     def test_negative_mode_weight_names_category(self, tmp_path, capsys):
@@ -184,6 +194,22 @@ class TestSynthAndIngest:
         err = capsys.readouterr().err
         assert code == 2
         assert "time unit must be positive and finite" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_time_unit_too_small_for_the_span_is_data_error(self, workspace, capsys, command):
+        """A span that overflows to infinity in time units is a data error naming both."""
+        tmp_path, data, cfg = workspace
+        span = int(np.ptp(load_bundle(data, cp.DEFAULT_TIME_UNIT).epochs))
+        if command == "ingest":
+            argv = ["ingest", str(data / "manifest.jsonl"), str(data / "features.bin"),
+                    "--time-unit", "1e-310"]
+        else:
+            cfg.write_text(TINY_CFG + "time_unit = 1e-310\n")
+            argv = ["train", "--corpus", str(data), "--config", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: time unit 1e-310 is too small for a {span} s span\n")
         assert not (tmp_path / "x").exists()
 
 
@@ -247,6 +273,62 @@ class TestNamedFaults:
         assert main([command, "--checkpoint", str(path), "--corpus", str(data), *extra]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: dims[{key!r}], an array shape size, must be an int >= 1, got 0\n")
+
+
+class TestReachedChecks:
+    """Checks that a flag or a file reaches, each through ``main``: its exit code and its
+    stderr line."""
+
+    @staticmethod
+    def untrained_checkpoint(path, config):
+        """A checkpoint of the workspace bundle's dimensions, (8, 30), with this config."""
+        save_checkpoint(path, ProjectionModel.initialize(8, 30, 4, 2, seed=0), config=config,
+                        seed=0)
+
+    def test_temporal_model_of_unknown_kind_tag(self, workspace, capsys):
+        tmp_path, data, cfg = workspace
+        path = tmp_path / "t.txnt"
+        tp.write_temporal_model(path, tp.RecencyModel(h_rec=0.3))
+        path.write_bytes(path.read_bytes()[:4] + b"XYZ\0" + path.read_bytes()[8:])
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--temporal", str(path), "--out", str(tmp_path / "m.txnm")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown model kind\n"
+        assert not (tmp_path / "m.txnm").exists()
+
+    def test_checkpoint_config_with_an_unknown_key(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        self.untrained_checkpoint(path, {"bogus": 1})
+        assert main(["eval", "--checkpoint", str(path), "--corpus", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys ['bogus']\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_with_an_unknown_ndcg_gain(self, workspace, capsys):
+        tmp_path, data, cfg = workspace
+        cfg.write_text(TINY_CFG + "ndcg_gain = cubic\n")
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "m.txnm")]) == 2
+        assert capsys.readouterr().err == "error: ndcg_gain must be 'linear' or 'exponential'\n"
+
+    def test_query_k_beyond_the_index_notes_its_size(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        path = tmp_path / "m.txnm"
+        self.untrained_checkpoint(path, {})
+        assert main(["query", "--checkpoint", str(path), "--corpus", str(data),
+                     "--text", "w0001", "--k", "1000"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 100
+        assert err == "note: index holds only 100 documents\n"
+
+    def test_unknown_temporal_kind_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit-temporal", "--kind", "bogus", "--corpus", "d", "--out", "t"]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        # newer Pythons word the list of choices differently
+        assert err.startswith("usage error: argument --kind: invalid choice: 'bogus'")
+        assert re.search(r"recency.*category.*topic", err)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _edit_manifest_line(data, i, edit):
@@ -903,11 +985,13 @@ class TestPipeline:
          "usage error: argument --k-list: k list must be strictly increasing, got '4,2'"),
         (["eval", "--checkpoint", "m", "--corpus", "d", "--out", "o", "--k-list", "2,x"],
          "usage error: argument --k-list: bad k 'x'"),
+        (["eval", "--checkpoint", "m", "--corpus", "d", "--out", "o", "--k-list", ","],
+         "usage error: argument --k-list: empty k list"),
         (["synth", "--out", "d", "--modes", "1:2"],
          "usage error: argument --modes: bad mode spec '1:2', expected center:width:weight"),
         (["synth", "--out", "d", "--modes", "1:2:x"],
          "usage error: argument --modes: bad mode spec '1:2:x'"),
-    ], ids=["k-list-order", "k-list-text", "modes-fields", "modes-text"])
+    ], ids=["k-list-order", "k-list-text", "k-list-empty", "modes-fields", "modes-text"])
     def test_bad_value_message_names_the_argument(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1

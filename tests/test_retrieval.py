@@ -31,14 +31,14 @@ class LinearStubModel:
         self.text_net = _NormalizeHalf()
 
 
-def make_index(image_rows, text_rows, doc_ids=None, labels=None, timestamps=None,
+def make_index(image_rows, text_rows, ids=None, labels=None, timestamps=None,
                num_slices=4):
     image_rows = np.asarray(image_rows, dtype=np.float64)
     n = image_rows.shape[0]
     return rt.RetrievalIndex(
         image_matrix=image_rows,
         text_matrix=np.asarray(text_rows, dtype=np.float64),
-        doc_ids=doc_ids or [f"d{i}" for i in range(n)],
+        ids=ids or [f"d{i}" for i in range(n)],
         label_sets=labels or [frozenset(["l"])] * n,
         timestamps=np.asarray(timestamps if timestamps is not None else np.zeros(n)),
         time_axis=cp.TimeAxis(unit=1.0, origin=0, num_slices=num_slices),
@@ -207,7 +207,7 @@ class TestQueryTopK:
         assert not truncated
 
     def test_tie_broken_by_doc_id(self):
-        index = make_index([[1.0], [1.0]], [[0.5], [0.5]], doc_ids=["zz", "aa"])
+        index = make_index([[1.0], [1.0]], [[0.5], [0.5]], ids=["zz", "aa"])
         results, _ = rt.query_topk(index, LinearStubModel(), rt.I2T, [[1.0]], k=2)
         assert [doc for doc, _ in results] == ["aa", "zz"]
 
@@ -247,7 +247,7 @@ class TestQueryTopK:
         rows = rng.integers(-2, 3, size=(4, 3)) / 4.0
         text = rows[[0, 1, 1, 2, 2, 2, 3, 3, 1, 0, 2, 3]]  # exact scores, each repeated
         ids = [f"doc{j:02d}" for j in rng.permutation(12)]
-        index = make_index(np.zeros((12, 3)), text, doc_ids=ids)
+        index = make_index(np.zeros((12, 3)), text, ids=ids)
         qvec = np.array([0.5, -0.25, 0.75])
         scores = text @ (qvec / np.linalg.norm(qvec))
         full = reference_rank(scores, ids)[0]
@@ -290,7 +290,7 @@ class TestQueryTopK:
                 candidates = index.text_matrix if direction == rt.I2T else index.image_matrix
                 results, _ = rt.query_topk(index, model, direction, row, k=6)
                 scores = dict(results)
-                for j, doc_id in enumerate(index.doc_ids):
+                for j, doc_id in enumerate(index.ids):
                     assert scores[doc_id] == pytest.approx(candidates[j] @ query, abs=1e-12)
 
 
@@ -559,10 +559,10 @@ class TestSharedLabelMatrix:
         return grades
 
     @staticmethod
-    def reference_topk(label_sets, scores, doc_ids, depth, doc_bins, bins):
+    def reference_topk(label_sets, scores, ids, depth, doc_bins, bins):
         """Every TopK field from the (n, n) intersection counts and a full sort of each row."""
         grades = TestSharedLabelMatrix.reference(label_sets)
-        order = reference_rank(scores, doc_ids)[:, :depth]
+        order = reference_rank(scores, ids)[:, :depth]
         gt_counts = np.zeros((len(grades), bins), dtype=np.int64)
         for i, row in enumerate(grades):
             for j in np.flatnonzero(row > 0):
@@ -602,7 +602,7 @@ class TestSharedLabelMatrix:
             assert (doc_bins == -1).any()
             # each bin's midpoint, or a time before the timespan for bin -1
             timestamps = np.where(doc_bins >= 0, (doc_bins + 0.5) * num_slices / bins, -1.0)
-            index = make_index(image, text, doc_ids=ids, labels=label_sets,
+            index = make_index(image, text, ids=ids, labels=label_sets,
                                timestamps=timestamps, num_slices=num_slices)
             for depth in (30, n + 5):
                 grading = rt.grade_split(index, bins, depth)
@@ -632,8 +632,8 @@ class TestSharedLabelMatrix:
 # every metric looped over queries.
 
 
-def reference_rank(scores, doc_ids):
-    id_ranks = np.argsort(np.argsort(np.array(doc_ids)))
+def reference_rank(scores, ids):
+    id_ranks = np.argsort(np.argsort(np.array(ids)))
     return np.array([np.lexsort((id_ranks, -row)) for row in np.atleast_2d(scores)])
 
 
@@ -692,7 +692,7 @@ def reference_ranked(index, direction):
         (index.image_matrix, index.text_matrix) if direction == rt.I2T
         else (index.text_matrix, index.image_matrix)
     )
-    order = reference_rank(queries @ candidates.T, index.doc_ids)
+    order = reference_rank(queries @ candidates.T, index.ids)
     grades = TestSharedLabelMatrix.reference(index.label_sets)
     return order, np.take_along_axis(grades, order, axis=1)
 
@@ -752,7 +752,7 @@ def tie_index(seed, n=40, num_slices=3, bins=6):
                           rng.uniform(0.0, num_slices, size=n))
     timestamps[:2] = num_slices  # the last edge
     ids = [f"doc{j:03d}" for j in rng.permutation(n)]
-    return make_index(image, text, doc_ids=ids, labels=labels, timestamps=timestamps,
+    return make_index(image, text, ids=ids, labels=labels, timestamps=timestamps,
                       num_slices=num_slices)
 
 

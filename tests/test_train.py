@@ -108,7 +108,7 @@ class TestTrainModel:
         result = train_model(train, val, cfg)
         assert len(result.history) == 4
         assert all(e.val_map is not None for e in result.history)
-        assert len(graded) == 1 and graded[0][0].doc_ids == val.ids
+        assert len(graded) == 1 and graded[0][0] is val
         assert len(indexed) == 4 and all(args[0] is val for args in indexed)
         # the train split's rows once, then the val split's once per epoch
         texts = [args[0] for args in weighted]
