@@ -63,7 +63,7 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         positive = (
             "d_subspace", "hidden", "margin", "epsilon", "negatives_per_anchor",
-            "eta", "momentum", "epochs", "batch_size", "kde_bandwidth",
+            "eta", "epochs", "batch_size", "kde_bandwidth",
             "kde_grid_size", "recency_scale", "num_topics", "gibbs_iters",
             "kappa", "topic_floor", "time_unit", "k_eval", "eval_bins",
         )
@@ -75,6 +75,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be non-negative")
         if self.epsilon > 1e-6:
             raise ConfigError("epsilon must be in (0, 1e-6]")
+        if not 0.0 < self.momentum < 1.0:  # heavy-ball momentum diverges at 1 and above
+            raise ConfigError("momentum must be in (0, 1)")
         if not 0.0 < self.dev_fraction <= 1.0:
             raise ConfigError("dev_fraction must be in (0, 1]")
         if not 0.0 <= self.val_fraction < 1.0:

@@ -199,6 +199,7 @@ class TopicDensity:
         _require_names("vocabulary", self.vocabulary)
         _require(np.ndim(self.phi) == 2 and len(self.phi) == len(self.vocabulary),
                  "phi needs one row per vocabulary word")
+        _require(np.isfinite(self.phi).all(), "phi holds NaN or infinity")
         _require(np.shape(self.slice_map) == (self.time_axis.num_slices,),
                  "slice_map needs one entry per time slice")
         s, e = self.slice_map, self.num_effective_slices
@@ -263,7 +264,10 @@ def _gibbs_slice(doc_word_ids, num_topics, vocab_size, alpha, prior_kw, iters, r
     the former NumPy loop (``np.cumsum`` of ``(n_kw[:, w] + prior_kw[:, w]) /
     (n_k + prior_k) * (n_dk[d] + alpha)``, then ``np.searchsorted``): each
     term has the same operands and operations, the sum runs left to right,
-    and ``bisect_left`` picks the same index.
+    and ``bisect_left`` picks the same index. No list is built per draw:
+    ``cum`` is allocated once, and each draw rewrites its K running sums before
+    ``bisect_left`` reads them; ``doc_terms`` (each ``n_dk[d] + alpha``) is kept
+    across sweeps, exact by the invariant of ``word_terms`` and ``denoms`` (below).
     """
     topics = range(num_topics)
     prior_wk = prior_kw.T.tolist()
@@ -283,37 +287,37 @@ def _gibbs_slice(doc_word_ids, num_topics, vocab_size, alpha, prior_kw, iters, r
             n_k[k] += 1.0
 
     # the factors of each topic's weight; an entry is recomputed from its count
-    # whenever that count changes, so it always equals count + prior exactly
+    # whenever that count changes, so it always equals count + prior (or alpha) exactly
     word_terms = [[c + p for c, p in zip(nw, pw)] for nw, pw in zip(n_wk, prior_wk)]
     denoms = [c + p for c, p in zip(n_k, prior_k)]
+    doc_terms = [[c + alpha for c in nd] for nd in n_dk]
     n_tokens = sum(len(words) for words in doc_word_ids)
+    cum = [0.0] * num_topics
 
     for _ in range(iters):
         uniforms = iter(rng.random(n_tokens).tolist())
         for d, words in enumerate(doc_word_ids):
             z = assignments[d]
-            nd = n_dk[d]
-            doc_terms = [c + alpha for c in nd]
+            nd, dt = n_dk[d], doc_terms[d]
             for pos, w in enumerate(words):
                 k = z[pos]
                 nw, pw, wt = n_wk[w], prior_wk[w], word_terms[w]
                 nd[k] -= 1.0
                 nw[k] -= 1.0
                 n_k[k] -= 1.0
-                doc_terms[k] = nd[k] + alpha
+                dt[k] = nd[k] + alpha
                 wt[k] = nw[k] + pw[k]
                 denoms[k] = n_k[k] + prior_k[k]
                 total = 0.0
-                cum = []
                 for j in topics:
-                    total += wt[j] / denoms[j] * doc_terms[j]
-                    cum.append(total)
+                    total += wt[j] / denoms[j] * dt[j]
+                    cum[j] = total
                 k = bisect_left(cum, next(uniforms) * total)
                 z[pos] = k
                 nd[k] += 1.0
                 nw[k] += 1.0
                 n_k[k] += 1.0
-                doc_terms[k] = nd[k] + alpha
+                dt[k] = nd[k] + alpha
                 wt[k] = nw[k] + pw[k]
                 denoms[k] = n_k[k] + prior_k[k]
     return np.array(n_wk, dtype=np.float64).T.copy()
@@ -358,22 +362,24 @@ def fit_topic_densities(
     rng = np.random.default_rng(seed)
     beta = np.zeros((len(nonempty), num_topics, vocab_size))
     prev_counts = None
-    for e, s in enumerate(nonempty):
-        prior_kw = np.full((num_topics, vocab_size), TOPIC_BETA_PRIOR)
-        if prev_counts is not None:
-            prior_kw += kappa * prev_counts
-        counts = _gibbs_slice(
-            slice_docs[s], num_topics, vocab_size, alpha, prior_kw, gibbs_iters, rng
-        )
-        smoothed = counts + prior_kw
-        beta[e] = smoothed / smoothed.sum(axis=1, keepdims=True)
-        prev_counts = counts
+    # counts that overflow (a huge kappa) end as NaN in phi, which TopicDensity rejects
+    with np.errstate(all="ignore"):
+        for e, s in enumerate(nonempty):
+            prior_kw = np.full((num_topics, vocab_size), TOPIC_BETA_PRIOR)
+            if prev_counts is not None:
+                prior_kw += kappa * prev_counts
+            counts = _gibbs_slice(
+                slice_docs[s], num_topics, vocab_size, alpha, prior_kw, gibbs_iters, rng
+            )
+            smoothed = counts + prior_kw
+            beta[e] = smoothed / smoothed.sum(axis=1, keepdims=True)
+            prev_counts = counts
 
-    # per word and topic, normalize over slices; then average topics and
-    # renormalize so each word's profile sums to 1
-    phi_wp = beta / beta.sum(axis=0, keepdims=True)
-    phi = phi_wp.mean(axis=1).T  # (vocab, effective slices)
-    phi /= phi.sum(axis=1, keepdims=True)
+        # per word and topic, normalize over slices; then average topics and
+        # renormalize so each word's profile sums to 1
+        phi_wp = beta / beta.sum(axis=0, keepdims=True)
+        phi = phi_wp.mean(axis=1).T  # (vocab, effective slices)
+        phi /= phi.sum(axis=1, keepdims=True)
 
     return TopicDensity(
         num_topics=num_topics,

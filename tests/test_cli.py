@@ -311,6 +311,24 @@ class TestReachedChecks:
                      "--out", str(tmp_path / "m.txnm")]) == 2
         assert capsys.readouterr().err == "error: ndcg_gain must be 'linear' or 'exponential'\n"
 
+    def test_topic_fit_whose_counts_overflow_writes_no_model(self, workspace, capsys):
+        tmp_path, data, cfg = workspace
+        cfg.write_text(TINY_CFG + "kappa = 1e308\n")
+        out = tmp_path / "t.txnt"
+        assert main(["fit-temporal", "--kind", "topic", "--corpus", str(data),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: phi holds NaN or infinity\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("momentum", ["1", "3"])
+    def test_config_file_with_momentum_of_one_or_more(self, workspace, capsys, momentum):
+        tmp_path, data, cfg = workspace
+        cfg.write_text(TINY_CFG + f"momentum = {momentum}\n")
+        assert main(["train", "--corpus", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "m.txnm")]) == 2
+        assert capsys.readouterr().err == "error: momentum must be in (0, 1)\n"
+        assert not (tmp_path / "m.txnm").exists()
+
     def test_query_k_beyond_the_index_notes_its_size(self, workspace, capsys):
         tmp_path, data, _ = workspace
         path = tmp_path / "m.txnm"

@@ -39,6 +39,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(topic_aggregate="sum")
 
+    @pytest.mark.parametrize("momentum", [1.0, 3.0, 0.0, -0.5])
+    def test_momentum_outside_the_heavy_ball_bound_rejected(self, momentum):
+        with pytest.raises(ConfigError, match=r"^momentum must be in \(0, 1\)$"):
+            RunConfig(momentum=momentum)
+
     @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type == "float"])
     def test_non_finite_float_fields_rejected(self, name):
         for value in (math.nan, math.inf, -math.inf):

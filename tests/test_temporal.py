@@ -304,6 +304,8 @@ class TestConstructorRules:
         ("topic", "slice_map", np.array([-1, 0, 1]), r"integers in \[0, 2\)"),
         ("topic", "floor", 0.0, "floor must be positive and finite"),
         ("topic", "aggregate", "sum", "unknown aggregate 'sum'"),
+        ("topic", "phi", np.array([[0.5, math.nan], [1.0, 0.0]]), "phi holds NaN or infinity"),
+        ("topic", "phi", np.array([[0.5, 0.5], [math.inf, 0.0]]), "phi holds NaN or infinity"),
     ])
     def test_rule_is_enforced(self, kind, field, value, fault):
         args = dict(valid_arguments(kind), **{field: value})
@@ -314,6 +316,13 @@ class TestConstructorRules:
         corpus = day_corpus([(0, {"w": 1}, ["a"]), (3, {"w": 1}, ["a"])])
         with pytest.raises(tp.TemporalModelError, match="at least 2 points"):
             tp.fit_category_kde(corpus, bandwidth=1.0, grid_size=1)
+
+    def test_fit_whose_counts_overflow_breaks_the_phi_rule(self):
+        # kappa times a carried-over count of 2 overflows; no warning escapes the fit
+        corpus = day_corpus([(0, {"w": 2}, ["a"]), (3, {"w": 1}, ["a"])])
+        with pytest.raises(tp.TemporalModelError, match="phi holds NaN or infinity"):
+            tp.fit_topic_densities(corpus, num_topics=1, seed=0, gibbs_iters=1, kappa=1e308,
+                                   floor=1e-6, aggregate="geometric")
 
     def test_fit_with_unknown_aggregate_breaks_the_aggregate_rule(self):
         corpus = day_corpus([(0, {"w": 1}, ["a"]), (3, {"w": 1}, ["a"])])
@@ -538,7 +547,7 @@ def random_slice(rng, num_docs, vocab_size):
 
 
 class TestGibbsAgainstLoopReference:
-    @pytest.mark.parametrize("num_topics", [1, 2, 3, 10])
+    @pytest.mark.parametrize("num_topics", [1, 2, 3, 10, 30, 50])
     @pytest.mark.parametrize("carry_over", [False, True])
     def test_counts_and_stream_match(self, num_topics, carry_over):
         rng = np.random.default_rng(30 + num_topics)
@@ -552,6 +561,21 @@ class TestGibbsAgainstLoopReference:
         want = reference_gibbs_slice(docs, num_topics, vocab_size, alpha, prior_kw, 6, want_rng)
         got = tp._gibbs_slice(docs, num_topics, vocab_size, alpha, prior_kw, 6, got_rng)
         assert got.shape == (num_topics, vocab_size) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_many_sweeps_over_a_peaked_prior_match(self):
+        """40 sweeps (the default gibbs_iters) where a carried-over prior puts each word
+        on one topic, so most draws keep their topic and each document's alpha terms
+        are carried through every sweep."""
+        rng = np.random.default_rng(60)
+        num_topics, vocab_size = 10, 12
+        docs = random_slice(rng, 9, vocab_size)
+        prior_kw = np.full((num_topics, vocab_size), 0.01)
+        prior_kw[np.arange(vocab_size) % num_topics, np.arange(vocab_size)] += 500.0
+        want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+        want = reference_gibbs_slice(docs, num_topics, vocab_size, 5.0, prior_kw, 40, want_rng)
+        got = tp._gibbs_slice(docs, num_topics, vocab_size, 5.0, prior_kw, 40, got_rng)
         np.testing.assert_array_equal(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
